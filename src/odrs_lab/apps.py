@@ -10,6 +10,7 @@ stage vector independently; coverage then holds with probability one.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,7 +70,6 @@ class _FairMatcher:
         or -1."""
         row_used = 0.0
         ys, ids = [], []
-        probs = []
         for j, kappa in edges:
             x = min(kappa / self.delta_bound,
                     1.0 - row_used, 1.0 - float(self.col_used[j]))
@@ -77,17 +77,13 @@ class _FairMatcher:
                 continue
             row_used += x
             self.col_used[j] += x
-            st = self.state[j]
-            p = step_probability(st, x)
-            probs.append((j, x, p))
             ids.append(j)
             ys.append(x)
         if not ids:
             return -1
         bidders = set()
-        for k, (j, x, p) in enumerate(probs):
-            sel = 1 if rng.uniform() < p else 0
-            _, self.state[j] = online_step(self.state[j], x, 0.0 if sel else 1.0)
+        for k, (j, x) in enumerate(zip(ids, ys)):
+            sel, self.state[j] = online_step(self.state[j], x, rng.uniform())
             if sel:
                 bidders.add(k)
         if not bidders:
@@ -178,19 +174,8 @@ class FairMatcherSampler:
                  params=None, delta_bound: int | None = None):
         from . import odrs as odrs_mod
         self.mg = mg
-        inst = multigraph_to_instance(mg, delta_bound)
-        if algorithm == "warmup":
-            self._compiled = odrs_mod.CompiledWarmup(inst)
-            self.alpha = 1.0 / self._alpha_floor_warmup(inst)
-        elif algorithm == "odrs":
-            self._compiled = odrs_mod.CompiledOdrs(inst, params)
-            self.alpha = 1.0 / odrs_mod.ratio_bound(params)
-        else:
-            raise DomainError(f"unknown fair-matcher algorithm {algorithm!r}")
-
-    @staticmethod
-    def _alpha_floor_warmup(inst) -> float:
-        return 1.0 - 1.0 / math.e
+        self._compiled = odrs_mod.compile_scheme(
+            algorithm, multigraph_to_instance(mg, delta_bound), params)
 
     def sample(self, seed: int) -> list[tuple[int, int, int]]:
         """Matched (left, right, copy) triples; one copy per simple edge."""
@@ -235,9 +220,10 @@ def verify_coloring(mg: MultigraphInstance, coloring: EdgeColoring) -> ColoringR
         if (j, c) in seen_right:
             violations.append(f"right {j} repeats color {c}")
         seen_right[(j, c)] = (t, j, copy)
+    copies = Counter((t, j) for t, j, _ in coloring.colors)
     for t, arr in enumerate(mg.arrivals):
         for j, kappa in arr:
-            have = sum(1 for (tt, jj, _) in coloring.colors if tt == t and jj == j)
+            have = copies[(t, j)]
             if have != kappa:
                 violations.append(f"edge ({t},{j}) colored {have}/{kappa} copies")
     return ColoringReport(

@@ -7,7 +7,6 @@ by the documented 64-bit mix, so reports are reproducible bit for bit.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +40,6 @@ class RoundReport:
     edges: list[EdgeStat]
     min_ratio: float
     params: dict = field(default_factory=dict)
-    wall_time: float = 0.0  # not serialized; reports must be byte-reproducible
 
     def to_json_dict(self) -> dict:
         return {
@@ -57,7 +55,7 @@ class RoundReport:
         }
 
 
-def _selection_table(elements, rows_for, n_active):
+def _selection_table(rows_for, n_active):
     """Cumulative winner probabilities per realized bid mask.
 
     Returns (2^k, k) array: row m holds the cumulative conditional win
@@ -78,18 +76,6 @@ def _selection_table(elements, rows_for, n_active):
     return table
 
 
-def _batch_bin_candidates(gb, g, n_runs):
-    """Per-run chosen node of one bin, -1 when the bin stays silent."""
-    u = g.random(n_runs)
-    bounds = np.cumsum(gb.sizes)
-    idx = np.searchsorted(bounds, u, side="right")
-    chosen = np.full(n_runs, -1, dtype=np.int64)
-    inside = idx < len(gb.nodes)
-    nodes = np.asarray(gb.nodes, dtype=np.int64)
-    chosen[inside] = nodes[idx[inside]]
-    return chosen
-
-
 def _batch_odrs(comp: odrs_mod.CompiledOdrs, n_runs: int, seed: int):
     """Vectorized replays of the improved ODRS; yields matched-edge counts and
     per-run matched flags."""
@@ -106,7 +92,7 @@ def _batch_odrs(comp: odrs_mod.CompiledOdrs, n_runs: int, seed: int):
         apos = {i: k for k, i in enumerate(active)}
         bid_mask = np.zeros(n_runs, dtype=np.int64)
         for gb in plan.bins:
-            chosen = _batch_bin_candidates(gb, g, n_runs)
+            chosen = gb.draw_batch(g.random(n_runs))
             for node in gb.nodes:
                 hit = (chosen == node) & ~ahead[:, node]
                 ahead[hit, node] = True
@@ -116,7 +102,7 @@ def _batch_odrs(comp: odrs_mod.CompiledOdrs, n_runs: int, seed: int):
             lag = ~ahead[:, cn.node]
             bid_mask[lag | heads] |= 1 << apos[cn.node]
             ahead[:, cn.node] &= heads
-        table = _selection_table(active, lambda m: selector.rows.get(m), len(active))
+        table = _selection_table(lambda m: selector.rows.get(m), len(active))
         cum = table[bid_mask]
         u = g.random(n_runs)
         winners = (u[:, None] < cum).argmax(axis=1)
@@ -154,7 +140,7 @@ def _batch_warmup(comp: odrs_mod.CompiledWarmup, n_runs: int, seed: int):
             probs = sel.conditional_win_probs({p for p in range(k) if mask >> p & 1})
             return [(p, float(probs[p])) for p in range(k)]
 
-        table = _selection_table(list(range(k)), rows_for, k)
+        table = _selection_table(rows_for, k)
         cum = table[bid_mask]
         u = g.random(n_runs)
         winners = (u[:, None] < cum).argmax(axis=1)
@@ -174,11 +160,11 @@ def _batch_run(algorithm, inst: MatchingInstance, params, n_runs: int, seed: int
     (inst, n_runs, seed) -> (edge counts, offline matched, arrival matched)."""
     if callable(algorithm):
         return algorithm(inst, n_runs, seed)
-    if algorithm == "warmup":
-        return _batch_warmup(odrs_mod.CompiledWarmup(inst), n_runs, seed)
-    if algorithm in ("odrs", "odrs_b"):
-        return _batch_odrs(odrs_mod.CompiledOdrs(inst, params), n_runs, seed)
-    raise DomainError(f"unknown algorithm {algorithm!r}")
+    comp = odrs_mod.compile_scheme(algorithm, inst, params)
+    # kernels are looked up at call time, so a wrapper installed on the
+    # module global is the one that runs
+    kernel = _batch_warmup if isinstance(comp, odrs_mod.CompiledWarmup) else _batch_odrs
+    return kernel(comp, n_runs, seed)
 
 
 def monte_carlo_edge_probs(algorithm: str, inst: MatchingInstance, n_runs: int,
@@ -187,7 +173,6 @@ def monte_carlo_edge_probs(algorithm: str, inst: MatchingInstance, n_runs: int,
     n_runs vectorized replays with normal-approximation standard errors."""
     if not exact and n_runs < 1000:
         raise DomainError("need at least 10^3 runs")
-    t0 = time.time()
     xs = {(i, t): x for i, t, x in inst.edge_list() if x > 0}
     stats = []
     if exact:
@@ -205,7 +190,7 @@ def monte_carlo_edge_probs(algorithm: str, inst: MatchingInstance, n_runs: int,
     pd = {} if params is None else {"eps": params.eps, "delta": params.delta,
                                     "variant": params.variant}
     return RoundReport(algorithm, seed, 0 if exact else n_runs, exact, stats,
-                       min_ratio, pd, wall_time=time.time() - t0)
+                       min_ratio, pd)
 
 
 # ----------------------------------------------------------------------------

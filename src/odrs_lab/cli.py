@@ -43,17 +43,6 @@ def _to_csv(doc) -> str:
     return "\n".join(lines)
 
 
-def _params_for(alg: str, eps, delta):
-    if alg == "warmup":
-        return None
-    variant = "b_matching" if alg == "odrs-b" else "matching"
-    if eps is None or delta is None:
-        e, d, _ = odrs.optimize_params(variant)
-        eps = e if eps is None else eps
-        delta = d if delta is None else delta
-    return odrs.ScalingParams(eps, delta, variant)
-
-
 @click.group()
 def cli():
     """Online dependent rounding workbench."""
@@ -119,8 +108,8 @@ def round_cmd(alg, path, eps, delta, seed, n_runs, exact, sample, csv):
     inst = instances.load_json(path)
     instances.validate(inst).raise_if_invalid()
     t0 = time.time()
-    if alg == "stochastic":
-        params = _params_for("odrs", eps, delta)
+    if alg == "stochastic":  # rounds with the matching ODRS's parameters
+        params = odrs.scheme_params("odrs", eps, delta)
         if sample:
             sol = stochastic.solve_lp(stochastic.build_lp(inst))
             m = stochastic.stochastic_round(inst, sol.x, params, seed=seed)
@@ -128,18 +117,12 @@ def round_cmd(alg, path, eps, delta, seed, n_runs, exact, sample, csv):
         else:
             _emit(stochastic.eval_vs_lp(inst, params, runs=n_runs, seed=seed), csv)
     else:
-        params = _params_for(alg, eps, delta)
+        name = alg.replace("-", "_")
+        params = odrs.scheme_params(name, eps, delta)
         if sample:
-            if alg == "warmup":
-                m = odrs.warmup_round(inst, seed=seed)
-            elif alg == "odrs":
-                m = odrs.odrs_round(inst, params, seed=seed)
-            else:
-                m = odrs.odrs_round_b(inst, params, seed=seed)
-            _emit(m.to_json_list(), csv)
+            _emit(odrs.compile_scheme(name, inst, params).sample(seed).to_json_list(), csv)
         else:
-            engine_alg = {"warmup": "warmup", "odrs": "odrs", "odrs-b": "odrs_b"}[alg]
-            rep = bench.monte_carlo_edge_probs(engine_alg, inst, n_runs, seed,
+            rep = bench.monte_carlo_edge_probs(name, inst, n_runs, seed,
                                                params=params, exact=exact)
             _emit(rep.to_json_dict(), csv)
     click.echo(f"wall time {time.time() - t0:.2f}s", err=True)
@@ -193,7 +176,7 @@ def crs_cmd(dist_path, v_path):
 @click.option("--seed", default=0, show_default=True)
 def lowerbound_cmd(n, probe, n_eval, alg, eps, delta, seed):
     """Adversarial instance search for a low final-arrival edge ratio."""
-    params = _params_for("odrs" if alg == "odrs" else "warmup", eps, delta)
+    params = odrs.scheme_params(alg, eps, delta)
     doc = bench.lb_adversary(alg, n, probe, n_eval, seed, params=params)
     doc["root_residual"] = bench.lb_root_check()
     _emit(doc)

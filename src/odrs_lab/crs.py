@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import bitmask
 from .errors import DomainError, InvariantBreach, SizeError
 
 MAX_ACTIVE = 20
@@ -67,10 +68,8 @@ class SupportDistribution:
 
 
 def _nonempty_hit_probs(dist: SupportDistribution, active: list[int]) -> np.ndarray:
-    """For every subset S of `active` (as a local mask), Pr[R cap S = empty].
-
-    Standard subset-sum (SOS) transform over the projected atom law.
-    """
+    """Subset sums of the atom law projected onto `active` (local masks);
+    Pr[R cap S = empty] is the entry at the complement of S."""
     k = len(active)
     pos = {a: j for j, a in enumerate(active)}
     proj = np.zeros(1 << k)
@@ -80,14 +79,7 @@ def _nonempty_hit_probs(dist: SupportDistribution, active: list[int]) -> np.ndar
             if mask >> a & 1:
                 local |= 1 << pos[a]
         proj[local] += p
-    # zeta transform: g[M] = sum of proj over submasks of M
-    g = proj.copy()
-    for j in range(k):
-        bit = 1 << j
-        idx = np.arange(1 << k)
-        has = (idx & bit) != 0
-        g[has] += g[idx[has] ^ bit]
-    return g  # g[M] = Pr[R cap active subset == within M] ... Pr[R cap S = 0] = g[~S]
+    return bitmask.subset_sums(proj)
 
 
 def balance_ratio(dist: SupportDistribution, v) -> float:
@@ -178,18 +170,6 @@ class FlowNetwork:
 
     def flow_on(self, eid: int) -> int:
         return self.cap[eid ^ 1]
-
-
-def max_flow(n_nodes: int, edges: list[tuple[int, int, float]], src: int, sink: int
-             ) -> tuple[float, list[float]]:
-    """Max flow with real capacities via 2^40 integer scaling.
-
-    Returns (value, per-edge flow), deterministic for a fixed input.
-    """
-    net = FlowNetwork(n_nodes)
-    ids = [net.add_edge(u, v, int(round(c * FLOW_SCALE))) for u, v, c in edges]
-    val = net.max_flow(src, sink)
-    return val / FLOW_SCALE, [net.flow_on(e) / FLOW_SCALE for e in ids]
 
 
 # ----------------------------------------------------------------------------
@@ -400,6 +380,3 @@ class ProductSelector:
             stack.append((r1, w * w1))
             stack.append((r2, w * w2))
         return out
-
-    def marginals(self) -> np.ndarray:
-        return self.alpha * np.asarray(self.y)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import bitmask
 from . import crs as crs_mod
 from . import odrs as odrs_mod
 from .errors import DomainError, InvariantBreach, SizeError
@@ -55,14 +56,7 @@ class JointBernoulli:
                 raise InvariantBreach("declared common marginal does not match")
 
     def marginals(self) -> np.ndarray:
-        m = np.zeros(self.n)
-        for mask, p in self.probs.items():
-            k = mask
-            while k:
-                low = k & -k
-                m[low.bit_length() - 1] += p
-                k ^= low
-        return m
+        return bitmask.marginals(self.probs.items(), self.n)
 
     def product_expectation(self, idx) -> float:
         sel = 0
@@ -76,39 +70,23 @@ def _require_small(inst: MatchingInstance):
         raise SizeError(f"exact engine limited to n <= {MAX_N} offline nodes")
 
 
-def _params_for(algorithm: str, params) -> odrs_mod.ScalingParams | None:
-    if algorithm == "warmup":
-        return None
-    want = "matching" if algorithm == "odrs" else "b_matching"
-    if params is None or params.variant != want:
-        raise DomainError(f"{algorithm} needs {want}-variant parameters")
-    return params
-
-
 def bid_set_law(inst: MatchingInstance, params, t: int, algorithm: str = "odrs"
                 ) -> crs_mod.SupportDistribution:
     """Exact law of the bidder set at arrival t."""
     _require_small(inst)
-    if algorithm == "warmup":
-        ys = [(i, x) for i, x in inst.arrivals[t].edges if x > 0]
-        return crs_mod.SupportDistribution.product(
-            tuple(i for i, _ in ys), tuple(x for _, x in ys))
-    _params_for(algorithm, params)
-    comp = odrs_mod.CompiledOdrs(inst, params)
-    law = comp.laws[t]
-    if law is None:
-        return crs_mod.SupportDistribution((), ((0, 1.0),))
-    return law
+    return odrs_mod.compile_scheme(algorithm, inst, params).bid_law(t)
 
 
 def free_mask_distribution(inst: MatchingInstance, params, t: int,
                            algorithm: str = "odrs") -> FreeMaskDistribution:
-    """Joint law of the per-node bid states just before arrival t."""
+    """Joint law of the per-node bid states just before arrival t (bucketed
+    ODRS schemes only)."""
     _require_small(inst)
-    _params_for(algorithm, params)
+    comp = odrs_mod.compile_scheme(algorithm, inst, params)
+    if not isinstance(comp, odrs_mod.CompiledOdrs):
+        raise DomainError(f"{algorithm} keeps no bid-state masks")
     dp = odrs_mod.BidLawDP(list(range(inst.n_offline)))
-    plans = odrs_mod.build_plans(inst, params)
-    for plan in plans[:t]:
+    for plan in comp.plans[:t]:
         dp.step(plan)
     dist = FreeMaskDistribution(inst.n_offline, tuple(dp.state.items()))
     dist.check(1e-9)
@@ -120,26 +98,7 @@ def edge_match_probs(inst: MatchingInstance, params, algorithm: str
     """Exact Pr[(i,t) matched], summing the law of the bidder set against the
     same selector the sampler uses."""
     _require_small(inst)
-    if algorithm == "warmup":
-        comp = odrs_mod.CompiledWarmup(inst)
-        out: dict[tuple[int, int], float] = {}
-        for t, sel in enumerate(comp.selectors):
-            if sel is None:
-                continue
-            law = bid_set_law(inst, None, t, "warmup")
-            acc = np.zeros(sel.n)
-            for mask, p in law.atoms:
-                if not mask:
-                    continue
-                bids = {k for k in range(sel.n) if mask >> k & 1}
-                acc += p * sel.conditional_win_probs(bids)
-            for k, (i, _, _, _) in enumerate(comp.steps[t]):
-                out[(i, t)] = float(acc[k])
-        return out
-    if algorithm in ("odrs", "odrs_b"):
-        _params_for(algorithm, params)
-        return odrs_mod.CompiledOdrs(inst, params).edge_match_probs()
-    raise DomainError(f"unknown algorithm {algorithm!r}")
+    return odrs_mod.compile_scheme(algorithm, inst, params).edge_match_probs()
 
 
 def rounding_ratio_exact(inst: MatchingInstance, params, algorithm: str) -> float:
@@ -161,15 +120,8 @@ def max_pairwise_cov(joint: JointBernoulli) -> tuple[int, int, float]:
     n = joint.n
     if n < 2:
         raise DomainError("need at least two variables")
-    masks = list(joint.probs)
-    weights = np.array([joint.probs[mk] for mk in masks])
-    bits = np.zeros((len(masks), n))
-    for a, mk in enumerate(masks):
-        k = mk
-        while k:
-            low = k & -k
-            bits[a, low.bit_length() - 1] = 1.0
-            k ^= low
+    weights = np.array(list(joint.probs.values()))
+    bits = bitmask.bit_matrix(joint.probs, n)
     m = bits.T @ weights
     joint2 = bits.T @ (bits * weights[:, None])
     cov_mat = joint2 - np.outer(m, m)
@@ -320,12 +272,7 @@ def neg_cylinder_check(dist: BitDistribution, direction: str = "ones") -> Cylind
     for mask, p in dist.probs.items():
         key = mask if direction == "ones" else (size - 1) ^ mask
         cyl[key] += p
-    # superset sum: after the transform, cyl[S] = Pr[bits of S all match]
-    for j in range(n):
-        bit = 1 << j
-        idx = np.arange(size)
-        lacks = (idx & bit) == 0
-        cyl[lacks] += cyl[idx[lacks] | bit]
+    cyl = bitmask.superset_sums(cyl)  # cyl[S] = Pr[bits of S all match]
     marg = dist.marginals()
     single = marg if direction == "ones" else 1.0 - marg
     worst = (-math.inf, ())

@@ -8,6 +8,7 @@ b-matching revealed online). Instances are immutable after construction.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,13 +49,6 @@ class MatchingInstance:
             for i, x in arr.edges:
                 out.append((i, t, x))
         return out
-
-    def column_sums(self) -> np.ndarray:
-        s = np.zeros(self.n_offline)
-        for _, arr in enumerate(self.arrivals):
-            for i, x in arr.edges:
-                s[i] += x
-        return s
 
 
 @dataclass(frozen=True)
@@ -111,11 +105,11 @@ def validate(inst: MatchingInstance) -> ValidationReport:
     Never raises; every violated constraint is reported with its location and
     magnitude.
     """
-    rep = ValidationReport()
+    rep = _non_finite(inst)
     if len(inst.capacities) != inst.n_offline:
         rep.add("capacity-count", "capacities", abs(len(inst.capacities) - inst.n_offline))
     for i, b in enumerate(inst.capacities):
-        if b < 1 or int(b) != b:
+        if math.isfinite(b) and (b < 1 or int(b) != b):
             rep.add("bad-capacity", f"offline {i}", b)
     col = np.zeros(inst.n_offline)
     for t, arr in enumerate(inst.arrivals):
@@ -146,6 +140,52 @@ def validate(inst: MatchingInstance) -> ValidationReport:
         b = inst.capacities[i] if i < len(inst.capacities) else 1
         if col[i] > b + TOL:
             rep.add("offline-degree", f"offline node {i} degree {col[i]:.12g} > {b}", col[i] - b)
+    return rep
+
+
+def _non_finite(inst: MatchingInstance) -> ValidationReport:
+    """Every NaN or infinite capacity, arrival probability, fraction or weight."""
+    rep = ValidationReport()
+    for i, b in enumerate(inst.capacities):
+        if not math.isfinite(b):
+            rep.add("non-finite", f"capacity of offline {i}", b)
+    for t, arr in enumerate(inst.arrivals):
+        if not math.isfinite(arr.p):
+            rep.add("non-finite", f"arrival {t} p", arr.p)
+        for i, x in arr.edges:
+            if not math.isfinite(x):
+                rep.add("non-finite", f"arrival {t} offline {i} x", x)
+        for k, w in enumerate(arr.weights or ()):
+            if not math.isfinite(w):
+                rep.add("non-finite", f"arrival {t} weight {k}", w)
+    return rep
+
+
+def validate_multigraph(mg: MultigraphInstance) -> ValidationReport:
+    """Right ids in range, multiplicities nonnegative, and every degree
+    within the declared delta."""
+    rep = ValidationReport()
+    if mg.delta < 1:
+        rep.add("bad-delta", "delta", mg.delta)
+    if len(mg.arrivals) > mg.n_left:
+        rep.add("left-count", f"{len(mg.arrivals)} arrivals > {mg.n_left} left nodes",
+                len(mg.arrivals) - mg.n_left)
+    right = [0] * mg.n_right
+    for t, arr in enumerate(mg.arrivals):
+        left = 0
+        for j, kappa in arr:
+            if kappa < 0:
+                rep.add("negative-multiplicity", f"left {t} right {j}", kappa)
+            elif not (0 <= j < mg.n_right):
+                rep.add("edge-endpoint", f"left {t} right {j}", j)
+            else:
+                left += kappa
+                right[j] += kappa
+        if left > mg.delta:
+            rep.add("left-degree", f"left node {t} degree {left} > {mg.delta}", left - mg.delta)
+    for j, d in enumerate(right):
+        if d > mg.delta:
+            rep.add("right-degree", f"right node {j} degree {d} > {mg.delta}", d - mg.delta)
     return rep
 
 
@@ -348,9 +388,11 @@ def instance_from_dict(doc: dict) -> MatchingInstance:
                     arrivals.append(Arrival(split, wtup, p))
             else:
                 arrivals.append(Arrival(tuple(edges), wtup, p))
-        return MatchingInstance(n, caps, tuple(arrivals))
-    except (KeyError, TypeError, ValueError) as exc:
+        inst = MatchingInstance(n, caps, tuple(arrivals))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationFailure(f"malformed instance JSON: {exc!r}") from exc
+    _non_finite(inst).raise_if_invalid()
+    return inst
 
 
 def multigraph_from_dict(doc: dict) -> MultigraphInstance:
@@ -359,9 +401,11 @@ def multigraph_from_dict(doc: dict) -> MultigraphInstance:
         arrivals = tuple(
             tuple(sorted((int(e["j"]), int(e["kappa"])) for e in arr["edges"]))
             for arr in mg["arrivals"])
-        return MultigraphInstance(int(mg["left"]), int(mg["right"]), int(mg["delta"]), arrivals)
-    except (KeyError, TypeError, ValueError) as exc:
+        out = MultigraphInstance(int(mg["left"]), int(mg["right"]), int(mg["delta"]), arrivals)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationFailure(f"malformed multigraph JSON: {exc!r}") from exc
+    validate_multigraph(out).raise_if_invalid()
+    return out
 
 
 def cover_from_dict(doc: dict) -> CoverInstance:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import bitmask
 from .errors import DomainError, InvariantBreach, SizeError
 from .rng import ScalarRng
 
@@ -230,12 +231,7 @@ class BitDistribution:
             raise InvariantBreach("negative mask probability")
 
     def marginals(self) -> np.ndarray:
-        m = np.zeros(self.n)
-        for mask, p in self.probs.items():
-            for i in range(self.n):
-                if mask >> i & 1:
-                    m[i] += p
-        return m
+        return bitmask.marginals(self.probs.items(), self.n)
 
     def expectation(self, fn) -> float:
         return sum(p * fn(mask) for mask, p in self.probs.items())

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import bitmask
 from . import crs as crs_mod
 from .errors import DomainError, FeasibilityError, InvariantBreach, SizeError
 from .instances import Arrival, MatchingInstance
@@ -177,11 +178,6 @@ def optimize_params(variant: str = "matching") -> tuple[float, float, float]:
     return eps, delta, val
 
 
-def optimal_params(variant: str = "matching") -> ScalingParams:
-    eps, delta, _ = optimize_params(variant)
-    return ScalingParams(eps, delta, variant)
-
-
 # ----------------------------------------------------------------------------
 # fraction scaling
 # ----------------------------------------------------------------------------
@@ -268,6 +264,25 @@ class GroupBin:
     nodes: list[int]
     sizes: list[float]
 
+    def draw(self, u: float) -> int:
+        """The node whose cumulative-size interval holds u; -1 when u lands
+        past the bin's total (no candidate)."""
+        acc = 0.0
+        for node, sz in zip(self.nodes, self.sizes):
+            acc += sz
+            if u < acc:
+                return node
+        return -1
+
+    def draw_batch(self, u: np.ndarray) -> np.ndarray:
+        """`draw` applied to every entry of u."""
+        chosen = np.full(len(u), -1, dtype=np.int64)
+        acc = 0.0
+        for node, sz in zip(self.nodes, self.sizes):
+            acc += sz
+            chosen[(chosen < 0) & (u < acc)] = node
+        return chosen
+
 
 @dataclass
 class CrossingNode:
@@ -352,18 +367,16 @@ def downscale_for_polytime(inst: MatchingInstance, gamma: float) -> MatchingInst
 # exact bid-set law (free/lag-mask dynamic program)
 # ----------------------------------------------------------------------------
 
-def _candidate_units(plan: StepPlan):
-    """Independent draw units of one arrival.
-
-    Each unit yields a list of (bid-eligible node or None, probability,
-    lag-flip info). Group bins: at most one candidate; crossing nodes: a coin.
+def _candidate_units(bins: list[GroupBin], crossing=()):
+    """Independent draw units of one arrival: (kind, [(node or None,
+    probability)]). Group bins: at most one candidate; crossing nodes: a coin.
     """
     units = []
-    for gb in plan.bins:
+    for gb in bins:
         outs = [(None, 1.0 - sum(gb.sizes))]
         outs.extend((node, sz) for node, sz in zip(gb.nodes, gb.sizes))
         units.append(("bin", outs))
-    for cn in plan.crossing:
+    for cn in crossing:
         units.append(("cross", [(cn.node, cn.takeover), (None, 1.0 - cn.takeover)]))
     return units
 
@@ -403,7 +416,7 @@ class BidLawDP:
         (masks over plan.active())."""
         active = plan.active()
         apos = {i: k for k, i in enumerate(active)}
-        outcomes = _enumerate_candidates(_candidate_units(plan))
+        outcomes = _enumerate_candidates(_candidate_units(plan.bins, plan.crossing))
         law: dict[int, float] = {}
         new_state: dict[int, float] = {}
         bin_nodes = [node for gb in plan.bins for node in gb.nodes]
@@ -452,15 +465,10 @@ def odrs_core_step(ahead: np.ndarray, plan: StepPlan,
     apos = {i: k for k, i in enumerate(selector.elements)}
     bid_mask = 0
     for gb in plan.bins:
-        u = rng.uniform()
-        acc = 0.0
-        for node, sz in zip(gb.nodes, gb.sizes):
-            acc += sz
-            if u < acc:
-                if not ahead[node]:
-                    bid_mask |= 1 << apos[node]
-                    ahead[node] = True
-                break
+        node = gb.draw(rng.uniform())
+        if node >= 0 and not ahead[node]:
+            bid_mask |= 1 << apos[node]
+            ahead[node] = True
     for cn in plan.crossing:
         heads = rng.uniform() < cn.takeover
         if not ahead[cn.node]:
@@ -482,16 +490,6 @@ class Matching:
 
     def add(self, i: int, t: int):
         self.pairs.append((i, t))
-
-    def weight(self, inst: MatchingInstance) -> float:
-        total = 0.0
-        for i, t in self.pairs:
-            arr = inst.arrivals[t]
-            for k, (j, _) in enumerate(arr.edges):
-                if j == i:
-                    total += arr.weight_of(k)
-                    break
-        return total
 
     def assert_valid(self, inst: MatchingInstance, b_matching: bool = False):
         per_arrival: dict[int, int] = {}
@@ -586,31 +584,25 @@ class CompiledOdrs:
                 probs[(i, plan.t)] = float(marg[k])
         return probs
 
+    def bid_law(self, t: int) -> crs_mod.SupportDistribution:
+        """Exact law of the bidder set P_t."""
+        law = self.laws[t]
+        return law if law is not None else crs_mod.SupportDistribution((), ((0, 1.0),))
+
     def bid_marginals(self, t: int) -> dict[int, float]:
         """Exact Pr[i in P_t]; equals the scaled fraction."""
-        law = self.laws[t]
-        if law is None:
-            return {}
-        out = {i: 0.0 for i in law.elements}
-        for mask, p in law.atoms:
-            for k, i in enumerate(law.elements):
-                if mask >> k & 1:
-                    out[i] += p
-        return out
+        law = self.bid_law(t)
+        return dict(zip(law.elements, bitmask.marginals(law.atoms, len(law.elements)).tolist()))
 
 
 def odrs_round(inst: MatchingInstance, params: ScalingParams, seed: int = 0) -> Matching:
     """Improved matching ODRS with exact CRS selectors."""
-    if params.variant != "matching":
-        raise DomainError("odrs_round expects matching-variant parameters")
-    return CompiledOdrs(inst, params).sample(seed)
+    return compile_scheme("odrs", inst, params).sample(seed)
 
 
 def odrs_round_b(inst: MatchingInstance, params: ScalingParams, seed: int = 0) -> Matching:
     """b-matching extension of the improved ODRS."""
-    if params.variant != "b_matching":
-        raise DomainError("odrs_round_b expects b_matching-variant parameters")
-    return CompiledOdrs(inst, params).sample(seed)
+    return compile_scheme("odrs_b", inst, params).sample(seed)
 
 
 # ----------------------------------------------------------------------------
@@ -666,18 +658,68 @@ class CompiledWarmup:
         out.assert_valid(self.inst, b_matching=True)
         return out
 
+    def bid_law(self, t: int) -> crs_mod.SupportDistribution:
+        """Exact law of the bidder set at arrival t: independent bids with the
+        fractions as probabilities (one level-set stream per node)."""
+        sel = self.selectors[t]
+        if sel is None:
+            return crs_mod.SupportDistribution((), ((0, 1.0),))
+        return crs_mod.SupportDistribution.product([i for i, *_ in self.steps[t]], sel.y)
+
     def edge_match_probs(self) -> dict[tuple[int, int], float]:
-        """Exact closed form: alpha_t * x_{i,t} with the product-law ratio."""
+        """Exact Pr[(i,t) matched], summing the bid law against the selector."""
         probs = {}
         for t, sel in enumerate(self.selectors):
             if sel is None:
                 continue
-            marg = sel.marginals()
-            for k, (i, _, _, _) in enumerate(self.steps[t]):
-                probs[(i, t)] = float(marg[k])
+            acc = np.zeros(sel.n)
+            for mask, p in self.bid_law(t).atoms:
+                if mask:
+                    acc += p * sel.conditional_win_probs({k for k in range(sel.n) if mask >> k & 1})
+            for k, (i, *_) in enumerate(self.steps[t]):
+                probs[(i, t)] = float(acc[k])
         return probs
 
 
 def warmup_round(inst: MatchingInstance, seed: int = 0) -> Matching:
     """Warm-up ODRS with rounding ratio at least 1 - 1/e."""
-    return CompiledWarmup(inst).sample(seed)
+    return compile_scheme("warmup", inst, None).sample(seed)
+
+
+# ----------------------------------------------------------------------------
+# scheme dispatch
+# ----------------------------------------------------------------------------
+
+# scheme name -> ScalingParams variant of its parameters; the warm-up has none
+SCHEMES = {"warmup": None, "odrs": "matching", "odrs_b": "b_matching"}
+
+
+def _variant(name: str) -> str | None:
+    if name not in SCHEMES:
+        raise DomainError(f"unknown algorithm {name!r}")
+    return SCHEMES[name]
+
+
+def scheme_params(name: str, eps: float | None = None,
+                  delta: float | None = None) -> ScalingParams | None:
+    """Parameters of scheme `name` (None for the warm-up); an omitted eps or
+    delta takes the optimum of the scheme's variant."""
+    variant = _variant(name)
+    if variant is None:
+        return None
+    if eps is None or delta is None:
+        e, d, _ = optimize_params(variant)
+        eps = e if eps is None else eps
+        delta = d if delta is None else delta
+    return ScalingParams(eps, delta, variant)
+
+
+def compile_scheme(name: str, inst: MatchingInstance, params: ScalingParams | None):
+    """Compiled sampler of scheme `name` on `inst`: CompiledWarmup or
+    CompiledOdrs; `params` must be of the scheme's variant."""
+    variant = _variant(name)
+    if variant is None:
+        return CompiledWarmup(inst)
+    if params is None or params.variant != variant:
+        raise DomainError(f"{name} needs {variant}-variant parameters")
+    return CompiledOdrs(inst, params)

@@ -1,16 +1,16 @@
 """Deterministic seeding and uniform streams.
 
-Seed derivation uses the SplitMix64 recurrence so replica streams are pinned
-down exactly by the docs:
+Seeds derive from SplitMix64 (gamma = 0x9E3779B97F4A7C15):
 
-    state' = (state + 0x9E3779B97F4A7C15) mod 2^64
-    z = state'
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) mod 2^64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) mod 2^64
-    output = z ^ (z >> 31)
+    scramble(z): z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) mod 2^64
+                 z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) mod 2^64
+                 return z ^ (z >> 31)
+    mix(s, r) = scramble(s ^ ((r + 1) * gamma mod 2^64))
 
-Replica r of base seed s draws from the stream seeded by mix(s, r).
-Bulk vectorized sampling delegates to numpy's PCG64 seeded with mixed seeds.
+Replica r of base seed s draws from the stream seeded by mix(s, r). The scalar
+stream is SplitMix64 started at that state (state += gamma, output
+scramble(state)); bulk vectorized sampling delegates to numpy's PCG64 seeded
+with the same mixed seed.
 """
 
 from __future__ import annotations

@@ -211,14 +211,9 @@ def stochastic_round(inst: MatchingInstance, xstar: dict[tuple[int, int], float]
     for plan in plans:
         bidders = []
         for gb in plan.bins:
-            u = rng.uniform()
-            acc = 0.0
-            for node, sz in zip(gb.nodes, gb.sizes):
-                acc += sz
-                if u < acc:
-                    if not matched[node]:
-                        bidders.append(node)
-                    break
+            node = gb.draw(rng.uniform())
+            if node >= 0 and not matched[node]:
+                bidders.append(node)
         arrived = rng.uniform() < plan.p
         if bidders and arrived:
             best = max(bidders, key=lambda i: (plan.weights[i], -i))
@@ -248,27 +243,12 @@ class StochasticExact:
                 acc[i] = acc.get(i, 0.0) + xh
         self.shat_final = acc
 
-    @staticmethod
-    def _candidate_outcomes(plan: StochasticPlan):
-        outcomes = [({}, 1.0)]
-        for gb in plan.bins:
-            nxt = []
-            rest = 1.0 - sum(gb.sizes)
-            for cand, pr in outcomes:
-                if rest > 0:
-                    nxt.append((cand, pr * rest))
-                for node, sz in zip(gb.nodes, gb.sizes):
-                    if sz > 0:
-                        nxt.append(({**cand, node: True}, pr * sz))
-            outcomes = nxt
-        return outcomes
-
     def evolve(self):
         """Yields (t, matched-mask law before t, plan); law maps mask -> prob."""
         state = {0: 1.0}
         for plan in self.plans:
             yield plan.t, state, plan
-            outcomes = self._candidate_outcomes(plan)
+            outcomes = odrs_mod._enumerate_candidates(odrs_mod._candidate_units(plan.bins))
             new_state: dict[int, float] = {}
 
             def put(mask, pr):
@@ -289,12 +269,6 @@ class StochasticExact:
                         put(mask, p)
             state = new_state
         yield len(self.plans), state, None
-
-    def final_law(self) -> dict[int, float]:
-        for t, state, plan in self.evolve():
-            if plan is None:
-                return state
-        raise InvariantBreach("evolve() ended unexpectedly")
 
     def matched_weight_tail(self, t: int, z: float, state: dict[int, float],
                             plan: StochasticPlan) -> float:
@@ -352,13 +326,7 @@ def eval_vs_lp(inst: MatchingInstance, params: odrs_mod.ScalingParams,
     for plan in plans:
         bid = np.zeros((runs, n), dtype=bool)
         for gb in plan.bins:
-            u = g.random(runs)
-            acc = 0.0
-            chosen = np.full(runs, -1, dtype=np.int64)
-            for node, sz in zip(gb.nodes, gb.sizes):
-                hit = (u >= acc) & (u < acc + sz) & (chosen < 0)
-                chosen[hit] = node
-                acc += sz
+            chosen = gb.draw_batch(g.random(runs))
             for node in gb.nodes:
                 rows = chosen == node
                 if rows.any():

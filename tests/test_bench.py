@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from odrs_lab import bench, instances, odrs
+from odrs_lab import exact_engine as engine
 from odrs_lab.errors import DomainError
 from odrs_lab.rng import ScalarRng, generator, mix, splitmix64
 
@@ -15,6 +16,13 @@ def test_seed_mixing_distinct_streams():
     s0, out0 = splitmix64(0)
     s1, out1 = splitmix64(s0)
     assert out0 != out1
+
+
+def test_seed_derivation_golden_values():
+    # mix(s, r) = scramble(s ^ ((r + 1) * gamma mod 2^64)), as documented
+    assert mix(5, 0) == 0x16b1cba95fc60262
+    assert mix(7, 3) == 0x6d1db36ccba982d2
+    assert ScalarRng(5).uniform() == 0.6763599147503829
 
 
 def test_scalar_rng_uniform_range_and_determinism():
@@ -134,3 +142,18 @@ def test_engine_vs_sampler_agreement_large(matching_params):
     misses = sum(1 for m, e in zip(mc.edges, ex.edges)
                  if abs(m.prob - e.prob) > 4 * m.se)
     assert misses / len(mc.edges) <= 0.01
+
+
+@pytest.mark.parametrize("scheme,max_b", [("warmup", 1), ("odrs", 1), ("odrs_b", 3)])
+def test_batch_replay_matches_exact_engine(scheme, max_b):
+    inst = instances.gen_random(5, 8, 0.8, seed=41, max_b=max_b)
+    params = odrs.scheme_params(scheme)
+    if scheme == "odrs_b":  # the b-matching kernel must meet crossing nodes
+        assert any(plan.crossing for plan in odrs.compile_scheme(scheme, inst, params).plans)
+    n_runs = 60_000
+    counts, _, _ = bench._batch_run(scheme, inst, params, n_runs, seed=8)
+    exact = engine.edge_match_probs(inst, params, scheme)
+    assert set(counts) <= set(exact)
+    for k, p in exact.items():
+        se = math.sqrt(max(p * (1 - p), 1e-9) / n_runs)
+        assert abs(counts.get(k, 0) / n_runs - p) < 5 * se, (k, p)

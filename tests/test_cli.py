@@ -136,3 +136,37 @@ def test_round_sample_emits_matching(tmp_path):
     doc = json.loads(r.stdout)
     assert isinstance(doc, list)
     assert all(set(d) == {"arrival", "offline"} for d in doc)
+
+
+def test_non_finite_input_rejected(tmp_path):
+    def write(name, **edge):
+        path = tmp_path / name
+        path.write_text(json.dumps({
+            "n_offline": 2, "capacities": [1, 1],
+            "arrivals": [{"edges": [{"i": 0, "x": 0.3, **edge}, {"i": 1, "x": 0.4}]}]}))
+        return str(path)
+
+    nan_x = write("x.json", x=float("nan"))
+    r = run("round", "--exact", "--alg", "odrs", "--instance", nan_x)
+    assert r.returncode == 2 and r.stdout == ""
+    assert "non-finite" in r.stderr and "Traceback" not in r.stderr
+    r = run("validate", nan_x)
+    assert r.returncode == 2 and "non-finite" in r.stderr
+    nan_w = write("w.json", w=float("nan"))
+    assert run("validate", nan_w).returncode == 2
+    inf_p = tmp_path / "p.json"
+    inf_p.write_text('{"n_offline": 1, "capacities": [Infinity],'
+                     ' "arrivals": [{"p": Infinity, "edges": [{"i": 0, "x": 0.5}]}]}')
+    r = run("validate", str(inf_p))
+    assert r.returncode == 2 and "Traceback" not in r.stderr
+
+
+def test_multigraph_out_of_range_rejected(tmp_path):
+    mg = tmp_path / "mg.json"
+    mg.write_text(json.dumps({"multigraph": {
+        "left": 1, "right": 2, "delta": 2,
+        "arrivals": [{"edges": [{"j": 5, "kappa": 1}, {"j": 0, "kappa": 3}]}]}}))
+    for cmd in (["validate", str(mg)], ["color", "--instance", str(mg)]):
+        r = run(*cmd)
+        assert r.returncode == 2 and "Traceback" not in r.stderr
+        assert "edge-endpoint" in r.stderr and "left-degree" in r.stderr

@@ -120,10 +120,14 @@ def test_monotone_sanity_mass_to_larger_sets():
 
 
 def test_max_flow_basics():
-    value, flows = crs.max_flow(3, [(0, 1, 1.0), (1, 2, 0.5)], 0, 2)
-    assert abs(value - 0.5) < 1e-9 and abs(flows[1] - 0.5) < 1e-9
-    value, _ = crs.max_flow(3, [(0, 1, 1.0)], 0, 2)
-    assert value == 0.0
+    one, half = crs.FLOW_SCALE, crs.FLOW_SCALE // 2  # capacities 1.0 and 0.5
+    net = crs.FlowNetwork(3)
+    net.add_edge(0, 1, one)
+    e = net.add_edge(1, 2, half)
+    assert net.max_flow(0, 2) == half and net.flow_on(e) == half
+    net = crs.FlowNetwork(3)
+    net.add_edge(0, 1, one)
+    assert net.max_flow(0, 2) == 0
 
 
 def test_max_flow_matches_balance_ratio_on_selector_network():

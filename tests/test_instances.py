@@ -5,7 +5,7 @@ import pytest
 
 from odrs_lab import instances
 from odrs_lab.errors import DomainError, ValidationFailure
-from odrs_lab.instances import Arrival, MatchingInstance
+from odrs_lab.instances import Arrival, MatchingInstance, MultigraphInstance
 
 
 def test_validate_offline_degree_violation():
@@ -137,3 +137,22 @@ def test_multigraph_and_cover_roundtrip(tmp_path):
     path2 = tmp_path / "cov.json"
     instances.save_json(cov, path2)
     assert instances.load_json(path2) == cov
+
+
+def test_validate_reports_non_finite():
+    nan = float("nan")
+    inst = MatchingInstance(2, (1, 1), (
+        Arrival(((0, nan), (1, 0.2)), (1.0, float("inf"))), Arrival(((1, 0.3),), None, nan)))
+    rep = instances.validate(inst)
+    where = {v.where for v in rep.violations if v.kind == "non-finite"}
+    assert where == {"arrival 0 offline 0 x", "arrival 0 weight 1", "arrival 1 p"}
+    with pytest.raises(ValidationFailure, match="non-finite"):
+        instances.instance_from_dict(instances.instance_to_dict(inst))
+
+
+def test_validate_multigraph():
+    good = instances.gen_random_multigraph(5, 6, 8, seed=3)
+    assert instances.validate_multigraph(good).valid
+    bad = MultigraphInstance(2, 2, 2, (((0, 2), (1, -1)), ((0, 1), (3, 1))))
+    kinds = {v.kind for v in instances.validate_multigraph(bad).violations}
+    assert kinds == {"negative-multiplicity", "edge-endpoint", "right-degree"}

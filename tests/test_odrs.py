@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -367,3 +368,16 @@ def test_b_matching_exact_integer_crossing(b_matching_params):
     for seed in range(40):
         m = comp.sample(seed)
         assert len(m.pairs) <= 2
+
+
+def test_group_bin_draw_matches_draw_batch():
+    bins = [odrs.GroupBin([3, 5, 7, 9], [0.25, 0.0, 0.5, 0.125]),
+            odrs.GroupBin([0, 1, 2], [0.1, 0.2, 0.7]),
+            odrs.GroupBin([4], [1.0])]
+    for gb in bins:
+        bounds = list(itertools.accumulate(gb.sizes))  # the draw's cumulative sums
+        u = [0.0, 0.999999, *bounds, *(np.nextafter(b, 0.0) for b in bounds),
+             *np.random.default_rng(1).random(200)]
+        batch = gb.draw_batch(np.array(u))
+        assert [gb.draw(v) for v in u] == batch.tolist()
+        assert 5 not in batch  # a zero-size entry is never drawn
