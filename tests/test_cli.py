@@ -170,3 +170,60 @@ def test_multigraph_out_of_range_rejected(tmp_path):
         r = run(*cmd)
         assert r.returncode == 2 and "Traceback" not in r.stderr
         assert "edge-endpoint" in r.stderr and "left-degree" in r.stderr
+
+
+def test_main_releases_captured_streams(tmp_path, monkeypatch):
+    """In-process runs write to whatever sys.stdout/sys.stderr are and keep no
+    reference to them afterwards."""
+    import contextlib
+    import gc
+    import io
+    import weakref
+
+    import odrs_lab.cli as cli_mod
+
+    star = tmp_path / "star.json"
+    refs = []
+    for argv in (["gen", "--kind", "star", "--n", "3", "--out", str(star)],
+                 ["validate", str(star)]):
+        out, err = io.StringIO(), io.StringIO()
+        monkeypatch.setattr(sys, "argv", ["odrs-lab", *argv])
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert cli_mod.main() == 0
+        assert (out.getvalue() or err.getvalue()).endswith("\n")
+        refs += [weakref.ref(out), weakref.ref(err)]
+        del out, err
+    gc.collect()
+    assert [r() for r in refs] == [None] * len(refs)
+
+
+def test_round_rejects_other_instance_kinds(tmp_path):
+    mg = tmp_path / "mg.json"
+    assert run("gen", "--kind", "multigraph", "--n", "4", "--delta", "3",
+               "--out", str(mg)).returncode == 0
+    r = run("round", "--instance", str(mg))
+    assert r.returncode == 2 and r.stdout == "" and "Traceback" not in r.stderr
+    assert "round expects a matching instance" in r.stderr
+
+
+def test_color_delta_cap_is_validated(tmp_path):
+    mg = tmp_path / "mg.json"
+    run("gen", "--kind", "multigraph", "--n", "6", "--delta", "4", "--seed", "1",
+        "--out", str(mg))
+    r = run("color", "--instance", str(mg), "--delta-cap", "0")
+    assert r.returncode == 2 and r.stdout == "" and "Traceback" not in r.stderr
+    assert "bad-delta" in r.stderr
+    r = run("color", "--instance", str(mg), "--delta-cap", "1")
+    assert r.returncode == 2 and r.stdout == ""
+    assert "left-degree" in r.stderr and "degree 4 > 1" in r.stderr
+    assert run("color", "--instance", str(mg), "--delta-cap", "4").returncode == 0
+
+
+def test_non_integral_capacity_rejected(tmp_path):
+    path = tmp_path / "cap.json"
+    path.write_text(json.dumps({"n_offline": 1, "capacities": [2.5],
+                                "arrivals": [{"edges": [{"i": 0, "x": 0.5}]}]}))
+    for cmd in (["validate", str(path)], ["round", "--exact", "--instance", str(path)]):
+        r = run(*cmd)
+        assert r.returncode == 2 and r.stdout == "" and "Traceback" not in r.stderr
+        assert "bad-capacity at offline 0 (magnitude 2.5)" in r.stderr

@@ -156,3 +156,13 @@ def test_validate_multigraph():
     bad = MultigraphInstance(2, 2, 2, (((0, 2), (1, -1)), ((0, 1), (3, 1))))
     kinds = {v.kind for v in instances.validate_multigraph(bad).violations}
     assert kinds == {"negative-multiplicity", "edge-endpoint", "right-degree"}
+
+
+def test_non_integral_capacity_rejected_at_load():
+    doc = {"n_offline": 2, "capacities": [2.0, 2.5], "arrivals": [{"edges": [{"i": 0, "x": 0.5}]}]}
+    with pytest.raises(ValidationFailure, match="bad-capacity at offline 1"):
+        instances.instance_from_dict(doc)
+    doc["capacities"] = [2.0, 3]
+    assert instances.instance_from_dict(doc).capacities == (2, 3)
+    rep = instances.validate(MatchingInstance(1, (2.5,), (Arrival(((0, 0.5),)),)))
+    assert [v.kind for v in rep.violations] == ["bad-capacity"]
