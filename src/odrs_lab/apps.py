@@ -281,6 +281,8 @@ def round_multistage_cover(cov: CoverInstance, seed: int = 0) -> CoverSolution:
 
 def cover_trials(cov: CoverInstance, n_trials: int, seed: int) -> dict:
     """Vectorized Monte Carlo over trials: coverage violations and cost ratio."""
+    if n_trials < 2:
+        raise DomainError("cover trials need at least 2 trials (for the standard error)")
     alpha = cover_alpha(cov)
     g = generator(seed, 11)
     totals = np.zeros((n_trials, cov.n_vars), dtype=np.int64)

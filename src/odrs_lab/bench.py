@@ -1,7 +1,8 @@
 """Monte Carlo estimation harness, lower-bound adversary, and reports.
 
-Replays are vectorized across runs; replica streams derive from the base seed
-by the documented 64-bit mix, so reports are reproducible bit for bit.
+Replays are vectorized across runs, with per-node state stored node-major as
+`(n, runs)` arrays; replica streams derive from the base seed by the
+documented 64-bit mix, so reports are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .rng import generator
 
 LB_RATIO = 2.0 * math.sqrt(2.0) - 2.0
 MAX_TABLE_ACTIVE = 14
+BID_MASK = np.uint16  # per-run bid masks over at most MAX_TABLE_ACTIVE positions
 
 
 @dataclass
@@ -58,13 +60,14 @@ class RoundReport:
 def _selection_table(rows_for, n_active):
     """Cumulative winner probabilities per realized bid mask.
 
-    Returns (2^k, k) array: row m holds the cumulative conditional win
-    probabilities of the active positions given bid mask m.
+    Returns a (k, 2^k) array: column m holds the cumulative conditional win
+    probabilities of the active positions given bid mask m, so row `pos` is
+    what `_Replay.settle` gathers for position `pos`.
     """
     k = n_active
     if k > MAX_TABLE_ACTIVE:
         raise SizeError(f"{k} active nodes exceed the batch table cap {MAX_TABLE_ACTIVE}")
-    table = np.zeros((1 << k, k))
+    table = np.zeros((k, 1 << k))
     for mask in range(1, 1 << k):
         row = rows_for(mask)
         if row is None:
@@ -72,92 +75,112 @@ def _selection_table(rows_for, n_active):
         acc = np.zeros(k)
         for pos, q in row:
             acc[pos] = q
-        table[mask] = np.cumsum(acc)
+        table[:, mask] = np.cumsum(acc)
     return table
 
 
+class _Replay:
+    """Matched flags and edge counts of a batch replay, stored node-major:
+    `offline[i]` and `arrival[t]` are vectors over runs, so each update is a
+    contiguous row operation."""
+
+    def __init__(self, n_offline: int, n_arrivals: int, n_runs: int):
+        self.offline = np.zeros((n_offline, n_runs), dtype=bool)
+        self.arrival = np.zeros((n_arrivals, n_runs), dtype=bool)
+        self.counts: dict[tuple[int, int], int] = {}
+
+    def settle(self, t: int, nodes, table: np.ndarray, bid_mask: np.ndarray, u: np.ndarray):
+        """Match each run's winner at arrival t among `nodes` (the table's
+        positions): the first position whose cumulative win probability given
+        the run's bid mask exceeds u, if the last one does. This is
+        `(u[:, None] < cum).argmax(axis=1)` on the runs with `u < cum[:, -1]`,
+        the first-True rule, so the rows of `table` need not be monotone."""
+        idx = bid_mask.astype(np.intp)
+        last = len(nodes) - 1
+        open_ = u < table[last][idx]  # runs whose winner is at this position or later
+        for pos, node in enumerate(nodes):
+            if pos == last:
+                rows = open_
+            else:
+                rows = u < table[pos][idx]
+                rows &= open_
+                open_ ^= rows
+            cnt = int(np.count_nonzero(rows))
+            if cnt:
+                self.counts[(node, t)] = self.counts.get((node, t), 0) + cnt
+                self.offline[node] |= rows
+                self.arrival[t] |= rows
+
+    def result(self):
+        """(edge counts, (runs, n) offline flags, (runs, T) arrival flags); the
+        flags are transposed views of the node-major arrays."""
+        return self.counts, self.offline.T, self.arrival.T
+
+
 def _batch_odrs(comp: odrs_mod.CompiledOdrs, n_runs: int, seed: int):
-    """Vectorized replays of the improved ODRS; yields matched-edge counts and
-    per-run matched flags."""
+    """Vectorized replays of the improved ODRS: matched-edge counts and the
+    per-run offline and arrival matched flags (see `_Replay.result`).
+
+    The bid state `ahead` is node-major, `(n, runs)`; the draws are those of
+    the scalar sampler, one batch per bin, crossing node and arrival."""
     g = generator(seed, 13)
     n = comp.inst.n_offline
-    ahead = np.zeros((n_runs, n), dtype=bool)
-    offline_matched = np.zeros((n_runs, n), dtype=bool)
-    arrival_matched = np.zeros((n_runs, len(comp.plans)), dtype=bool)
-    edge_counts: dict[tuple[int, int], int] = {}
+    ahead = np.zeros((n, n_runs), dtype=bool)
+    out = _Replay(n, len(comp.plans), n_runs)
     for plan, selector in zip(comp.plans, comp.selectors):
         if selector is None:
             continue
         active = list(selector.elements)
-        apos = {i: k for k, i in enumerate(active)}
-        bid_mask = np.zeros(n_runs, dtype=np.int64)
+        table = _selection_table(lambda m: selector.rows.get(m), len(active))
+        bit = {i: BID_MASK(1 << k) for k, i in enumerate(active)}
+        bid_mask = np.zeros(n_runs, dtype=BID_MASK)
         for gb in plan.bins:
-            chosen = gb.draw_batch(g.random(n_runs))
-            for node in gb.nodes:
-                hit = (chosen == node) & ~ahead[:, node]
-                ahead[hit, node] = True
-                bid_mask[hit] |= 1 << apos[node]
+            for node, hit in zip(gb.nodes, gb.draw_masks(g.random(n_runs))):
+                hit &= ~ahead[node]
+                ahead[node] |= hit
+                bid_mask |= hit * bit[node]
         for cn in plan.crossing:
             heads = g.random(n_runs) < cn.takeover
-            lag = ~ahead[:, cn.node]
-            bid_mask[lag | heads] |= 1 << apos[cn.node]
-            ahead[:, cn.node] &= heads
-        table = _selection_table(lambda m: selector.rows.get(m), len(active))
-        cum = table[bid_mask]
-        u = g.random(n_runs)
-        winners = (u[:, None] < cum).argmax(axis=1)
-        won = u < cum[:, -1]
-        for k, node in enumerate(active):
-            rows = won & (winners == k)
-            cnt = int(rows.sum())
-            if cnt:
-                edge_counts[(node, plan.t)] = edge_counts.get((node, plan.t), 0) + cnt
-                offline_matched[rows, node] = True
-                arrival_matched[rows, plan.t] = True
-    return edge_counts, offline_matched, arrival_matched
+            bid_mask |= (heads | ~ahead[cn.node]) * bit[cn.node]
+            ahead[cn.node] &= heads
+        out.settle(plan.t, active, table, bid_mask, g.random(n_runs))
+    return out.result()
 
 
 def _batch_warmup(comp: odrs_mod.CompiledWarmup, n_runs: int, seed: int):
+    """Vectorized replays of the warm-up ODRS, returning what `_batch_odrs`
+    returns. Each node's level-set count is node-major, `(n, runs)`, in the
+    smallest unsigned type that holds the number of arrivals."""
     g = generator(seed, 13)
     n = comp.inst.n_offline
-    counts = np.zeros((n_runs, n), dtype=np.int64)
-    offline_matched = np.zeros((n_runs, n), dtype=bool)
-    arrival_matched = np.zeros((n_runs, len(comp.steps)), dtype=bool)
-    edge_counts: dict[tuple[int, int], int] = {}
+    counts = np.zeros((n, n_runs), dtype=np.min_scalar_type(len(comp.steps)))
+    out = _Replay(n, len(comp.steps), n_runs)
     for t, rows in enumerate(comp.steps):
         sel = comp.selectors[t]
         if sel is None:
             continue
         k = len(rows)
-        bid_mask = np.zeros(n_runs, dtype=np.int64)
-        for pos, (i, fl, lo, hi) in enumerate(rows):
-            p = np.where(counts[:, i] == fl, lo, hi)
-            bid = g.random(n_runs) < p
-            counts[bid, i] += 1
-            bid_mask[bid] |= 1 << pos
 
         def rows_for(mask, sel=sel, k=k):
             probs = sel.conditional_win_probs({p for p in range(k) if mask >> p & 1})
             return [(p, float(probs[p])) for p in range(k)]
 
         table = _selection_table(rows_for, k)
-        cum = table[bid_mask]
-        u = g.random(n_runs)
-        winners = (u[:, None] < cum).argmax(axis=1)
-        won = u < cum[:, -1]
-        for pos, (i, _, _, _) in enumerate(rows):
-            sel_rows = won & (winners == pos)
-            cnt = int(sel_rows.sum())
-            if cnt:
-                edge_counts[(i, t)] = edge_counts.get((i, t), 0) + cnt
-                offline_matched[sel_rows, i] = True
-                arrival_matched[sel_rows, t] = True
-    return edge_counts, offline_matched, arrival_matched
+        bid_mask = np.zeros(n_runs, dtype=BID_MASK)
+        for pos, (i, fl, lo, hi) in enumerate(rows):
+            p = np.where(counts[i] == fl, lo, hi)
+            bid = g.random(n_runs) < p
+            counts[i] += bid
+            bid_mask |= bid * BID_MASK(1 << pos)
+        out.settle(t, [i for i, *_ in rows], table, bid_mask, g.random(n_runs))
+    return out.result()
 
 
 def _batch_run(algorithm, inst: MatchingInstance, params, n_runs: int, seed: int):
-    """Vectorized replays; `algorithm` is a name or a callable
-    (inst, n_runs, seed) -> (edge counts, offline matched, arrival matched)."""
+    """Vectorized replays: (edge counts, offline matched, arrival matched),
+    the flags as bool arrays of shape (n_runs, n) and (n_runs, T). The
+    kernels keep them node-major and return transposed views. `algorithm` is
+    a scheme name or a callable (inst, n_runs, seed) returning the same."""
     if callable(algorithm):
         return algorithm(inst, n_runs, seed)
     comp = odrs_mod.compile_scheme(algorithm, inst, params)
@@ -211,10 +234,13 @@ def lb_adversary(algorithm, n: int, n_probe: int, n_eval: int, seed: int,
     probability and pick the pair (t, t') with the largest covariance, then
     the offline pair (i, j) in their neighborhoods with the largest
     joint-matched probability. Evaluate: append a final arrival on {i, j}
-    with fractions 1/2 and report its edge ratios over fresh replays.
+    with fractions 1/2 and report its edge ratios over fresh replays. Both
+    phases need at least 10^3 runs.
     """
     if n < 3:
         raise DomainError("adversary needs n >= 3")
+    if min(n_probe, n_eval) < 1000:
+        raise DomainError("adversary needs at least 10^3 probe and eval runs")
     prefix = gen_lb_prefix(n)
     _, offline_m, arrival_m = _batch_run(algorithm, prefix, params, n_probe, seed)
     online_rate = arrival_m.mean(axis=0)
@@ -224,12 +250,12 @@ def lb_adversary(algorithm, n: int, n_probe: int, n_eval: int, seed: int,
     np.fill_diagonal(cov, -np.inf)
     t1, t2 = sorted(divmod(int(np.argmax(cov)), n))
     best_pair, best_joint = None, -1.0
-    om = offline_m.astype(np.float64)
     for i in (2 * t1, 2 * t1 + 1):
         for j in (2 * t2, 2 * t2 + 1):
-            jp = float((om[:, i] * om[:, j]).mean())
+            jp = np.count_nonzero(offline_m[:, i] & offline_m[:, j]) / n_probe
             if jp > best_joint:
                 best_joint, best_pair = jp, (i, j)
+    del offline_m, arrival_m, am, joint  # free the probe before the eval replay
     i, j = best_pair
     final = Arrival(((i, 0.5), (j, 0.5)))
     full = MatchingInstance(prefix.n_offline, prefix.capacities,

@@ -192,6 +192,46 @@ def validate_multigraph(mg: MultigraphInstance) -> ValidationReport:
     return rep
 
 
+def validate_cover(cov: CoverInstance) -> ValidationReport:
+    """Shapes (`costs` k × n_vars, `xstar` n_vars × k), finite nonnegative
+    costs and x*, vertex ids in range, demands of at least one, and a
+    feasible x*: each edge's x* summed over its vertices and all stages meets
+    its demand (within TOL). Rounding covers every edge with probability one
+    only from a feasible x*."""
+    rep = ValidationReport()
+    if cov.k < 1:
+        rep.add("bad-k", "k", cov.k)
+    if len(cov.costs) != cov.k:
+        rep.add("costs-shape", f"{len(cov.costs)} stages of costs, k = {cov.k}",
+                abs(len(cov.costs) - cov.k))
+    for stage, row in enumerate(cov.costs):
+        if len(row) != cov.n_vars:
+            rep.add("costs-shape", f"stage {stage} has {len(row)} costs, n_vars = {cov.n_vars}",
+                    abs(len(row) - cov.n_vars))
+        for v, c in enumerate(row):
+            if not (math.isfinite(c) and c >= 0):
+                rep.add("bad-cost", f"stage {stage} var {v}", c)
+    for v, row in enumerate(cov.xstar):
+        if len(row) != cov.k:
+            rep.add("xstar-shape", f"var {v} has {len(row)} stages, k = {cov.k}",
+                    abs(len(row) - cov.k))
+        for stage, x in enumerate(row):
+            if not (math.isfinite(x) and x >= 0):
+                rep.add("bad-xstar", f"var {v} stage {stage}", x)
+    for e, (verts, demand) in enumerate(cov.edges):
+        if demand < 1:
+            rep.add("bad-demand", f"edge {e}", demand)
+        out_of_range = [v for v in verts if not (0 <= v < cov.n_vars)]
+        for v in out_of_range:
+            rep.add("edge-endpoint", f"edge {e} var {v}", v)
+        if not out_of_range:
+            got = sum(x for v in verts for x in cov.xstar[v])
+            if got < demand - TOL:  # False for NaN, which bad-xstar reports
+                rep.add("infeasible-xstar", f"edge {e} covered {got:.12g} < {demand}",
+                        demand - got)
+    return rep
+
+
 def drop_zero_edges(inst: MatchingInstance) -> MatchingInstance:
     """Remove zero-fraction edges; they never bid."""
     arrivals = []
@@ -370,13 +410,17 @@ def save_json(inst, path: str):
 
 
 def instance_from_dict(doc: dict) -> MatchingInstance:
+    rep = ValidationReport()  # a bad "b" is not kept in the instance, so _load_check cannot see it
     try:
         n = int(doc["n_offline"])
         caps = tuple(_capacity(b) for b in doc["capacities"])
         arrivals = []
         for t, arr in enumerate(doc["arrivals"]):
             p = float(arr.get("p", 1.0))
-            b_t = int(arr.get("b", 1))
+            b_t = _capacity(arr.get("b", 1))
+            if isinstance(b_t, float) or b_t < 1:
+                rep.add("bad-b", f"arrival {t}", b_t)
+                b_t = 1
             edges, weights, has_w = [], [], False
             for e in arr["edges"]:
                 edges.append((int(e["i"]), float(e["x"])))
@@ -394,13 +438,14 @@ def instance_from_dict(doc: dict) -> MatchingInstance:
         inst = MatchingInstance(n, caps, tuple(arrivals))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationFailure(f"malformed instance JSON: {exc!r}") from exc
-    _load_check(inst).raise_if_invalid()
+    rep.violations += _load_check(inst).violations
+    rep.raise_if_invalid()
     return inst
 
 
 def _capacity(b) -> int | float:
-    """An integral capacity as an int; any other value as a float, kept for
-    `_load_check` to report."""
+    """An integral capacity (or per-arrival `b`) as an int; any other value as
+    a float, kept for the load checks to report."""
     if isinstance(b, int):
         return b
     v = float(b)
@@ -423,13 +468,15 @@ def multigraph_from_dict(doc: dict) -> MultigraphInstance:
 def cover_from_dict(doc: dict) -> CoverInstance:
     try:
         cv = doc["cover"]
-        return CoverInstance(
+        out = CoverInstance(
             int(cv["k"]), len(cv["xstar"]),
             tuple(tuple(float(c) for c in s["costs"]) for s in cv["stages"]),
             tuple((tuple(int(v) for v in e["verts"]), int(e["demand"])) for e in cv["edges"]),
             tuple(tuple(float(v) for v in row) for row in cv["xstar"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationFailure(f"malformed cover JSON: {exc!r}") from exc
+    validate_cover(out).raise_if_invalid()
+    return out
 
 
 def load_json(path: str):

@@ -274,14 +274,19 @@ class GroupBin:
                 return node
         return -1
 
-    def draw_batch(self, u: np.ndarray) -> np.ndarray:
-        """`draw` applied to every entry of u."""
-        chosen = np.full(len(u), -1, dtype=np.int64)
+    def draw_masks(self, u: np.ndarray) -> list[np.ndarray]:
+        """`draw` applied to every entry of u, as one bool mask per node in
+        bin order: the entries below its cumulative size and no earlier one
+        (an entry in no mask draws no candidate)."""
+        masks = []
+        below = np.zeros(len(u), dtype=bool)  # below an earlier cumulative size
         acc = 0.0
-        for node, sz in zip(self.nodes, self.sizes):
+        for sz in self.sizes:
             acc += sz
-            chosen[(chosen < 0) & (u < acc)] = node
-        return chosen
+            lt = u < acc
+            masks.append(lt & ~below)
+            below |= lt
+        return masks
 
 
 @dataclass

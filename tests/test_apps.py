@@ -121,3 +121,11 @@ def test_fair_matcher_warmup_marginal_floor():
     for t, arr in enumerate(mg.arrivals):
         for j, kappa in arr:
             assert probs.get((j, t), 0.0) >= (1 - 1 / _math.e) * kappa / mg.delta - 1e-9
+
+
+def test_cover_trials_needs_two_trials():
+    from odrs_lab.errors import DomainError
+    cov = instances.gen_random_cover(6, 6, d=3, t=2, k=3, seed=8)
+    for n in (-5, 0, 1):
+        with pytest.raises(DomainError):
+            apps.cover_trials(cov, n, seed=1)

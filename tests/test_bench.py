@@ -157,3 +157,10 @@ def test_batch_replay_matches_exact_engine(scheme, max_b):
     for k, p in exact.items():
         se = math.sqrt(max(p * (1 - p), 1e-9) / n_runs)
         assert abs(counts.get(k, 0) / n_runs - p) < 5 * se, (k, p)
+
+
+def test_lb_adversary_needs_enough_runs(matching_params):
+    for n_probe, n_eval in ((0, 4000), (2000, 0), (2000, -5), (999, 4000)):
+        with pytest.raises(DomainError, match="10\\^3"):
+            bench.lb_adversary("odrs", n=5, n_probe=n_probe, n_eval=n_eval, seed=1,
+                               params=matching_params)

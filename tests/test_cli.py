@@ -227,3 +227,48 @@ def test_non_integral_capacity_rejected(tmp_path):
         r = run(*cmd)
         assert r.returncode == 2 and r.stdout == "" and "Traceback" not in r.stderr
         assert "bad-capacity at offline 0 (magnitude 2.5)" in r.stderr
+
+
+def test_run_counts_are_validated(tmp_path):
+    cov = tmp_path / "cov.json"
+    assert run("gen", "--kind", "cover", "--n", "6", "--out", str(cov)).returncode == 0
+    for args in (["lowerbound", "--n", "5", "--eval", "0"],
+                 ["lowerbound", "--n", "5", "--probe", "0"],
+                 ["lowerbound", "--n", "5", "--eval", "-5"],
+                 ["lowerbound", "--n", "5", "--probe", "999"],
+                 ["cover", "--instance", str(cov), "--trials", "-5"],
+                 ["cover", "--instance", str(cov), "--trials", "1"]):
+        r = run(*args)
+        assert r.returncode == 2 and r.stdout == "" and "Traceback" not in r.stderr, args
+        assert "error:" in r.stderr
+    r = run("lowerbound", "--n", "5", "--probe", "1000", "--eval", "1000")
+    assert r.returncode == 0 and json.loads(r.stdout)["eval_runs"] == 1000
+
+
+def test_bad_cover_instances_rejected(tmp_path):
+    cov = {"k": 1, "stages": [{"costs": [1.0, 1.0]}],
+           "edges": [{"verts": [0, 1], "demand": 1}], "xstar": [[0.5], [0.5]]}
+    bad = {"edge-endpoint": {"edges": [{"verts": [0, 2], "demand": 1}]},
+           "xstar-shape": {"xstar": [[0.5], []]},
+           "bad-xstar": {"xstar": [[0.5], [float("nan")]]},
+           "infeasible-xstar": {"xstar": [[0.25], [0.5]]}}
+    for kind, over in bad.items():
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps({"cover": {**cov, **over}}))
+        for cmd in (["validate", str(path)], ["cover", "--instance", str(path)],
+                    ["cover", "--instance", str(path), "--trials", "1000"]):
+            r = run(*cmd)
+            assert r.returncode == 2 and r.stdout == "" and "Traceback" not in r.stderr, cmd
+            assert kind in r.stderr, (kind, r.stderr)
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"cover": cov}))
+    assert run("cover", "--instance", str(good)).returncode == 0
+
+
+def test_bad_per_arrival_b_rejected(tmp_path):
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps({"n_offline": 1, "capacities": [1],
+                                "arrivals": [{"b": 2.5, "edges": [{"i": 0, "x": 0.5}]}]}))
+    r = run("validate", str(path))
+    assert r.returncode == 2 and r.stdout == "" and "Traceback" not in r.stderr
+    assert "bad-b at arrival 0 (magnitude 2.5)" in r.stderr

@@ -166,3 +166,49 @@ def test_non_integral_capacity_rejected_at_load():
     assert instances.instance_from_dict(doc).capacities == (2, 3)
     rep = instances.validate(MatchingInstance(1, (2.5,), (Arrival(((0, 0.5),)),)))
     assert [v.kind for v in rep.violations] == ["bad-capacity"]
+
+
+def test_bad_per_arrival_b_rejected_at_load():
+    doc = {"n_offline": 1, "capacities": [1], "arrivals": [{"b": 2, "edges": [{"i": 0, "x": 0.5}]}]}
+    assert instances.instance_from_dict(doc).arrivals == (Arrival(((0, 0.25),)),) * 2
+    for b in (2.5, 0, -1, float("inf")):
+        doc["arrivals"][0]["b"] = b
+        with pytest.raises(ValidationFailure, match="bad-b at arrival 0"):
+            instances.instance_from_dict(doc)
+    doc["arrivals"][0]["b"] = 3.0
+    assert instances.instance_from_dict(doc).n_arrivals == 3
+
+
+def _cover_doc(**over):
+    doc = {"k": 2, "stages": [{"costs": [1.0, 2.0, 1.5]}, {"costs": [0.5, 1.0, 1.0]}],
+           "edges": [{"verts": [0, 1], "demand": 1}, {"verts": [1, 2], "demand": 2}],
+           "xstar": [[0.5, 0.25], [0.25, 0.5], [0.75, 0.5]]}
+    doc.update(over)
+    return {"cover": doc}
+
+
+def test_validate_cover():
+    cov = instances.cover_from_dict(_cover_doc())
+    assert instances.validate_cover(cov).valid
+    assert instances.validate_cover(instances.gen_random_cover(8, 6, d=3, t=2, k=3, seed=4)).valid
+    cases = {
+        "edge-endpoint": _cover_doc(edges=[{"verts": [0, 3], "demand": 1}]),
+        "xstar-shape": _cover_doc(xstar=[[0.5, 0.25], [0.25], [0.75, 0.5]]),
+        "costs-shape": _cover_doc(stages=[{"costs": [1.0, 2.0, 1.5]}]),
+        "bad-xstar": _cover_doc(xstar=[[0.5, float("nan")], [0.25, 0.5], [0.75, -0.5]]),
+        "bad-cost": _cover_doc(stages=[{"costs": [1.0, float("inf"), 1.5]},
+                                       {"costs": [0.5, -1.0, 1.0]}]),
+        "bad-demand": _cover_doc(edges=[{"verts": [0, 1], "demand": 0}]),
+        "infeasible-xstar": _cover_doc(edges=[{"verts": [0, 1], "demand": 2}]),
+        "bad-k": _cover_doc(k=0, stages=[], xstar=[[], [], []]),
+    }
+    for kind, doc in cases.items():
+        with pytest.raises(ValidationFailure, match=kind):
+            instances.cover_from_dict(doc)
+
+
+def test_cover_feasibility_tolerance():
+    # x* that meets a demand only up to rounding is feasible
+    doc = _cover_doc(edges=[{"verts": [0, 1], "demand": 2}],
+                     xstar=[[0.5, 0.5], [0.5, 0.5 - 1e-12], [0.0, 0.0]])
+    assert instances.cover_from_dict(doc).n_vars == 3

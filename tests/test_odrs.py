@@ -370,7 +370,7 @@ def test_b_matching_exact_integer_crossing(b_matching_params):
         assert len(m.pairs) <= 2
 
 
-def test_group_bin_draw_matches_draw_batch():
+def test_group_bin_draw_matches_draw_masks():
     bins = [odrs.GroupBin([3, 5, 7, 9], [0.25, 0.0, 0.5, 0.125]),
             odrs.GroupBin([0, 1, 2], [0.1, 0.2, 0.7]),
             odrs.GroupBin([4], [1.0])]
@@ -378,6 +378,12 @@ def test_group_bin_draw_matches_draw_batch():
         bounds = list(itertools.accumulate(gb.sizes))  # the draw's cumulative sums
         u = [0.0, 0.999999, *bounds, *(np.nextafter(b, 0.0) for b in bounds),
              *np.random.default_rng(1).random(200)]
-        batch = gb.draw_batch(np.array(u))
+        masks = gb.draw_masks(np.array(u))
+        assert len(masks) == len(gb.nodes)
+        assert all(m.dtype == bool for m in masks)
+        assert max(sum(m[r] for m in masks) for r in range(len(u))) <= 1  # one node at most
+        batch = np.full(len(u), -1)
+        for node, m in zip(gb.nodes, masks):
+            batch[m] = node
         assert [gb.draw(v) for v in u] == batch.tolist()
         assert 5 not in batch  # a zero-size entry is never drawn
