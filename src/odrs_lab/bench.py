@@ -57,6 +57,11 @@ class RoundReport:
         }
 
 
+def _check_table_size(k: int):
+    if k > MAX_TABLE_ACTIVE:
+        raise SizeError(f"{k} active nodes exceed the batch table cap {MAX_TABLE_ACTIVE}")
+
+
 def _selection_table(rows_for, n_active):
     """Cumulative winner probabilities per realized bid mask.
 
@@ -65,8 +70,7 @@ def _selection_table(rows_for, n_active):
     what `_Replay.settle` gathers for position `pos`.
     """
     k = n_active
-    if k > MAX_TABLE_ACTIVE:
-        raise SizeError(f"{k} active nodes exceed the batch table cap {MAX_TABLE_ACTIVE}")
+    _check_table_size(k)
     table = np.zeros((k, 1 << k))
     for mask in range(1, 1 << k):
         row = rows_for(mask)
@@ -160,12 +164,8 @@ def _batch_warmup(comp: odrs_mod.CompiledWarmup, n_runs: int, seed: int):
         if sel is None:
             continue
         k = len(rows)
-
-        def rows_for(mask, sel=sel, k=k):
-            probs = sel.conditional_win_probs({p for p in range(k) if mask >> p & 1})
-            return [(p, float(probs[p])) for p in range(k)]
-
-        table = _selection_table(rows_for, k)
+        _check_table_size(k)
+        table = np.cumsum(sel.conditional_win_probs(np.arange(1 << k)), axis=0)
         bid_mask = np.zeros(n_runs, dtype=BID_MASK)
         for pos, (i, fl, lo, hi) in enumerate(rows):
             p = np.where(counts[i] == fl, lo, hi)

@@ -1,8 +1,8 @@
 """Command-line surface: odrs-lab.
 
 Exit codes: 0 success, 1 usage error, 2 validation failure, 3 invariant
-breach. Reports are JSON (CSV with --csv) and byte-reproducible for a fixed
-seed; wall times go to stderr only.
+breach or any other unexpected error. Reports are JSON (CSV with --csv) and
+byte-reproducible for a fixed seed; wall times go to stderr only.
 """
 
 import os
@@ -27,6 +27,15 @@ def _echo(text: str, err: bool = False):
     with no `file`, click caches a wrapper per stream for the life of the
     process, which keeps every stream it has written to alive."""
     click.echo(text, file=sys.stderr if err else sys.stdout)
+
+
+def _read_json(path: str, what: str):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationFailure(f"{what} is not JSON: line {exc.lineno} col "
+                                    f"{exc.colno}: {exc.msg}") from exc
 
 
 def _emit(doc, csv: bool = False):
@@ -148,20 +157,24 @@ def optimize_cmd(variant):
 @click.option("--v", "v_path", type=click.Path(exists=True), required=True)
 def crs_cmd(dist_path, v_path):
     """Balance ratio and exact selector marginals of a subset distribution."""
-    with open(dist_path) as fh:
-        doc = json.load(fh)
-    elements = tuple(doc["elements"])
-    pos = {e: k for k, e in enumerate(elements)}
-    atoms = {}
-    for a in doc["atoms"]:
-        mask = 0
-        for e in a["set"]:
-            mask |= 1 << pos[e]
-        atoms[mask] = atoms.get(mask, 0.0) + float(a["p"])
+    doc = _read_json(dist_path, "--dist")
+    v = _read_json(v_path, "--v")
+    try:
+        elements = tuple(doc["elements"])
+        pos = {e: k for k, e in enumerate(elements)}
+        atoms = {}
+        for a in doc["atoms"]:
+            mask = 0
+            for e in a["set"]:
+                if e not in pos:
+                    raise ValidationFailure(f"atom set names {e!r}, which is not in elements")
+                mask |= 1 << pos[e]
+            atoms[mask] = atoms.get(mask, 0.0) + float(a["p"])
+        v = [float(vv) for vv in v]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationFailure(f"malformed --dist or --v JSON: {exc!r}") from exc
     dist = crs_mod.SupportDistribution(elements, tuple(atoms.items()))
     dist.check()
-    with open(v_path) as fh:
-        v = json.load(fh)
     alpha = crs_mod.balance_ratio(dist, v)
     rule = crs_mod.build_selector(dist, v)
     marg = crs_mod.exact_marginals(dist, rule)
@@ -245,9 +258,12 @@ def cover_cmd(path, trials, seed):
 @click.option("--csv", is_flag=True, default=True, show_default=True)
 def report_cmd(path, csv):
     """Re-emit a JSON report (CSV by default)."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    _emit(doc, csv)
+    doc = _read_json(path, "--infile")
+    try:
+        text = _to_csv(doc) if csv else instances.dumps(doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationFailure(f"--infile is not a report: {exc!r}") from exc
+    _echo(text)
 
 
 def main():
@@ -271,6 +287,9 @@ def main():
         return 2
     except click.exceptions.Abort:
         return 1
+    except Exception as exc:  # a bug, not an input: one line instead of a traceback
+        _echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
+        return 3
 
 
 if __name__ == "__main__":

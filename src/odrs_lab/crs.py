@@ -286,7 +286,7 @@ class ProductSelector:
 
     def __init__(self, y):
         y = [float(p) for p in y]
-        if any(p <= 0 or p > 1 for p in y):
+        if any(not 0 < p <= 1 for p in y):  # NaN fails this too
             raise DomainError("product selector needs probabilities in (0, 1]")
         self.n = len(y)
         self.y = y
@@ -358,25 +358,34 @@ class ProductSelector:
                 return -1
         return ~ref
 
-    def conditional_win_probs(self, bids: set[int]) -> np.ndarray:
-        """Pr[position wins | realized bid set], by exact tree-walk weights."""
-        out = np.zeros(self.n)
-        if not bids:
-            return out
-        has_bid: dict[int, bool] = {~i: (i in bids) for i in range(self.n)}
+    def conditional_win_probs(self, masks) -> np.ndarray:
+        """Pr[position wins | realized bid set] for each bid mask (bit i set
+        when position i bids), as an (n, len(masks)) matrix.
+
+        One top-down pass over the merge tree carries every mask's weight:
+        a child receives its parent's weight times the parent's row entry
+        for the mask's bid pattern, and a weight that is not positive is cut
+        to zero before it is passed on or stored. The entries are the
+        products of a per-mask tree walk, bit for bit.
+        """
+        masks = np.asarray(masks, dtype=np.int64)
+        if masks.size and (masks.min() < 0 or masks.max() >> self.n):
+            raise DomainError(f"bid masks must lie in [0, 2^{self.n})")
+        sub = {~i: 1 << i for i in range(self.n)}  # node -> the bits of its leaves
         for ref, (r1, r2) in enumerate(self.children):
-            has_bid[ref] = has_bid[r1] or has_bid[r2]
-        stack = [(self.root, 1.0)]
-        while stack:
-            ref, w = stack.pop()
-            if w <= 0.0:
-                continue
-            if ref < 0:
-                out[~ref] += w
-                continue
+            sub[ref] = sub[r1] | sub[r2]
+        weight = {self.root: (masks != 0).astype(float)}
+        for ref in range(len(self.children) - 1, -1, -1):  # parents before children
+            w = weight.pop(ref)
+            w = np.where(w > 0, w, 0.0)
             r1, r2 = self.children[ref]
-            pattern = (1 if has_bid[r1] else 0) | (2 if has_bid[r2] else 0)
-            w1, w2 = self.rows[ref][pattern]
-            stack.append((r1, w * w1))
-            stack.append((r2, w * w2))
+            pattern = ((masks & sub[r1]) != 0) + 2 * ((masks & sub[r2]) != 0)
+            row = self.rows[ref]
+            table = np.array(((0.0, 0.0), row[1], row[2], row[3]))[pattern]
+            weight[r1] = w * table[:, 0]
+            weight[r2] = w * table[:, 1]
+        out = np.empty((self.n, len(masks)))
+        for i in range(self.n):
+            w = weight[~i]
+            out[i] = np.where(w > 0, w, 0.0)
         return out

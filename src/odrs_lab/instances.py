@@ -17,6 +17,7 @@ from .errors import DomainError, ValidationFailure
 from .rng import generator
 
 TOL = 1e-9
+MAX_ARRIVAL_B = 1024  # largest per-arrival "b": each unit becomes its own arrival
 
 
 @dataclass(frozen=True)
@@ -418,7 +419,7 @@ def instance_from_dict(doc: dict) -> MatchingInstance:
         for t, arr in enumerate(doc["arrivals"]):
             p = float(arr.get("p", 1.0))
             b_t = _capacity(arr.get("b", 1))
-            if isinstance(b_t, float) or b_t < 1:
+            if isinstance(b_t, float) or not 1 <= b_t <= MAX_ARRIVAL_B:
                 rep.add("bad-b", f"arrival {t}", b_t)
                 b_t = 1
             edges, weights, has_w = [], [], False

@@ -17,6 +17,32 @@ def b_matching_params():
     return odrs.ScalingParams(eps, delta, "b_matching")
 
 
+def reference_win_probs(sel, bids):
+    """Scalar tree walk of `ProductSelector.conditional_win_probs` for one
+    realized bid set (a set of positions): the reference the mask-batched
+    pass must equal bit for bit."""
+    out = np.zeros(sel.n)
+    if not bids:
+        return out
+    has_bid = {~i: (i in bids) for i in range(sel.n)}
+    for ref, (r1, r2) in enumerate(sel.children):
+        has_bid[ref] = has_bid[r1] or has_bid[r2]
+    stack = [(sel.root, 1.0)]
+    while stack:
+        ref, w = stack.pop()
+        if w <= 0.0:
+            continue
+        if ref < 0:
+            out[~ref] += w
+            continue
+        r1, r2 = sel.children[ref]
+        pattern = (1 if has_bid[r1] else 0) | (2 if has_bid[r2] else 0)
+        w1, w2 = sel.rows[ref][pattern]
+        stack.append((r1, w * w1))
+        stack.append((r2, w * w2))
+    return out
+
+
 def rotation_joint(n, popcounts, weights, seed):
     """Mixture of cyclic-rotation orbits: every bit has the same marginal."""
     rng = np.random.default_rng(seed)

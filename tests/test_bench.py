@@ -6,7 +6,7 @@ import pytest
 
 from odrs_lab import bench, instances, odrs
 from odrs_lab import exact_engine as engine
-from odrs_lab.errors import DomainError
+from odrs_lab.errors import DomainError, SizeError
 from odrs_lab.rng import ScalarRng, generator, mix, splitmix64
 
 
@@ -164,3 +164,11 @@ def test_lb_adversary_needs_enough_runs(matching_params):
         with pytest.raises(DomainError, match="10\\^3"):
             bench.lb_adversary("odrs", n=5, n_probe=n_probe, n_eval=n_eval, seed=1,
                                params=matching_params)
+
+
+def test_warmup_replay_table_cap():
+    k = bench.MAX_TABLE_ACTIVE + 1
+    inst = instances.MatchingInstance(k, (1,) * k, (instances.Arrival(
+        tuple((i, 1.0 / k) for i in range(k))),))
+    with pytest.raises(SizeError, match="batch table cap"):
+        bench.monte_carlo_edge_probs("warmup", inst, 1000, 0)

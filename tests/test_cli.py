@@ -52,10 +52,20 @@ def test_round_reports_byte_identical(tmp_path):
     assert a.stdout == b.stdout
 
 
+GOLDEN_OPTIMIZE_PARAMS = {
+    "matching": '{\n "variant": "matching",\n "eps": 0.048082997514206034,\n'
+                ' "delta": 0.064347656249999996,\n "alpha": 0.65280803729474313\n}\n',
+    "b-matching": '{\n "variant": "b-matching",\n "eps": 0.033882126796837005,\n'
+                  ' "delta": 0.041410644531250013,\n "alpha": 0.64602285850108121\n}\n',
+}
+
+
 def test_optimize_params_cli():
     r = run("optimize-params", "--variant", "matching")
     doc = json.loads(r.stdout)
     assert doc["alpha"] >= 0.6519
+    for variant, golden in GOLDEN_OPTIMIZE_PARAMS.items():
+        assert run("optimize-params", "--variant", variant).stdout == golden
 
 
 def test_crs_cli(tmp_path):
@@ -125,6 +135,23 @@ def test_exit_code_mapping(monkeypatch):
     assert cli_mod.main() == 2
     monkeypatch.setattr(cli_mod, "cli", Boom(click.UsageError("z")))
     assert cli_mod.main() == 1
+    monkeypatch.setattr(cli_mod, "cli", Boom(KeyError("w")))
+    assert cli_mod.main() == 3
+
+
+def test_bad_crs_and_report_inputs_exit_2(tmp_path):
+    dist = tmp_path / "dist.json"
+    dist.write_text(json.dumps({"elements": [0, 1], "atoms": [{"set": [0, 7], "p": 1.0}]}))
+    vfile = tmp_path / "v.json"
+    vfile.write_text("[0.5, 0.5]")
+    text = tmp_path / "notes.txt"
+    text.write_text("not JSON")
+    for cmd in (("crs", "--dist", str(dist), "--v", str(vfile)),
+                ("crs", "--dist", str(text), "--v", str(vfile)),
+                ("report", "--infile", str(text))):
+        r = run(*cmd)
+        assert r.returncode == 2 and r.stdout == "", cmd
+        assert r.stderr.startswith("validation failure:") and r.stderr.count("\n") == 1, r.stderr
 
 
 def test_round_sample_emits_matching(tmp_path):
@@ -272,3 +299,7 @@ def test_bad_per_arrival_b_rejected(tmp_path):
     r = run("validate", str(path))
     assert r.returncode == 2 and r.stdout == "" and "Traceback" not in r.stderr
     assert "bad-b at arrival 0 (magnitude 2.5)" in r.stderr
+    path.write_text(json.dumps({"n_offline": 2, "capacities": [1, 1],
+                                "arrivals": [{"b": 10 ** 6, "edges": [{"i": 0, "x": 0.5}]}]}))
+    r = run("validate", str(path))
+    assert r.returncode == 2 and "bad-b at arrival 0 (magnitude 1e+06)" in r.stderr

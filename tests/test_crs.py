@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import reference_win_probs
 from odrs_lab import crs
 from odrs_lab.errors import DomainError, SizeError
 from odrs_lab.rng import ScalarRng
@@ -152,8 +153,41 @@ def test_product_selector_marginals_exact():
             R = {i for i in range(n) if bits[i]}
             pr = math.prod(y[i] if bits[i] else 1 - y[i] for i in range(n))
             if R:
-                marg += pr * ps.conditional_win_probs(R)
+                marg += pr * reference_win_probs(ps, R)
         assert np.max(np.abs(marg - ps.alpha * y)) < 1e-11
+
+
+def test_conditional_win_probs_equal_tree_walk():
+    rng = np.random.default_rng(11)
+    cut = 0  # bidders cut by the walk's `w <= 0` prune (a zero row entry)
+    for n in range(1, 15):
+        for _ in range(3):
+            y = rng.uniform(0.01, 1.0, size=n)
+            y[rng.random(n) < 0.2] = 1.0  # sure bidders zero some row entries
+            ps = crs.ProductSelector(y)
+            if n <= 10:
+                masks = np.arange(1 << n)
+            else:
+                masks = rng.integers(0, 1 << n, size=600)
+            got = ps.conditional_win_probs(masks)
+            assert got.shape == (n, len(masks))
+            for col, m in enumerate(masks.tolist()):
+                want = reference_win_probs(ps, {k for k in range(n) if m >> k & 1})
+                assert got[:, col].tolist() == want.tolist(), (n, m)
+                cut += any(m >> k & 1 and want[k] == 0 for k in range(n))
+    assert cut > 0
+
+
+def test_product_selector_rejects_out_of_range_inputs():
+    ps = crs.ProductSelector([0.3, 0.4])
+    with pytest.raises(DomainError):
+        ps.conditional_win_probs([4])
+    with pytest.raises(DomainError):
+        ps.conditional_win_probs([-1])
+    assert ps.conditional_win_probs(np.zeros(0, dtype=np.int64)).shape == (2, 0)
+    for y in ([0.0, 0.5], [1.5], [math.nan, 0.5]):
+        with pytest.raises(DomainError, match="probabilities in"):
+            crs.ProductSelector(y)
 
 
 def test_product_selector_agrees_with_flow_selector():

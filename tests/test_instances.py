@@ -171,12 +171,14 @@ def test_non_integral_capacity_rejected_at_load():
 def test_bad_per_arrival_b_rejected_at_load():
     doc = {"n_offline": 1, "capacities": [1], "arrivals": [{"b": 2, "edges": [{"i": 0, "x": 0.5}]}]}
     assert instances.instance_from_dict(doc).arrivals == (Arrival(((0, 0.25),)),) * 2
-    for b in (2.5, 0, -1, float("inf")):
+    for b in (2.5, 0, -1, float("inf"), instances.MAX_ARRIVAL_B + 1, 10 ** 9):
         doc["arrivals"][0]["b"] = b
         with pytest.raises(ValidationFailure, match="bad-b at arrival 0"):
             instances.instance_from_dict(doc)
     doc["arrivals"][0]["b"] = 3.0
     assert instances.instance_from_dict(doc).n_arrivals == 3
+    doc["arrivals"][0]["b"] = instances.MAX_ARRIVAL_B
+    assert instances.instance_from_dict(doc).n_arrivals == instances.MAX_ARRIVAL_B
 
 
 def _cover_doc(**over):

@@ -1,11 +1,13 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from conftest import reference_win_probs
 from odrs_lab import exact_engine as engine
 from odrs_lab import instances, odrs
 from odrs_lab.errors import DomainError, FeasibilityError
@@ -46,6 +48,103 @@ def test_optimize_params_b_matching(b_matching_params):
     eps, delta, alpha = odrs.optimize_params("b_matching")
     assert alpha >= 0.6459
     assert abs(eps - 0.0347) <= 0.003 and abs(delta - 0.0425) <= 0.003
+
+
+# float.hex of optimize_params(variant): (eps, delta, alpha)
+GOLDEN_OPTIMA = {
+    "matching": ("0x1.89e55aba26359p-5", "0x1.07916872b020cp-4", "0x1.4e3cdae57e65cp-1"),
+    "b_matching": ("0x1.158ff8505ce61p-5", "0x1.533c6a7ef9db4p-5", "0x1.4ac38213760e8p-1"),
+}
+
+
+def reference_min_feasible_eps(delta, variant, lo=0.0, hi=0.9):
+    """The cell-by-cell boundary search that `_min_feasible_eps` replaced."""
+    def ok(e):
+        return odrs.feasibility_violation(e, delta, variant) is None
+    e = lo
+    step = 2e-3
+    found = None
+    while e <= hi:
+        if ok(e):
+            found = e
+            break
+        e += step
+    if found is None:
+        return None
+    lo_inf, hi_ok = max(0.0, found - step), found
+    for _ in range(60):
+        mid = 0.5 * (lo_inf + hi_ok)
+        if ok(mid):
+            hi_ok = mid
+        else:
+            lo_inf = mid
+    return hi_ok
+
+
+def reference_optimize_params(variant):
+    """The cell-by-cell parameter search that `optimize_params` replaced."""
+    best = (odrs.ratio_bound_raw(0.0, 0.0), 0.0, 0.0)
+    for j in range(201):
+        delta = j * 1e-3
+        for i in range(201):
+            eps = i * 1e-3
+            if odrs.feasibility_violation(eps, delta, variant) is None:
+                val = odrs.ratio_bound_raw(eps, delta)
+                if val > best[0]:
+                    best = (val, eps, delta)
+                break
+    _, _, delta = best
+    val, eps = best[0], best[1]
+    step = 1e-3
+    while step > 1e-7:
+        improved = False
+        for cand in (delta - step, delta + step):
+            if not (0.0 <= cand <= 1.0):
+                continue
+            e = reference_min_feasible_eps(cand, variant)
+            if e is None:
+                continue
+            v = odrs.ratio_bound_raw(e, cand)
+            if v > val:
+                val, eps, delta, improved = v, e, cand, True
+        if not improved:
+            step *= 0.5
+    return eps, delta, val
+
+
+@pytest.mark.parametrize("variant", ["matching", "b_matching"])
+def test_optimize_params_equals_reference_and_golden(variant):
+    got = odrs.optimize_params(variant)
+    assert got == reference_optimize_params(variant)
+    assert tuple(v.hex() for v in got) == GOLDEN_OPTIMA[variant]
+
+
+@pytest.mark.parametrize("variant", ["matching", "b_matching"])
+def test_feasible_many_equals_violation_check(variant):
+    grid = [i * 1e-3 for i in range(201)]
+    got = odrs._feasible_many(odrs.GRID[None, :], odrs.GRID[:, None], variant)
+    want = [[odrs.feasibility_violation(e, d, variant) is None for e in grid] for d in grid]
+    assert got.tolist() == want
+    # feasibility is not monotone in eps along every row: a bisection would
+    # find another first feasible eps than the scan
+    assert any(not all(row[i] <= row[i + 1] for i in range(200)) for row in want)
+    for delta in (0.0, 1e-3, 0.0425, 0.0643, 0.1, 0.2, 0.5, 1.0):
+        scan = odrs._feasible_many(odrs.SCAN, delta, variant).tolist()
+        assert scan == [odrs.feasibility_violation(e, delta, variant) is None
+                        for e in odrs.SCAN.tolist()]
+        assert scan == [odrs._feasible(e, delta, variant) for e in odrs.SCAN.tolist()]
+        assert odrs._min_feasible_eps(delta, variant) == reference_min_feasible_eps(delta, variant)
+
+
+def test_optimize_params_transient_memory():
+    odrs.optimize_params("matching")
+    tracemalloc.start()
+    try:
+        odrs.optimize_params("matching")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5e6
 
 
 def test_feasible_region_contains_origin():
@@ -135,6 +234,33 @@ def test_warmup_star_and_independence(matching_params):
     for seed in range(20):
         m = odrs.warmup_round(single, seed=seed)
         assert m.pairs == [(0, 0)]
+
+
+def reference_warmup_edge_probs(comp):
+    """The per-atom loop that `CompiledWarmup.edge_match_probs` replaced."""
+    probs = {}
+    for t, sel in enumerate(comp.selectors):
+        if sel is None:
+            continue
+        acc = np.zeros(sel.n)
+        for mask, p in comp.bid_law(t).atoms:
+            if mask:
+                acc += p * reference_win_probs(sel, {k for k in range(sel.n) if mask >> k & 1})
+        for k, (i, *_) in enumerate(comp.steps[t]):
+            probs[(i, t)] = float(acc[k])
+    return probs
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 64])
+def test_warmup_edge_probs_equal_per_atom_loop(monkeypatch, chunk):
+    comps = [odrs.CompiledWarmup(instances.drop_zero_edges(instances.gen_random(n, t, 0.9, seed)))
+             for n, t, seed in ((4, 5, 1), (9, 6, 2), (11, 3, 3))]
+    comps.append(odrs.CompiledWarmup(MatchingInstance(3, (1,) * 3, (
+        Arrival(((0, 1.0),)), Arrival(((0, 0.5), (1, 0.25), (2, 0.25)))))))
+    want = [reference_warmup_edge_probs(c) for c in comps]
+    monkeypatch.setattr(odrs, "ATOM_CHUNK", chunk)
+    for comp, w in zip(comps, want):
+        assert comp.edge_match_probs() == w
 
 
 def test_warmup_two_disjoint_stars_independent():

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import reference_win_probs
 from odrs_lab import bench, instances, odrs
 from odrs_lab import stochastic as st
 from odrs_lab.rng import generator
@@ -97,7 +98,7 @@ def reference_batch_warmup(comp, n_runs, seed):
             bid_mask[bid] |= 1 << pos
 
         def rows_for(mask, sel=sel, k=k):
-            probs = sel.conditional_win_probs({p for p in range(k) if mask >> p & 1})
+            probs = reference_win_probs(sel, {p for p in range(k) if mask >> p & 1})
             return [(p, float(probs[p])) for p in range(k)]
 
         table = reference_selection_table(rows_for, k)
