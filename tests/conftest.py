@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,11 @@ def matching_params():
 def b_matching_params():
     eps, delta, _ = odrs.optimize_params("b_matching")
     return odrs.ScalingParams(eps, delta, "b_matching")
+
+
+def digest(obj) -> str:
+    """sha256 of `repr(obj)`: a golden value for a report or a sampled output."""
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
 
 
 def reference_win_probs(sel, bids):

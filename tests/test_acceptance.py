@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from conftest import rotation_joint, sized_joint
+from conftest import digest, rotation_joint, sized_joint
 from odrs_lab import apps, bench, exact_engine as engine
 from odrs_lab import instances, level_set as ls, odrs, stochastic as st
 
@@ -241,6 +241,21 @@ def test_criterion_11_stochastic(matching_params):
                 f"{'pass' if exact_ok else 'fail'} in {time.time()-t0:.1f}s", ok)
 
 
+# sha256 of the sorted colors items, one per criterion-12 seed
+COLORING_SHA256 = [
+    "e95641e06abfb7c4a261603f4cc37b7b5bb58bbbf4995eb7e1da92336c4dcd9c",
+    "e0028577b78d13e686a31d56f7e3c57f915411ea5fdceced45b9d9553f78b24f",
+    "aa38bdfbca2412933efa2727e6841a40d768140d99970289060ac1c2fba41d88",
+    "ff3b0371323d76bad2c390d9907ece95da7c5d0bda8ffce0200bd058ab2ec337",
+    "ece0b474d5e3f4c502cd6a5b8f5033e99ba108d78e489e73485eeb519787693c",
+    "4e81641da2d86e34d33f302d80eb4e31fdf7357155c6e65fcbc3f531031b728e",
+    "b2868a446bf75538de21e724e141bd3eb79bc1500fa21386bd05d37206061481",
+    "468c880d7b83edce79a716840df3187bafe083606ea6f83cc3a0bfeae9354737",
+    "feda84fb368736bf68661ea5bd278bbc79baf75c44ecda80ca2fdd5d27dcb618",
+    "2ca275779a4c3b033d6797dbd7c1c8bd33da822d2bf86a0103ac9e975ad8b5bb",
+]
+
+
 def test_criterion_12_edge_coloring():
     t0 = time.time()
     worst_ratio = 0.0
@@ -248,6 +263,7 @@ def test_criterion_12_edge_coloring():
     for seed in range(10):
         mg = instances.gen_random_multigraph(50, 50, 256, seed=seed)
         coloring = apps.edge_color_online(mg, C=32, seed=seed)
+        assert digest(sorted(coloring.colors.items())) == COLORING_SHA256[seed]
         rep = apps.verify_coloring(mg, coloring)
         all_proper = all_proper and rep.proper and rep.all_colored
         worst_ratio = max(worst_ratio, rep.ratio)

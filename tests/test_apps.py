@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import digest
 from odrs_lab import apps, instances
 from odrs_lab.instances import CoverInstance, MultigraphInstance
 
@@ -25,10 +26,21 @@ def test_matching_multigraph_one_color_from_greedy():
     assert rep.proper and rep.all_colored
 
 
+# sha256 of the sorted colors items, one per seed below
+RANDOM_COLORING_SHA256 = [
+    "c7f3448384a51a91cdcee303b19df712e9d93ea35303ac52b48642578277cb0e",
+    "aa35a365a9ecce8b1ac9923475ba0e5031ea5eaa4504831a98cb28ab5c883a91",
+    "113dc23a257e39ab6f9e44aa571c8e2fc65c21bf7bc97f1a9b0965355d3306ba",
+    "b9918b572e24e6cf8bd6a24e80137627ba1cd9ada9fd23b3bc8813edf4546884",
+    "a4e3e5e776f15971ee4f30fc594a4b1b5650f7055b31373ce151c5430ef00a08",
+]
+
+
 def test_coloring_proper_on_random_multigraphs():
     for seed in range(5):
         mg = instances.gen_random_multigraph(10, 10, 16, seed=seed)
         col = apps.edge_color_online(mg, C=8, seed=seed)
+        assert digest(sorted(col.colors.items())) == RANDOM_COLORING_SHA256[seed]
         rep = apps.verify_coloring(mg, col)
         assert rep.proper and rep.all_colored, rep.violations[:3]
         assert rep.colors_used <= 2 * mg.delta - 1  # greedy-style hard ceiling
