@@ -1,9 +1,10 @@
 """Applications: online multigraph edge coloring via fair matchings, and
 multi-stage stochastic hypergraph multi-cover rounding.
 
-Edge coloring runs rounds of fair matchings (each an ODRS run on the
-uncolored residual, with fractions kappa(e)/Delta_round) and finishes the
-leftovers greedily. Cover rounding level-set-rounds each vertex's scaled
+Edge coloring runs rounds of fair matchings and finishes the leftovers
+greedily. Each fair matcher is the shared warm-up ODRS step
+(`odrs.OnlineWarmup`) fed the uncolored residual, with fractions
+kappa(e)/Delta_round. Cover rounding level-set-rounds each vertex's scaled
 stage vector independently; coverage then holds with probability one.
 """
 
@@ -15,10 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import crs as crs_mod
 from .errors import DomainError
-from .instances import CoverInstance, MultigraphInstance
-from .level_set import LevelSetState, _snap, online_step, step_probability
+from .instances import Arrival, CoverInstance, MatchingInstance, MultigraphInstance
+from .level_set import LevelSetState, _snap, batch_stream, online_step
+from .level_set import step_probability  # noqa: F401 -- perfbench/tracing.py looks it up here
+from .odrs import OnlineWarmup, compile_scheme
 from .rng import ScalarRng, generator
 
 WARMUP_ALPHA = math.e / (math.e - 1.0)  # 1 / (1 - 1/e)
@@ -47,59 +49,16 @@ def default_rounds_c(n_nodes: int) -> int:
     return max(8, math.ceil(math.log2(n_nodes) ** 2))
 
 
-class _FairMatcher:
-    """One warm-up ODRS fed the uncolored residual, arrival by arrival.
-
-    Per offline (right) node it runs an online level-set stream; the arriving
-    left node resolves contention with the product-law selector. Fractions are
-    kappa/delta_bound, clipped to the per-vertex budgets so the stream stays a
-    fractional matching no matter how the residual fluctuates.
-    """
-
-    def __init__(self, n_right: int, delta_bound: float):
-        self.delta_bound = delta_bound
-        self.state = [LevelSetState() for _ in range(n_right)]
-        self.col_used = np.zeros(n_right)
-
-    def forbid(self, j: int):
-        # the greedy finish reused this matcher's color at j; j is off limits
-        self.col_used[j] = 1.0
-
-    def arrive(self, edges: list[tuple[int, int]], rng: ScalarRng) -> int:
-        """edges: (right id, uncolored multiplicity); returns matched right id
-        or -1."""
-        row_used = 0.0
-        ys, ids = [], []
-        for j, kappa in edges:
-            x = min(kappa / self.delta_bound,
-                    1.0 - row_used, 1.0 - float(self.col_used[j]))
-            if x <= 1e-12:
-                continue
-            row_used += x
-            self.col_used[j] += x
-            ids.append(j)
-            ys.append(x)
-        if not ids:
-            return -1
-        bidders = set()
-        for k, (j, x) in enumerate(zip(ids, ys)):
-            sel, self.state[j] = online_step(self.state[j], x, rng.uniform())
-            if sel:
-                bidders.add(k)
-        if not bidders:
-            return -1
-        win = crs_mod.ProductSelector(ys).select(bidders, rng.uniform)
-        return ids[win] if win >= 0 else -1
-
-
-def edge_color_online(mg: MultigraphInstance, C: int | None = None,
-                      params=None, seed: int = 0,
+def edge_color_online(mg: MultigraphInstance, C: int | None = None, seed: int = 0,
                       slack: float = ROUND_SLACK) -> EdgeColoring:
     """Online edge coloring by rounds of fair matchings plus a greedy finish.
 
     Round r uses the declared residual degree bound max(Delta - r*C*(1-slack),
     C); matcher i within a round sees only edges left uncolored by matchers
-    before it. The greedy finish reuses the palette first.
+    before it. A matcher is the warm-up ODRS step fed fractions kappa/bound,
+    clipped to the per-vertex budgets so its stream stays a fractional
+    matching no matter how the residual fluctuates. The greedy finish reuses
+    the palette first.
     """
     delta = mg.delta
     if C is None:
@@ -108,19 +67,30 @@ def edge_color_online(mg: MultigraphInstance, C: int | None = None,
     n_rounds = max(1, delta // C)
     per_round = math.ceil(WARMUP_ALPHA * C)
     rng = ScalarRng(seed)
+    # per matcher: (degree bound, fraction used per right node, warm-up step)
     matchers = []
     for r in range(n_rounds):
         bound = max(delta - r * C * (1.0 - slack), float(C))
-        matchers.extend(_FairMatcher(mg.n_right, bound) for _ in range(per_round))
+        matchers.extend((bound, [0.0] * mg.n_right, OnlineWarmup(mg.n_right))
+                        for _ in range(per_round))
     coloring = EdgeColoring()
     left_used: list[set[int]] = [set() for _ in range(mg.n_left)]
     right_used: list[set[int]] = [set() for _ in range(mg.n_right)]
     for t, arr in enumerate(mg.arrivals):
         free_copies = {j: list(range(kappa)) for j, kappa in arr if kappa > 0}
-        for color, matcher in enumerate(matchers):
+        for color, (bound, col_used, warmup) in enumerate(matchers):
             if not free_copies:
                 break
-            j = matcher.arrive(sorted((j, len(c)) for j, c in free_copies.items()), rng)
+            row_used = 0.0
+            edges = []
+            for j, copies in sorted(free_copies.items()):
+                x = min(len(copies) / bound, 1.0 - row_used, 1.0 - col_used[j])
+                if x <= 1e-12:
+                    continue
+                row_used += x
+                col_used[j] += x
+                edges.append((j, x))
+            j = warmup.arrive(edges, rng)
             if j >= 0 and free_copies.get(j):
                 # a matched simple edge colors one of its copies uniformly
                 pick = int(rng.uniform() * len(free_copies[j]))
@@ -131,7 +101,7 @@ def edge_color_online(mg: MultigraphInstance, C: int | None = None,
                 if not free_copies[j]:
                     del free_copies[j]
         # greedy finish for this arrival's leftover copies (first free color);
-        # reusing a matcher's color blocks that matcher from this right node
+        # reusing a matcher's color bars that matcher from this right node
         for j, copies in sorted(free_copies.items()):
             for copy in copies:
                 c = 0
@@ -141,13 +111,12 @@ def edge_color_online(mg: MultigraphInstance, C: int | None = None,
                 left_used[t].add(c)
                 right_used[j].add(c)
                 if c < len(matchers):
-                    matchers[c].forbid(j)
+                    matchers[c][1][j] = 1.0
     return coloring
 
 
 def multigraph_to_instance(mg: MultigraphInstance, delta_bound: int | None = None):
     """Fractional matching with x_e = kappa(e)/Delta per simple edge."""
-    from .instances import Arrival, MatchingInstance
     delta = delta_bound if delta_bound is not None else mg.delta
     for arr in mg.arrivals:
         if sum(k for _, k in arr) > delta:
@@ -172,9 +141,8 @@ class FairMatcherSampler:
 
     def __init__(self, mg: MultigraphInstance, algorithm: str = "warmup",
                  params=None, delta_bound: int | None = None):
-        from . import odrs as odrs_mod
         self.mg = mg
-        self._compiled = odrs_mod.compile_scheme(
+        self._compiled = compile_scheme(
             algorithm, multigraph_to_instance(mg, delta_bound), params)
 
     def sample(self, seed: int) -> list[tuple[int, int, int]]:
@@ -187,11 +155,6 @@ class FairMatcherSampler:
             copy = min(int(rng.uniform() * kappa), kappa - 1)
             out.append((t, j, copy))
         return out
-
-
-def fair_matcher(mg: MultigraphInstance, algorithm: str = "warmup", params=None,
-                 delta_bound: int | None = None) -> FairMatcherSampler:
-    return FairMatcherSampler(mg, algorithm, params, delta_bound)
 
 
 @dataclass
@@ -251,6 +214,14 @@ def cover_alpha(cov: CoverInstance) -> float:
     return max((len(verts) + demand - 1) / demand for verts, demand in cov.edges)
 
 
+def _peel(z: float) -> tuple[int, float]:
+    """A scaled value's deterministic integer part and the fraction left to
+    round."""
+    z = _snap(z)
+    base = math.floor(z)
+    return base, z - base
+
+
 def round_multistage_cover(cov: CoverInstance, seed: int = 0) -> CoverSolution:
     """Independently level-set-round each vertex's scaled stage vector.
 
@@ -264,9 +235,7 @@ def round_multistage_cover(cov: CoverInstance, seed: int = 0) -> CoverSolution:
     for v in range(cov.n_vars):
         state = LevelSetState()
         for stage in range(cov.k):
-            z = alpha * cov.xstar[v][stage]
-            base = math.floor(_snap(z))
-            frac = _snap(z) - base
+            base, frac = _peel(alpha * cov.xstar[v][stage])
             sel, state = online_step(state, frac, rng.uniform())
             y[v, stage] = base + sel
         # dummy tail flushes the stream to an integer; its outcome is dropped
@@ -288,25 +257,12 @@ def cover_trials(cov: CoverInstance, n_trials: int, seed: int) -> dict:
     totals = np.zeros((n_trials, cov.n_vars), dtype=np.int64)
     cost = np.zeros(n_trials)
     for v in range(cov.n_vars):
-        counts = np.zeros(n_trials, dtype=np.int64)
-        s = comp = 0.0
-        for stage in range(cov.k):
-            z = alpha * cov.xstar[v][stage]
-            base = math.floor(_snap(z))
-            frac = _snap(z) - base
-            s_prev = _snap(s)
-            p_low = step_probability(LevelSetState(s, math.floor(s_prev)), frac)
-            p_high = step_probability(LevelSetState(s, math.ceil(s_prev)), frac)
-            p = np.where(counts == math.floor(s_prev), p_low, p_high)
-            sel = g.random(n_trials) < p
-            counts += sel
+        peeled = [_peel(alpha * cov.xstar[v][stage]) for stage in range(cov.k)]
+        bits = batch_stream([frac for _, frac in peeled], g, n_trials)
+        for stage, ((base, _), sel) in enumerate(zip(peeled, bits)):
             yv = base + sel
             totals[:, v] += yv
             cost += cov.costs[stage][v] * yv
-            y0 = frac - comp
-            s_new = s + y0
-            comp = (s_new - s) - y0
-            s = s_new
     violations = 0
     for verts, demand in cov.edges:
         cover = totals[:, list(verts)].sum(axis=1)

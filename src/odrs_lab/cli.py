@@ -255,12 +255,13 @@ def cover_cmd(path, trials, seed):
 
 @cli.command("report")
 @click.option("--infile", "path", type=click.Path(exists=True), required=True)
-@click.option("--csv", is_flag=True, default=True, show_default=True)
-def report_cmd(path, csv):
-    """Re-emit a JSON report (CSV by default)."""
+@click.option("--csv", is_flag=True, expose_value=False,
+              help="Accepted and ignored: CSV is the only output.")
+def report_cmd(path):
+    """Re-emit a JSON report as CSV."""
     doc = _read_json(path, "--infile")
     try:
-        text = _to_csv(doc) if csv else instances.dumps(doc)
+        text = _to_csv(doc)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationFailure(f"--infile is not a report: {exc!r}") from exc
     _echo(text)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import bitmask
 from .errors import DomainError, InvariantBreach, SizeError
-from .rng import ScalarRng
+from .rng import ScalarRng, generator
 
 SNAP_TOL = 1e-9
 
@@ -62,6 +62,25 @@ def step_probability(state: LevelSetState, x: float) -> float:
     return min(1.0, max(0.0, p))
 
 
+def kahan_add(s: float, comp: float, x: float) -> tuple[float, float]:
+    """Kahan-compensated prefix sum: (s + x, new compensation)."""
+    y = x - comp
+    s_new = s + y
+    return s_new, (s_new - s) - y
+
+
+def step_table(s: float, x: float) -> tuple[int, float, float]:
+    """(floor, p_lag, p_ahead) of the element x after prefix sum s.
+
+    A valid count is the floor or the ceiling of the snapped sum, so the step
+    probability is p_lag if count == floor else p_ahead.
+    """
+    s_prev = _snap(s)
+    fl = math.floor(s_prev)
+    return (fl, step_probability(LevelSetState(s, fl), x),
+            step_probability(LevelSetState(s, math.ceil(s_prev)), x))
+
+
 def online_step(state: LevelSetState, x: float, u: float) -> tuple[int, LevelSetState]:
     """One online decision: select with probability from the case split.
 
@@ -70,10 +89,7 @@ def online_step(state: LevelSetState, x: float, u: float) -> tuple[int, LevelSet
     """
     p = step_probability(state, x)
     selected = 1 if u < p else 0
-    # Kahan-compensated prefix sum
-    y = x - state.comp
-    s_new = state.s_prev + y
-    comp = (s_new - state.s_prev) - y
+    s_new, comp = kahan_add(state.s_prev, state.comp, x)
     count = state.count_prev + selected
     snapped = _snap(s_new)
     if not (math.floor(snapped) <= count <= math.ceil(snapped)):
@@ -106,34 +122,33 @@ def online_round(x, seed: int = 0, rng: ScalarRng | None = None) -> np.ndarray:
     return bits[:n]
 
 
-def online_round_batch(x, n_runs: int, seed: int = 0) -> np.ndarray:
-    """n_runs independent online roundings, vectorized across runs.
+def batch_stream(xs, g: np.random.Generator, n_runs: int):
+    """n_runs independent online roundings of the stream xs, vectorized
+    across runs: yields each element's selection bits, one g.random(n_runs)
+    per element.
 
     Asserts the prefix-count invariant for every run at every step.
     """
-    from .rng import generator
-    xs, n = _pad_to_integer(x)
-    g = generator(seed, 3)
     counts = np.zeros(n_runs, dtype=np.int64)
-    bits = np.zeros((n_runs, len(xs)), dtype=np.int8)
     s = comp = 0.0
-    for t, xt in enumerate(xs):
-        s_prev = _snap(s)
-        # probability conditioned on each of the two admissible counts
-        p_low = step_probability(LevelSetState(s, math.floor(s_prev)), float(xt))
-        p_high = step_probability(LevelSetState(s, math.ceil(s_prev)), float(xt))
-        p = np.where(counts == math.floor(s_prev), p_low, p_high)
-        sel = g.random(n_runs) < p
+    for t, x in enumerate(xs):
+        fl, p_lag, p_ahead = step_table(s, x)
+        sel = g.random(n_runs) < np.where(counts == fl, p_lag, p_ahead)
         counts += sel
-        bits[:, t] = sel
-        y = float(xt) - comp
-        s_new = s + y
-        comp = (s_new - s) - y
-        s = s_new
+        s, comp = kahan_add(s, comp, x)
         snapped = _snap(s)
         lo, hi = math.floor(snapped), math.ceil(snapped)
         if np.any(counts < lo) or np.any(counts > hi):
             raise InvariantBreach(f"prefix count outside [{lo},{hi}] at step {t}")
+        yield sel
+
+
+def online_round_batch(x, n_runs: int, seed: int = 0) -> np.ndarray:
+    """n_runs independent online roundings, vectorized across runs."""
+    xs, n = _pad_to_integer(x)
+    bits = np.zeros((n_runs, len(xs)), dtype=np.int8)
+    for t, sel in enumerate(batch_stream([float(v) for v in xs], generator(seed, 3), n_runs)):
+        bits[:, t] = sel
     return bits[:, :n]
 
 

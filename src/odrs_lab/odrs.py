@@ -18,7 +18,8 @@ from . import bitmask
 from . import crs as crs_mod
 from .errors import DomainError, FeasibilityError, InvariantBreach, SizeError
 from .instances import Arrival, MatchingInstance
-from .level_set import LevelSetState, step_probability, _snap
+from .level_set import LevelSetState, _snap, kahan_add, online_step, step_table
+from .level_set import step_probability  # noqa: F401 -- perfbench/tracing.py looks it up here
 from .rng import ScalarRng
 
 MAX_COMPONENT = 20
@@ -720,52 +721,65 @@ def odrs_round_b(inst: MatchingInstance, params: ScalingParams, seed: int = 0) -
 # warm-up ODRS: independent per-node streams + product-law CRS
 # ----------------------------------------------------------------------------
 
+class OnlineWarmup:
+    """The 1 - 1/e warm-up ODRS fed one arrival at a time: each offline node
+    runs its own online level-set stream; a product-law selector resolves the
+    arrival's bidders."""
+
+    def __init__(self, n_offline: int):
+        self.state = [LevelSetState()] * n_offline  # frozen, so sharing is safe
+
+    def arrive(self, edges: list[tuple[int, float]], rng: ScalarRng,
+               selector: crs_mod.ProductSelector | None = None) -> int:
+        """edges: (offline id, fraction > 0) in arrival order; returns the
+        matched offline id or -1. One uniform per edge, then one selector
+        walk if anyone bid; `selector` is the product selector on the
+        fractions, built here when not given."""
+        bidders = set()
+        for k, (i, x) in enumerate(edges):
+            sel, self.state[i] = online_step(self.state[i], x, rng.uniform())
+            if sel:
+                bidders.add(k)
+        if not bidders:
+            return -1
+        if selector is None:
+            selector = crs_mod.ProductSelector([x for _, x in edges])
+        win = selector.select(bidders, rng.uniform)
+        return edges[win][0] if win >= 0 else -1
+
+
 class CompiledWarmup:
-    """1 - 1/e warm-up: each offline node runs its own online level-set stream
-    on its fraction column; a product-law selector resolves each arrival."""
+    """1 - 1/e warm-up: `OnlineWarmup` with its selectors prebuilt, plus each
+    stream step's table row for the vectorized replay."""
 
     def __init__(self, inst: MatchingInstance):
         if any(arr.p != 1.0 for arr in inst.arrivals):
             raise DomainError("this scheme expects sure arrivals; "
                               "use the stochastic pipeline for p < 1")
         self.inst = inst
-        self.selectors: list[crs_mod.ProductSelector | None] = []
+        # per arrival: its (node, fraction) edges with a positive fraction
+        self.edges = [[(i, x) for i, x in arr.edges if x > 0] for arr in inst.arrivals]
+        self.selectors = [crs_mod.ProductSelector([x for _, x in edges]) if edges else None
+                          for edges in self.edges]
         # per arrival: (node, floor of its prefix sum, p if lagging, p if ahead)
         self.steps: list[list[tuple[int, int, float, float]]] = []
-        s = np.zeros(inst.n_offline)
-        for arr in inst.arrivals:
+        s = [0.0] * inst.n_offline
+        comp = [0.0] * inst.n_offline
+        for edges in self.edges:
             rows = []
-            for i, x in arr.edges:
-                if x <= 0:
-                    continue
-                si = float(s[i])
-                fl = math.floor(_snap(si))
-                lo = step_probability(LevelSetState(si, fl), x)
-                hi = step_probability(LevelSetState(si, math.ceil(_snap(si))), x)
-                rows.append((i, fl, lo, hi))
-                s[i] += x
+            for i, x in edges:
+                rows.append((i, *step_table(s[i], x)))
+                s[i], comp[i] = kahan_add(s[i], comp[i], x)
             self.steps.append(rows)
-            ys = [x for _, x in arr.edges if x > 0]
-            self.selectors.append(crs_mod.ProductSelector(ys) if ys else None)
 
     def sample(self, seed: int, rng: ScalarRng | None = None) -> Matching:
         rng = rng if rng is not None else ScalarRng(seed)
-        counts = [0] * self.inst.n_offline
+        warmup = OnlineWarmup(self.inst.n_offline)
         out = Matching()
-        for t, rows in enumerate(self.steps):
-            sel = self.selectors[t]
-            if sel is None:
-                continue
-            bidders: set[int] = set()
-            for k, (i, fl, lo, hi) in enumerate(rows):
-                p = lo if counts[i] == fl else hi
-                if rng.uniform() < p:
-                    counts[i] += 1
-                    bidders.add(k)
-            if bidders:
-                win = sel.select(bidders, rng.uniform)
-                if win >= 0:
-                    out.add(rows[win][0], t)
+        for t, (edges, sel) in enumerate(zip(self.edges, self.selectors)):
+            i = warmup.arrive(edges, rng, sel)
+            if i >= 0:
+                out.add(i, t)
         out.assert_valid(self.inst, b_matching=True)
         return out
 
@@ -775,7 +789,7 @@ class CompiledWarmup:
         sel = self.selectors[t]
         if sel is None:
             return crs_mod.SupportDistribution((), ((0, 1.0),))
-        return crs_mod.SupportDistribution.product([i for i, *_ in self.steps[t]], sel.y)
+        return crs_mod.SupportDistribution.product([i for i, _ in self.edges[t]], sel.y)
 
     def edge_match_probs(self) -> dict[tuple[int, int], float]:
         """Exact Pr[(i,t) matched], summing the bid law against the selector.
@@ -800,7 +814,7 @@ class CompiledWarmup:
                             sel.conditional_win_probs([mask for mask, _ in chunk]),
                             out=terms[:, 1:])
                 acc = np.cumsum(terms, axis=1)[:, -1]
-            for k, (i, *_) in enumerate(self.steps[t]):
+            for k, (i, _) in enumerate(self.edges[t]):
                 probs[(i, t)] = float(acc[k])
         return probs
 

@@ -111,7 +111,7 @@ def test_fair_matcher_exact_marginals(matching_params):
     for t, arr in enumerate(mg.arrivals):
         for j, kappa in arr:
             assert probs.get((j, t), 0.0) >= 0.652 * kappa / mg.delta - 1e-9
-    fm = apps.fair_matcher(mg, "odrs", matching_params)
+    fm = apps.FairMatcherSampler(mg, "odrs", matching_params)
     triples = fm.sample(3)
     seen_left = [t for t, _, _ in triples]
     assert len(seen_left) == len(set(seen_left))  # a matching

@@ -106,6 +106,7 @@ def test_report_csv_roundtrip(tmp_path):
     lines = r2.stdout.strip().splitlines()
     assert lines[0].startswith("offline,arrival,x,prob")
     assert len(lines) == 5
+    assert run("report", "--infile", str(rep), "--csv").stdout == r2.stdout
 
 
 def test_stochastic_cli(tmp_path):

@@ -1,11 +1,14 @@
 """The warm-up ODRS step and the level-set stream table: golden outputs of
 every sampler built on them."""
 
+import numpy as np
 import pytest
 
 from conftest import digest
 from odrs_lab import apps, instances, odrs
 from odrs_lab import level_set as ls
+from odrs_lab.instances import Arrival, MatchingInstance
+from odrs_lab.rng import ScalarRng
 
 # sha256 of the sorted pairs of CompiledWarmup.sample for seeds 0..4, keyed by
 # the gen_random(n, n, 0.7, instance seed) instance
@@ -42,3 +45,82 @@ def test_cover_trials_golden():
     assert rep["violations"] == 0
     assert digest(sorted(rep.items())) == \
         "f2b5969c5d92f8851c7d97f8ee749a95d6760ed4c86b55c147999360cc7be45e"
+
+
+# ----------------------------------------------------------------------------
+# references: the loops the shared warm-up step and stream table replaced
+# ----------------------------------------------------------------------------
+
+def reference_warmup_sample(comp, seed):
+    """The row-lookup loop `CompiledWarmup.sample` ran before it drove
+    `OnlineWarmup`: each row's probability is looked up by the node's count."""
+    rng = ScalarRng(seed)
+    counts = [0] * comp.inst.n_offline
+    out = odrs.Matching()
+    for t, rows in enumerate(comp.steps):
+        sel = comp.selectors[t]
+        if sel is None:
+            continue
+        bidders = set()
+        for k, (i, fl, lo, hi) in enumerate(rows):
+            p = lo if counts[i] == fl else hi
+            if rng.uniform() < p:
+                counts[i] += 1
+                bidders.add(k)
+        if bidders:
+            win = sel.select(bidders, rng.uniform)
+            if win >= 0:
+                out.add(rows[win][0], t)
+    return out
+
+
+@pytest.mark.parametrize("n, t, max_b", [(3, 6, 1), (6, 6, 1), (10, 8, 1), (6, 9, 3)])
+def test_warmup_sample_equals_row_lookup_loop(n, t, max_b):
+    for inst_seed in range(8):
+        inst = instances.gen_random(n, t, 0.8, inst_seed, max_b=max_b)
+        comp = odrs.CompiledWarmup(inst)
+        for seed in range(10):
+            assert comp.sample(seed).pairs == reference_warmup_sample(comp, seed).pairs
+
+
+def test_warmup_sample_equals_row_lookup_loop_on_integral_sums():
+    # x = 1/2 and 1/4 columns land on integer prefix sums, where floor == ceil
+    inst = MatchingInstance(2, (2, 1), tuple(
+        Arrival(((0, 0.5), (1, 0.25))) for _ in range(4)))
+    comp = odrs.CompiledWarmup(inst)
+    for seed in range(50):
+        assert comp.sample(seed).pairs == reference_warmup_sample(comp, seed).pairs
+
+
+def test_online_warmup_builds_the_selector_it_is_not_given():
+    inst = instances.gen_random(6, 6, 0.8, 3)
+    comp = odrs.CompiledWarmup(inst)
+    for seed in range(10):
+        with_sel, without = odrs.OnlineWarmup(6), odrs.OnlineWarmup(6)
+        rng_a, rng_b = ScalarRng(seed), ScalarRng(seed)
+        for edges, sel in zip(comp.edges, comp.selectors):
+            assert with_sel.arrive(edges, rng_a, sel) == without.arrive(edges, rng_b)
+
+
+def _fraction_streams(n_streams=200, length=40):
+    g = np.random.default_rng(5)
+    nice = np.array([0.5, 0.25, 0.75, 1 / 3, 2 / 3, 0.1, 0.2, 0.3, 1.0, 0.0])
+    for k in range(n_streams):
+        if k % 2:
+            yield g.choice(nice, length).tolist()
+        else:
+            yield g.random(length).tolist()
+
+
+def test_step_table_equals_step_probability_on_running_state():
+    rng = ScalarRng(1)
+    for xs in _fraction_streams():
+        state = ls.LevelSetState()
+        s = comp = 0.0
+        for x in xs:
+            fl, p_lag, p_ahead = ls.step_table(state.s_prev, x)
+            p = p_lag if state.count_prev == fl else p_ahead
+            assert p == ls.step_probability(state, x)
+            _, state = ls.online_step(state, x, rng.uniform())
+            s, comp = ls.kahan_add(s, comp, x)
+            assert (state.s_prev, state.comp) == (s, comp)
