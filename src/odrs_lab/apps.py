@@ -101,7 +101,7 @@ def edge_color_online(mg: MultigraphInstance, C: int | None = None, seed: int = 
                 if not free_copies[j]:
                     del free_copies[j]
         # greedy finish for this arrival's leftover copies (first free color);
-        # reusing a matcher's color bars that matcher from this right node
+        # reusing a matcher's color blocks that matcher from this right node
         for j, copies in sorted(free_copies.items()):
             for copy in copies:
                 c = 0
