@@ -21,7 +21,7 @@ from .instances import Arrival, CoverInstance, MatchingInstance, MultigraphInsta
 from .level_set import LevelSetState, _snap, batch_stream, online_step
 from .level_set import step_probability  # noqa: F401 -- perfbench/tracing.py looks it up here
 from .odrs import OnlineWarmup, compile_scheme
-from .rng import ScalarRng, generator
+from .rng import ScalarRng, run_chunks
 
 WARMUP_ALPHA = math.e / (math.e - 1.0)  # 1 / (1 - 1/e)
 ROUND_SLACK = 0.1
@@ -249,24 +249,34 @@ def round_multistage_cover(cov: CoverInstance, seed: int = 0) -> CoverSolution:
 
 
 def cover_trials(cov: CoverInstance, n_trials: int, seed: int) -> dict:
-    """Vectorized Monte Carlo over trials: coverage violations and cost ratio."""
+    """Vectorized Monte Carlo over trials: coverage violations and cost ratio.
+
+    Trials run `rng.CHUNK_RUNS` at a time (`rng.run_chunks`, stream 11), each
+    vertex's stages through `level_set.batch_stream`; per-vertex totals live
+    per chunk, `(chunk, n_vars)`, and violations are counted per chunk. Each
+    trial's cost goes into one vector of `n_trials` floats, so the mean and
+    the standard error are taken over all trials at once and do not depend on
+    the chunk size.
+    """
     if n_trials < 2:
         raise DomainError("cover trials need at least 2 trials (for the standard error)")
     alpha = cover_alpha(cov)
-    g = generator(seed, 11)
-    totals = np.zeros((n_trials, cov.n_vars), dtype=np.int64)
+    peeled = [[_peel(alpha * cov.xstar[v][stage]) for stage in range(cov.k)]
+              for v in range(cov.n_vars)]
     cost = np.zeros(n_trials)
-    for v in range(cov.n_vars):
-        peeled = [_peel(alpha * cov.xstar[v][stage]) for stage in range(cov.k)]
-        bits = batch_stream([frac for _, frac in peeled], g, n_trials)
-        for stage, ((base, _), sel) in enumerate(zip(peeled, bits)):
-            yv = base + sel
-            totals[:, v] += yv
-            cost += cov.costs[stage][v] * yv
     violations = 0
-    for verts, demand in cov.edges:
-        cover = totals[:, list(verts)].sum(axis=1)
-        violations += int((cover < demand).sum())
+    for lo, hi, g in run_chunks(n_trials, seed, 11):
+        totals = np.zeros((hi - lo, cov.n_vars), dtype=np.int64)
+        chunk_cost = cost[lo:hi]
+        for v, vpeeled in enumerate(peeled):
+            bits = batch_stream([frac for _, frac in vpeeled], g, hi - lo)
+            for stage, ((base, _), sel) in enumerate(zip(vpeeled, bits)):
+                yv = base + sel
+                totals[:, v] += yv
+                chunk_cost += cov.costs[stage][v] * yv
+        for verts, demand in cov.edges:
+            cover = totals[:, list(verts)].sum(axis=1)
+            violations += int((cover < demand).sum())
     lp_cost = sum(cov.costs[stage][v] * cov.xstar[v][stage]
                   for v in range(cov.n_vars) for stage in range(cov.k))
     return {"trials": n_trials, "violations": violations,

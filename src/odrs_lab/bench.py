@@ -1,8 +1,12 @@
 """Monte Carlo estimation harness, lower-bound adversary, and reports.
 
-Replays are vectorized across runs, with per-node state stored node-major as
-`(n, runs)` arrays; replica streams derive from the base seed by the
-documented 64-bit mix, so reports are reproducible bit for bit.
+Replays are vectorized across runs and driven `rng.CHUNK_RUNS` runs at a
+time (`rng.run_chunks`): per-node state is node-major, `(n, chunk)`, each
+arrival's selection table is built once per replay, and edge counts are
+summed over chunks (integers, so exactly). A chunk draws the uniforms the
+unchunked replay gives its runs, so reports are reproducible bit for bit
+for every chunk size; replica streams derive from the base seed by the
+documented 64-bit mix.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from . import exact_engine as engine
 from . import odrs as odrs_mod
 from .errors import DomainError, SizeError
 from .instances import Arrival, MatchingInstance, gen_lb_prefix, validate
-from .rng import generator
+from .rng import run_chunks
 
 LB_RATIO = 2.0 * math.sqrt(2.0) - 2.0
 MAX_TABLE_ACTIVE = 14
@@ -84,13 +88,16 @@ def _selection_table(rows_for, n_active):
 
 
 class _Replay:
-    """Matched flags and edge counts of a batch replay, stored node-major:
-    `offline[i]` and `arrival[t]` are vectors over runs, so each update is a
+    """Edge counts and (unless `keep_flags` is False) matched flags of one
+    chunk of a batch replay. The flags are node-major: `offline[i]` and
+    `arrival[t]` are vectors over the chunk's runs, so each update is a
     contiguous row operation."""
 
-    def __init__(self, n_offline: int, n_arrivals: int, n_runs: int):
-        self.offline = np.zeros((n_offline, n_runs), dtype=bool)
-        self.arrival = np.zeros((n_arrivals, n_runs), dtype=bool)
+    def __init__(self, n_offline: int, n_arrivals: int, n_runs: int, keep_flags: bool = True):
+        self.offline = self.arrival = None
+        if keep_flags:
+            self.offline = np.zeros((n_offline, n_runs), dtype=bool)
+            self.arrival = np.zeros((n_arrivals, n_runs), dtype=bool)
         self.counts: dict[tuple[int, int], int] = {}
 
     def settle(self, t: int, nodes, table: np.ndarray, bid_mask: np.ndarray, u: np.ndarray):
@@ -112,53 +119,76 @@ class _Replay:
             cnt = int(np.count_nonzero(rows))
             if cnt:
                 self.counts[(node, t)] = self.counts.get((node, t), 0) + cnt
-                self.offline[node] |= rows
-                self.arrival[t] |= rows
-
-    def result(self):
-        """(edge counts, (runs, n) offline flags, (runs, T) arrival flags); the
-        flags are transposed views of the node-major arrays."""
-        return self.counts, self.offline.T, self.arrival.T
+                if self.offline is not None:
+                    self.offline[node] |= rows
+                    self.arrival[t] |= rows
 
 
-def _batch_odrs(comp: odrs_mod.CompiledOdrs, n_runs: int, seed: int):
-    """Vectorized replays of the improved ODRS: matched-edge counts and the
-    per-run offline and arrival matched flags (see `_Replay.result`).
+def _replay_chunks(n_offline: int, n_arrivals: int, n_runs: int, seed: int, flags, body):
+    """Drive `body(g, replay, runs)` over the run chunks of one replay, where
+    g draws the chunk's share of each batch of stream 13 and `replay` is the
+    chunk's `_Replay`. Returns (edge counts, offline flags, arrival flags);
+    see `_batch_run` for `flags`."""
+    chunks = run_chunks(n_runs, seed, 13)  # rejects n_runs < 1 before any allocation
+    counts: dict[tuple[int, int], int] = {}
+    if flags is True:
+        offline = np.zeros((n_offline, n_runs), dtype=bool)
+        arrival = np.zeros((n_arrivals, n_runs), dtype=bool)
+    for lo, hi, g in chunks:
+        out = _Replay(n_offline, n_arrivals, hi - lo, keep_flags=flags is not False)
+        body(g, out, hi - lo)
+        for key, cnt in out.counts.items():
+            counts[key] = counts.get(key, 0) + cnt
+        if flags is True:
+            offline[:, lo:hi] = out.offline
+            arrival[:, lo:hi] = out.arrival
+        elif flags:
+            flags(out.offline.T, out.arrival.T)
+    if flags is True:
+        return counts, offline.T, arrival.T
+    return counts, None, None
 
-    The bid state `ahead` is node-major, `(n, runs)`; the draws are those of
+
+def _batch_odrs(comp: odrs_mod.CompiledOdrs, n_runs: int, seed: int, flags=True):
+    """Vectorized replays of the improved ODRS, returning what `_batch_run`
+    returns.
+
+    The bid state `ahead` is node-major, `(n, chunk)`; the draws are those of
     the scalar sampler, one batch per bin, crossing node and arrival."""
-    g = generator(seed, 13)
     n = comp.inst.n_offline
-    ahead = np.zeros((n, n_runs), dtype=bool)
-    out = _Replay(n, len(comp.plans), n_runs)
+    steps = []  # built once, before any draw
     for plan, selector in zip(comp.plans, comp.selectors):
         if selector is None:
             continue
         active = list(selector.elements)
-        table = _selection_table(lambda m: selector.rows.get(m), len(active))
-        bit = {i: BID_MASK(1 << k) for k, i in enumerate(active)}
-        bid_mask = np.zeros(n_runs, dtype=BID_MASK)
-        for gb in plan.bins:
-            for node, hit in zip(gb.nodes, gb.draw_masks(g.random(n_runs))):
-                hit &= ~ahead[node]
-                ahead[node] |= hit
-                bid_mask |= hit * bit[node]
-        for cn in plan.crossing:
-            heads = g.random(n_runs) < cn.takeover
-            bid_mask |= (heads | ~ahead[cn.node]) * bit[cn.node]
-            ahead[cn.node] &= heads
-        out.settle(plan.t, active, table, bid_mask, g.random(n_runs))
-    return out.result()
+        steps.append((plan, active, {i: BID_MASK(1 << k) for k, i in enumerate(active)},
+                      _selection_table(selector.rows.get, len(active))))
+
+    def body(g, out, runs):
+        ahead = np.zeros((n, runs), dtype=bool)
+        for plan, active, bit, table in steps:
+            bid_mask = np.zeros(runs, dtype=BID_MASK)
+            for gb in plan.bins:
+                for node, hit in zip(gb.nodes, gb.draw_masks(g.random(runs))):
+                    hit &= ~ahead[node]
+                    ahead[node] |= hit
+                    bid_mask |= hit * bit[node]
+            for cn in plan.crossing:
+                heads = g.random(runs) < cn.takeover
+                bid_mask |= (heads | ~ahead[cn.node]) * bit[cn.node]
+                ahead[cn.node] &= heads
+            out.settle(plan.t, active, table, bid_mask, g.random(runs))
+
+    return _replay_chunks(n, len(comp.plans), n_runs, seed, flags, body)
 
 
-def _batch_warmup(comp: odrs_mod.CompiledWarmup, n_runs: int, seed: int):
-    """Vectorized replays of the warm-up ODRS, returning what `_batch_odrs`
-    returns. Each node's level-set count is node-major, `(n, runs)`, in the
+def _batch_warmup(comp: odrs_mod.CompiledWarmup, n_runs: int, seed: int, flags=True):
+    """Vectorized replays of the warm-up ODRS, returning what `_batch_run`
+    returns. Each node's level-set count is node-major, `(n, chunk)`, in the
     smallest unsigned type that holds the number of arrivals."""
-    g = generator(seed, 13)
     n = comp.inst.n_offline
-    counts = np.zeros((n, n_runs), dtype=np.min_scalar_type(len(comp.steps)))
-    out = _Replay(n, len(comp.steps), n_runs)
+    count_type = np.min_scalar_type(len(comp.steps))
+    steps = []  # built once, before any draw
     for t, rows in enumerate(comp.steps):
         sel = comp.selectors[t]
         if sel is None:
@@ -166,28 +196,46 @@ def _batch_warmup(comp: odrs_mod.CompiledWarmup, n_runs: int, seed: int):
         k = len(rows)
         _check_table_size(k)
         table = np.cumsum(sel.conditional_win_probs(np.arange(1 << k)), axis=0)
-        bid_mask = np.zeros(n_runs, dtype=BID_MASK)
-        for pos, (i, fl, lo, hi) in enumerate(rows):
-            p = np.where(counts[i] == fl, lo, hi)
-            bid = g.random(n_runs) < p
-            counts[i] += bid
-            bid_mask |= bid * BID_MASK(1 << pos)
-        out.settle(t, [i for i, *_ in rows], table, bid_mask, g.random(n_runs))
-    return out.result()
+        steps.append((t, rows, [i for i, *_ in rows], table))
+
+    def body(g, out, runs):
+        counts = np.zeros((n, runs), dtype=count_type)
+        for t, rows, nodes, table in steps:
+            bid_mask = np.zeros(runs, dtype=BID_MASK)
+            for pos, (i, fl, lo, hi) in enumerate(rows):
+                p = np.where(counts[i] == fl, lo, hi)
+                bid = g.random(runs) < p
+                counts[i] += bid
+                bid_mask |= bid * BID_MASK(1 << pos)
+            out.settle(t, nodes, table, bid_mask, g.random(runs))
+
+    return _replay_chunks(n, len(comp.steps), n_runs, seed, flags, body)
 
 
-def _batch_run(algorithm, inst: MatchingInstance, params, n_runs: int, seed: int):
-    """Vectorized replays: (edge counts, offline matched, arrival matched),
-    the flags as bool arrays of shape (n_runs, n) and (n_runs, T). The
-    kernels keep them node-major and return transposed views. `algorithm` is
-    a scheme name or a callable (inst, n_runs, seed) returning the same."""
+def _batch_run(algorithm, inst: MatchingInstance, params, n_runs: int, seed: int,
+               flags=True):
+    """Vectorized replays: (edge counts, offline matched, arrival matched).
+
+    `flags` says what the caller needs of the per-run matched flags. True
+    returns them as bool arrays of shape (n_runs, n) and (n_runs, T) (the
+    kernels fill node-major arrays and return transposed views). False drops
+    them, and a callable is handed each chunk's flags, run-major, as
+    `flags(offline, arrival)`; both return None for the two flag arrays, so
+    a replay holds O(CHUNK_RUNS x (n + T)) flags at a time. `algorithm` is a
+    scheme name or a callable (inst, n_runs, seed) returning the full
+    triple; its flags go through the same `flags` once."""
     if callable(algorithm):
-        return algorithm(inst, n_runs, seed)
+        counts, offline, arrival = algorithm(inst, n_runs, seed)
+        if flags is True:
+            return counts, offline, arrival
+        if flags:
+            flags(offline, arrival)
+        return counts, None, None
     comp = odrs_mod.compile_scheme(algorithm, inst, params)
     # kernels are looked up at call time, so a wrapper installed on the
     # module global is the one that runs
     kernel = _batch_warmup if isinstance(comp, odrs_mod.CompiledWarmup) else _batch_odrs
-    return kernel(comp, n_runs, seed)
+    return kernel(comp, n_runs, seed, flags)
 
 
 def monte_carlo_edge_probs(algorithm: str, inst: MatchingInstance, n_runs: int,
@@ -204,7 +252,7 @@ def monte_carlo_edge_probs(algorithm: str, inst: MatchingInstance, n_runs: int,
             p = probs.get((i, t), 0.0)
             stats.append(EdgeStat(i, t, x, p, 0.0, p / x))
     else:
-        counts, _, _ = _batch_run(algorithm, inst, params, n_runs, seed)
+        counts, _, _ = _batch_run(algorithm, inst, params, n_runs, seed, flags=False)
         for (i, t), x in sorted(xs.items(), key=lambda kv: (kv[0][1], kv[0][0])):
             p = counts.get((i, t), 0) / n_runs
             se = math.sqrt(max(p * (1.0 - p), 1e-12) / n_runs)
@@ -226,6 +274,26 @@ def lb_root_check() -> float:
     return abs(1.0 - p - p * p / 4.0)
 
 
+class _PairCounts:
+    """Per-chunk reduction of replay flags: for each pair of arrivals and
+    each pair of offline nodes, the number of runs matching both, summed in
+    int64 (the diagonal counts the runs matching one)."""
+
+    def __init__(self):
+        self.offline = self.arrival = 0
+
+    def __call__(self, offline: np.ndarray, arrival: np.ndarray):
+        self.offline = self.offline + _gram(offline)
+        self.arrival = self.arrival + _gram(arrival)
+
+
+def _gram(flags: np.ndarray) -> np.ndarray:
+    """`flags.T @ flags` of a (runs, m) bool array as int64. The float
+    product is exact: every entry is an integer count below 2^53."""
+    f = flags.astype(np.float64)
+    return (f.T @ f).astype(np.int64)
+
+
 def lb_adversary(algorithm, n: int, n_probe: int, n_eval: int, seed: int,
                  params=None) -> dict:
     """Two-phase adversary against an ODRS (by name, or a batch callable).
@@ -242,27 +310,26 @@ def lb_adversary(algorithm, n: int, n_probe: int, n_eval: int, seed: int,
     if min(n_probe, n_eval) < 1000:
         raise DomainError("adversary needs at least 10^3 probe and eval runs")
     prefix = gen_lb_prefix(n)
-    _, offline_m, arrival_m = _batch_run(algorithm, prefix, params, n_probe, seed)
-    online_rate = arrival_m.mean(axis=0)
-    am = arrival_m.astype(np.float64)
-    joint = am.T @ am / n_probe
+    pairs = _PairCounts()
+    _batch_run(algorithm, prefix, params, n_probe, seed, flags=pairs)
+    online_rate = np.diag(pairs.arrival) / n_probe
+    joint = pairs.arrival / n_probe
     cov = joint - np.outer(online_rate, online_rate)
     np.fill_diagonal(cov, -np.inf)
     t1, t2 = sorted(divmod(int(np.argmax(cov)), n))
     best_pair, best_joint = None, -1.0
     for i in (2 * t1, 2 * t1 + 1):
         for j in (2 * t2, 2 * t2 + 1):
-            jp = np.count_nonzero(offline_m[:, i] & offline_m[:, j]) / n_probe
+            jp = pairs.offline[i, j] / n_probe
             if jp > best_joint:
                 best_joint, best_pair = jp, (i, j)
-    del offline_m, arrival_m, am, joint  # free the probe before the eval replay
     i, j = best_pair
     final = Arrival(((i, 0.5), (j, 0.5)))
     full = MatchingInstance(prefix.n_offline, prefix.capacities,
                             prefix.arrivals + (final,))
     rep = validate(full)
     rep.raise_if_invalid()
-    counts, _, arr_m = _batch_run(algorithm, full, params, n_eval, seed + 1)
+    counts, _, _ = _batch_run(algorithm, full, params, n_eval, seed + 1, flags=False)
     t_final = full.n_arrivals - 1
     edges = []
     for node in (i, j):
@@ -270,7 +337,8 @@ def lb_adversary(algorithm, n: int, n_probe: int, n_eval: int, seed: int,
         se = math.sqrt(max(p * (1.0 - p), 1e-12) / n_eval)
         edges.append({"offline": node, "prob": p, "se": se,
                       "ratio": p / 0.5, "ratio_se": se / 0.5})
-    matched_prob = float(arr_m[:, t_final].mean())
+    # the final arrival is matched in a run iff one of its two edges is
+    matched_prob = (counts.get((i, t_final), 0) + counts.get((j, t_final), 0)) / n_eval
     bound = LB_RATIO + LB_RATIO / (2.0 * (n - 1.0))
     return {
         "n": n, "probe_runs": n_probe, "eval_runs": n_eval,
@@ -300,8 +368,8 @@ def three_node_impossibility(algorithm: str, params=None, n_runs: int | None = N
         exact_p = probs.get((i, 3), 0.0) + probs.get((j, 3), 0.0)
         entry = {"pair": [i, j], "exact_matched_prob": exact_p}
         if n_runs:
-            _, _, arr = _batch_run(algorithm, inst, params, n_runs, seed)
-            entry["mc_matched_prob"] = float(arr[:, 3].mean())
+            counts, _, _ = _batch_run(algorithm, inst, params, n_runs, seed, flags=False)
+            entry["mc_matched_prob"] = (counts.get((i, 3), 0) + counts.get((j, 3), 0)) / n_runs
             entry["mc_se"] = math.sqrt(max(exact_p * (1 - exact_p), 1e-12) / n_runs)
         choices.append(entry)
     return {"choices": choices,

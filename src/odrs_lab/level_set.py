@@ -15,7 +15,7 @@ import numpy as np
 
 from . import bitmask
 from .errors import DomainError, InvariantBreach, SizeError
-from .rng import ScalarRng, generator
+from .rng import ScalarRng, run_chunks
 
 SNAP_TOL = 1e-9
 
@@ -122,10 +122,10 @@ def online_round(x, seed: int = 0, rng: ScalarRng | None = None) -> np.ndarray:
     return bits[:n]
 
 
-def batch_stream(xs, g: np.random.Generator, n_runs: int):
+def batch_stream(xs, g, n_runs: int):
     """n_runs independent online roundings of the stream xs, vectorized
     across runs: yields each element's selection bits, one g.random(n_runs)
-    per element.
+    per element (g a numpy Generator or an `rng.ChunkStream`).
 
     Asserts the prefix-count invariant for every run at every step.
     """
@@ -144,12 +144,23 @@ def batch_stream(xs, g: np.random.Generator, n_runs: int):
 
 
 def online_round_batch(x, n_runs: int, seed: int = 0) -> np.ndarray:
-    """n_runs independent online roundings, vectorized across runs."""
+    """n_runs independent online roundings, vectorized across runs: an
+    (n_runs, len(x)) int8 array of bits.
+
+    Runs go `rng.CHUNK_RUNS` at a time (`rng.run_chunks`, stream 3), so the
+    working state is per chunk and the bits do not depend on the chunk size;
+    the dummy tail element is drawn and checked but not kept. n_runs < 1 is
+    rejected with DomainError.
+    """
     xs, n = _pad_to_integer(x)
-    bits = np.zeros((n_runs, len(xs)), dtype=np.int8)
-    for t, sel in enumerate(batch_stream([float(v) for v in xs], generator(seed, 3), n_runs)):
-        bits[:, t] = sel
-    return bits[:, :n]
+    stream = [float(v) for v in xs]
+    chunks = run_chunks(n_runs, seed, 3)  # rejects n_runs < 1 before the allocation
+    bits = np.zeros((n_runs, n), dtype=np.int8)
+    for lo, hi, g in chunks:
+        for t, sel in enumerate(batch_stream(stream, g, hi - lo)):
+            if t < n:
+                bits[lo:hi, t] = sel
+    return bits
 
 
 # ----------------------------------------------------------------------------

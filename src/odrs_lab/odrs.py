@@ -458,6 +458,16 @@ def _enumerate_candidates(units):
 # arrays to a few of this many entries
 CHUNK_PAIRS = 1 << 12
 _UNSEEN = np.iinfo(np.int64).max
+# BidLawDP.step drops lag-mask states of probability at most DROP_ATOM and
+# renormalizes, which moves every probability it reports by about the dropped
+# mass. More than DROP_MASS_BOUND dropped in one step is an InvariantBreach:
+# the bound is the 1e-9 to which the exact engine checks that a law sums to
+# one. A step would have to drop nearly all 2^MAX_COMPONENT states at
+# DROP_ATOM = 1e-15 to trip it, so it guards a larger DROP_ATOM; the largest
+# drop measured in one step is 5.4e-13 (odrs_b on
+# gen_random(15, 30, 0.9, seed=0, max_b=3)).
+DROP_ATOM = 1e-15
+DROP_MASS_BOUND = 1e-9
 
 
 class BidLawDP:
@@ -474,7 +484,8 @@ class BidLawDP:
     len(nodes) <= MAX_COMPONENT). A random 14-node component compiles in
     about 0.15 s on a 2-vCPU VM. Sums run in pair order, state-major, so each
     atom, its position and its bits are those of the plain loop over states
-    and then outcomes.
+    and then outcomes. `dropped` is the state mass dropped so far (at most
+    DROP_MASS_BOUND per step).
     """
 
     def __init__(self, nodes: list[int]):
@@ -484,6 +495,7 @@ class BidLawDP:
         self.pos = {i: k for k, i in enumerate(self.nodes)}
         self.masks = np.zeros(1, dtype=np.int64)
         self.probs = np.ones(1)
+        self.dropped = 0.0
 
     @property
     def state(self) -> dict[int, float]:
@@ -534,8 +546,15 @@ class BidLawDP:
             new_state.add(new, p, index)
         keys, sums = law.items()
         masks, probs = new_state.items()
-        keep = probs > 1e-15
-        self.masks, probs = masks[keep], probs[keep]
+        keep = probs > DROP_ATOM
+        if not keep.all():
+            dropped = float(probs[~keep].sum())
+            if dropped > DROP_MASS_BOUND:
+                raise InvariantBreach(f"bid-law DP dropped state mass {dropped!r} at arrival "
+                                      f"{plan.t}, above {DROP_MASS_BOUND}")
+            self.dropped += dropped
+            masks, probs = masks[keep], probs[keep]
+        self.masks = masks
         # a left-to-right total: np.sum adds pairwise, which changes last bits
         self.probs = probs / np.cumsum(probs)[-1]
         return crs_mod.SupportDistribution(tuple(active),

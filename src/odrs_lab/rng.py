@@ -11,14 +11,25 @@ Replica r of base seed s draws from the stream seeded by mix(s, r). The scalar
 stream is SplitMix64 started at that state (state += gamma, output
 scramble(state)); bulk vectorized sampling delegates to numpy's PCG64 seeded
 with the same mixed seed.
+
+A batch replay of n_runs runs draws every uniform as one `random(n_runs)`
+batch from that PCG64 stream, so batch d for runs [lo, hi) sits at stream
+offset d * n_runs + lo. `run_chunks` replays runs CHUNK_RUNS at a time through
+a `ChunkStream`, which jumps to those offsets with `PCG64.advance`: a chunked
+replay draws the same uniforms for every run as the unchunked one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .errors import DomainError, InvariantBreach
+
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+
+# runs per chunk of a batch replay: per-run state is O(CHUNK_RUNS x n)
+CHUNK_RUNS = 1 << 14
 
 
 def _scramble(z: int) -> int:
@@ -57,3 +68,32 @@ class ScalarRng:
 def generator(seed: int, stream: int = 0) -> np.random.Generator:
     """numpy Generator for vectorized sampling, seeded via mix()."""
     return np.random.Generator(np.random.PCG64(mix(seed, stream)))
+
+
+class ChunkStream:
+    """Runs [lo, hi) of the batch stream `generator(seed, stream)` that draws
+    n_runs uniforms per batch: each `random(hi - lo)` returns those runs'
+    entries of the next `random(n_runs)` batch."""
+
+    def __init__(self, seed: int, stream: int, n_runs: int, lo: int, hi: int):
+        self._bits = np.random.PCG64(mix(seed, stream))
+        self._bits.advance(lo)
+        self._gen = np.random.Generator(self._bits)
+        self.size = hi - lo
+        self._skip = n_runs - self.size
+
+    def random(self, size: int) -> np.ndarray:
+        if size != self.size:
+            raise InvariantBreach(f"chunk of {self.size} runs asked for {size} uniforms")
+        out = self._gen.random(size)
+        self._bits.advance(self._skip)
+        return out
+
+
+def run_chunks(n_runs: int, seed: int, stream: int):
+    """(lo, hi, ChunkStream) for each slice of at most CHUNK_RUNS runs, in
+    order. Rejects n_runs < 1 when called, before any chunk is drawn."""
+    if n_runs < 1:
+        raise DomainError(f"need at least one run, got {n_runs}")
+    bounds = [(lo, min(lo + CHUNK_RUNS, n_runs)) for lo in range(0, n_runs, CHUNK_RUNS)]
+    return ((lo, hi, ChunkStream(seed, stream, n_runs, lo, hi)) for lo, hi in bounds)

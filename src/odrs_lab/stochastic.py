@@ -16,7 +16,7 @@ import numpy as np
 from . import odrs as odrs_mod
 from .errors import DomainError, InvariantBreach, SizeError
 from .instances import MatchingInstance
-from .rng import ScalarRng, generator
+from .rng import ScalarRng, run_chunks
 
 MAX_EXACT_N = 20
 
@@ -310,38 +310,45 @@ def eval_vs_lp(inst: MatchingInstance, params: odrs_mod.ScalingParams,
                runs: int, seed: int) -> dict:
     """Monte Carlo mean matched weight vs the LP optimum.
 
-    Vectorized over runs, with the matched flags stored node-major, `(n, runs)`,
-    and each arrival's bids kept per bin node; the report carries a
-    normal-approximation CI for the ratio. On small instances (n <= 12) the
-    exact per-threshold guarantee is checked as well. Zero-value LPs report
-    ratio 1 by convention.
+    Vectorized over runs and driven `rng.CHUNK_RUNS` runs at a time
+    (`rng.run_chunks`, stream 7), with the matched flags stored node-major,
+    `(n, chunk)`, and each arrival's bids kept per bin node. Each run's
+    matched weight goes into one vector of `runs` floats, so the mean and
+    the standard error are taken over all runs at once and do not depend on
+    the chunk size. The report carries a normal-approximation CI for the
+    ratio. On small instances (n <= 12) the exact per-threshold guarantee is
+    checked as well. Zero-value LPs report ratio 1 by convention.
     """
     if runs < 10_000:
         raise DomainError("eval_vs_lp needs at least 10^4 runs")
     lp = build_lp(inst)
     sol = solve_lp(lp)
     plans = build_stochastic_plans(inst, sol.x, params)
-    g = generator(seed, 7)
-    matched = np.zeros((inst.n_offline, runs), dtype=bool)
+    # bidders in the order the greedy takes them: heaviest first, ties to the lowest id
+    orders = [sorted(plan.weights, key=lambda i: (-plan.weights[i], i)) for plan in plans]
     weight = np.zeros(runs)
-    for plan in plans:
-        bid = {}
-        for gb in plan.bins:
-            for node, hit in zip(gb.nodes, gb.draw_masks(g.random(runs))):
-                hit &= ~matched[node]
-                bid[node] = hit
-        # runs that arrived and are not matched yet at this arrival
-        free = g.random(runs) < plan.p
-        for node in sorted(plan.weights, key=lambda i: (-plan.weights[i], i)):
-            take = bid[node]
-            take &= free
-            if take.any():
-                matched[node] |= take
-                # adding 0.0 leaves a weight unchanged, so this is the masked add
-                weight += np.where(take, plan.weights[node], 0.0)
-                free ^= take
+    for lo, hi, g in run_chunks(runs, seed, 7):
+        size = hi - lo
+        matched = np.zeros((inst.n_offline, size), dtype=bool)
+        chunk_weight = weight[lo:hi]
+        for plan, order in zip(plans, orders):
+            bid = {}
+            for gb in plan.bins:
+                for node, hit in zip(gb.nodes, gb.draw_masks(g.random(size))):
+                    hit &= ~matched[node]
+                    bid[node] = hit
+            # runs that arrived and are not matched yet at this arrival
+            free = g.random(size) < plan.p
+            for node in order:
+                take = bid[node]
+                take &= free
+                if take.any():
+                    matched[node] |= take
+                    # adding 0.0 leaves a weight unchanged, so this is the masked add
+                    chunk_weight += np.where(take, plan.weights[node], 0.0)
+                    free ^= take
     mean = float(weight.mean())
-    se = float(weight.std(ddof=1) / math.sqrt(runs)) if runs > 1 else 0.0
+    se = float(weight.std(ddof=1) / math.sqrt(runs))
     if sol.value <= 0:
         ratio, ci = 1.0, 0.0
     else:

@@ -4,6 +4,7 @@ and their order) and states must be equal bit for bit, not within a tolerance.""
 import pytest
 
 from odrs_lab import crs, instances, odrs
+from odrs_lab.errors import InvariantBreach
 from odrs_lab.instances import Arrival, MatchingInstance
 
 
@@ -115,3 +116,41 @@ def test_dropped_state_entry_matches_reference(matching_params):
     assert list(dp.state.items()) == list(ref.state.items())
     assert dp.step(plans[2]).atoms == ref.step(plans[2]).atoms
     assert list(dp.state.items()) == list(ref.state.items())
+
+
+def test_dropped_mass_above_the_bound_is_a_breach(matching_params, monkeypatch):
+    """The same ~1e-16 drop as above, against a bound below it."""
+    tiny = 1e-8
+    inst = MatchingInstance(2, (1, 1), (Arrival(((0, tiny),)), Arrival(((1, tiny),)),
+                                        Arrival(((0, 0.5), (1, 0.5)))))
+    plans = odrs.build_plans(inst, matching_params)
+    dp = odrs.BidLawDP([0, 1])
+    dp.step(plans[0])
+    assert dp.dropped == 0.0
+    monkeypatch.setattr(odrs, "DROP_MASS_BOUND", 1e-17)
+    with pytest.raises(InvariantBreach, match="dropped state mass"):
+        dp.step(plans[1])
+    with pytest.raises(InvariantBreach, match="dropped state mass"):
+        odrs.CompiledOdrs(inst, matching_params)
+
+
+def test_suite_instances_drop_far_less_than_the_bound(matching_params, b_matching_params):
+    """The instance families the suite compiles, up to the widest dense
+    b-matching one: drops happen, each step's is far below the bound."""
+    cases = [(instances.gen_random(n, n + 2, 0.6, seed=seed), matching_params)
+             for n in range(3, 11) for seed in range(3)]
+    cases += [(instances.gen_random(6, 12, 0.7, seed=seed, max_b=3), b_matching_params)
+              for seed in range(4)]
+    cases += [(instances.gen_random(11, 11, 0.7, seed=seed, max_b=b), params)
+              for seed in range(3) for b, params in ((1, matching_params), (3, b_matching_params))]
+    cases.append((instances.gen_random(12, 24, 0.9, seed=1, max_b=3), b_matching_params))
+    worst, total = 0.0, 0.0
+    for inst, params in cases:
+        dp = odrs.BidLawDP(list(range(inst.n_offline)))
+        for plan in odrs.build_plans(inst, params):
+            before = dp.dropped
+            dp.step(plan)
+            worst = max(worst, dp.dropped - before)
+        total += dp.dropped
+    assert total > 0.0
+    assert worst < 1e-3 * odrs.DROP_MASS_BOUND

@@ -193,3 +193,42 @@ def test_eval_includes_exact_threshold_check(matching_params):
     rep = st.eval_vs_lp(inst, matching_params, runs=10_000, seed=3)
     assert rep["exact_threshold_ok"] is True
     assert rep["exact_threshold_margin"] >= -1e-9
+
+
+def expected_matched_weight(inst, xstar, params):
+    """Exact E[total matched weight] from StochasticExact: per arrival, the
+    layer-cake sum over its weight thresholds z_1 < z_2 < ... of
+    (z_k - z_{k-1}) Pr[w(M(t)) >= z_k], with z_0 = 0."""
+    ex = st.StochasticExact(inst, xstar, params)
+    total = 0.0
+    for t, state, plan in ex.evolve():
+        if plan is None:
+            break
+        prev = 0.0
+        for z in sorted(set(plan.weights.values())):
+            total += (z - prev) * ex.matched_weight_tail(t, z, state, plan)
+            prev = z
+    return total
+
+
+@pytest.mark.parametrize("n,T,seed", [(4, 5, 2), (6, 6, 7), (8, 8, 3)])
+def test_eval_vs_lp_mean_weight_matches_exact_engine(matching_params, n, T, seed):
+    inst = instances.gen_random(n, T, 0.7, seed=seed, stochastic=True)
+    sol = st.solve_lp(st.build_lp(inst))
+    want = expected_matched_weight(inst, sol.x, matching_params)
+    rep = st.eval_vs_lp(inst, matching_params, runs=200_000, seed=seed + 1)
+    assert want > 0
+    assert abs(rep["mean_weight"] - want) <= 4 * rep["se"]
+
+
+def test_simplex_matches_highs_on_random_instances():
+    pytest.importorskip("scipy")
+    from scipy.optimize import linprog
+
+    for seed in range(8):
+        inst = instances.gen_random(4 + seed % 5, 6, 0.7, seed=seed, stochastic=True)
+        lp = st.build_lp(inst)
+        x = st.simplex_max(lp.weights, lp.A, lp.b)
+        res = linprog(-lp.weights, A_ub=lp.A, b_ub=lp.b, bounds=(0, None), method="highs")
+        assert res.status == 0
+        assert abs(float(lp.weights @ x) - -res.fun) <= 1e-9
