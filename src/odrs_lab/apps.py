@@ -214,6 +214,12 @@ def cover_alpha(cov: CoverInstance) -> float:
     return max((len(verts) + demand - 1) / demand for verts, demand in cov.edges)
 
 
+def _lp_cost(cov: CoverInstance) -> float:
+    """Cost of the fractional solution `xstar`, summed vertex by vertex."""
+    return sum(cov.costs[stage][v] * cov.xstar[v][stage]
+               for v in range(cov.n_vars) for stage in range(cov.k))
+
+
 def _peel(z: float) -> tuple[int, float]:
     """A scaled value's deterministic integer part and the fraction left to
     round."""
@@ -277,8 +283,7 @@ def cover_trials(cov: CoverInstance, n_trials: int, seed: int) -> dict:
         for verts, demand in cov.edges:
             cover = totals[:, list(verts)].sum(axis=1)
             violations += int((cover < demand).sum())
-    lp_cost = sum(cov.costs[stage][v] * cov.xstar[v][stage]
-                  for v in range(cov.n_vars) for stage in range(cov.k))
+    lp_cost = _lp_cost(cov)
     return {"trials": n_trials, "violations": violations,
             "mean_cost": float(cost.mean()),
             "cost_se": float(cost.std(ddof=1) / math.sqrt(n_trials)),
@@ -300,7 +305,6 @@ def verify_cover(cov: CoverInstance, sol: CoverSolution) -> CoverReport:
         got = int(sum(sol.y[v].sum() for v in verts))
         if got < demand:
             violations.append(f"edge {e} covered {got} < {demand}")
-    lp_cost = sum(cov.costs[stage][v] * cov.xstar[v][stage]
-                  for v in range(cov.n_vars) for stage in range(cov.k))
+    lp_cost = _lp_cost(cov)
     return CoverReport(not violations, sol.cost,
                        sol.cost / lp_cost if lp_cost > 0 else 1.0, violations)

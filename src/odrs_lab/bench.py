@@ -2,11 +2,13 @@
 
 Replays are vectorized across runs and driven `rng.CHUNK_RUNS` runs at a
 time (`rng.run_chunks`): per-node state is node-major, `(n, chunk)`, each
-arrival's selection table is built once per replay, and edge counts are
-summed over chunks (integers, so exactly). A chunk draws the uniforms the
-unchunked replay gives its runs, so reports are reproducible bit for bit
-for every chunk size; replica streams derive from the base seed by the
-documented 64-bit mix.
+arrival's selection table is built once per replay from the selector's
+`conditional_win_probs` (either scheme's selector), and edge counts are
+summed over chunks (integers, so exactly). A caller that needs the per-run
+matched flags gets them one chunk at a time through `on_chunk`. A chunk draws
+the uniforms the unchunked replay gives its runs, so reports are
+reproducible bit for bit for every chunk size; replica streams derive from
+the base seed by the documented 64-bit mix.
 """
 
 from __future__ import annotations
@@ -61,30 +63,14 @@ class RoundReport:
         }
 
 
-def _check_table_size(k: int):
+def _win_table(selector, k: int) -> np.ndarray:
+    """Cumulative winner probabilities of a selector's k positions per
+    realized bid mask: a (k, 2^k) array whose column m is the running sum of
+    `selector.conditional_win_probs` at mask m, so row `pos` is what
+    `_Replay.settle` gathers for position `pos`."""
     if k > MAX_TABLE_ACTIVE:
         raise SizeError(f"{k} active nodes exceed the batch table cap {MAX_TABLE_ACTIVE}")
-
-
-def _selection_table(rows_for, n_active):
-    """Cumulative winner probabilities per realized bid mask.
-
-    Returns a (k, 2^k) array: column m holds the cumulative conditional win
-    probabilities of the active positions given bid mask m, so row `pos` is
-    what `_Replay.settle` gathers for position `pos`.
-    """
-    k = n_active
-    _check_table_size(k)
-    table = np.zeros((k, 1 << k))
-    for mask in range(1, 1 << k):
-        row = rows_for(mask)
-        if row is None:
-            continue
-        acc = np.zeros(k)
-        for pos, q in row:
-            acc[pos] = q
-        table[:, mask] = np.cumsum(acc)
-    return table
+    return np.cumsum(selector.conditional_win_probs(np.arange(1 << k)), axis=0)
 
 
 class _Replay:
@@ -124,32 +110,24 @@ class _Replay:
                     self.arrival[t] |= rows
 
 
-def _replay_chunks(n_offline: int, n_arrivals: int, n_runs: int, seed: int, flags, body):
+def _replay_chunks(n_offline: int, n_arrivals: int, n_runs: int, seed: int, on_chunk, body):
     """Drive `body(g, replay, runs)` over the run chunks of one replay, where
     g draws the chunk's share of each batch of stream 13 and `replay` is the
-    chunk's `_Replay`. Returns (edge counts, offline flags, arrival flags);
-    see `_batch_run` for `flags`."""
+    chunk's `_Replay`, and return the edge counts summed over chunks; see
+    `_batch_run` for `on_chunk`."""
     chunks = run_chunks(n_runs, seed, 13)  # rejects n_runs < 1 before any allocation
     counts: dict[tuple[int, int], int] = {}
-    if flags is True:
-        offline = np.zeros((n_offline, n_runs), dtype=bool)
-        arrival = np.zeros((n_arrivals, n_runs), dtype=bool)
     for lo, hi, g in chunks:
-        out = _Replay(n_offline, n_arrivals, hi - lo, keep_flags=flags is not False)
+        out = _Replay(n_offline, n_arrivals, hi - lo, keep_flags=on_chunk is not None)
         body(g, out, hi - lo)
         for key, cnt in out.counts.items():
             counts[key] = counts.get(key, 0) + cnt
-        if flags is True:
-            offline[:, lo:hi] = out.offline
-            arrival[:, lo:hi] = out.arrival
-        elif flags:
-            flags(out.offline.T, out.arrival.T)
-    if flags is True:
-        return counts, offline.T, arrival.T
-    return counts, None, None
+        if on_chunk is not None:
+            on_chunk(out.offline.T, out.arrival.T)
+    return counts
 
 
-def _batch_odrs(comp: odrs_mod.CompiledOdrs, n_runs: int, seed: int, flags=True):
+def _batch_odrs(comp: odrs_mod.CompiledOdrs, n_runs: int, seed: int, on_chunk=None):
     """Vectorized replays of the improved ODRS, returning what `_batch_run`
     returns.
 
@@ -162,7 +140,7 @@ def _batch_odrs(comp: odrs_mod.CompiledOdrs, n_runs: int, seed: int, flags=True)
             continue
         active = list(selector.elements)
         steps.append((plan, active, {i: BID_MASK(1 << k) for k, i in enumerate(active)},
-                      _selection_table(selector.rows.get, len(active))))
+                      _win_table(selector, len(active))))
 
     def body(g, out, runs):
         ahead = np.zeros((n, runs), dtype=bool)
@@ -179,10 +157,10 @@ def _batch_odrs(comp: odrs_mod.CompiledOdrs, n_runs: int, seed: int, flags=True)
                 ahead[cn.node] &= heads
             out.settle(plan.t, active, table, bid_mask, g.random(runs))
 
-    return _replay_chunks(n, len(comp.plans), n_runs, seed, flags, body)
+    return _replay_chunks(n, len(comp.plans), n_runs, seed, on_chunk, body)
 
 
-def _batch_warmup(comp: odrs_mod.CompiledWarmup, n_runs: int, seed: int, flags=True):
+def _batch_warmup(comp: odrs_mod.CompiledWarmup, n_runs: int, seed: int, on_chunk=None):
     """Vectorized replays of the warm-up ODRS, returning what `_batch_run`
     returns. Each node's level-set count is node-major, `(n, chunk)`, in the
     smallest unsigned type that holds the number of arrivals."""
@@ -193,10 +171,7 @@ def _batch_warmup(comp: odrs_mod.CompiledWarmup, n_runs: int, seed: int, flags=T
         sel = comp.selectors[t]
         if sel is None:
             continue
-        k = len(rows)
-        _check_table_size(k)
-        table = np.cumsum(sel.conditional_win_probs(np.arange(1 << k)), axis=0)
-        steps.append((t, rows, [i for i, *_ in rows], table))
+        steps.append((t, rows, [i for i, *_ in rows], _win_table(sel, len(rows))))
 
     def body(g, out, runs):
         counts = np.zeros((n, runs), dtype=count_type)
@@ -209,33 +184,22 @@ def _batch_warmup(comp: odrs_mod.CompiledWarmup, n_runs: int, seed: int, flags=T
                 bid_mask |= bid * BID_MASK(1 << pos)
             out.settle(t, nodes, table, bid_mask, g.random(runs))
 
-    return _replay_chunks(n, len(comp.steps), n_runs, seed, flags, body)
+    return _replay_chunks(n, len(comp.steps), n_runs, seed, on_chunk, body)
 
 
-def _batch_run(algorithm, inst: MatchingInstance, params, n_runs: int, seed: int,
-               flags=True):
-    """Vectorized replays: (edge counts, offline matched, arrival matched).
+def _batch_run(algorithm: str, inst: MatchingInstance, params, n_runs: int, seed: int,
+               on_chunk=None) -> dict[tuple[int, int], int]:
+    """Edge counts of n_runs vectorized replays of scheme `algorithm`.
 
-    `flags` says what the caller needs of the per-run matched flags. True
-    returns them as bool arrays of shape (n_runs, n) and (n_runs, T) (the
-    kernels fill node-major arrays and return transposed views). False drops
-    them, and a callable is handed each chunk's flags, run-major, as
-    `flags(offline, arrival)`; both return None for the two flag arrays, so
-    a replay holds O(CHUNK_RUNS x (n + T)) flags at a time. `algorithm` is a
-    scheme name or a callable (inst, n_runs, seed) returning the full
-    triple; its flags go through the same `flags` once."""
-    if callable(algorithm):
-        counts, offline, arrival = algorithm(inst, n_runs, seed)
-        if flags is True:
-            return counts, offline, arrival
-        if flags:
-            flags(offline, arrival)
-        return counts, None, None
+    `on_chunk(offline, arrival)`, when given, receives each run chunk's
+    matched flags as run-major bool arrays of shape (runs, n) and (runs, T),
+    chunks in run order, so a replay holds O(CHUNK_RUNS x (n + T)) flags at
+    a time."""
     comp = odrs_mod.compile_scheme(algorithm, inst, params)
     # kernels are looked up at call time, so a wrapper installed on the
     # module global is the one that runs
     kernel = _batch_warmup if isinstance(comp, odrs_mod.CompiledWarmup) else _batch_odrs
-    return kernel(comp, n_runs, seed, flags)
+    return kernel(comp, n_runs, seed, on_chunk)
 
 
 def monte_carlo_edge_probs(algorithm: str, inst: MatchingInstance, n_runs: int,
@@ -252,7 +216,7 @@ def monte_carlo_edge_probs(algorithm: str, inst: MatchingInstance, n_runs: int,
             p = probs.get((i, t), 0.0)
             stats.append(EdgeStat(i, t, x, p, 0.0, p / x))
     else:
-        counts, _, _ = _batch_run(algorithm, inst, params, n_runs, seed, flags=False)
+        counts = _batch_run(algorithm, inst, params, n_runs, seed)
         for (i, t), x in sorted(xs.items(), key=lambda kv: (kv[0][1], kv[0][0])):
             p = counts.get((i, t), 0) / n_runs
             se = math.sqrt(max(p * (1.0 - p), 1e-12) / n_runs)
@@ -294,9 +258,9 @@ def _gram(flags: np.ndarray) -> np.ndarray:
     return (f.T @ f).astype(np.int64)
 
 
-def lb_adversary(algorithm, n: int, n_probe: int, n_eval: int, seed: int,
+def lb_adversary(algorithm: str, n: int, n_probe: int, n_eval: int, seed: int,
                  params=None) -> dict:
-    """Two-phase adversary against an ODRS (by name, or a batch callable).
+    """Two-phase adversary against an ODRS scheme, by name.
 
     Probe: estimate, on the disjoint-pair prefix, each online node's matched
     probability and pick the pair (t, t') with the largest covariance, then
@@ -311,7 +275,7 @@ def lb_adversary(algorithm, n: int, n_probe: int, n_eval: int, seed: int,
         raise DomainError("adversary needs at least 10^3 probe and eval runs")
     prefix = gen_lb_prefix(n)
     pairs = _PairCounts()
-    _batch_run(algorithm, prefix, params, n_probe, seed, flags=pairs)
+    _batch_run(algorithm, prefix, params, n_probe, seed, on_chunk=pairs)
     online_rate = np.diag(pairs.arrival) / n_probe
     joint = pairs.arrival / n_probe
     cov = joint - np.outer(online_rate, online_rate)
@@ -329,7 +293,7 @@ def lb_adversary(algorithm, n: int, n_probe: int, n_eval: int, seed: int,
                             prefix.arrivals + (final,))
     rep = validate(full)
     rep.raise_if_invalid()
-    counts, _, _ = _batch_run(algorithm, full, params, n_eval, seed + 1, flags=False)
+    counts = _batch_run(algorithm, full, params, n_eval, seed + 1)
     t_final = full.n_arrivals - 1
     edges = []
     for node in (i, j):
@@ -368,7 +332,7 @@ def three_node_impossibility(algorithm: str, params=None, n_runs: int | None = N
         exact_p = probs.get((i, 3), 0.0) + probs.get((j, 3), 0.0)
         entry = {"pair": [i, j], "exact_matched_prob": exact_p}
         if n_runs:
-            counts, _, _ = _batch_run(algorithm, inst, params, n_runs, seed, flags=False)
+            counts = _batch_run(algorithm, inst, params, n_runs, seed)
             entry["mc_matched_prob"] = (counts.get((i, 3), 0) + counts.get((j, 3), 0)) / n_runs
             entry["mc_se"] = math.sqrt(max(exact_p * (1 - exact_p), 1e-12) / n_runs)
         choices.append(entry)

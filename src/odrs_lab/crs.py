@@ -21,6 +21,7 @@ from .errors import DomainError, InvariantBreach, SizeError
 MAX_ACTIVE = 20
 FLOW_SCALE = 1 << 40
 ATOM_EPS = 1e-15
+ATOM_CHUNK = 1024  # atoms per block of the exact sum in `exact_marginals`
 
 
 @dataclass(frozen=True)
@@ -102,15 +103,15 @@ def balance_ratio(dist: SupportDistribution, v) -> float:
     k = len(active)
     g = _nonempty_hit_probs(dist, active)
     full = (1 << k) - 1
+    # v(S) one bit at a time from the highest down: the masks with lowest bit
+    # b add v_b to the mask without it, so each sum adds its terms from the
+    # highest element to the lowest
     vsum = np.zeros(1 << k)
-    for m in range(1, 1 << k):
-        low = m & -m
-        vsum[m] = vsum[m ^ low] + v[active[low.bit_length() - 1]]
-    best = math.inf
-    for m in range(1, 1 << k):
-        hit = 1.0 - g[full ^ m]
-        best = min(best, hit / vsum[m])
-    return max(0.0, best)
+    for b in range(k - 1, -1, -1):
+        step = 2 << b
+        vsum[1 << b::step] = vsum[::step] + v[active[b]]
+    m = np.arange(1, 1 << k)
+    return max(0.0, np.min((1.0 - g[full ^ m]) / vsum[1:]))
 
 
 # ----------------------------------------------------------------------------
@@ -176,6 +177,15 @@ class FlowNetwork:
 # selector from an explicit law
 # ----------------------------------------------------------------------------
 
+def _checked_masks(masks, n: int) -> np.ndarray:
+    """Realized-set masks over n positions as an integer array, each checked
+    to lie in [0, 2^n); past 62 positions they stay Python integers."""
+    masks = np.asarray(masks, dtype=np.int64 if n < 63 else object)
+    if masks.size and (masks.min() < 0 or masks.max() >> n):
+        raise DomainError(f"bid masks must lie in [0, 2^{n})")
+    return masks
+
+
 @dataclass(frozen=True)
 class SelectionRule:
     """Per-realized-set conditional winner probabilities p_{i,S}."""
@@ -191,6 +201,17 @@ class SelectionRule:
             return self.rows[mask]
         except KeyError:
             raise DomainError(f"unmodeled realization {mask:b}") from None
+
+    def conditional_win_probs(self, masks) -> np.ndarray:
+        """Pr[position wins | realized set] for each atom mask, as a
+        (len(elements), len(masks)) matrix; a column is zero for mask 0 and
+        for a mask the rule does not model."""
+        masks = _checked_masks(masks, len(self.elements))
+        out = np.zeros((len(self.elements), len(masks)))
+        for col, mask in enumerate(masks.tolist()):
+            for k, q in self.rows.get(mask, ()):
+                out[k, col] = q
+        return out
 
 
 def build_selector(dist: SupportDistribution, v) -> SelectionRule:
@@ -257,15 +278,30 @@ def select(rule: SelectionRule, realized_mask: int, u: float) -> int:
     return -1
 
 
-def exact_marginals(dist: SupportDistribution, rule: SelectionRule) -> np.ndarray:
-    """Pr[i wins] by direct summation over atoms (the selector's oracle)."""
-    out = np.zeros(len(dist.elements))
-    for mask, p in dist.atoms:
-        if not mask:
-            continue
-        for k, q in rule.conditional(mask):
-            out[k] += p * q
-    return out
+def exact_marginals(dist: SupportDistribution, rule) -> np.ndarray:
+    """Pr[i wins] = sum_S Pr[R = S] p_{i,S}, for a `SelectionRule` or a
+    `ProductSelector` on the law's elements (the selectors' oracle).
+
+    The atoms go through `rule.conditional_win_probs` ATOM_CHUNK at a time
+    and are summed in atom order by a running `np.cumsum` (a sequential sum,
+    unlike the pairwise `np.sum`), so the working arrays are bounded by the
+    chunk, not by the `2^k` atoms of a k-element law. A nonzero atom that a
+    `SelectionRule` does not model raises DomainError.
+    """
+    if isinstance(rule, SelectionRule):
+        for mask, _ in dist.atoms:
+            rule.conditional(mask)  # raises DomainError on an unmodeled atom
+    acc = np.zeros(len(dist.elements))
+    atoms = dist.atoms
+    for a0 in range(0, len(atoms), ATOM_CHUNK):
+        chunk = atoms[a0:a0 + ATOM_CHUNK]
+        terms = np.empty((len(acc), len(chunk) + 1))
+        terms[:, 0] = acc
+        np.multiply([p for _, p in chunk],
+                    rule.conditional_win_probs([mask for mask, _ in chunk]),
+                    out=terms[:, 1:])
+        acc = np.cumsum(terms, axis=1)[:, -1]
+    return acc
 
 
 # ----------------------------------------------------------------------------
@@ -368,9 +404,7 @@ class ProductSelector:
         to zero before it is passed on or stored. The entries are the
         products of a per-mask tree walk, bit for bit.
         """
-        masks = np.asarray(masks, dtype=np.int64)
-        if masks.size and (masks.min() < 0 or masks.max() >> self.n):
-            raise DomainError(f"bid masks must lie in [0, 2^{self.n})")
+        masks = _checked_masks(masks, self.n)
         sub = {~i: 1 << i for i in range(self.n)}  # node -> the bits of its leaves
         for ref, (r1, r2) in enumerate(self.children):
             sub[ref] = sub[r1] | sub[r2]

@@ -23,7 +23,6 @@ from .level_set import step_probability  # noqa: F401 -- perfbench/tracing.py lo
 from .rng import ScalarRng
 
 MAX_COMPONENT = 20
-ATOM_CHUNK = 1024  # bid-law atoms per block of the warm-up's exact sum
 
 
 # ----------------------------------------------------------------------------
@@ -85,9 +84,7 @@ class ScalingParams:
 
     @property
     def theta1(self) -> float:
-        if self.eps + self.delta == 0:
-            return 0.0
-        return self.eps / ((3.0 + 2.0 * self.delta) * (self.eps + self.delta))
+        return z_star(self.eps, self.delta, "b_matching")
 
     @property
     def theta2(self) -> float:
@@ -659,7 +656,38 @@ def _components(inst: MatchingInstance) -> list[int]:
     return [find(i) for i in range(inst.n_offline)]
 
 
-class CompiledOdrs:
+class _CompiledScheme:
+    """What both compiled schemes share: the exact sums over the bid-set laws.
+    A scheme keeps `selectors`, one CRS selector per arrival (None where
+    nobody can bid), and `_law(t)`, the bidder-set law at an arrival that has
+    a selector."""
+
+    def bid_law(self, t: int) -> crs_mod.SupportDistribution:
+        """Exact law of the bidder set P_t."""
+        if self.selectors[t] is None:
+            return crs_mod.SupportDistribution((), ((0, 1.0),))
+        return self._law(t)
+
+    def bid_marginals(self, t: int) -> dict[int, float]:
+        """Exact Pr[i in P_t]; equals the scaled fraction."""
+        law = self.bid_law(t)
+        return dict(zip(law.elements, bitmask.marginals(law.atoms, len(law.elements)).tolist()))
+
+    def edge_match_probs(self) -> dict[tuple[int, int], float]:
+        """Exact Pr[(i,t) matched] = sum_S Pr[P_t=S] p_{i,S}, summing the bid
+        law against the selector the sampler uses (`crs.exact_marginals`)."""
+        probs: dict[tuple[int, int], float] = {}
+        for t, sel in enumerate(self.selectors):
+            if sel is None:
+                continue
+            law = self.bid_law(t)
+            marg = crs_mod.exact_marginals(law, sel)
+            for k, i in enumerate(law.elements):
+                probs[(i, t)] = float(marg[k])
+        return probs
+
+
+class CompiledOdrs(_CompiledScheme):
     """Deterministic per-instance structure for the improved ODRS: step plans,
     exact per-arrival bid-set laws, and CRS selectors (shared by the sampler,
     the exact engine, and the Monte Carlo bench)."""
@@ -704,26 +732,8 @@ class CompiledOdrs:
         out.assert_valid(self.inst, b_matching=self.params.variant == "b_matching")
         return out
 
-    def edge_match_probs(self) -> dict[tuple[int, int], float]:
-        """Exact Pr[(i,t) matched] = sum_S Pr[P_t=S] p_{i,S}."""
-        probs: dict[tuple[int, int], float] = {}
-        for plan, law, selector in zip(self.plans, self.laws, self.selectors):
-            if law is None:
-                continue
-            marg = crs_mod.exact_marginals(law, selector)
-            for k, i in enumerate(law.elements):
-                probs[(i, plan.t)] = float(marg[k])
-        return probs
-
-    def bid_law(self, t: int) -> crs_mod.SupportDistribution:
-        """Exact law of the bidder set P_t."""
-        law = self.laws[t]
-        return law if law is not None else crs_mod.SupportDistribution((), ((0, 1.0),))
-
-    def bid_marginals(self, t: int) -> dict[int, float]:
-        """Exact Pr[i in P_t]; equals the scaled fraction."""
-        law = self.bid_law(t)
-        return dict(zip(law.elements, bitmask.marginals(law.atoms, len(law.elements)).tolist()))
+    def _law(self, t: int) -> crs_mod.SupportDistribution:
+        return self.laws[t]
 
 
 def odrs_round(inst: MatchingInstance, params: ScalingParams, seed: int = 0) -> Matching:
@@ -767,7 +777,7 @@ class OnlineWarmup:
         return edges[win][0] if win >= 0 else -1
 
 
-class CompiledWarmup:
+class CompiledWarmup(_CompiledScheme):
     """1 - 1/e warm-up: `OnlineWarmup` with its selectors prebuilt, plus each
     stream step's table row for the vectorized replay."""
 
@@ -802,40 +812,11 @@ class CompiledWarmup:
         out.assert_valid(self.inst, b_matching=True)
         return out
 
-    def bid_law(self, t: int) -> crs_mod.SupportDistribution:
-        """Exact law of the bidder set at arrival t: independent bids with the
-        fractions as probabilities (one level-set stream per node)."""
-        sel = self.selectors[t]
-        if sel is None:
-            return crs_mod.SupportDistribution((), ((0, 1.0),))
-        return crs_mod.SupportDistribution.product([i for i, _ in self.edges[t]], sel.y)
-
-    def edge_match_probs(self) -> dict[tuple[int, int], float]:
-        """Exact Pr[(i,t) matched], summing the bid law against the selector.
-
-        The atoms of `bid_law(t)` go through the selector ATOM_CHUNK masks at
-        a time and are summed in atom order by a running `np.cumsum` (a
-        sequential sum, unlike the pairwise `np.sum`), so the selector's
-        working arrays are bounded by the chunk, not by the `2^k` atoms of a
-        degree-k arrival.
-        """
-        probs = {}
-        for t, sel in enumerate(self.selectors):
-            if sel is None:
-                continue
-            acc = np.zeros(sel.n)
-            atoms = self.bid_law(t).atoms
-            for a0 in range(0, len(atoms), ATOM_CHUNK):
-                chunk = atoms[a0:a0 + ATOM_CHUNK]
-                terms = np.empty((sel.n, len(chunk) + 1))
-                terms[:, 0] = acc
-                np.multiply([p for _, p in chunk],
-                            sel.conditional_win_probs([mask for mask, _ in chunk]),
-                            out=terms[:, 1:])
-                acc = np.cumsum(terms, axis=1)[:, -1]
-            for k, (i, _) in enumerate(self.edges[t]):
-                probs[(i, t)] = float(acc[k])
-        return probs
+    def _law(self, t: int) -> crs_mod.SupportDistribution:
+        """Independent bids with the fractions as probabilities (one
+        level-set stream per node)."""
+        return crs_mod.SupportDistribution.product([i for i, _ in self.edges[t]],
+                                                   self.selectors[t].y)
 
 
 def warmup_round(inst: MatchingInstance, seed: int = 0) -> Matching:

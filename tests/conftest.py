@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from odrs_lab import crs
 from odrs_lab import exact_engine as engine
 from odrs_lab import odrs
 
@@ -47,6 +48,22 @@ def reference_win_probs(sel, bids):
         w1, w2 = sel.rows[ref][pattern]
         stack.append((r1, w * w1))
         stack.append((r2, w * w2))
+    return out
+
+
+def reference_exact_marginals(dist, rule):
+    """The per-atom loop that `crs.exact_marginals` replaced: Pr[i wins]
+    summed atom by atom in atom order, for a `SelectionRule` (its rows) or a
+    `ProductSelector` (its scalar tree walk)."""
+    out = np.zeros(len(dist.elements))
+    for mask, p in dist.atoms:
+        if not mask:
+            continue
+        if isinstance(rule, crs.ProductSelector):
+            out += p * reference_win_probs(rule, {k for k in range(rule.n) if mask >> k & 1})
+            continue
+        for k, q in rule.conditional(mask):
+            out[k] += p * q
     return out
 
 

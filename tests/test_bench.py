@@ -109,7 +109,7 @@ def test_three_node_impossibility_exact_and_mc(matching_params):
 
 def test_batch_and_scalar_samplers_agree(matching_params):
     inst = instances.gen_random(5, 5, 0.9, seed=17)
-    counts, _, _ = bench._batch_run("odrs", inst, matching_params, 60_000, seed=6)
+    counts = bench._batch_run("odrs", inst, matching_params, 60_000, seed=6)
     comp = odrs.CompiledOdrs(inst, matching_params)
     exact = comp.edge_match_probs()
     for k, p in exact.items():
@@ -118,13 +118,15 @@ def test_batch_and_scalar_samplers_agree(matching_params):
         assert abs(freq - p) < 5 * se + 1e-3
 
 
-def test_lb_adversary_never_match_reports_zero():
-    def never(inst, n_runs, seed):
-        n, T = inst.n_offline, inst.n_arrivals
-        return ({}, np.zeros((n_runs, n), dtype=bool),
-                np.zeros((n_runs, T), dtype=bool))
+def test_lb_adversary_never_match_reports_zero(monkeypatch):
+    def never(comp, n_runs, seed, on_chunk=None):
+        if on_chunk is not None:
+            on_chunk(np.zeros((n_runs, comp.inst.n_offline), dtype=bool),
+                     np.zeros((n_runs, comp.inst.n_arrivals), dtype=bool))
+        return {}
 
-    rep = bench.lb_adversary(never, n=5, n_probe=2000, n_eval=4000, seed=1)
+    monkeypatch.setattr(bench, "_batch_warmup", never)
+    rep = bench.lb_adversary("warmup", n=5, n_probe=2000, n_eval=4000, seed=1)
     assert rep["min_final_ratio"] == 0.0
     assert rep["final_matched_prob"] == 0.0
 
@@ -151,7 +153,7 @@ def test_batch_replay_matches_exact_engine(scheme, max_b):
     if scheme == "odrs_b":  # the b-matching kernel must meet crossing nodes
         assert any(plan.crossing for plan in odrs.compile_scheme(scheme, inst, params).plans)
     n_runs = 60_000
-    counts, _, _ = bench._batch_run(scheme, inst, params, n_runs, seed=8)
+    counts = bench._batch_run(scheme, inst, params, n_runs, seed=8)
     exact = engine.edge_match_probs(inst, params, scheme)
     assert set(counts) <= set(exact)
     for k, p in exact.items():

@@ -10,7 +10,7 @@ from odrs_lab import level_set as ls
 from odrs_lab import stochastic as st
 from odrs_lab.errors import DomainError, InvariantBreach
 from conftest import digest
-from test_replay_kernels import REFERENCE
+from test_replay_kernels import KERNEL, batch_run_with_flags, reference_kernel
 
 CHUNKS = [1, 7, 1000]
 UNCHUNKED = 1 << 40
@@ -63,13 +63,11 @@ def test_batch_kernels_are_chunk_invariant(monkeypatch, scheme, inst):
     if scheme == "odrs_b":
         assert any(p.crossing for p in odrs.compile_scheme(scheme, inst, params).plans)
     monkeypatch.setattr(rng, "CHUNK_RUNS", UNCHUNKED)
-    want = bench._batch_run(scheme, inst, params, N_RUNS, 5)
+    want = batch_run_with_flags(scheme, inst, params, N_RUNS, 5)
     for chunk in CHUNKS:
-        got = chunked(monkeypatch, chunk, bench._batch_run, scheme, inst, params, N_RUNS, 5)
+        got = chunked(monkeypatch, chunk, batch_run_with_flags, scheme, inst, params, N_RUNS, 5)
         assert_same_triple(got, want)
-    counts, off, arr = chunked(monkeypatch, 7, bench._batch_run, scheme, inst, params,
-                               N_RUNS, 5, flags=False)
-    assert counts == want[0] and off is None and arr is None
+    assert chunked(monkeypatch, 7, bench._batch_run, scheme, inst, params, N_RUNS, 5) == want[0]
 
 
 def test_online_round_batch_is_chunk_invariant(monkeypatch):
@@ -109,16 +107,12 @@ LB_DIGEST = {"warmup": "e6086a9d65bcc168c1489dfda7445743b06c576913d0d341f8a1ae46
 @pytest.mark.parametrize("scheme", ["warmup", "odrs"])
 def test_lb_adversary_reports_are_chunk_invariant(monkeypatch, scheme):
     params = odrs.scheme_params(scheme)
-
-    def reference(inst, n_runs, seed):
-        return REFERENCE[scheme](odrs.compile_scheme(scheme, inst, params), n_runs, seed)
-
-    want = bench.lb_adversary(reference, params=params, **LB_ARGS)
+    with monkeypatch.context() as m:
+        m.setattr(bench, KERNEL[scheme], reference_kernel(scheme))
+        want = bench.lb_adversary(scheme, params=params, **LB_ARGS)
     assert digest(want) == LB_DIGEST[scheme]
     for chunk in CHUNKS:
         assert chunked(monkeypatch, chunk, bench.lb_adversary, scheme, params=params,
-                       **LB_ARGS) == want
-        assert chunked(monkeypatch, chunk, bench.lb_adversary, reference, params=params,
                        **LB_ARGS) == want
 
 
@@ -126,9 +120,9 @@ def test_pair_counts_are_flag_co_occurrences(monkeypatch):
     inst = instances.gen_lb_prefix(6)
     params = odrs.scheme_params("odrs")
     monkeypatch.setattr(rng, "CHUNK_RUNS", UNCHUNKED)
-    _, offline, arrival = bench._batch_run("odrs", inst, params, N_RUNS, 3)
+    _, offline, arrival = batch_run_with_flags("odrs", inst, params, N_RUNS, 3)
     pairs = bench._PairCounts()
-    chunked(monkeypatch, 7, bench._batch_run, "odrs", inst, params, N_RUNS, 3, flags=pairs)
+    chunked(monkeypatch, 7, bench._batch_run, "odrs", inst, params, N_RUNS, 3, on_chunk=pairs)
     for flags, got in ((offline, pairs.offline), (arrival, pairs.arrival)):
         m = flags.shape[1]
         assert got.dtype == np.int64

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import reference_win_probs
+from conftest import reference_exact_marginals, reference_win_probs
 from odrs_lab import crs
 from odrs_lab.errors import DomainError, SizeError
 from odrs_lab.rng import ScalarRng
@@ -19,6 +19,36 @@ def _random_dist(rng, k, max_atoms=64):
     for mk, p in zip(masks, probs):
         atoms[int(mk)] = atoms.get(int(mk), 0.0) + float(p)
     return crs.SupportDistribution(tuple(range(k)), tuple(atoms.items()))
+
+
+def reference_balance_ratio(dist, v):
+    """The two `2^k` subset loops that `crs.balance_ratio` replaced."""
+    v = np.asarray(v, dtype=float)
+    active = [k for k in range(len(v)) if v[k] > 0]
+    k = len(active)
+    g = crs._nonempty_hit_probs(dist, active)
+    full = (1 << k) - 1
+    vsum = np.zeros(1 << k)
+    for m in range(1, 1 << k):
+        low = m & -m
+        vsum[m] = vsum[m ^ low] + v[active[low.bit_length() - 1]]
+    best = math.inf
+    for m in range(1, 1 << k):
+        hit = 1.0 - g[full ^ m]
+        best = min(best, hit / vsum[m])
+    return max(0.0, best)
+
+
+def test_balance_ratio_equals_subset_loop():
+    rng = np.random.default_rng(3)
+    for trial in range(60):
+        k = int(rng.integers(1, 13))
+        d = _random_dist(rng, k, max_atoms=200)
+        v = rng.random(k) * rng.uniform(0.1, 3.0)
+        v[rng.random(k) < 0.25] = 0.0  # inactive elements
+        if not v.any():
+            v[int(rng.integers(k))] = 0.5
+        assert crs.balance_ratio(d, v) == reference_balance_ratio(d, v), trial
 
 
 def test_balance_ratio_two_coin_example():
@@ -70,8 +100,11 @@ def test_selector_point_mass_and_empty():
 def test_select_unmodeled_realization():
     d = crs.SupportDistribution.product((0, 1), (0.5, 0.5))
     rule = crs.build_selector(d, [0.5, 0.5])
+    partial = crs.SelectionRule(rule.elements, {1: rule.rows[1]}, rule.alpha)
     with pytest.raises(DomainError, match="unmodeled"):
-        crs.select(crs.SelectionRule(rule.elements, {1: rule.rows[1]}, rule.alpha), 2, 0.1)
+        crs.select(partial, 2, 0.1)
+    with pytest.raises(DomainError, match="unmodeled"):
+        crs.exact_marginals(d, partial)
 
 
 def test_selection_law_matches_rows():
@@ -99,6 +132,7 @@ def test_exact_selection_marginals_random_battery():
         rule = crs.build_selector(d, v)
         marg = crs.exact_marginals(d, rule)
         assert np.max(np.abs(marg - alpha * v)) < 1e-9
+        assert marg.tolist() == reference_exact_marginals(d, rule).tolist()
 
 
 def test_monotone_sanity_mass_to_larger_sets():
@@ -176,15 +210,34 @@ def test_conditional_win_probs_equal_tree_walk():
                 assert got[:, col].tolist() == want.tolist(), (n, m)
                 cut += any(m >> k & 1 and want[k] == 0 for k in range(n))
     assert cut > 0
+    # a flow selector's columns are its rows; mask 0 and a mask the rule
+    # does not model give zero columns
+    d = crs.SupportDistribution((5, 6, 7), ((0b011, 0.5), (0b110, 0.3), (0, 0.2)))
+    rule = crs.build_selector(d, [0.3, 0.4, 0.2])
+    got = rule.conditional_win_probs(np.arange(8))
+    assert got.shape == (3, 8)
+    for m in (0b011, 0b110):
+        want = np.zeros(3)
+        for k, q in rule.conditional(m):
+            want[k] = q
+        assert want.any() and got[:, m].tolist() == want.tolist()
+    assert not got[:, [0, 1, 2, 4, 5, 7]].any()
 
 
 def test_product_selector_rejects_out_of_range_inputs():
     ps = crs.ProductSelector([0.3, 0.4])
+    rule = crs.build_selector(crs.SupportDistribution.product((0, 1), (0.3, 0.4)), [0.3, 0.4])
+    for sel in (ps, rule):
+        with pytest.raises(DomainError):
+            sel.conditional_win_probs([4])
+        with pytest.raises(DomainError):
+            sel.conditional_win_probs([-1])
+        assert sel.conditional_win_probs(np.zeros(0, dtype=np.int64)).shape == (2, 0)
+    # masks past 62 positions do not fit int64
+    wide = crs.SelectionRule(tuple(range(70)), {1 << 69: ((69, 1.0),)}, 1.0)
+    assert wide.conditional_win_probs([1 << 69, 0])[69].tolist() == [1.0, 0.0]
     with pytest.raises(DomainError):
-        ps.conditional_win_probs([4])
-    with pytest.raises(DomainError):
-        ps.conditional_win_probs([-1])
-    assert ps.conditional_win_probs(np.zeros(0, dtype=np.int64)).shape == (2, 0)
+        wide.conditional_win_probs([1 << 70])
     for y in ([0.0, 0.5], [1.5], [math.nan, 0.5]):
         with pytest.raises(DomainError, match="probabilities in"):
             crs.ProductSelector(y)
@@ -201,6 +254,7 @@ def test_product_selector_agrees_with_flow_selector():
         assert abs(alpha_flow - ps.alpha) < 1e-12
         rule = crs.build_selector(d, y)
         assert np.max(np.abs(crs.exact_marginals(d, rule) - ps.alpha * y)) < 1e-9
+        assert crs.exact_marginals(d, ps).tolist() == reference_exact_marginals(d, ps).tolist()
 
 
 def test_product_selector_sampling_size_at_most_one():

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from conftest import reference_win_probs
+from conftest import reference_exact_marginals
 from odrs_lab import exact_engine as engine
-from odrs_lab import instances, odrs
+from odrs_lab import crs, instances, odrs
 from odrs_lab.errors import DomainError, FeasibilityError
 from odrs_lab.instances import Arrival, MatchingInstance
 
@@ -236,29 +236,33 @@ def test_warmup_star_and_independence(matching_params):
         assert m.pairs == [(0, 0)]
 
 
-def reference_warmup_edge_probs(comp):
-    """The per-atom loop that `CompiledWarmup.edge_match_probs` replaced."""
+def reference_edge_probs(comp):
+    """Pr[(i,t) matched] of either compiled scheme from the per-atom loop
+    that `crs.exact_marginals` replaced."""
     probs = {}
     for t, sel in enumerate(comp.selectors):
         if sel is None:
             continue
-        acc = np.zeros(sel.n)
-        for mask, p in comp.bid_law(t).atoms:
-            if mask:
-                acc += p * reference_win_probs(sel, {k for k in range(sel.n) if mask >> k & 1})
-        for k, (i, *_) in enumerate(comp.steps[t]):
-            probs[(i, t)] = float(acc[k])
+        law = comp.bid_law(t)
+        for i, p in zip(law.elements, reference_exact_marginals(law, sel)):
+            probs[(i, t)] = float(p)
     return probs
 
 
 @pytest.mark.parametrize("chunk", [1, 5, 64])
 def test_warmup_edge_probs_equal_per_atom_loop(monkeypatch, chunk):
+    # every scheme: the warm-up's product selectors and the flow selectors
+    # of odrs and odrs_b go through the same chunked sum
     comps = [odrs.CompiledWarmup(instances.drop_zero_edges(instances.gen_random(n, t, 0.9, seed)))
              for n, t, seed in ((4, 5, 1), (9, 6, 2), (11, 3, 3))]
     comps.append(odrs.CompiledWarmup(MatchingInstance(3, (1,) * 3, (
         Arrival(((0, 1.0),)), Arrival(((0, 0.5), (1, 0.25), (2, 0.25)))))))
-    want = [reference_warmup_edge_probs(c) for c in comps]
-    monkeypatch.setattr(odrs, "ATOM_CHUNK", chunk)
+    for scheme, max_b, (n, t, seed) in (("odrs", 1, (6, 7, 4)), ("odrs", 1, (9, 9, 2)),
+                                        ("odrs_b", 3, (5, 8, 41))):
+        inst = instances.gen_random(n, t, 0.8, seed, max_b=max_b)
+        comps.append(odrs.compile_scheme(scheme, inst, odrs.scheme_params(scheme)))
+    want = [reference_edge_probs(c) for c in comps]
+    monkeypatch.setattr(crs, "ATOM_CHUNK", chunk)
     for comp, w in zip(comps, want):
         assert comp.edge_match_probs() == w
 
