@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import DomainError
 from .instances import Arrival, CoverInstance, MatchingInstance, MultigraphInstance
-from .level_set import LevelSetState, _snap, batch_stream, online_step
+from .level_set import _snap, batch_stream, online_round
+from .level_set import online_step  # noqa: F401 -- perfbench/tracing.py looks it up here
 from .level_set import step_probability  # noqa: F401 -- perfbench/tracing.py looks it up here
 from .odrs import OnlineWarmup, compile_scheme
 from .rng import ScalarRng, run_chunks
@@ -63,6 +64,8 @@ def edge_color_online(mg: MultigraphInstance, C: int | None = None, seed: int = 
     delta = mg.delta
     if C is None:
         C = default_rounds_c(mg.n_left + mg.n_right)
+    if C < 1:
+        raise DomainError(f"colors per round C must be at least 1, got {C}")
     C = min(C, delta)
     n_rounds = max(1, delta // C)
     per_round = math.ceil(WARMUP_ALPHA * C)
@@ -239,16 +242,9 @@ def round_multistage_cover(cov: CoverInstance, seed: int = 0) -> CoverSolution:
     rng = ScalarRng(seed)
     y = np.zeros((cov.n_vars, cov.k), dtype=np.int64)
     for v in range(cov.n_vars):
-        state = LevelSetState()
-        for stage in range(cov.k):
-            base, frac = _peel(alpha * cov.xstar[v][stage])
-            sel, state = online_step(state, frac, rng.uniform())
-            y[v, stage] = base + sel
-        # dummy tail flushes the stream to an integer; its outcome is dropped
-        total = _snap(state.s_prev)
-        pad = math.ceil(total) - total
-        if pad > 0:
-            online_step(state, pad, rng.uniform())
+        peeled = [_peel(alpha * cov.xstar[v][stage]) for stage in range(cov.k)]
+        y[v] = [base for base, _ in peeled]
+        y[v] += online_round([frac for _, frac in peeled], rng=rng)
     cost = float(sum(cov.costs[stage][v] * y[v, stage]
                      for v in range(cov.n_vars) for stage in range(cov.k)))
     return CoverSolution(y, cost)

@@ -1,13 +1,69 @@
 """Bitmask primitives shared by the exact engines.
 
-Masks are Python ints (bit k = element k) and may be wider than 64 bits.
-Tables indexed by mask have length 2^n; the sum transforms run over bits
-0..n-1 in increasing order, so their floating-point results are fixed.
+Masks are Python ints (bit k = element k) and may be wider than 64 bits;
+as arrays they are int64 below 63 positions and Python ints past that
+(`checked`). Tables indexed by mask have length 2^n, and every module that
+allocates one checks n against the one cap MAX_BITS first (`check_width`).
+The sum transforms run over bits 0..n-1 in increasing order, so their
+floating-point results are fixed.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
+
+from .errors import DomainError, SizeError
+
+# widest mask table any exact computation allocates: 2^MAX_BITS entries
+MAX_BITS = 20
+
+_WIDE = 63  # positions from which masks no longer fit an int64
+# (8, 256): row j holds bit j of each byte value
+_BYTE_BITS = np.arange(256) >> np.arange(8)[:, None] & 1
+
+
+def check_width(n: int, what: str, hint: str = ""):
+    """Raise SizeError when a table over n bits would pass MAX_BITS."""
+    if n > MAX_BITS:
+        raise SizeError(f"{what} needs a 2^{n}-entry mask table, above the cap "
+                        f"2^{MAX_BITS}" + (f"; {hint}" if hint else ""))
+
+
+def checked(masks, n: int) -> np.ndarray:
+    """Masks over n positions as an integer array, each checked to lie in
+    [0, 2^n); past 62 positions they stay Python integers."""
+    masks = np.asarray(masks, dtype=np.int64 if n < _WIDE else object)
+    if masks.size and (masks >> n).any():  # nonzero when negative or too wide
+        raise DomainError(f"masks must lie in [0, 2^{n})")
+    return masks
+
+
+def project(masks, positions, n: int) -> np.ndarray:
+    """Bit j of out[a] is bit positions[j] of masks[a] (masks over n
+    positions); int64 below 63 output bits, Python integers past that.
+
+    One 256-entry table per input byte maps the byte to its projected bits.
+    """
+    masks = checked(masks, n)
+    table = _byte_tables(tuple(positions), n)
+    out = np.zeros(len(masks), dtype=table.dtype)
+    for q, row in enumerate(table):
+        out |= row[np.asarray(masks >> 8 * q & 255, dtype=np.intp)]
+    return out
+
+
+@lru_cache(maxsize=64)  # the same positions recur across laws (all of a small law's)
+def _byte_tables(positions: tuple[int, ...], n: int) -> np.ndarray:
+    """Row q maps a value of byte q of an n-bit mask to the bits `project`
+    sets for the positions in that byte (read-only, as it is shared)."""
+    weights = np.zeros(8 * max(1, (n + 7) // 8),
+                       dtype=np.int64 if len(positions) < _WIDE else object)
+    weights[list(positions)] = [1 << j for j in range(len(positions))]
+    table = weights.reshape(-1, 8) @ _BYTE_BITS
+    table.flags.writeable = False
+    return table
 
 
 def bit_matrix(masks, n: int) -> np.ndarray:

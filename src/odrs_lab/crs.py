@@ -16,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bitmask
-from .errors import DomainError, InvariantBreach, SizeError
+from .errors import DomainError, InvariantBreach
 
-MAX_ACTIVE = 20
 FLOW_SCALE = 1 << 40
 ATOM_EPS = 1e-15
 ATOM_CHUNK = 1024  # atoms per block of the exact sum in `exact_marginals`
@@ -53,9 +52,11 @@ class SupportDistribution:
 
     @staticmethod
     def product(elements, probs) -> "SupportDistribution":
-        """Independent Bernoulli inclusion with the given probabilities."""
+        """Independent Bernoulli inclusion with the given probabilities
+        (up to 2^len(elements) atoms, so at most bitmask.MAX_BITS elements)."""
         elements = tuple(elements)
         probs = [float(p) for p in probs]
+        bitmask.check_width(len(probs), "a product law")
         atoms = [(0, 1.0)]
         for k, p in enumerate(probs):
             nxt = []
@@ -71,24 +72,18 @@ class SupportDistribution:
 def _nonempty_hit_probs(dist: SupportDistribution, active: list[int]) -> np.ndarray:
     """Subset sums of the atom law projected onto `active` (local masks);
     Pr[R cap S = empty] is the entry at the complement of S."""
-    k = len(active)
-    pos = {a: j for j, a in enumerate(active)}
-    proj = np.zeros(1 << k)
-    for mask, p in dist.atoms:
-        local = 0
-        for a in active:
-            if mask >> a & 1:
-                local |= 1 << pos[a]
-        proj[local] += p
+    proj = np.zeros(1 << len(active))
+    local = bitmask.project([mask for mask, _ in dist.atoms], active, len(dist.elements))
+    np.add.at(proj, local, [p for _, p in dist.atoms])  # in atom order
     return bitmask.subset_sums(proj)
 
 
 def balance_ratio(dist: SupportDistribution, v) -> float:
     """min over nonempty S of Pr[R cap S != empty] / v(S), exhaustively.
 
-    Only elements with v_i > 0 matter; at most MAX_ACTIVE of them are allowed
-    (the polytime route keeps bidder counts small, so the cap is not binding
-    at desk scale).
+    Only elements with v_i > 0 matter; at most bitmask.MAX_BITS of them are
+    allowed (the polytime route keeps bidder counts small, so the cap is not
+    binding at desk scale).
     """
     v = np.asarray(v, dtype=float)
     if len(v) != len(dist.elements):
@@ -98,8 +93,7 @@ def balance_ratio(dist: SupportDistribution, v) -> float:
     active = [k for k in range(len(v)) if v[k] > 0]
     if not active:
         raise DomainError("at least one v_i must be positive")
-    if len(active) > MAX_ACTIVE:
-        raise SizeError(f"{len(active)} active elements exceed the exhaustive cap {MAX_ACTIVE}")
+    bitmask.check_width(len(active), "the balance ratio's active set")
     k = len(active)
     g = _nonempty_hit_probs(dist, active)
     full = (1 << k) - 1
@@ -177,15 +171,6 @@ class FlowNetwork:
 # selector from an explicit law
 # ----------------------------------------------------------------------------
 
-def _checked_masks(masks, n: int) -> np.ndarray:
-    """Realized-set masks over n positions as an integer array, each checked
-    to lie in [0, 2^n); past 62 positions they stay Python integers."""
-    masks = np.asarray(masks, dtype=np.int64 if n < 63 else object)
-    if masks.size and (masks.min() < 0 or masks.max() >> n):
-        raise DomainError(f"bid masks must lie in [0, 2^{n})")
-    return masks
-
-
 @dataclass(frozen=True)
 class SelectionRule:
     """Per-realized-set conditional winner probabilities p_{i,S}."""
@@ -206,7 +191,7 @@ class SelectionRule:
         """Pr[position wins | realized set] for each atom mask, as a
         (len(elements), len(masks)) matrix; a column is zero for mask 0 and
         for a mask the rule does not model."""
-        masks = _checked_masks(masks, len(self.elements))
+        masks = bitmask.checked(masks, len(self.elements))
         out = np.zeros((len(self.elements), len(masks)))
         for col, mask in enumerate(masks.tolist()):
             for k, q in self.rows.get(mask, ()):
@@ -404,7 +389,7 @@ class ProductSelector:
         to zero before it is passed on or stored. The entries are the
         products of a per-mask tree walk, bit for bit.
         """
-        masks = _checked_masks(masks, self.n)
+        masks = bitmask.checked(masks, self.n)
         sub = {~i: 1 << i for i in range(self.n)}  # node -> the bits of its leaves
         for ref, (r1, r2) in enumerate(self.children):
             sub[ref] = sub[r1] | sub[r2]

@@ -16,25 +16,9 @@ import numpy as np
 from . import bitmask
 from . import crs as crs_mod
 from . import odrs as odrs_mod
-from .errors import DomainError, InvariantBreach, SizeError
+from .errors import DomainError, InvariantBreach
 from .instances import MatchingInstance
 from .level_set import BitDistribution
-
-MAX_N = 20
-MAX_SCAN = 12
-
-
-@dataclass(frozen=True)
-class FreeMaskDistribution:
-    """Exact law over bitmasks of per-node bid states (1 = at ceiling)."""
-
-    n: int
-    probs: tuple[tuple[int, float], ...]
-
-    def check(self, tol=1e-12):
-        total = sum(p for _, p in self.probs)
-        if abs(total - 1.0) > tol:
-            raise InvariantBreach(f"mask probabilities sum to {total}")
 
 
 @dataclass
@@ -65,30 +49,23 @@ class JointBernoulli:
         return sum(p for mask, p in self.probs.items() if mask & sel == sel)
 
 
-def _require_small(inst: MatchingInstance):
-    if inst.n_offline > MAX_N:
-        raise SizeError(f"exact engine limited to n <= {MAX_N} offline nodes")
-
-
 def bid_set_law(inst: MatchingInstance, params, t: int, algorithm: str = "odrs"
                 ) -> crs_mod.SupportDistribution:
     """Exact law of the bidder set at arrival t."""
-    _require_small(inst)
     return odrs_mod.compile_scheme(algorithm, inst, params).bid_law(t)
 
 
 def free_mask_distribution(inst: MatchingInstance, params, t: int,
-                           algorithm: str = "odrs") -> FreeMaskDistribution:
-    """Joint law of the per-node bid states just before arrival t (bucketed
-    ODRS schemes only)."""
-    _require_small(inst)
+                           algorithm: str = "odrs") -> BitDistribution:
+    """Joint law of the per-node bid states (bit = 1 at the ceiling) just
+    before arrival t (bucketed ODRS schemes only)."""
     comp = odrs_mod.compile_scheme(algorithm, inst, params)
     if not isinstance(comp, odrs_mod.CompiledOdrs):
         raise DomainError(f"{algorithm} keeps no bid-state masks")
     dp = odrs_mod.BidLawDP(list(range(inst.n_offline)))
     for plan in comp.plans[:t]:
         dp.step(plan)
-    dist = FreeMaskDistribution(inst.n_offline, tuple(dp.state.items()))
+    dist = BitDistribution(inst.n_offline, dp.state)
     dist.check(1e-9)
     return dist
 
@@ -97,7 +74,6 @@ def edge_match_probs(inst: MatchingInstance, params, algorithm: str
                      ) -> dict[tuple[int, int], float]:
     """Exact Pr[(i,t) matched], summing the law of the bidder set against the
     same selector the sampler uses."""
-    _require_small(inst)
     return odrs_mod.compile_scheme(algorithm, inst, params).edge_match_probs()
 
 
@@ -149,16 +125,20 @@ def n_r_bound(r: int, p: float, eps: float) -> int:
     return n_r_bound(1, p, e2) + 2 * n_r_bound(r - 1, p * p - e2, eps / 2.0)
 
 
+def _sum_by(keys, probs) -> dict[int, float]:
+    """Probabilities summed per key, in the given order."""
+    out: dict[int, float] = {}
+    for key, p in zip(keys.tolist(), probs):
+        out[key] = out.get(key, 0.0) + p
+    return out
+
+
 def _pair_product_joint(joint: JointBernoulli, pairs: list[tuple[int, int]]) -> JointBernoulli:
     """Joint of Z_s = Y_i * Y_j over the given disjoint pairs."""
-    probs: dict[int, float] = {}
-    for mask, p in joint.probs.items():
-        z = 0
-        for s, (i, j) in enumerate(pairs):
-            if mask >> i & 1 and mask >> j & 1:
-                z |= 1 << s
-        probs[z] = probs.get(z, 0.0) + p
-    return JointBernoulli(len(pairs), probs)
+    masks = list(joint.probs)
+    z = (bitmask.project(masks, [i for i, _ in pairs], joint.n)
+         & bitmask.project(masks, [j for _, j in pairs], joint.n))
+    return JointBernoulli(len(pairs), _sum_by(z, joint.probs.values()))
 
 
 def _thin_to(joint: JointBernoulli, target: float) -> JointBernoulli:
@@ -224,14 +204,9 @@ def find_positive_cylinder(joint: JointBernoulli, r: int, eps: float) -> tuple[i
             used.update((gi, gj))
             keep = [k for k in range(jnt.n) if k not in used]
             remap = keep
-            probs: dict[int, float] = {}
-            for mask, q in jnt.probs.items():
-                sm = 0
-                for a, k in enumerate(keep):
-                    if mask >> k & 1:
-                        sm |= 1 << a
-                probs[sm] = probs.get(sm, 0.0) + q
-            sub = JointBernoulli(len(keep), probs, common_p=jnt.common_p)
+            sm = bitmask.project(list(jnt.probs), keep, jnt.n)
+            sub = JointBernoulli(len(keep), _sum_by(sm, jnt.probs.values()),
+                                 common_p=jnt.common_p)
         zj = _pair_product_joint(jnt, pairs)
         aj = _thin_to(zj, jnt.common_p ** 2 - e2)
         chosen = rec(aj, rr - 1, ee / 2.0)
@@ -263,8 +238,7 @@ def neg_cylinder_check(dist: BitDistribution, direction: str = "ones") -> Cylind
     """Scan all subsets for Pr[all bits equal 1 (or 0)] vs product of
     marginals; the worst (largest) gap is reported."""
     n = dist.n
-    if n > MAX_SCAN:
-        raise SizeError(f"cylinder scan limited to n <= {MAX_SCAN}")
+    bitmask.check_width(n, "a cylinder scan")
     if direction not in ("ones", "zeros"):
         raise DomainError("direction must be 'ones' or 'zeros'")
     size = 1 << n
@@ -275,15 +249,12 @@ def neg_cylinder_check(dist: BitDistribution, direction: str = "ones") -> Cylind
     cyl = bitmask.superset_sums(cyl)  # cyl[S] = Pr[bits of S all match]
     marg = dist.marginals()
     single = marg if direction == "ones" else 1.0 - marg
-    worst = (-math.inf, ())
-    for s in range(1, size):
-        prod = 1.0
-        k = s
-        while k:
-            low = k & -k
-            prod *= single[low.bit_length() - 1]
-            k ^= low
-        gap = cyl[s] - prod
-        if gap > worst[0]:
-            worst = (gap, tuple(i for i in range(n) if s >> i & 1))
-    return CylinderReport(direction, worst[1], worst[0])
+    if n == 0:
+        return CylinderReport(direction, (), -math.inf)
+    # prod[S] = product of single[b] over the bits b of S, lowest bit first
+    prod = np.ones(size)
+    for b in range(n):
+        prod[1 << b:2 << b] = prod[:1 << b] * single[b]
+    gaps = cyl[1:] - prod[1:]
+    s = 1 + int(np.argmax(gaps))  # the first largest gap
+    return CylinderReport(direction, tuple(i for i in range(n) if s >> i & 1), float(gaps[s - 1]))

@@ -276,6 +276,8 @@ def gen_random(n: int, T: int, density: float, seed: int,
     """
     if not (0 < density <= 1):
         raise DomainError("density must be in (0, 1]")
+    if n < 1 or max_b < 1:
+        raise DomainError(f"random instance needs n >= 1 and max_b >= 1, got {n} and {max_b}")
     rng = generator(seed, 0)
     caps = tuple(int(rng.integers(1, max_b + 1)) for _ in range(n))
     remaining = np.array(caps, dtype=float)
@@ -308,6 +310,8 @@ def gen_random(n: int, T: int, density: float, seed: int,
 
 def gen_random_multigraph(n_left: int, n_right: int, delta: int, seed: int) -> MultigraphInstance:
     """Random bipartite multigraph with max degree exactly bounded by delta."""
+    if delta < 1:
+        raise DomainError(f"multigraph needs delta >= 1, got {delta}")
     rng = generator(seed, 1)
     right_load = np.zeros(n_right, dtype=int)
     arrivals = []
@@ -333,6 +337,10 @@ def gen_random_multigraph(n_left: int, n_right: int, delta: int, seed: int) -> M
 
 def gen_random_cover(n_vars: int, n_edges: int, d: int, t: int, k: int, seed: int) -> CoverInstance:
     """Random d-uniform hypergraph multi-cover instance with a feasible x*."""
+    if not 1 <= d <= n_vars:
+        raise DomainError(f"cover needs 1 <= d <= n_vars, got d={d}, n_vars={n_vars}")
+    if t < 1 or k < 1:
+        raise DomainError(f"cover needs demand t >= 1 and k >= 1 stages, got t={t}, k={k}")
     rng = generator(seed, 2)
     costs = tuple(tuple(float(rng.uniform(0.5, 2.0)) for _ in range(n_vars)) for _ in range(k))
     edges = []

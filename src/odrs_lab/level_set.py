@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bitmask
-from .errors import DomainError, InvariantBreach, SizeError
+from .errors import DomainError, InvariantBreach
 from .rng import ScalarRng, run_chunks
 
 SNAP_TOL = 1e-9
@@ -270,14 +270,10 @@ class BitDistribution:
         return {format(mask, f"0{self.n}b"): p for mask, p in sorted(self.probs.items())}
 
 
-MAX_EXACT_N = 20
-
-
 def exact_dist_online(x) -> BitDistribution:
     """Exact output law of the online algorithm (path recursion over counts)."""
     xs, n = _pad_to_integer(x)
-    if n > MAX_EXACT_N:
-        raise SizeError(f"exact law limited to n <= {MAX_EXACT_N}")
+    bitmask.check_width(n, "an exact online law")
     probs: dict[int, float] = {}
     m = len(xs)
 
@@ -301,8 +297,7 @@ def exact_dist_online(x) -> BitDistribution:
 def exact_dist_offline(x) -> BitDistribution:
     """Exact output law of the offline merge (branch enumeration)."""
     xs, n = _pad_to_integer(x)
-    if n > MAX_EXACT_N:
-        raise SizeError(f"exact law limited to n <= {MAX_EXACT_N}")
+    bitmask.check_width(n, "an exact offline law")
     probs: dict[int, float] = {}
 
     def rec(y: np.ndarray, pr: float):
@@ -332,12 +327,10 @@ def threshold_exact_dist(x) -> BitDistribution:
     """Exact law of threshold_round over a uniform threshold.
 
     The selection pattern is piecewise constant in tau with breakpoints at the
-    fractional parts of the prefix sums.
+    fractional parts of the prefix sums, so the law has at most n + 1 atoms.
     """
     xs = np.asarray(x, dtype=float)
     n = len(xs)
-    if n > MAX_EXACT_N:
-        raise SizeError(f"exact law limited to n <= {MAX_EXACT_N}")
     cuts = {0.0, 1.0}
     s = 0.0
     for xj in xs:

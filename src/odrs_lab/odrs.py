@@ -16,13 +16,11 @@ import numpy as np
 
 from . import bitmask
 from . import crs as crs_mod
-from .errors import DomainError, FeasibilityError, InvariantBreach, SizeError
+from .errors import DomainError, FeasibilityError, InvariantBreach
 from .instances import Arrival, MatchingInstance
 from .level_set import LevelSetState, _snap, kahan_add, online_step, step_table
 from .level_set import step_probability  # noqa: F401 -- perfbench/tracing.py looks it up here
 from .rng import ScalarRng
-
-MAX_COMPONENT = 20
 
 
 # ----------------------------------------------------------------------------
@@ -459,7 +457,7 @@ _UNSEEN = np.iinfo(np.int64).max
 # renormalizes, which moves every probability it reports by about the dropped
 # mass. More than DROP_MASS_BOUND dropped in one step is an InvariantBreach:
 # the bound is the 1e-9 to which the exact engine checks that a law sums to
-# one. A step would have to drop nearly all 2^MAX_COMPONENT states at
+# one. A step would have to drop nearly all 2^bitmask.MAX_BITS states at
 # DROP_ATOM = 1e-15 to trip it, so it guards a larger DROP_ATOM; the largest
 # drop measured in one step is 5.4e-13 (odrs_b on
 # gen_random(15, 30, 0.9, seed=0, max_b=3)).
@@ -477,18 +475,20 @@ class BidLawDP:
     The state is two arrays, lag masks and their probabilities, in the order
     the masks were first reached. `step` is numpy work linear in the number
     of (state, outcome) pairs, done CHUNK_PAIRS at a time; its memory is
-    that chunk plus dense tables of 2^|active| and 2^n entries (n =
-    len(nodes) <= MAX_COMPONENT). A random 14-node component compiles in
-    about 0.15 s on a 2-vCPU VM. Sums run in pair order, state-major, so each
-    atom, its position and its bits are those of the plain loop over states
-    and then outcomes. `dropped` is the state mass dropped so far (at most
+    that chunk plus two pairs of dense tables of 2^n entries (n = len(nodes)
+    <= bitmask.MAX_BITS), one for the next state and one for the bid law,
+    which is summed by the full bid mask and projected onto the active nodes
+    once per step. A random 14-node component compiles in about 0.13 s on a
+    2-vCPU VM. Sums run in pair order, state-major, so each atom, its
+    position and its bits are those of the plain loop over states and then
+    outcomes. `dropped` is the state mass dropped so far (at most
     DROP_MASS_BOUND per step).
     """
 
     def __init__(self, nodes: list[int]):
         self.nodes = sorted(nodes)
-        if len(self.nodes) > MAX_COMPONENT:
-            raise SizeError(f"bid-law DP limited to {MAX_COMPONENT} nodes")
+        bitmask.check_width(len(self.nodes), "a bid-law DP component",
+                            "downscale for the polytime pathway or use the warm-up ODRS")
         self.pos = {i: k for k, i in enumerate(self.nodes)}
         self.masks = np.zeros(1, dtype=np.int64)
         self.probs = np.ones(1)
@@ -514,12 +514,9 @@ class BidLawDP:
                                       if kind == "cross")
                           for cand, _ in outcomes], dtype=np.int64)
         cprobs = np.array([p for _, p in outcomes])
-        # byte q of a lag mask -> its active nodes' bits at their positions
-        # in the bid mask (bids fall on active nodes only)
-        weights = np.zeros(8 * max(1, (len(self.nodes) + 7) // 8), dtype=np.int64)
-        weights[[pos[i] for i in active]] = 1 << np.arange(len(active), dtype=np.int64)
-        compress = weights.reshape(-1, 8) @ (np.arange(256) >> np.arange(8)[:, None] & 1)
-        law = _PairSums(len(active))
+        # bids fall on active nodes only, so the law is summed by the full
+        # bid mask and projected onto the active positions once, at the end
+        law = _PairSums(len(self.nodes))
         new_state = _PairSums(len(self.nodes))
         n_out = len(outcomes)
         rows = max(1, CHUNK_PAIRS // n_out)
@@ -536,12 +533,10 @@ class BidLawDP:
             live = p > 0.0
             if not live.all():
                 p, bid, new, index = p[live], bid[live], new[live], index[live]
-            bid_active = compress[0][bid & 255]
-            for q in range(1, len(compress)):
-                bid_active |= compress[q][bid >> 8 * q & 255]
-            law.add(bid_active, p, index)
+            law.add(bid, p, index)
             new_state.add(new, p, index)
         keys, sums = law.items()
+        keys = bitmask.project(keys, [pos[i] for i in active], len(self.nodes))
         masks, probs = new_state.items()
         keep = probs > DROP_ATOM
         if not keep.all():
@@ -700,11 +695,6 @@ class CompiledOdrs(_CompiledScheme):
         comp_nodes: dict[int, list[int]] = {}
         for i, lab in enumerate(labels):
             comp_nodes.setdefault(lab, []).append(i)
-        too_big = max((len(v) for v in comp_nodes.values()), default=0)
-        if too_big > MAX_COMPONENT:
-            raise SizeError(
-                f"a component of {too_big} offline nodes exceeds the exact-CRS cap "
-                f"{MAX_COMPONENT}; downscale for the polytime pathway or use the warm-up ODRS")
         dps = {lab: BidLawDP(nodes) for lab, nodes in comp_nodes.items()}
         self.laws: list[crs_mod.SupportDistribution | None] = []
         self.selectors: list[crs_mod.SelectionRule | None] = []

@@ -13,12 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import bitmask
 from . import odrs as odrs_mod
 from .errors import DomainError, InvariantBreach, SizeError
 from .instances import MatchingInstance
 from .rng import ScalarRng, run_chunks
-
-MAX_EXACT_N = 20
 
 
 # ----------------------------------------------------------------------------
@@ -231,8 +230,7 @@ class StochasticExact:
     """Exact joint law of the matched set, evolved arrival by arrival."""
 
     def __init__(self, inst: MatchingInstance, xstar, params):
-        if inst.n_offline > MAX_EXACT_N:
-            raise SizeError(f"exact stochastic engine limited to n <= {MAX_EXACT_N}")
+        bitmask.check_width(inst.n_offline, "an exact matched-set law")
         self.inst = inst
         self.plans = build_stochastic_plans(inst, xstar, params)
         self.shat_before: list[dict[int, float]] = []

@@ -6,6 +6,8 @@ import pytest
 from conftest import digest
 from odrs_lab import apps, instances
 from odrs_lab.instances import CoverInstance, MultigraphInstance
+from odrs_lab.level_set import LevelSetState, _snap, online_step
+from odrs_lab.rng import ScalarRng
 
 
 def test_single_pair_full_multiplicity():
@@ -93,6 +95,37 @@ def test_cover_cost_ratio_near_alpha():
     rep = apps.cover_trials(cov, 30_000, seed=7)
     assert rep["violations"] == 0
     assert abs(rep["cost_ratio"] - rep["alpha"]) < 0.02 * rep["alpha"]
+
+
+def reference_multistage_cover(cov, seed):
+    """The per-stage loop `round_multistage_cover` replaced: one online step
+    per stage, then a dummy tail step whose outcome is dropped."""
+    alpha = apps.cover_alpha(cov)
+    rng = ScalarRng(seed)
+    y = np.zeros((cov.n_vars, cov.k), dtype=np.int64)
+    for v in range(cov.n_vars):
+        state = LevelSetState()
+        for stage in range(cov.k):
+            base, frac = apps._peel(alpha * cov.xstar[v][stage])
+            sel, state = online_step(state, frac, rng.uniform())
+            y[v, stage] = base + sel
+        total = _snap(state.s_prev)
+        pad = math.ceil(total) - total
+        if pad > 0:
+            online_step(state, pad, rng.uniform())
+    cost = float(sum(cov.costs[stage][v] * y[v, stage]
+                     for v in range(cov.n_vars) for stage in range(cov.k)))
+    return y, cost
+
+
+def test_multistage_cover_equals_the_stage_loop():
+    for case in range(40):
+        cov = instances.gen_random_cover(3 + case % 8, 6, d=3, t=1 + case % 3, k=1 + case % 4,
+                                         seed=case)
+        for seed in range(5):
+            sol = apps.round_multistage_cover(cov, seed=seed)
+            y, cost = reference_multistage_cover(cov, seed)
+            assert sol.y.tolist() == y.tolist() and sol.cost == cost
 
 
 def test_cover_trials_matches_single_runs():

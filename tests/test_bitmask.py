@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from odrs_lab import bitmask
+from odrs_lab.errors import DomainError, SizeError
 
 
 def test_bit_matrix_wide_masks():
@@ -26,3 +28,34 @@ def test_subset_and_superset_sums_brute_force():
         for m in range(1 << n):
             assert np.isclose(sub[m], sum(table[s] for s in range(1 << n) if s & m == s))
             assert np.isclose(sup[m], sum(table[s] for s in range(1 << n) if s & m == m))
+
+
+def reference_project(masks, positions):
+    return [sum(1 << j for j, p in enumerate(positions) if m >> p & 1) for m in masks]
+
+
+def test_project_equals_per_mask_loop():
+    rng = np.random.default_rng(7)
+    for n in (1, 5, 8, 9, 16, 40, 62, 63, 64, 100, 200):
+        masks = [int(rng.integers(0, 2)) << (n - 1) | int(rng.integers(0, 1 << min(n, 62)))
+                 for _ in range(50)] + [0, (1 << n) - 1]
+        for k in sorted({0, 1, n // 2, n}):
+            positions = [int(p) for p in rng.permutation(n)[:k]]
+            got = bitmask.project(masks, positions, n)
+            assert got.dtype == (object if k > 62 else np.int64)
+            assert got.tolist() == reference_project(masks, positions)
+    assert bitmask.project([], [0, 1], 2).tolist() == []
+
+
+def test_checked_rejects_masks_outside_the_width():
+    assert bitmask.checked([0, 7], 3).dtype == np.int64
+    assert bitmask.checked([1 << 70], 71).dtype == object
+    for bad, n in (([8], 3), ([-1], 3), ([1 << 71], 71)):
+        with pytest.raises(DomainError):
+            bitmask.checked(bad, n)
+
+
+def test_check_width_is_the_one_cap():
+    bitmask.check_width(bitmask.MAX_BITS, "a table")
+    with pytest.raises(SizeError, match=r"a table needs a 2\^21-entry .* cap 2\^20; try less"):
+        bitmask.check_width(bitmask.MAX_BITS + 1, "a table", "try less")

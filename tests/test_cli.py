@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 CLI = [sys.executable, "-m", "odrs_lab.cli"]
 
 
@@ -304,3 +306,31 @@ def test_bad_per_arrival_b_rejected(tmp_path):
                                 "arrivals": [{"b": 10 ** 6, "edges": [{"i": 0, "x": 0.5}]}]}))
     r = run("validate", str(path))
     assert r.returncode == 2 and "bad-b at arrival 0 (magnitude 1e+06)" in r.stderr
+
+
+BAD_GENERATOR_OPTIONS = {
+    "random-n0": ["--kind", "random", "--n", "0"],
+    "random-max-b0": ["--kind", "random", "--max-b", "0"],
+    "stochastic-n0": ["--kind", "stochastic", "--n", "0"],
+    "cover-n1": ["--kind", "cover", "--n", "1"],
+    "cover-n2": ["--kind", "cover", "--n", "2"],
+    "multigraph-delta0": ["--kind", "multigraph", "--delta", "0"],
+}
+
+
+@pytest.mark.parametrize("args", BAD_GENERATOR_OPTIONS.values(), ids=BAD_GENERATOR_OPTIONS)
+def test_bad_generator_options_exit_2(tmp_path, args):
+    out = tmp_path / "i.json"
+    r = run("gen", *args, "--out", str(out))
+    assert r.returncode == 2 and r.stdout == "" and not out.exists()
+    assert len(r.stderr.splitlines()) == 1 and r.stderr.startswith("error: "), r.stderr
+
+
+@pytest.mark.parametrize("c", ["0", "-3"])
+def test_bad_color_budget_exits_2(tmp_path, c):
+    mg = tmp_path / "mg.json"
+    assert run("gen", "--kind", "multigraph", "--n", "4", "--delta", "3",
+               "--out", str(mg)).returncode == 0
+    r = run("color", "--instance", str(mg), "--c", c)
+    assert r.returncode == 2 and r.stdout == ""
+    assert len(r.stderr.splitlines()) == 1 and "at least 1" in r.stderr, r.stderr

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import reference_exact_marginals, reference_win_probs
-from odrs_lab import crs
+from odrs_lab import bitmask, crs
 from odrs_lab.errors import DomainError, SizeError
 from odrs_lab.rng import ScalarRng
 
@@ -49,6 +49,20 @@ def test_balance_ratio_equals_subset_loop():
         if not v.any():
             v[int(rng.integers(k))] = 0.5
         assert crs.balance_ratio(d, v) == reference_balance_ratio(d, v), trial
+
+
+def test_nonempty_hit_probs_equals_the_atom_loop():
+    # the projection onto the active elements sums colliding atoms in atom order
+    rng = np.random.default_rng(8)
+    for trial in range(60):
+        k = int(rng.integers(1, 13))
+        d = _random_dist(rng, k, max_atoms=200)
+        active = [a for a in range(k) if rng.random() < 0.6] or [0]
+        proj = np.zeros(1 << len(active))
+        for mask, p in d.atoms:
+            proj[sum(1 << j for j, a in enumerate(active) if mask >> a & 1)] += p
+        got = crs._nonempty_hit_probs(d, active)
+        assert got.tolist() == bitmask.subset_sums(proj).tolist(), trial
 
 
 def test_balance_ratio_two_coin_example():

@@ -1,9 +1,11 @@
 """The package needs nothing at run time beyond numpy and click: every import
 in `src/odrs_lab` names the standard library, numpy, click or the package
-itself."""
+itself. And every name a module imports is used there, unless its line says
+`# noqa: F401`."""
 
 import ast
 import pathlib
+import re
 import sys
 
 import pytest
@@ -34,3 +36,71 @@ def test_checker_flags_a_foreign_import():
     tree = ast.parse("import os\nfrom . import crs\nimport scipy.sparse\nfrom hypothesis import given\n")
     assert [pkg for _, pkg in imported_packages(tree) if pkg not in ALLOWED] == \
         ["scipy", "hypothesis"]
+
+
+NOQA = re.compile(r"#\s*noqa(?P<codes>:[\s\w,]*)?", re.IGNORECASE)
+
+
+def _keeps_unused(line: str) -> bool:
+    """A bare `# noqa` or one that lists F401."""
+    m = NOQA.search(line)
+    return bool(m) and (m.group("codes") is None or "F401" in m.group("codes").upper())
+
+
+def _annotation_names(tree: ast.AST):
+    """Names inside quoted annotations, which the AST keeps as strings."""
+    notes = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            notes.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            notes.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            notes.append(node.annotation)
+    for note in filter(None, notes):
+        for const in ast.walk(note):
+            if isinstance(const, ast.Constant) and isinstance(const.value, str):
+                for name in ast.walk(ast.parse(const.value, mode="eval")):
+                    if isinstance(name, ast.Name):
+                        yield name.id
+
+
+def unused_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) of every imported name the module never reads."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            line = getattr(alias, "lineno", node.lineno)
+            if alias.name != "*" and not _keeps_unused(lines[line - 1]):
+                imported[alias.asname or alias.name.split(".")[0]] = line
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used.update(_annotation_names(tree))
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    unused = unused_imports(path.read_text())
+    assert not unused, [f"{path.name}:{line} imports {name} unused" for line, name in unused]
+
+
+def test_unused_import_checker_self_test():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import json  # noqa: E402\n"
+        "import math  # noqa: F401 -- looked up by name\n"
+        "import re  # noqa\n"
+        "from . import crs as crs_mod, odrs\n"
+        "from .errors import (DomainError,\n"
+        "                     SizeError)\n"
+        "def f(rule: \"crs_mod.Rule\") -> None:\n"
+        "    raise DomainError(os.path.sep)\n"
+    )
+    assert unused_imports(source) == [(3, "json"), (6, "odrs"), (8, "SizeError")]

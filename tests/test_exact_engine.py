@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import rotation_joint, sized_joint
+from odrs_lab import bitmask, crs, instances, level_set as ls, odrs, stochastic
 from odrs_lab import exact_engine as engine
-from odrs_lab import instances, level_set as ls, odrs
 from odrs_lab.errors import DomainError, InvariantBreach, SizeError
 from odrs_lab.instances import Arrival, MatchingInstance
 
@@ -62,10 +62,51 @@ def test_ratio_exceeds_bound_on_random_instances(matching_params):
         assert r >= bound - 1e-9
 
 
-def test_size_cap():
-    big = instances.gen_lb_prefix(11)  # 22 offline nodes
-    with pytest.raises(SizeError):
-        engine.edge_match_probs(big, None, "warmup")
+def test_size_cap(matching_params):
+    # the cap is per component and per arrival, not per instance
+    wide = MatchingInstance(21, (1,) * 21, (Arrival(tuple((i, 1 / 21) for i in range(21))),))
+    with pytest.raises(SizeError, match="component"):
+        engine.edge_match_probs(wide, matching_params, "odrs")
+    with pytest.raises(SizeError, match="product law"):
+        engine.edge_match_probs(wide, None, "warmup")
+    # 22 offline nodes in components of two: exact at any length
+    for alg, params in (("odrs", matching_params), ("warmup", None)):
+        small = engine.edge_match_probs(instances.gen_lb_prefix(2), params, alg)[(0, 0)]
+        big = instances.gen_lb_prefix(11)
+        probs = engine.edge_match_probs(big, params, alg)
+        assert len(probs) == 22 and all(p == small for p in probs.values())
+        assert engine.rounding_ratio_exact(big, params, alg) == small / 0.5
+
+
+def _stochastic_exact(n):
+    inst = instances.gen_random(n, 2, 0.5, seed=0, stochastic=True)
+    xstar = {(i, t): x for i, t, x in inst.edge_list()}
+    return stochastic.StochasticExact(inst, xstar, odrs.scheme_params("odrs"))
+
+
+WIDE = bitmask.MAX_BITS + 1
+TABLE_BUILDERS = {
+    "BidLawDP": lambda: odrs.BidLawDP(list(range(WIDE))),
+    "balance_ratio": lambda: crs.balance_ratio(
+        crs.SupportDistribution(tuple(range(WIDE)), ((0, 1.0),)), [1.0] * WIDE),
+    "SupportDistribution.product": lambda: crs.SupportDistribution.product(
+        range(WIDE), [0.5] * WIDE),
+    "exact_dist_online": lambda: ls.exact_dist_online([0.5] * WIDE),
+    "exact_dist_offline": lambda: ls.exact_dist_offline([0.5] * WIDE),
+    "StochasticExact": lambda: _stochastic_exact(WIDE),
+    "neg_cylinder_check": lambda: engine.neg_cylinder_check(ls.BitDistribution(WIDE, {0: 1.0})),
+}
+
+
+@pytest.mark.parametrize("build", TABLE_BUILDERS.values(), ids=TABLE_BUILDERS)
+def test_every_mask_table_checks_the_one_cap(build):
+    with pytest.raises(SizeError, match=rf"above the cap 2\^{bitmask.MAX_BITS}"):
+        build()
+
+
+def test_cap_leaves_narrow_tables_alone():
+    assert odrs.BidLawDP(list(range(bitmask.MAX_BITS))).nodes == list(range(bitmask.MAX_BITS))
+    assert _stochastic_exact(bitmask.MAX_BITS).inst.n_offline == bitmask.MAX_BITS
 
 
 def test_max_pairwise_cov_examples():
@@ -161,6 +202,59 @@ def test_neg_cylinder_on_odrs_bid_state_laws(matching_params):
         d = ls.BitDistribution(inst.n_offline, dict(dp.state))
         assert engine.neg_cylinder_check(d, "ones").worst_violation <= 1e-12
         assert engine.neg_cylinder_check(d, "zeros").worst_violation <= 1e-12
+
+
+def reference_neg_cylinder_check(dist, direction):
+    """The subset loop `neg_cylinder_check` replaced: products from the lowest
+    bit up, the first strictly largest gap."""
+    n, size = dist.n, 1 << dist.n
+    cyl = np.zeros(size)
+    for mask, p in dist.probs.items():
+        cyl[mask if direction == "ones" else (size - 1) ^ mask] += p
+    cyl = bitmask.superset_sums(cyl)
+    marg = dist.marginals()
+    single = marg if direction == "ones" else 1.0 - marg
+    worst = (-math.inf, ())
+    for s in range(1, size):
+        prod = 1.0
+        k = s
+        while k:
+            low = k & -k
+            prod *= single[low.bit_length() - 1]
+            k ^= low
+        gap = cyl[s] - prod
+        if gap > worst[0]:
+            worst = (gap, tuple(i for i in range(n) if s >> i & 1))
+    return worst[1], worst[0]
+
+
+def test_neg_cylinder_check_equals_the_subset_loop():
+    rng = np.random.default_rng(3)
+    dists = [ls.BitDistribution(0, {0: 1.0}), ls.threshold_exact_dist([0.5] * 4)]
+    for _ in range(40):
+        n = int(rng.integers(1, 11))
+        x = rng.random(n)
+        dists += [ls.exact_dist_online(x), ls.exact_dist_offline(x), ls.threshold_exact_dist(x)]
+        masks = rng.integers(0, 1 << n, size=int(rng.integers(1, 30)))
+        w = rng.random(len(masks))
+        dists.append(ls.BitDistribution(n, dict(zip(masks.tolist(), (w / w.sum()).tolist()))))
+    for d in dists:
+        for direction in ("ones", "zeros"):
+            rep = engine.neg_cylinder_check(d, direction)
+            assert (rep.worst_subset, rep.worst_violation) == \
+                reference_neg_cylinder_check(d, direction)
+
+
+def test_pair_product_joint_equals_the_bit_loop():
+    for trial, n in enumerate([4 + t % 9 for t in range(30)] + [70, 129]):  # past 62 bits too
+        j = rotation_joint(n, [1 + trial % (n - 1)], [1.0], seed=trial)
+        pairs = [(k, k + 1) for k in range(0, n - 1, 2)][::-1]
+        want: dict[int, float] = {}
+        for mask, p in j.probs.items():
+            z = sum(1 << s for s, (a, b) in enumerate(pairs) if mask >> a & 1 and mask >> b & 1)
+            want[z] = want.get(z, 0.0) + p
+        got = engine._pair_product_joint(j, pairs).probs
+        assert list(got.items()) == list(want.items())
 
 
 def test_free_mask_distribution(matching_params):

@@ -114,6 +114,15 @@ def test_exact_size_cap():
         ls.exact_dist_online([0.5] * 21)
 
 
+def test_threshold_law_has_no_width_cap():
+    # at most n + 1 atoms, so nothing grows as 2^n
+    x = np.random.default_rng(4).random(30)
+    d = ls.threshold_exact_dist(x)
+    assert d.n == 30 and len(d.probs) <= 31
+    d.check(1e-9)
+    assert np.max(np.abs(d.marginals() - x)) < 1e-9
+
+
 def test_marginals_exact_to_1e12():
     rng = np.random.default_rng(0)
     for _ in range(30):
