@@ -10,8 +10,6 @@ floating-point results are fixed.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .errors import DomainError, SizeError
@@ -44,43 +42,37 @@ def project(masks, positions, n: int) -> np.ndarray:
     """Bit j of out[a] is bit positions[j] of masks[a] (masks over n
     positions); int64 below 63 output bits, Python integers past that.
 
-    One 256-entry table per input byte maps the byte to its projected bits.
+    Row q of a (bytes, 256) table maps a value of input byte q to the
+    projected bits of the positions in that byte.
     """
     masks = checked(masks, n)
-    table = _byte_tables(tuple(positions), n)
+    weights = np.zeros(8 * max(1, (n + 7) // 8),
+                       dtype=np.int64 if len(positions) < _WIDE else object)
+    weights[list(positions)] = [1 << j for j in range(len(positions))]
+    table = weights.reshape(-1, 8) @ _BYTE_BITS
     out = np.zeros(len(masks), dtype=table.dtype)
     for q, row in enumerate(table):
         out |= row[np.asarray(masks >> 8 * q & 255, dtype=np.intp)]
     return out
 
 
-@lru_cache(maxsize=64)  # the same positions recur across laws (all of a small law's)
-def _byte_tables(positions: tuple[int, ...], n: int) -> np.ndarray:
-    """Row q maps a value of byte q of an n-bit mask to the bits `project`
-    sets for the positions in that byte (read-only, as it is shared)."""
-    weights = np.zeros(8 * max(1, (n + 7) // 8),
-                       dtype=np.int64 if len(positions) < _WIDE else object)
-    weights[list(positions)] = [1 << j for j in range(len(positions))]
-    table = weights.reshape(-1, 8) @ _BYTE_BITS
-    table.flags.writeable = False
-    return table
-
-
 def bit_matrix(masks, n: int) -> np.ndarray:
     """(len(masks), n) float matrix of 0/1 entries; row a holds bits 0..n-1
     of masks[a]."""
-    masks = list(masks)
-    width = (n + 7) // 8
-    raw = b"".join(int(m).to_bytes(width, "little") for m in masks)
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-    return bits.reshape(len(masks), 8 * width)[:, :n].astype(float)
+    masks = checked(list(masks), n)
+    bits = np.empty((len(masks), n))
+    for k in range(n):
+        bits[:, k] = masks >> k & 1
+    return bits
 
 
 def marginals(atoms, n: int) -> np.ndarray:
     """Pr[bit k set] for k < n, of a law given as (mask, probability) pairs."""
-    atoms = list(atoms)
-    weights = np.array([p for _, p in atoms], dtype=float)
-    return weights @ bit_matrix([m for m, _ in atoms], n)
+    masks, weights = [], []
+    for m, p in atoms:  # no list of pairs: a dense 20-bit law has 2^20
+        masks.append(m)
+        weights.append(p)
+    return np.array(weights, dtype=float) @ bit_matrix(masks, n)
 
 
 def subset_sums(table) -> np.ndarray:

@@ -13,6 +13,22 @@ def test_bit_matrix_wide_masks():
     assert bitmask.bit_matrix([], 3).shape == (0, 3)
 
 
+def test_bit_matrix_and_marginals_equal_per_mask_loop():
+    rng = np.random.default_rng(3)
+    for n in (0, 1, 7, 8, 9, 20, 62, 63, 64):
+        masks = [int(rng.integers(0, 2)) << (n - 1) | int(rng.integers(0, 1 << min(n, 62)))
+                 for _ in range(40)] if n else [0] * 3
+        rows = [[float(m >> k & 1) for k in range(n)] for m in masks]
+        assert bitmask.bit_matrix(masks, n).tolist() == rows
+        weights = rng.random(len(masks))
+        # the same matrix product, so the same float sums
+        expected = weights @ np.array(rows, dtype=float).reshape(len(masks), n)
+        got = bitmask.marginals(zip(masks, weights.tolist()), n)
+        assert got.tobytes() == expected.tobytes()
+    with pytest.raises(DomainError):
+        bitmask.bit_matrix([8], 3)
+
+
 def test_marginals_of_wide_law():
     atoms = [(1 << 80, 0.25), ((1 << 80) | 1, 0.5), (0, 0.25)]
     m = bitmask.marginals(atoms, 81)
