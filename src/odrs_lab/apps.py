@@ -50,13 +50,13 @@ def default_rounds_c(n_nodes: int) -> int:
     return max(8, math.ceil(math.log2(n_nodes) ** 2))
 
 
-def edge_color_online(mg: MultigraphInstance, C: int | None = None, seed: int = 0,
-                      slack: float = ROUND_SLACK) -> EdgeColoring:
+def edge_color_online(mg: MultigraphInstance, C: int | None = None,
+                      seed: int = 0) -> EdgeColoring:
     """Online edge coloring by rounds of fair matchings plus a greedy finish.
 
-    Round r uses the declared residual degree bound max(Delta - r*C*(1-slack),
-    C); matcher i within a round sees only edges left uncolored by matchers
-    before it. A matcher is the warm-up ODRS step fed fractions kappa/bound,
+    Round r uses the declared residual degree bound
+    max(Delta - r*C*(1-ROUND_SLACK), C); matcher i within a round sees only
+    edges left uncolored by matchers before it. A matcher is the warm-up ODRS step fed fractions kappa/bound,
     clipped to the per-vertex budgets so its stream stays a fractional
     matching no matter how the residual fluctuates. The greedy finish reuses
     the palette first.
@@ -73,7 +73,7 @@ def edge_color_online(mg: MultigraphInstance, C: int | None = None, seed: int = 
     # per matcher: (degree bound, fraction used per right node, warm-up step)
     matchers = []
     for r in range(n_rounds):
-        bound = max(delta - r * C * (1.0 - slack), float(C))
+        bound = max(delta - r * C * (1.0 - ROUND_SLACK), float(C))
         matchers.extend((bound, [0.0] * mg.n_right, OnlineWarmup(mg.n_right))
                         for _ in range(per_round))
     coloring = EdgeColoring()

@@ -66,15 +66,6 @@ def bit_matrix(masks, n: int) -> np.ndarray:
     return bits
 
 
-def marginals(atoms, n: int) -> np.ndarray:
-    """Pr[bit k set] for k < n, of a law given as (mask, probability) pairs."""
-    masks, weights = [], []
-    for m, p in atoms:  # no list of pairs: a dense 20-bit law has 2^20
-        masks.append(m)
-        weights.append(p)
-    return np.array(weights, dtype=float) @ bit_matrix(masks, n)
-
-
 def subset_sums(table) -> np.ndarray:
     """Zeta transform: out[M] = sum of table[S] over the submasks S of M."""
     out = np.array(table, dtype=float)

@@ -118,6 +118,9 @@ def gen_cmd(kind, n, arrivals, density, max_b, mg_delta, seed, out):
 @click.option("--csv", is_flag=True)
 def round_cmd(alg, path, eps, delta, seed, n_runs, exact, sample, csv):
     """Round an instance and report per-edge match probabilities."""
+    if exact and (sample or alg == "stochastic"):
+        raise click.UsageError("--exact applies to the probability reports of "
+                               "warmup, odrs and odrs-b, not to --sample or --alg stochastic")
     inst = instances.load_json(path)
     if not isinstance(inst, instances.MatchingInstance):
         raise ValidationFailure("round expects a matching instance")

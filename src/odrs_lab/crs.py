@@ -25,9 +25,11 @@ ATOM_CHUNK = 1024  # atoms per block of the exact sum in `exact_marginals`
 
 @dataclass(frozen=True)
 class SupportDistribution:
-    """Explicit distribution over subsets of the declared elements.
+    """Explicit distribution over subsets of the declared elements; every
+    exact law in the package is one.
 
-    Atom masks index positions in `elements` (bit k = elements[k]).
+    Atom masks index positions in `elements` (bit k = elements[k]); a law
+    over n bits has the elements 0..n-1.
     """
 
     elements: tuple[int, ...]
@@ -67,6 +69,34 @@ class SupportDistribution:
                     nxt.append((mask | (1 << k), q * p))
             atoms = nxt
         return SupportDistribution(elements, tuple(atoms))
+
+    def marginals(self) -> np.ndarray:
+        """Pr[element k in R] per position k, as the weights times the
+        atoms' 0/1 bit matrix (one matrix product, so the sums are fixed)."""
+        masks, weights = [], []
+        for m, p in self.atoms:  # no list of pairs: a dense 20-bit law has 2^20
+            masks.append(m)
+            weights.append(p)
+        return np.array(weights, dtype=float) @ bitmask.bit_matrix(masks, len(self.elements))
+
+    def expectation(self, fn) -> float:
+        """E[fn(mask)], summed in atom order."""
+        return sum(p * fn(mask) for mask, p in self.atoms)
+
+    def tv_distance(self, other: "SupportDistribution") -> float:
+        """Total variation distance to a law over the same elements."""
+        if other.elements != self.elements:
+            raise DomainError("laws over different elements")
+        a, b = _by_mask(self.atoms), _by_mask(other.atoms)
+        return 0.5 * sum(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in set(a) | set(b))
+
+
+def _by_mask(atoms) -> dict[int, float]:
+    """Probability per mask, summed in atom order."""
+    out: dict[int, float] = {}
+    for mask, p in atoms:
+        out[mask] = out.get(mask, 0.0) + p
+    return out
 
 
 def _nonempty_hit_probs(dist: SupportDistribution, active: list[int]) -> np.ndarray:
@@ -179,13 +209,30 @@ class SelectionRule:
     rows: dict  # atom mask -> tuple of (position, probability)
     alpha: float
 
-    def conditional(self, mask: int) -> tuple[tuple[int, float], ...]:
-        if mask == 0:
-            return ()
+    def select(self, mask: int, uniform) -> int:
+        """Winner position among the realized set `mask`, or -1 for none.
+
+        `uniform` is a niladic callable returning U[0,1) draws; it is called
+        once, and only when the mask is nonzero. A nonzero mask the rule
+        does not model raises DomainError.
+        """
+        if not mask:
+            return -1
         try:
-            return self.rows[mask]
+            row = self.rows[mask]
         except KeyError:
             raise DomainError(f"unmodeled realization {mask:b}") from None
+        u = uniform()
+        acc = 0.0
+        for k, q in row:
+            if not (mask >> k & 1):
+                raise InvariantBreach("selector row assigns mass outside realized set")
+            acc += q
+            if u < acc:
+                return k
+        if acc > 1.0 + 1e-9:
+            raise InvariantBreach("selector row mass exceeds one")
+        return -1
 
     def conditional_win_probs(self, masks) -> np.ndarray:
         """Pr[position wins | realized set] for each atom mask, as a
@@ -246,23 +293,6 @@ def build_selector(dist: SupportDistribution, v) -> SelectionRule:
     return SelectionRule(dist.elements, rows, alpha)
 
 
-def select(rule: SelectionRule, realized_mask: int, u: float) -> int:
-    """Pick at most one winner from the realized set; -1 means none.
-
-    Returns the element id (not the position).
-    """
-    acc = 0.0
-    for k, q in rule.conditional(realized_mask):
-        if not (realized_mask >> k & 1):
-            raise InvariantBreach("selector row assigns mass outside realized set")
-        acc += q
-        if u < acc:
-            return rule.elements[k]
-    if acc > 1.0 + 1e-9:
-        raise InvariantBreach("selector row mass exceeds one")
-    return -1
-
-
 def exact_marginals(dist: SupportDistribution, rule) -> np.ndarray:
     """Pr[i wins] = sum_S Pr[R = S] p_{i,S}, for a `SelectionRule` or a
     `ProductSelector` on the law's elements (the selectors' oracle).
@@ -275,7 +305,8 @@ def exact_marginals(dist: SupportDistribution, rule) -> np.ndarray:
     """
     if isinstance(rule, SelectionRule):
         for mask, _ in dist.atoms:
-            rule.conditional(mask)  # raises DomainError on an unmodeled atom
+            if mask and mask not in rule.rows:
+                raise DomainError(f"unmodeled realization {mask:b}")
     acc = np.zeros(len(dist.elements))
     atoms = dist.atoms
     for a0 in range(0, len(atoms), ATOM_CHUNK):
@@ -331,6 +362,9 @@ class ProductSelector:
                 nxt.append(layer[-1])
             layer = nxt
         self.root = layer[0]
+        self.sub = {~i: 1 << i for i in range(self.n)}  # node -> the bits of its leaves
+        for ref, (r1, r2) in enumerate(self.children):
+            self.sub[ref] = self.sub[r1] | self.sub[r2]
         # per-node pattern rows: pattern in {1: left only, 2: right only,
         # 3: both} -> (weight of descending left, weight of descending right)
         self.rows: list[dict] = []
@@ -354,21 +388,22 @@ class ProductSelector:
                     f2_11 / a11 if a11 > 0 else 0.0),
             })
 
-    def select(self, bids: set[int], uniform) -> int:
-        """Winner among the realized bidder positions, or -1 for none.
+    def select(self, mask: int, uniform) -> int:
+        """Winner position among the realized bid set `mask` (bit i set when
+        position i bids), or -1 for none.
 
-        `uniform` is a niladic callable returning fresh U[0,1) draws.
+        `uniform` is a niladic callable returning U[0,1) draws; it is called
+        once per internal node on the walk, so not at all for mask 0.
         """
-        if not bids:
+        if mask >> self.n:
+            raise DomainError(f"bid mask must lie in [0, 2^{self.n})")
+        if not mask:
             return -1
-        has_bid: dict[int, bool] = {~i: (i in bids) for i in range(self.n)}
-        for ref, (r1, r2) in enumerate(self.children):
-            has_bid[ref] = has_bid[r1] or has_bid[r2]
-
+        sub = self.sub
         ref = self.root
         while ref >= 0:
             r1, r2 = self.children[ref]
-            pattern = (1 if has_bid[r1] else 0) | (2 if has_bid[r2] else 0)
+            pattern = (1 if mask & sub[r1] else 0) | (2 if mask & sub[r2] else 0)
             w1, w2 = self.rows[ref][pattern]
             u = uniform()
             if u < w1:
@@ -390,9 +425,7 @@ class ProductSelector:
         products of a per-mask tree walk, bit for bit.
         """
         masks = bitmask.checked(masks, self.n)
-        sub = {~i: 1 << i for i in range(self.n)}  # node -> the bits of its leaves
-        for ref, (r1, r2) in enumerate(self.children):
-            sub[ref] = sub[r1] | sub[r2]
+        sub = self.sub
         weight = {self.root: (masks != 0).astype(float)}
         for ref in range(len(self.children) - 1, -1, -1):  # parents before children
             w = weight.pop(ref)

@@ -14,58 +14,29 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bitmask
-from . import crs as crs_mod
 from . import odrs as odrs_mod
+from .crs import SupportDistribution
 from .errors import DomainError, InvariantBreach
 from .instances import MatchingInstance
-from .level_set import BitDistribution
-
-
-@dataclass
-class JointBernoulli:
-    """Sparse explicit joint of n binary variables; optionally a declared
-    common marginal."""
-
-    n: int
-    probs: dict[int, float]
-    common_p: float | None = None
-
-    def check(self, tol=1e-9):
-        total = sum(self.probs.values())
-        if abs(total - 1.0) > tol:
-            raise InvariantBreach(f"probabilities sum to {total}")
-        if self.common_p is not None:
-            m = self.marginals()
-            if np.max(np.abs(m - self.common_p)) > 1e-9:
-                raise InvariantBreach("declared common marginal does not match")
-
-    def marginals(self) -> np.ndarray:
-        return bitmask.marginals(self.probs.items(), self.n)
-
-    def product_expectation(self, idx) -> float:
-        sel = 0
-        for i in idx:
-            sel |= 1 << i
-        return sum(p for mask, p in self.probs.items() if mask & sel == sel)
 
 
 def bid_set_law(inst: MatchingInstance, params, t: int, algorithm: str = "odrs"
-                ) -> crs_mod.SupportDistribution:
+                ) -> SupportDistribution:
     """Exact law of the bidder set at arrival t."""
     return odrs_mod.compile_scheme(algorithm, inst, params).bid_law(t)
 
 
 def free_mask_distribution(inst: MatchingInstance, params, t: int,
-                           algorithm: str = "odrs") -> BitDistribution:
+                           algorithm: str = "odrs") -> SupportDistribution:
     """Joint law of the per-node bid states (bit = 1 at the ceiling) just
-    before arrival t (bucketed ODRS schemes only)."""
-    comp = odrs_mod.compile_scheme(algorithm, inst, params)
-    if not isinstance(comp, odrs_mod.CompiledOdrs):
+    before arrival t (bucketed ODRS schemes only), over positions
+    0..n_offline-1."""
+    if odrs_mod.checked_variant(algorithm, params) is None:
         raise DomainError(f"{algorithm} keeps no bid-state masks")
     dp = odrs_mod.BidLawDP(list(range(inst.n_offline)))
-    for plan in comp.plans[:t]:
+    for plan in odrs_mod.build_plans(inst, params)[:t]:
         dp.step(plan)
-    dist = BitDistribution(inst.n_offline, dp.state)
+    dist = SupportDistribution(tuple(range(inst.n_offline)), tuple(dp.state.items()))
     dist.check(1e-9)
     return dist
 
@@ -90,14 +61,15 @@ def rounding_ratio_exact(inst: MatchingInstance, params, algorithm: str) -> floa
 # correlation facts
 # ----------------------------------------------------------------------------
 
-def max_pairwise_cov(joint: JointBernoulli) -> tuple[int, int, float]:
-    """Maximizing pair of Cov(Y_i, Y_j); with a declared common marginal p the
-    maximum is asserted to be at least -2p/(n-1)."""
-    n = joint.n
+def max_pairwise_cov(law: SupportDistribution, common_p: float | None = None
+                     ) -> tuple[int, int, float]:
+    """Maximizing pair of Cov(Y_i, Y_j) over the law's positions; with a
+    common marginal p the maximum is asserted to be at least -2p/(n-1)."""
+    n = len(law.elements)
     if n < 2:
         raise DomainError("need at least two variables")
-    weights = np.array(list(joint.probs.values()))
-    bits = bitmask.bit_matrix(joint.probs, n)
+    weights = np.array([p for _, p in law.atoms])
+    bits = bitmask.bit_matrix([mask for mask, _ in law.atoms], n)
     m = bits.T @ weights
     joint2 = bits.T @ (bits * weights[:, None])
     cov_mat = joint2 - np.outer(m, m)
@@ -105,8 +77,8 @@ def max_pairwise_cov(joint: JointBernoulli) -> tuple[int, int, float]:
     flat = int(np.argmax(cov_mat))
     i, j = sorted(divmod(flat, n))
     cov = float(cov_mat[i, j])
-    if joint.common_p is not None:
-        floor_bound = -2.0 * joint.common_p / (n - 1)
+    if common_p is not None:
+        floor_bound = -2.0 * common_p / (n - 1)
         if cov < floor_bound - 1e-12:
             raise InvariantBreach(
                 f"max pairwise covariance {cov} below the floor {floor_bound}")
@@ -125,32 +97,35 @@ def n_r_bound(r: int, p: float, eps: float) -> int:
     return n_r_bound(1, p, e2) + 2 * n_r_bound(r - 1, p * p - e2, eps / 2.0)
 
 
-def _sum_by(keys, probs) -> dict[int, float]:
-    """Probabilities summed per key, in the given order."""
+def _sum_by(keys, law: SupportDistribution, n: int) -> SupportDistribution:
+    """The law over positions 0..n-1 of the n-bit `keys`, one per atom of
+    `law`: each key's probabilities summed in atom order."""
     out: dict[int, float] = {}
-    for key, p in zip(keys.tolist(), probs):
+    for key, (_, p) in zip(keys.tolist(), law.atoms):
         out[key] = out.get(key, 0.0) + p
-    return out
+    return SupportDistribution(tuple(range(n)), tuple(out.items()))
 
 
-def _pair_product_joint(joint: JointBernoulli, pairs: list[tuple[int, int]]) -> JointBernoulli:
+def _pair_product_joint(law: SupportDistribution, pairs: list[tuple[int, int]]
+                        ) -> SupportDistribution:
     """Joint of Z_s = Y_i * Y_j over the given disjoint pairs."""
-    masks = list(joint.probs)
-    z = (bitmask.project(masks, [i for i, _ in pairs], joint.n)
-         & bitmask.project(masks, [j for _, j in pairs], joint.n))
-    return JointBernoulli(len(pairs), _sum_by(z, joint.probs.values()))
+    masks = [mask for mask, _ in law.atoms]
+    n = len(law.elements)
+    z = (bitmask.project(masks, [i for i, _ in pairs], n)
+         & bitmask.project(masks, [j for _, j in pairs], n))
+    return _sum_by(z, law, len(pairs))
 
 
-def _thin_to(joint: JointBernoulli, target: float) -> JointBernoulli:
+def _thin_to(law: SupportDistribution, target: float) -> SupportDistribution:
     """Couple each variable with an independent Ber(target/mean) downgrade so
     all marginals become exactly `target` while A_s <= Z_s pointwise."""
-    means = joint.marginals()
-    keep = [target / mu if mu > 0 else 0.0 for mu in means]
+    n = len(law.elements)
+    keep = [target / mu if mu > 0 else 0.0 for mu in law.marginals()]
     if any(k > 1.0 + 1e-12 for k in keep):
         raise InvariantBreach("thinning target above a variable's mean")
     probs: dict[int, float] = {}
-    for mask, p in joint.probs.items():
-        ones = [s for s in range(joint.n) if mask >> s & 1]
+    for mask, p in law.atoms:
+        ones = [s for s in range(n) if mask >> s & 1]
         combos = [(0, 1.0)]
         for s in ones:
             nxt = []
@@ -162,61 +137,64 @@ def _thin_to(joint: JointBernoulli, target: float) -> JointBernoulli:
         for sub, q in combos:
             if q > 0:
                 probs[sub] = probs.get(sub, 0.0) + p * q
-    return JointBernoulli(joint.n, probs, common_p=target)
+    return SupportDistribution(tuple(range(n)), tuple(probs.items()))
 
 
-def find_positive_cylinder(joint: JointBernoulli, r: int, eps: float) -> tuple[int, ...]:
-    """A subset I, |I| = 2^r, with E[prod_{i in I} Y_i] >= p^(2^r) - eps.
+def find_positive_cylinder(law: SupportDistribution, p: float, r: int, eps: float
+                           ) -> tuple[int, ...]:
+    """A subset I of the law's positions, |I| = 2^r, with
+    E[prod_{i in I} Y_i] >= p^(2^r) - eps, where every marginal is p.
 
     Implements the recursive pairing: extract disjoint near-uncorrelated pairs
     via the covariance floor, multiply them into new variables, thin to a
     common marginal, and recurse.
     """
-    p = joint.common_p
-    if p is None:
-        raise DomainError("find_positive_cylinder needs a declared common marginal")
+    n = len(law.elements)
+    if np.any(np.abs(law.marginals() - p) > 1e-9):
+        raise DomainError(f"every marginal must lie within 1e-9 of p = {p}")
     target = p ** (2 ** r) - eps
     if target <= 0:
-        result = tuple(range(2 ** r))
-        if joint.n < 2 ** r:
+        if n < 2 ** r:
             raise DomainError(f"need at least {2 ** r} variables")
-        return result
+        return tuple(range(2 ** r))
     need = n_r_bound(r, p, eps)
-    if joint.n < need:
+    if n < need:
         raise DomainError(f"need n >= {need} variables for r={r}, p={p}, eps={eps}")
 
-    def rec(jnt: JointBernoulli, rr: int, ee: float) -> list[int]:
+    def rec(jnt: SupportDistribution, q: float, rr: int, ee: float) -> list[int]:
+        """Positions of jnt, whose marginals are all q."""
         if rr == 1:
-            i, j, _ = max_pairwise_cov(jnt)
+            i, j, _ = max_pairwise_cov(jnt, q)
             return [i, j]
         e2 = ee / (2.0 ** (2 ** rr))
-        m = n_r_bound(rr - 1, jnt.common_p ** 2 - e2, ee / 2.0)
+        q2 = q ** 2 - e2
+        m = n_r_bound(rr - 1, q2, ee / 2.0)
+        nj = len(jnt.elements)
         pairs: list[tuple[int, int]] = []
         used: set[int] = set()
         sub = jnt
-        remap = list(range(jnt.n))
+        remap = list(range(nj))
         for _ in range(m):
-            i, j, cov = max_pairwise_cov(sub)
+            i, j, cov = max_pairwise_cov(sub, q)
             gi, gj = remap[i], remap[j]
             if cov < -e2 - 1e-12:
                 raise InvariantBreach("pair extraction fell below the covariance floor")
             pairs.append((gi, gj))
             used.update((gi, gj))
-            keep = [k for k in range(jnt.n) if k not in used]
+            keep = [k for k in range(nj) if k not in used]
             remap = keep
-            sm = bitmask.project(list(jnt.probs), keep, jnt.n)
-            sub = JointBernoulli(len(keep), _sum_by(sm, jnt.probs.values()),
-                                 common_p=jnt.common_p)
-        zj = _pair_product_joint(jnt, pairs)
-        aj = _thin_to(zj, jnt.common_p ** 2 - e2)
-        chosen = rec(aj, rr - 1, ee / 2.0)
+            sm = bitmask.project([mask for mask, _ in jnt.atoms], keep, nj)
+            sub = _sum_by(sm, jnt, len(keep))
+        aj = _thin_to(_pair_product_joint(jnt, pairs), q2)
+        chosen = rec(aj, q2, rr - 1, ee / 2.0)
         out: list[int] = []
         for s in chosen:
             out.extend(pairs[s])
         return out
 
-    idx = tuple(sorted(rec(joint, r, eps)))
-    got = joint.product_expectation(idx)
+    idx = tuple(sorted(rec(law, p, r, eps)))
+    sel = sum(1 << i for i in idx)
+    got = law.expectation(lambda mask: mask & sel == sel)
     if got < target - 1e-12:
         raise InvariantBreach(
             f"extracted cylinder E[prod] = {got} below target {target}")
@@ -234,16 +212,16 @@ class CylinderReport:
     worst_violation: float  # Pr[cylinder] - prod of marginals; negative is good
 
 
-def neg_cylinder_check(dist: BitDistribution, direction: str = "ones") -> CylinderReport:
-    """Scan all subsets for Pr[all bits equal 1 (or 0)] vs product of
-    marginals; the worst (largest) gap is reported."""
-    n = dist.n
+def neg_cylinder_check(dist: SupportDistribution, direction: str = "ones") -> CylinderReport:
+    """Scan all subsets of the law's positions for Pr[all bits equal 1 (or
+    0)] vs product of marginals; the worst (largest) gap is reported."""
+    n = len(dist.elements)
     bitmask.check_width(n, "a cylinder scan")
     if direction not in ("ones", "zeros"):
         raise DomainError("direction must be 'ones' or 'zeros'")
     size = 1 << n
     cyl = np.zeros(size)
-    for mask, p in dist.probs.items():
+    for mask, p in dist.atoms:
         key = mask if direction == "ones" else (size - 1) ^ mask
         cyl[key] += p
     cyl = bitmask.superset_sums(cyl)  # cyl[S] = Pr[bits of S all match]

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bitmask
+from .crs import SupportDistribution
 from .errors import DomainError, InvariantBreach
 from .rng import ScalarRng, run_chunks
 
@@ -242,35 +243,15 @@ def threshold_round(x, tau: float) -> np.ndarray:
 # exact output laws
 # ----------------------------------------------------------------------------
 
-@dataclass
-class BitDistribution:
-    """Explicit law over n-bit selection masks."""
-
-    n: int
-    probs: dict[int, float]
-
-    def check(self, tol: float = 1e-12):
-        total = sum(self.probs.values())
-        if abs(total - 1.0) > max(tol, 1e-12):
-            raise InvariantBreach(f"mask probabilities sum to {total}")
-        if any(p < -tol for p in self.probs.values()):
-            raise InvariantBreach("negative mask probability")
-
-    def marginals(self) -> np.ndarray:
-        return bitmask.marginals(self.probs.items(), self.n)
-
-    def expectation(self, fn) -> float:
-        return sum(p * fn(mask) for mask, p in self.probs.items())
-
-    def tv_distance(self, other: "BitDistribution") -> float:
-        keys = set(self.probs) | set(other.probs)
-        return 0.5 * sum(abs(self.probs.get(k, 0.0) - other.probs.get(k, 0.0)) for k in keys)
-
-    def to_json_dict(self) -> dict[str, float]:
-        return {format(mask, f"0{self.n}b"): p for mask, p in sorted(self.probs.items())}
+def _bit_law(n: int, probs: dict[int, float], tol: float) -> SupportDistribution:
+    """The law over positions 0..n-1 with the given mask probabilities,
+    checked to sum to one within tol."""
+    dist = SupportDistribution(tuple(range(n)), tuple(probs.items()))
+    dist.check(tol)
+    return dist
 
 
-def exact_dist_online(x) -> BitDistribution:
+def exact_dist_online(x) -> SupportDistribution:
     """Exact output law of the online algorithm (path recursion over counts)."""
     xs, n = _pad_to_integer(x)
     bitmask.check_width(n, "an exact online law")
@@ -289,12 +270,10 @@ def exact_dist_online(x) -> BitDistribution:
             rec(t + 1, st, mask | (sel << t) if t < n else mask, pr * branch_p)
 
     rec(0, LevelSetState(), 0, 1.0)
-    dist = BitDistribution(n, probs)
-    dist.check()
-    return dist
+    return _bit_law(n, probs, 1e-12)
 
 
-def exact_dist_offline(x) -> BitDistribution:
+def exact_dist_offline(x) -> SupportDistribution:
     """Exact output law of the offline merge (branch enumeration)."""
     xs, n = _pad_to_integer(x)
     bitmask.check_width(n, "an exact offline law")
@@ -318,12 +297,10 @@ def exact_dist_offline(x) -> BitDistribution:
             rec(y2, pr * p)
 
     rec(xs.copy(), 1.0)
-    dist = BitDistribution(n, probs)
-    dist.check(1e-9)
-    return dist
+    return _bit_law(n, probs, 1e-9)
 
 
-def threshold_exact_dist(x) -> BitDistribution:
+def threshold_exact_dist(x) -> SupportDistribution:
     """Exact law of threshold_round over a uniform threshold.
 
     The selection pattern is piecewise constant in tau with breakpoints at the
@@ -343,6 +320,4 @@ def threshold_exact_dist(x) -> BitDistribution:
         bits = threshold_round(xs, tau)
         mask = int(sum(int(bit) << i for i, bit in enumerate(bits)))
         probs[mask] = probs.get(mask, 0.0) + (b - a)
-    dist = BitDistribution(n, probs)
-    dist.check(1e-9)
-    return dist
+    return _bit_law(n, probs, 1e-9)

@@ -600,9 +600,8 @@ def odrs_core_step(ahead: np.ndarray, plan: StepPlan,
             bid_mask |= 1 << apos[cn.node]
         else:
             ahead[cn.node] = False
-    if not bid_mask:
-        return -1
-    return crs_mod.select(selector, bid_mask, rng.uniform())
+    k = selector.select(bid_mask, rng.uniform)
+    return selector.elements[k] if k >= 0 else -1
 
 
 @dataclass
@@ -666,7 +665,7 @@ class _CompiledScheme:
     def bid_marginals(self, t: int) -> dict[int, float]:
         """Exact Pr[i in P_t]; equals the scaled fraction."""
         law = self.bid_law(t)
-        return dict(zip(law.elements, bitmask.marginals(law.atoms, len(law.elements)).tolist()))
+        return dict(zip(law.elements, law.marginals().tolist()))
 
     def edge_match_probs(self) -> dict[tuple[int, int], float]:
         """Exact Pr[(i,t) matched] = sum_S Pr[P_t=S] p_{i,S}, summing the bid
@@ -754,16 +753,15 @@ class OnlineWarmup:
         matched offline id or -1. One uniform per edge, then one selector
         walk if anyone bid; `selector` is the product selector on the
         fractions, built here when not given."""
-        bidders = set()
+        bid_mask = 0
         for k, (i, x) in enumerate(edges):
             sel, self.state[i] = online_step(self.state[i], x, rng.uniform())
-            if sel:
-                bidders.add(k)
-        if not bidders:
+            bid_mask |= sel << k
+        if not bid_mask:
             return -1
         if selector is None:
             selector = crs_mod.ProductSelector([x for _, x in edges])
-        win = selector.select(bidders, rng.uniform)
+        win = selector.select(bid_mask, rng.uniform)
         return edges[win][0] if win >= 0 else -1
 
 
@@ -830,10 +828,13 @@ def _variant(name: str) -> str | None:
 
 def scheme_params(name: str, eps: float | None = None,
                   delta: float | None = None) -> ScalingParams | None:
-    """Parameters of scheme `name` (None for the warm-up); an omitted eps or
-    delta takes the optimum of the scheme's variant."""
+    """Parameters of scheme `name` (None for the warm-up, which takes no eps
+    or delta); an omitted eps or delta takes the optimum of the scheme's
+    variant."""
     variant = _variant(name)
     if variant is None:
+        if eps is not None or delta is not None:
+            raise DomainError(f"{name} takes no eps or delta")
         return None
     if eps is None or delta is None:
         e, d, _ = optimize_params(variant)
@@ -842,12 +843,18 @@ def scheme_params(name: str, eps: float | None = None,
     return ScalingParams(eps, delta, variant)
 
 
+def checked_variant(name: str, params: ScalingParams | None) -> str | None:
+    """The variant of scheme `name` (None for the warm-up, which ignores
+    `params`); DomainError when `params` is not of it."""
+    variant = _variant(name)
+    if variant is not None and (params is None or params.variant != variant):
+        raise DomainError(f"{name} needs {variant}-variant parameters")
+    return variant
+
+
 def compile_scheme(name: str, inst: MatchingInstance, params: ScalingParams | None):
     """Compiled sampler of scheme `name` on `inst`: CompiledWarmup or
     CompiledOdrs; `params` must be of the scheme's variant."""
-    variant = _variant(name)
-    if variant is None:
+    if checked_variant(name, params) is None:
         return CompiledWarmup(inst)
-    if params is None or params.variant != variant:
-        raise DomainError(f"{name} needs {variant}-variant parameters")
     return CompiledOdrs(inst, params)

@@ -6,6 +6,7 @@ import pytest
 from odrs_lab import crs
 from odrs_lab import exact_engine as engine
 from odrs_lab import odrs
+from odrs_lab.errors import DomainError, InvariantBreach
 
 
 @pytest.fixture(scope="session")
@@ -62,13 +63,69 @@ def reference_exact_marginals(dist, rule):
         if isinstance(rule, crs.ProductSelector):
             out += p * reference_win_probs(rule, {k for k in range(rule.n) if mask >> k & 1})
             continue
-        for k, q in rule.conditional(mask):
+        for k, q in rule.rows[mask]:
             out[k] += p * q
     return out
 
 
+def reference_select(rule, realized_mask, u):
+    """The free function `SelectionRule.select` replaced: the winner's
+    element id (not its position) for one uniform u, or -1."""
+    if realized_mask == 0:
+        row = ()
+    elif realized_mask in rule.rows:
+        row = rule.rows[realized_mask]
+    else:
+        raise DomainError(f"unmodeled realization {realized_mask:b}")
+    acc = 0.0
+    for k, q in row:
+        if not (realized_mask >> k & 1):
+            raise InvariantBreach("selector row assigns mass outside realized set")
+        acc += q
+        if u < acc:
+            return rule.elements[k]
+    if acc > 1.0 + 1e-9:
+        raise InvariantBreach("selector row mass exceeds one")
+    return -1
+
+
+def reference_product_select(sel, bids, uniform):
+    """The set-based walk `ProductSelector.select` replaced: the winner
+    among the bidder positions `bids`, or -1."""
+    if not bids:
+        return -1
+    has_bid = {~i: (i in bids) for i in range(sel.n)}
+    for ref, (r1, r2) in enumerate(sel.children):
+        has_bid[ref] = has_bid[r1] or has_bid[r2]
+    ref = sel.root
+    while ref >= 0:
+        r1, r2 = sel.children[ref]
+        pattern = (1 if has_bid[r1] else 0) | (2 if has_bid[r2] else 0)
+        w1, w2 = sel.rows[ref][pattern]
+        u = uniform()
+        if u < w1:
+            ref = r1
+        elif u < w1 + w2:
+            ref = r2
+        else:
+            return -1
+    return ~ref
+
+
+def bit_law(n, probs):
+    """The law over positions 0..n-1 with the given mask probabilities."""
+    return crs.SupportDistribution(tuple(range(n)), tuple(probs.items()))
+
+
+def cylinder_mass(law, idx):
+    """E[prod of Y_i over i in idx]: Pr[every bit of idx is set]."""
+    sel = sum(1 << i for i in idx)
+    return law.expectation(lambda mask: mask & sel == sel)
+
+
 def rotation_joint(n, popcounts, weights, seed):
-    """Mixture of cyclic-rotation orbits: every bit has the same marginal."""
+    """Mixture of cyclic-rotation orbits, as (law, p): every bit has the same
+    marginal p."""
     rng = np.random.default_rng(seed)
     probs = {}
     ps = 0.0
@@ -80,11 +137,12 @@ def rotation_joint(n, popcounts, weights, seed):
             mask = ((base << r) | (base >> (n - r))) & ((1 << n) - 1)
             probs[mask] = probs.get(mask, 0.0) + wgt / n
         ps += wgt * k / n
-    return engine.JointBernoulli(n, probs, common_p=ps)
+    return bit_law(n, probs), ps
 
 
 def sized_joint(p0, eps, r, seed):
-    """Rotation joint large enough for the cylinder recursion at (p, eps)."""
+    """Rotation joint, as (law, p), large enough for the cylinder recursion
+    at (p, eps)."""
     n = 2 ** r
     while True:
         k = max(1, round(n * p0))

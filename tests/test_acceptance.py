@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from conftest import digest, rotation_joint, sized_joint
+from conftest import bit_law, cylinder_mass, digest, rotation_joint, sized_joint
 from odrs_lab import apps, bench, exact_engine as engine
 from odrs_lab import instances, level_set as ls, odrs, stochastic as st
 
@@ -93,8 +93,8 @@ def test_criterion_05_na_consequences(matching_params, b_matching_params):
     def scan(dist):
         nonlocal worst
         m = dist.marginals()
-        for i in range(dist.n):
-            for j in range(i + 1, dist.n):
+        for i in range(len(dist.elements)):
+            for j in range(i + 1, len(dist.elements)):
                 pij = dist.expectation(lambda mk, i=i, j=j: (mk >> i & 1) * (mk >> j & 1))
                 worst = max(worst, pij - m[i] * m[j])
         worst = max(worst, engine.neg_cylinder_check(dist, "ones").worst_violation)
@@ -108,7 +108,7 @@ def test_criterion_05_na_consequences(matching_params, b_matching_params):
         dp = odrs.BidLawDP(list(range(inst.n_offline)))
         for plan in odrs.build_plans(inst, params):
             dp.step(plan)
-            scan(ls.BitDistribution(inst.n_offline, dict(dp.state)))
+            scan(bit_law(inst.n_offline, dp.state))
     power = engine.neg_cylinder_check(ls.threshold_exact_dist([0.5] * 4), "ones")
     ok = worst <= 1e-12 and power.worst_violation > 0.2
     _report(5, f"NA worst violation={worst:.2e}; threshold power test "
@@ -195,15 +195,15 @@ def test_criterion_10_correlation_facts():
         pops = [int(rng.integers(1, n)) for _ in range(classes)]
         w = rng.random(classes)
         w /= w.sum()
-        engine.max_pairwise_cov(rotation_joint(n, pops, w, seed=trial))
+        engine.max_pairwise_cov(*rotation_joint(n, pops, w, seed=trial))
     for s in range(50):
-        j = sized_joint(0.5, 0.2, 1, 2000 + s)
-        idx = engine.find_positive_cylinder(j, 1, 0.2)
-        assert j.product_expectation(idx) >= j.common_p ** 2 - 0.2 - 1e-12
+        law, p = sized_joint(0.5, 0.2, 1, 2000 + s)
+        idx = engine.find_positive_cylinder(law, p, 1, 0.2)
+        assert cylinder_mass(law, idx) >= p ** 2 - 0.2 - 1e-12
     for s in range(50):
-        j = sized_joint(0.9, 0.55, 2, 3000 + s)
-        idx = engine.find_positive_cylinder(j, 2, 0.55)
-        assert j.product_expectation(idx) >= j.common_p ** 4 - 0.55 - 1e-12
+        law, p = sized_joint(0.9, 0.55, 2, 3000 + s)
+        idx = engine.find_positive_cylinder(law, p, 2, 0.55)
+        assert cylinder_mass(law, idx) >= p ** 4 - 0.55 - 1e-12
     _report(10, f"1000 covariance floors + 100 cylinder extractions (r=1,2) "
                 f"in {time.time()-t0:.1f}s", True)
 

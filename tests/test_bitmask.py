@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from odrs_lab import bitmask
+from odrs_lab.crs import SupportDistribution
 from odrs_lab.errors import DomainError, SizeError
+
+
+def _law(n, atoms):
+    return SupportDistribution(tuple(range(n)), tuple(atoms))
 
 
 def test_bit_matrix_wide_masks():
@@ -23,7 +28,7 @@ def test_bit_matrix_and_marginals_equal_per_mask_loop():
         weights = rng.random(len(masks))
         # the same matrix product, so the same float sums
         expected = weights @ np.array(rows, dtype=float).reshape(len(masks), n)
-        got = bitmask.marginals(zip(masks, weights.tolist()), n)
+        got = _law(n, zip(masks, weights.tolist())).marginals()
         assert got.tobytes() == expected.tobytes()
     with pytest.raises(DomainError):
         bitmask.bit_matrix([8], 3)
@@ -31,7 +36,7 @@ def test_bit_matrix_and_marginals_equal_per_mask_loop():
 
 def test_marginals_of_wide_law():
     atoms = [(1 << 80, 0.25), ((1 << 80) | 1, 0.5), (0, 0.25)]
-    m = bitmask.marginals(atoms, 81)
+    m = _law(81, atoms).marginals()
     assert m[80] == 0.75 and m[0] == 0.5 and not m[1:80].any()
 
 

@@ -334,3 +334,27 @@ def test_bad_color_budget_exits_2(tmp_path, c):
     r = run("color", "--instance", str(mg), "--c", c)
     assert r.returncode == 2 and r.stdout == ""
     assert len(r.stderr.splitlines()) == 1 and "at least 1" in r.stderr, r.stderr
+
+
+IGNORED_OPTIONS = {
+    "round-warmup-eps": (["round", "--alg", "warmup", "--eps", "0.3"], 2, "error: "),
+    "round-warmup-delta": (["round", "--alg", "warmup", "--delta", "0.9"], 2, "error: "),
+    "round-warmup-eps-delta": (["round", "--alg", "warmup", "--eps", "0.3", "--delta", "0.9"],
+                               2, "error: "),
+    "lowerbound-warmup-eps": (["lowerbound", "--alg", "warmup", "--eps", "0.3"], 2, "error: "),
+    "lowerbound-warmup-delta": (["lowerbound", "--alg", "warmup", "--delta", "0.1"], 2,
+                                "error: "),
+    "round-exact-sample": (["round", "--exact", "--sample"], 1, "usage error: "),
+    "round-stochastic-exact": (["round", "--alg", "stochastic", "--exact"], 1, "usage error: "),
+}
+
+
+@pytest.mark.parametrize("args, code, prefix", IGNORED_OPTIONS.values(), ids=IGNORED_OPTIONS)
+def test_options_the_chosen_path_ignores_are_rejected(tmp_path, args, code, prefix):
+    star = tmp_path / "star.json"
+    assert run("gen", "--kind", "star", "--n", "4", "--out", str(star)).returncode == 0
+    if args[0] == "round":
+        args = args + ["--instance", str(star)]
+    r = run(*args)
+    assert r.returncode == code and r.stdout == ""
+    assert len(r.stderr.splitlines()) == 1 and r.stderr.startswith(prefix), r.stderr

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import reference_exact_marginals, reference_win_probs
+from conftest import (reference_exact_marginals, reference_product_select, reference_select,
+                      reference_win_probs)
 from odrs_lab import bitmask, crs
 from odrs_lab.errors import DomainError, SizeError
 from odrs_lab.rng import ScalarRng
@@ -104,11 +105,27 @@ def test_selector_marginals_two_coins():
     assert np.allclose(marg, 0.375, atol=1e-9)
 
 
+def _no_draw():
+    raise AssertionError("a uniform was drawn")
+
+
+class _CountingUniform:
+    """A ScalarRng's uniform draws, counted."""
+
+    def __init__(self, seed):
+        self.rng = ScalarRng(seed)
+        self.draws = 0
+
+    def __call__(self):
+        self.draws += 1
+        return self.rng.uniform()
+
+
 def test_selector_point_mass_and_empty():
     d = crs.SupportDistribution((1,), ((1, 1.0),))
     rule = crs.build_selector(d, [0.7])
-    assert crs.select(rule, 1, 0.3) == 1
-    assert crs.select(rule, 0, 0.9) == -1
+    assert rule.select(1, lambda: 0.3) == 0 and rule.elements[0] == 1
+    assert rule.select(0, _no_draw) == -1
 
 
 def test_select_unmodeled_realization():
@@ -116,7 +133,7 @@ def test_select_unmodeled_realization():
     rule = crs.build_selector(d, [0.5, 0.5])
     partial = crs.SelectionRule(rule.elements, {1: rule.rows[1]}, rule.alpha)
     with pytest.raises(DomainError, match="unmodeled"):
-        crs.select(partial, 2, 0.1)
+        partial.select(2, lambda: 0.1)
     with pytest.raises(DomainError, match="unmodeled"):
         crs.exact_marginals(d, partial)
 
@@ -128,10 +145,10 @@ def test_selection_law_matches_rows():
     counts = {0: 0, 1: 0, 2: 0, -1: 0}
     mask = 0b101
     for _ in range(200_000):
-        counts[crs.select(rule, mask, rng.uniform())] += 1
-    row = dict(rule.conditional(mask))
+        counts[rule.select(mask, rng.uniform)] += 1
+    row = dict(rule.rows[mask])
     for pos, q in row.items():
-        freq = counts[rule.elements[pos]] / 200_000
+        freq = counts[pos] / 200_000
         assert abs(freq - q) < 4 * math.sqrt(q * (1 - q) / 200_000) + 1e-4
 
 
@@ -232,7 +249,7 @@ def test_conditional_win_probs_equal_tree_walk():
     assert got.shape == (3, 8)
     for m in (0b011, 0b110):
         want = np.zeros(3)
-        for k, q in rule.conditional(m):
+        for k, q in rule.rows[m]:
             want[k] = q
         assert want.any() and got[:, m].tolist() == want.tolist()
     assert not got[:, [0, 1, 2, 4, 5, 7]].any()
@@ -276,9 +293,73 @@ def test_product_selector_sampling_size_at_most_one():
     ps = crs.ProductSelector(y)
     rng = ScalarRng(9)
     for _ in range(5000):
-        bids = {i for i in range(4) if rng.uniform() < y[i]}
+        bids = sum(1 << i for i in range(4) if rng.uniform() < y[i])
         win = ps.select(bids, rng.uniform)
-        assert win == -1 or win in bids
+        assert win == -1 or bids >> win & 1
+
+
+def test_selection_rule_select_equals_the_free_function():
+    # the old call site drew one uniform for a nonzero mask and called
+    # crs.select(rule, mask, u), which returned the element id
+    rng = np.random.default_rng(21)
+    checked = 0
+    while checked < 12_000:
+        k = int(rng.integers(1, 7))
+        d = _random_dist(rng, k, max_atoms=20)
+        d = crs.SupportDistribution(tuple(int(e) for e in rng.choice(50, k, replace=False)),
+                                    d.atoms)
+        rule = crs.build_selector(d, rng.uniform(0.05, 1.0, size=k))
+        modeled = [0] + list(rule.rows)
+        for mask in rng.choice(modeled, size=200).tolist():
+            seed = int(rng.integers(1 << 62))
+            new, old = _CountingUniform(seed), _CountingUniform(seed)
+            pos = rule.select(mask, new)
+            want = reference_select(rule, mask, old()) if mask else -1
+            assert (rule.elements[pos] if pos >= 0 else -1) == want
+            assert new.draws == old.draws
+            checked += 1
+        unmodeled = next((m for m in range(1, 1 << k) if m not in rule.rows), None)
+        if unmodeled is not None:
+            with pytest.raises(DomainError, match="unmodeled"):
+                rule.select(unmodeled, _no_draw)
+            with pytest.raises(DomainError, match="unmodeled"):
+                reference_select(rule, unmodeled, 0.5)
+
+
+def test_product_selector_select_equals_the_set_walk():
+    rng = np.random.default_rng(22)
+    checked = 0
+    while checked < 12_000:
+        n = int(rng.integers(1, 12))
+        ps = crs.ProductSelector(rng.uniform(0.02, 1.0, size=n))
+        for mask in rng.integers(0, 1 << n, size=200).tolist():
+            seed = int(rng.integers(1 << 62))
+            new, old = _CountingUniform(seed), _CountingUniform(seed)
+            bids = {i for i in range(n) if mask >> i & 1}
+            assert ps.select(mask, new) == reference_product_select(ps, bids, old)
+            assert new.draws == old.draws
+            checked += 1
+    assert ps.select(0, _no_draw) == -1
+    for bad in (1 << n, -1):
+        with pytest.raises(DomainError):
+            ps.select(bad, _no_draw)
+
+
+def test_product_selector_select_law_matches_conditional_win_probs():
+    ps = crs.ProductSelector([0.4, 0.7, 0.2, 0.5, 0.9])
+    rng = ScalarRng(6)
+    runs = 100_000
+    for mask in (0b10110, 0b11111, 0b00001, 0b01001):
+        counts = np.zeros(ps.n + 1)
+        for _ in range(runs):
+            counts[ps.select(mask, rng.uniform)] += 1  # -1 lands in the last slot
+        want = ps.conditional_win_probs([mask])[:, 0]
+        for slot, q in enumerate(want.tolist() + [1.0 - want.sum()]):
+            if q < 1e-12:  # a loser, or no empty draw (1 - sum within rounding of 0)
+                assert counts[slot] == 0
+                continue
+            freq = counts[slot] / runs
+            assert abs(freq - q) < 4 * math.sqrt(q * (1 - q) / runs) + 1e-4
 
 
 def test_support_distribution_json_export():

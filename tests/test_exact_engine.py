@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import rotation_joint, sized_joint
+from conftest import bit_law, cylinder_mass, rotation_joint, sized_joint
 from odrs_lab import bitmask, crs, instances, level_set as ls, odrs, stochastic
 from odrs_lab import exact_engine as engine
 from odrs_lab.errors import DomainError, InvariantBreach, SizeError
@@ -94,7 +94,7 @@ TABLE_BUILDERS = {
     "exact_dist_online": lambda: ls.exact_dist_online([0.5] * WIDE),
     "exact_dist_offline": lambda: ls.exact_dist_offline([0.5] * WIDE),
     "StochasticExact": lambda: _stochastic_exact(WIDE),
-    "neg_cylinder_check": lambda: engine.neg_cylinder_check(ls.BitDistribution(WIDE, {0: 1.0})),
+    "neg_cylinder_check": lambda: engine.neg_cylinder_check(bit_law(WIDE, {0: 1.0})),
 }
 
 
@@ -110,18 +110,18 @@ def test_cap_leaves_narrow_tables_alone():
 
 
 def test_max_pairwise_cov_examples():
-    j = engine.JointBernoulli(3, {0b001: 1 / 3, 0b010: 1 / 3, 0b100: 1 / 3}, common_p=1 / 3)
-    i, jj, cov = engine.max_pairwise_cov(j)
+    j = bit_law(3, {0b001: 1 / 3, 0b010: 1 / 3, 0b100: 1 / 3})
+    i, jj, cov = engine.max_pairwise_cov(j, 1 / 3)
     assert abs(cov + 1 / 9) < 1e-12 and cov >= -2 * (1 / 3) / 2 - 1e-12
-    j2 = engine.JointBernoulli(2, {0b01: 0.5, 0b10: 0.5}, common_p=0.5)
-    assert abs(engine.max_pairwise_cov(j2)[2] + 0.25) < 1e-12
+    j2 = bit_law(2, {0b01: 0.5, 0b10: 0.5})
+    assert abs(engine.max_pairwise_cov(j2, 0.5)[2] + 0.25) < 1e-12
     ind = {}
     for m in range(8):
         ind[m] = math.prod(0.4 if m >> k & 1 else 0.6 for k in range(3))
-    cov = engine.max_pairwise_cov(engine.JointBernoulli(3, ind, common_p=0.4))[2]
+    cov = engine.max_pairwise_cov(bit_law(3, ind), 0.4)[2]
     assert abs(cov) < 1e-12
     with pytest.raises(DomainError):
-        engine.max_pairwise_cov(engine.JointBernoulli(1, {1: 1.0}))
+        engine.max_pairwise_cov(bit_law(1, {1: 1.0}))
 
 
 def test_cov_floor_holds_on_random_joints():
@@ -132,9 +132,10 @@ def test_cov_floor_holds_on_random_joints():
         pops = [int(rng.integers(1, n)) for _ in range(classes)]
         w = rng.random(classes)
         w /= w.sum()
-        j = rotation_joint(n, pops, w, seed=trial)
+        j, p = rotation_joint(n, pops, w, seed=trial)
         j.check()
-        engine.max_pairwise_cov(j)  # raises if the floor bound fails
+        assert np.max(np.abs(j.marginals() - p)) <= 1e-9
+        engine.max_pairwise_cov(j, p)  # raises if the floor bound fails
 
 
 def test_n_r_bound_values():
@@ -145,28 +146,31 @@ def test_n_r_bound_values():
 
 
 def test_find_positive_cylinder_trivial_when_eps_large():
-    j = rotation_joint(6, [3], [1.0], 2)
-    idx = engine.find_positive_cylinder(j, 1, 0.9)
+    j, p = rotation_joint(6, [3], [1.0], 2)
+    idx = engine.find_positive_cylinder(j, p, 1, 0.9)
     assert len(idx) == 2
 
 
 def test_find_positive_cylinder_r1_and_r2():
     for seed in range(25):
-        j = sized_joint(0.5, 0.2, 1, seed)
-        idx = engine.find_positive_cylinder(j, 1, 0.2)
+        j, p = sized_joint(0.5, 0.2, 1, seed)
+        idx = engine.find_positive_cylinder(j, p, 1, 0.2)
         assert len(set(idx)) == 2
-        assert j.product_expectation(idx) >= j.common_p ** 2 - 0.2 - 1e-12
+        assert cylinder_mass(j, idx) >= p ** 2 - 0.2 - 1e-12
     for seed in range(10):
-        j = sized_joint(0.9, 0.55, 2, 100 + seed)
-        idx = engine.find_positive_cylinder(j, 2, 0.55)
+        j, p = sized_joint(0.9, 0.55, 2, 100 + seed)
+        idx = engine.find_positive_cylinder(j, p, 2, 0.55)
         assert len(set(idx)) == 4
-        assert j.product_expectation(idx) >= j.common_p ** 4 - 0.55 - 1e-12
+        assert cylinder_mass(j, idx) >= p ** 4 - 0.55 - 1e-12
 
 
 def test_find_positive_cylinder_requires_enough_vars():
-    j = rotation_joint(4, [2], [1.0], 3)
+    j, p = rotation_joint(4, [2], [1.0], 3)
     with pytest.raises(DomainError, match="need n >="):
-        engine.find_positive_cylinder(j, 1, 0.05)
+        engine.find_positive_cylinder(j, p, 1, 0.05)
+    # the law's marginals must all be p
+    with pytest.raises(DomainError, match="within 1e-9 of p"):
+        engine.find_positive_cylinder(j, p + 1e-6, 1, 0.05)
 
 
 def test_independent_vars_any_subset_works():
@@ -174,16 +178,16 @@ def test_independent_vars_any_subset_works():
     p = 0.6
     for m in range(16):
         probs[m] = math.prod(p if m >> k & 1 else 1 - p for k in range(4))
-    j = engine.JointBernoulli(4, probs, common_p=p)
-    idx = engine.find_positive_cylinder(j, 1, 0.4)
-    assert j.product_expectation(idx) == pytest.approx(p ** 2, abs=1e-12)
+    j = bit_law(4, probs)
+    idx = engine.find_positive_cylinder(j, p, 1, 0.4)
+    assert cylinder_mass(j, idx) == pytest.approx(p ** 2, abs=1e-12)
 
 
 def test_neg_cylinder_check_product_law_and_power():
     probs = {}
     for m in range(8):
         probs[m] = math.prod(0.5 if m >> k & 1 else 0.5 for k in range(3))
-    d = ls.BitDistribution(3, probs)
+    d = bit_law(3, probs)
     rep = engine.neg_cylinder_check(d, "ones")
     assert abs(rep.worst_violation) < 1e-12
     # threshold law on half vector: violation exactly +0.25 at {0, 2}
@@ -199,7 +203,7 @@ def test_neg_cylinder_on_odrs_bid_state_laws(matching_params):
     dp = odrs.BidLawDP(list(range(inst.n_offline)))
     for plan in odrs.build_plans(inst, matching_params):
         dp.step(plan)
-        d = ls.BitDistribution(inst.n_offline, dict(dp.state))
+        d = bit_law(inst.n_offline, dp.state)
         assert engine.neg_cylinder_check(d, "ones").worst_violation <= 1e-12
         assert engine.neg_cylinder_check(d, "zeros").worst_violation <= 1e-12
 
@@ -207,9 +211,10 @@ def test_neg_cylinder_on_odrs_bid_state_laws(matching_params):
 def reference_neg_cylinder_check(dist, direction):
     """The subset loop `neg_cylinder_check` replaced: products from the lowest
     bit up, the first strictly largest gap."""
-    n, size = dist.n, 1 << dist.n
+    n = len(dist.elements)
+    size = 1 << n
     cyl = np.zeros(size)
-    for mask, p in dist.probs.items():
+    for mask, p in dist.atoms:
         cyl[mask if direction == "ones" else (size - 1) ^ mask] += p
     cyl = bitmask.superset_sums(cyl)
     marg = dist.marginals()
@@ -230,14 +235,14 @@ def reference_neg_cylinder_check(dist, direction):
 
 def test_neg_cylinder_check_equals_the_subset_loop():
     rng = np.random.default_rng(3)
-    dists = [ls.BitDistribution(0, {0: 1.0}), ls.threshold_exact_dist([0.5] * 4)]
+    dists = [bit_law(0, {0: 1.0}), ls.threshold_exact_dist([0.5] * 4)]
     for _ in range(40):
         n = int(rng.integers(1, 11))
         x = rng.random(n)
         dists += [ls.exact_dist_online(x), ls.exact_dist_offline(x), ls.threshold_exact_dist(x)]
         masks = rng.integers(0, 1 << n, size=int(rng.integers(1, 30)))
         w = rng.random(len(masks))
-        dists.append(ls.BitDistribution(n, dict(zip(masks.tolist(), (w / w.sum()).tolist()))))
+        dists.append(bit_law(n, dict(zip(masks.tolist(), (w / w.sum()).tolist()))))
     for d in dists:
         for direction in ("ones", "zeros"):
             rep = engine.neg_cylinder_check(d, direction)
@@ -247,21 +252,42 @@ def test_neg_cylinder_check_equals_the_subset_loop():
 
 def test_pair_product_joint_equals_the_bit_loop():
     for trial, n in enumerate([4 + t % 9 for t in range(30)] + [70, 129]):  # past 62 bits too
-        j = rotation_joint(n, [1 + trial % (n - 1)], [1.0], seed=trial)
+        j, _ = rotation_joint(n, [1 + trial % (n - 1)], [1.0], seed=trial)
         pairs = [(k, k + 1) for k in range(0, n - 1, 2)][::-1]
         want: dict[int, float] = {}
-        for mask, p in j.probs.items():
+        for mask, p in j.atoms:
             z = sum(1 << s for s, (a, b) in enumerate(pairs) if mask >> a & 1 and mask >> b & 1)
             want[z] = want.get(z, 0.0) + p
-        got = engine._pair_product_joint(j, pairs).probs
-        assert list(got.items()) == list(want.items())
+        got = engine._pair_product_joint(j, pairs)
+        assert got.elements == tuple(range(len(pairs)))
+        assert list(got.atoms) == list(want.items())
 
 
 def test_free_mask_distribution(matching_params):
     inst = instances.gen_random(5, 5, 0.8, seed=23)
     dist = engine.free_mask_distribution(inst, matching_params, 3)
     dist.check(1e-9)
-    assert dist.n == 5
+    assert dist.elements == tuple(range(5))
+
+
+def test_free_mask_distribution_equals_the_compiled_plans(matching_params, b_matching_params):
+    # the law used to be read off compile_scheme's plans; build_plans gives
+    # the same plans without synthesizing a selector per arrival
+    for scheme, params, max_b in (("odrs", matching_params, 1), ("odrs_b", b_matching_params, 3)):
+        for seed in range(4):
+            inst = instances.gen_random(6, 7, 0.8, seed=seed, max_b=max_b)
+            comp = odrs.compile_scheme(scheme, inst, params)
+            for t in (0, 3, 7):
+                dp = odrs.BidLawDP(list(range(inst.n_offline)))
+                for plan in comp.plans[:t]:
+                    dp.step(plan)
+                dist = engine.free_mask_distribution(inst, params, t, scheme)
+                assert dist.atoms == tuple(dp.state.items())
+    inst = instances.gen_random(5, 5, 0.8, seed=23)
+    with pytest.raises(DomainError, match="keeps no bid-state masks"):
+        engine.free_mask_distribution(inst, None, 3, "warmup")
+    with pytest.raises(DomainError, match="variant parameters"):
+        engine.free_mask_distribution(inst, b_matching_params, 3, "odrs")
 
 
 def test_three_node_impossibility_requires_fractional_solution(matching_params):

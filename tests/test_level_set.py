@@ -98,15 +98,16 @@ def test_threshold_round_examples():
 
 def test_exact_dist_examples():
     d = ls.exact_dist_online([0.5, 0.5])
-    assert abs(d.probs[0b01] - 0.5) < 1e-15 and abs(d.probs[0b10] - 0.5) < 1e-15
+    probs = dict(d.atoms)
+    assert abs(probs[0b01] - 0.5) < 1e-15 and abs(probs[0b10] - 0.5) < 1e-15
     d4 = ls.exact_dist_online([0.25] * 4)
     off4 = ls.exact_dist_offline([0.25] * 4)
     assert d4.tv_distance(off4) < 1e-9
     for i in range(4):
-        assert abs(d4.probs[1 << i] - 0.25) < 1e-12
+        assert abs(dict(d4.atoms)[1 << i] - 0.25) < 1e-12
     # integral sum n: point mass on all ones
     dp = ls.exact_dist_online([1.0, 1.0, 1.0])
-    assert dp.probs == {0b111: 1.0}
+    assert dp.atoms == ((0b111, 1.0),)
 
 
 def test_exact_size_cap():
@@ -118,7 +119,7 @@ def test_threshold_law_has_no_width_cap():
     # at most n + 1 atoms, so nothing grows as 2^n
     x = np.random.default_rng(4).random(30)
     d = ls.threshold_exact_dist(x)
-    assert d.n == 30 and len(d.probs) <= 31
+    assert d.elements == tuple(range(30)) and len(d.atoms) <= 31
     d.check(1e-9)
     assert np.max(np.abs(d.marginals() - x)) < 1e-9
 
@@ -170,15 +171,17 @@ def test_dummy_padding_strips_tail():
     bits = ls.online_round([0.3, 0.4], seed=4)
     assert len(bits) == 2
     d = ls.exact_dist_online([0.3, 0.4])
-    assert abs(sum(d.probs.values()) - 1.0) < 1e-12
+    assert abs(sum(p for _, p in d.atoms) - 1.0) < 1e-12
     assert np.allclose(d.marginals(), [0.3, 0.4], atol=1e-12)
 
 
 def test_bit_distribution_json_export():
     d = ls.exact_dist_online([0.5, 0.5])
     doc = d.to_json_dict()
-    assert set(doc) == {"01", "10"}
-    assert abs(doc["01"] - 0.5) < 1e-15
+    assert doc["elements"] == [0, 1]
+    sets = {tuple(a["set"]): a["p"] for a in doc["atoms"]}
+    assert set(sets) == {(0,), (1,)}
+    assert abs(sets[(0,)] - 0.5) < 1e-15
 
 
 def test_accumulation_dust_near_integer_prefixes():

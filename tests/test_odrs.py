@@ -517,3 +517,10 @@ def test_group_bin_draw_matches_draw_masks():
             batch[m] = node
         assert [gb.draw(v) for v in u] == batch.tolist()
         assert 5 not in batch  # a zero-size entry is never drawn
+
+
+def test_warmup_takes_no_parameters():
+    assert odrs.scheme_params("warmup") is None
+    for eps, delta in ((0.3, None), (None, 0.9), (0.0, 0.0)):
+        with pytest.raises(DomainError, match="takes no eps or delta"):
+            odrs.scheme_params("warmup", eps, delta)

@@ -4,7 +4,7 @@ every sampler built on them."""
 import numpy as np
 import pytest
 
-from conftest import digest
+from conftest import digest, reference_product_select
 from odrs_lab import apps, instances, odrs
 from odrs_lab import level_set as ls
 from odrs_lab.instances import Arrival, MatchingInstance
@@ -68,7 +68,7 @@ def reference_warmup_sample(comp, seed):
                 counts[i] += 1
                 bidders.add(k)
         if bidders:
-            win = sel.select(bidders, rng.uniform)
+            win = reference_product_select(sel, bidders, rng.uniform)
             if win >= 0:
                 out.add(rows[win][0], t)
     return out
