@@ -17,11 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .instances import Arrival, CoverInstance, MatchingInstance, MultigraphInstance
+from .instances import CoverInstance, MultigraphInstance
 from .level_set import _snap, batch_stream, online_round
 from .level_set import online_step  # noqa: F401 -- perfbench/tracing.py looks it up here
 from .level_set import step_probability  # noqa: F401 -- perfbench/tracing.py looks it up here
-from .odrs import OnlineWarmup, compile_scheme
+from .odrs import OnlineWarmup
 from .rng import ScalarRng, run_chunks
 
 WARMUP_ALPHA = math.e / (math.e - 1.0)  # 1 / (1 - 1/e)
@@ -116,48 +116,6 @@ def edge_color_online(mg: MultigraphInstance, C: int | None = None,
                 if c < len(matchers):
                     matchers[c][1][j] = 1.0
     return coloring
-
-
-def multigraph_to_instance(mg: MultigraphInstance, delta_bound: int | None = None):
-    """Fractional matching with x_e = kappa(e)/Delta per simple edge."""
-    delta = delta_bound if delta_bound is not None else mg.delta
-    for arr in mg.arrivals:
-        if sum(k for _, k in arr) > delta:
-            raise DomainError("a left node exceeds the declared max degree")
-    loads = {}
-    for arr in mg.arrivals:
-        for j, k in arr:
-            loads[j] = loads.get(j, 0) + k
-    if any(v > delta for v in loads.values()):
-        raise DomainError("a right node exceeds the declared max degree")
-    arrivals = tuple(
-        Arrival(tuple((j, k / delta) for j, k in arr if k > 0)) for arr in mg.arrivals)
-    return MatchingInstance(mg.n_right, (1,) * mg.n_right, arrivals)
-
-
-class FairMatcherSampler:
-    """Samples matchings of a multigraph that hit every parallel edge with
-    probability at least 1/(alpha * Delta), alpha the ODRS ratio's inverse.
-
-    A matched simple edge picks one of its parallel copies uniformly.
-    """
-
-    def __init__(self, mg: MultigraphInstance, algorithm: str = "warmup",
-                 params=None, delta_bound: int | None = None):
-        self.mg = mg
-        self._compiled = compile_scheme(
-            algorithm, multigraph_to_instance(mg, delta_bound), params)
-
-    def sample(self, seed: int) -> list[tuple[int, int, int]]:
-        """Matched (left, right, copy) triples; one copy per simple edge."""
-        rng = ScalarRng(seed)
-        matching = self._compiled.sample(seed, rng=rng)
-        out = []
-        for j, t in matching.pairs:
-            kappa = dict(self.mg.arrivals[t])[j]
-            copy = min(int(rng.uniform() * kappa), kappa - 1)
-            out.append((t, j, copy))
-        return out
 
 
 @dataclass

@@ -13,6 +13,7 @@ if "ODRS_THREADS" in os.environ:  # must precede numpy's initialization
         os.environ.setdefault(var, os.environ["ODRS_THREADS"])
 
 import json  # noqa: E402
+import math  # noqa: E402
 import time  # noqa: E402
 
 import click  # noqa: E402
@@ -165,6 +166,8 @@ def crs_cmd(dist_path, v_path):
     try:
         elements = tuple(doc["elements"])
         pos = {e: k for k, e in enumerate(elements)}
+        if len(pos) != len(elements):
+            raise ValidationFailure(f"--dist elements repeat: {list(elements)!r}")
         atoms = {}
         for a in doc["atoms"]:
             mask = 0
@@ -176,8 +179,13 @@ def crs_cmd(dist_path, v_path):
         v = [float(vv) for vv in v]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationFailure(f"malformed --dist or --v JSON: {exc!r}") from exc
+    if not all(map(math.isfinite, [*atoms.values(), *v])):
+        raise ValidationFailure("--dist or --v holds a NaN or infinite number")
     dist = crs_mod.SupportDistribution(elements, tuple(atoms.items()))
-    dist.check()
+    try:
+        dist.check()
+    except InvariantBreach as exc:
+        raise ValidationFailure(f"--dist is not a probability law: {exc}") from exc
     alpha = crs_mod.balance_ratio(dist, v)
     rule = crs_mod.build_selector(dist, v)
     marg = crs_mod.exact_marginals(dist, rule)

@@ -1,7 +1,7 @@
 """Exact probabilistic analysis on small instances.
 
-Computes bidder-set laws, per-edge match probabilities, and rounding ratios by
-dynamic programming over joint bid-state masks, plus the correlation facts
+Computes the compiled schemes' per-edge match probabilities and rounding
+ratios, the joint law of the per-node bid states, and the correlation facts
 used by the lower-bound machinery (pairwise covariance floor, near-positive
 cylinder extraction, negative-cylinder scans).
 """
@@ -18,12 +18,6 @@ from . import odrs as odrs_mod
 from .crs import SupportDistribution
 from .errors import DomainError, InvariantBreach
 from .instances import MatchingInstance
-
-
-def bid_set_law(inst: MatchingInstance, params, t: int, algorithm: str = "odrs"
-                ) -> SupportDistribution:
-    """Exact law of the bidder set at arrival t."""
-    return odrs_mod.compile_scheme(algorithm, inst, params).bid_law(t)
 
 
 def free_mask_distribution(inst: MatchingInstance, params, t: int,

@@ -17,7 +17,7 @@ import numpy as np
 from . import bitmask
 from . import crs as crs_mod
 from .errors import DomainError, FeasibilityError, InvariantBreach
-from .instances import Arrival, MatchingInstance
+from .instances import TOL, Arrival, MatchingInstance
 from .level_set import LevelSetState, _snap, kahan_add, online_step, step_table
 from .level_set import step_probability  # noqa: F401 -- perfbench/tracing.py looks it up here
 from .rng import ScalarRng
@@ -262,10 +262,6 @@ def _position_b(z: float, params: ScalingParams) -> float:
     return base + scaled
 
 
-def scale_hat_b(x: float, s: float, params: ScalingParams) -> float:
-    return _position_b(s + x, params) - _position_b(s, params)
-
-
 def hat_position(s: float, params: ScalingParams) -> float:
     if params.variant == "matching":
         return _position_matching(s, params)
@@ -357,11 +353,21 @@ class StepPlan:
 
 
 def build_plans(inst: MatchingInstance, params: ScalingParams) -> list[StepPlan]:
-    """Scaled fractions, classification, and first-fit bins for every arrival."""
+    """Scaled fractions, classification, and first-fit bins for every arrival.
+    The matching variant refuses a node of fractional degree above 1 + TOL."""
     if any(arr.p != 1.0 for arr in inst.arrivals):
         raise DomainError("this scheme expects sure arrivals; "
                           "use the stochastic pipeline for p < 1")
     n = inst.n_offline
+    if params.variant == "matching":
+        degree = [0.0] * n
+        for arr in inst.arrivals:
+            for i, x in arr.edges:
+                degree[i] += x
+        for i, d in enumerate(degree):
+            if d > 1.0 + TOL:
+                raise DomainError(f"offline node {i} has fractional degree {d!r} > 1, which "
+                                  "the matching ODRS cannot round; use odrs-b for b-matchings")
     s = np.zeros(n)  # true prefix degrees
     plans = []
     b_variant = params.variant == "b_matching"
@@ -662,11 +668,6 @@ class _CompiledScheme:
             return crs_mod.SupportDistribution((), ((0, 1.0),))
         return self._law(t)
 
-    def bid_marginals(self, t: int) -> dict[int, float]:
-        """Exact Pr[i in P_t]; equals the scaled fraction."""
-        law = self.bid_law(t)
-        return dict(zip(law.elements, law.marginals().tolist()))
-
     def edge_match_probs(self) -> dict[tuple[int, int], float]:
         """Exact Pr[(i,t) matched] = sum_S Pr[P_t=S] p_{i,S}, summing the bid
         law against the selector the sampler uses (`crs.exact_marginals`)."""
@@ -723,16 +724,6 @@ class CompiledOdrs(_CompiledScheme):
 
     def _law(self, t: int) -> crs_mod.SupportDistribution:
         return self.laws[t]
-
-
-def odrs_round(inst: MatchingInstance, params: ScalingParams, seed: int = 0) -> Matching:
-    """Improved matching ODRS with exact CRS selectors."""
-    return compile_scheme("odrs", inst, params).sample(seed)
-
-
-def odrs_round_b(inst: MatchingInstance, params: ScalingParams, seed: int = 0) -> Matching:
-    """b-matching extension of the improved ODRS."""
-    return compile_scheme("odrs_b", inst, params).sample(seed)
 
 
 # ----------------------------------------------------------------------------
@@ -805,11 +796,6 @@ class CompiledWarmup(_CompiledScheme):
         level-set stream per node)."""
         return crs_mod.SupportDistribution.product([i for i, _ in self.edges[t]],
                                                    self.selectors[t].y)
-
-
-def warmup_round(inst: MatchingInstance, seed: int = 0) -> Matching:
-    """Warm-up ODRS with rounding ratio at least 1 - 1/e."""
-    return compile_scheme("warmup", inst, None).sample(seed)
 
 
 # ----------------------------------------------------------------------------

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import digest
-from odrs_lab import apps, instances
-from odrs_lab.instances import CoverInstance, MultigraphInstance
+from odrs_lab import apps, instances, odrs
+from odrs_lab.instances import Arrival, CoverInstance, MatchingInstance, MultigraphInstance
 from odrs_lab.level_set import LevelSetState, _snap, online_step
 from odrs_lab.rng import ScalarRng
 
@@ -59,8 +59,7 @@ def test_verify_coloring_detects_duplicates_and_gaps():
 
 
 def test_fair_matching_marginal_lower_bound():
-    # every copy should be colored across many runs at rate >= 1/(alpha*delta)
-    # per matcher round; aggregate proxy: each edge's first copy gets some color
+    # rounds of fair matchers plus the greedy finish color every copy properly
     mg = instances.gen_random_multigraph(6, 6, 8, seed=2)
     col = apps.edge_color_online(mg, C=4, seed=3)
     rep = apps.verify_coloring(mg, col)
@@ -136,36 +135,32 @@ def test_cover_trials_matches_single_runs():
     assert z < 5
 
 
+def fair_matching_instance(mg):
+    """The fractional matching x_e = kappa(e)/Delta over a multigraph's simple
+    edges, left nodes arriving."""
+    return MatchingInstance(mg.n_right, (1,) * mg.n_right, tuple(
+        Arrival(tuple((j, k / mg.delta) for j, k in arr if k > 0)) for arr in mg.arrivals))
+
+
 def test_fair_matcher_exact_marginals(matching_params):
-    from odrs_lab import exact_engine as engine, odrs
     mg = instances.gen_random_multigraph(4, 4, 6, seed=1)
-    inst = apps.multigraph_to_instance(mg)
-    probs = engine.edge_match_probs(inst, matching_params, "odrs")
+    comp = odrs.compile_scheme("odrs", fair_matching_instance(mg), matching_params)
+    probs = comp.edge_match_probs()
     for t, arr in enumerate(mg.arrivals):
         for j, kappa in arr:
             assert probs.get((j, t), 0.0) >= 0.652 * kappa / mg.delta - 1e-9
-    fm = apps.FairMatcherSampler(mg, "odrs", matching_params)
-    triples = fm.sample(3)
-    seen_left = [t for t, _, _ in triples]
+    seen_left = [t for _, t in comp.sample(3).pairs]
     assert len(seen_left) == len(set(seen_left))  # a matching
 
 
-def test_fair_matcher_degree_violation():
-    import pytest as _pytest
-    mg = instances.gen_random_multigraph(4, 4, 6, seed=2)
-    with _pytest.raises(Exception, match="max degree"):
-        apps.multigraph_to_instance(mg, delta_bound=1)
-
-
 def test_fair_matcher_warmup_marginal_floor():
-    import math as _math
-    from odrs_lab import exact_engine as engine
+    # the warm-up fair matcher hits each simple edge with probability at
+    # least (1 - 1/e) kappa/Delta, exactly, on the x = kappa/Delta matching
     mg = instances.gen_random_multigraph(5, 5, 8, seed=4)
-    inst = apps.multigraph_to_instance(mg)
-    probs = engine.edge_match_probs(inst, None, "warmup")
+    probs = odrs.compile_scheme("warmup", fair_matching_instance(mg), None).edge_match_probs()
     for t, arr in enumerate(mg.arrivals):
         for j, kappa in arr:
-            assert probs.get((j, t), 0.0) >= (1 - 1 / _math.e) * kappa / mg.delta - 1e-9
+            assert probs.get((j, t), 0.0) >= (1 - 1 / math.e) * kappa / mg.delta - 1e-9
 
 
 def test_cover_trials_needs_two_trials():

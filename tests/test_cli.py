@@ -143,18 +143,47 @@ def test_exit_code_mapping(monkeypatch):
 
 
 def test_bad_crs_and_report_inputs_exit_2(tmp_path):
-    dist = tmp_path / "dist.json"
-    dist.write_text(json.dumps({"elements": [0, 1], "atoms": [{"set": [0, 7], "p": 1.0}]}))
-    vfile = tmp_path / "v.json"
-    vfile.write_text("[0.5, 0.5]")
-    text = tmp_path / "notes.txt"
-    text.write_text("not JSON")
-    for cmd in (("crs", "--dist", str(dist), "--v", str(vfile)),
-                ("crs", "--dist", str(text), "--v", str(vfile)),
-                ("report", "--infile", str(text))):
+    def write(name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        return str(path)
+
+    def dist_file(name, elements, *atoms):
+        return write(name, json.dumps({"elements": elements,
+                                       "atoms": [{"set": s, "p": p} for s, p in atoms]}))
+
+    vfile = write("v.json", "[0.5, 0.5]")
+    text = write("notes.txt", "not JSON")
+    good = dist_file("good.json", [0, 1], ([0], 0.5), ([1], 0.5))
+    bad_dists = [
+        dist_file("unknown.json", [0, 1], ([0, 7], 1.0)),
+        text,
+        dist_file("repeat.json", [0, 0], ([0], 1.0)),
+        dist_file("nan_p.json", [0, 1], ([0], float("nan")), ([1], 1.0)),
+        dist_file("inf_p.json", [0, 1], ([0], float("inf")), ([1], 0.0)),
+        dist_file("negative.json", [0, 1], ([0], -0.5), ([1], 1.5)),
+        dist_file("short.json", [0, 1], ([0], 0.3), ([1], 0.3)),
+    ]
+    bad_vs = [write("nan_v.json", "[NaN, 0.5]"), write("inf_v.json", "[0.5, Infinity]")]
+    for cmd in (*(("crs", "--dist", d, "--v", vfile) for d in bad_dists),
+                *(("crs", "--dist", good, "--v", v) for v in bad_vs),
+                ("report", "--infile", text)):
         r = run(*cmd)
         assert r.returncode == 2 and r.stdout == "", cmd
         assert r.stderr.startswith("validation failure:") and r.stderr.count("\n") == 1, r.stderr
+
+
+def test_odrs_refuses_b_matching_instances_exit_2(tmp_path):
+    inst = tmp_path / "b.json"
+    run("gen", "--kind", "random", "--n", "4", "--t", "6", "--max-b", "3", "--seed", "0",
+        "--out", str(inst))
+    for extra in (("--exact",), ("--sample",), ("--n-runs", "1000")):
+        r = run("round", "--alg", "odrs", "--instance", str(inst), *extra)
+        assert r.returncode == 2 and r.stdout == "", extra
+        assert r.stderr.startswith("error: offline node ") and r.stderr.count("\n") == 1, r.stderr
+        assert "use odrs-b" in r.stderr
+    r = run("round", "--alg", "odrs-b", "--instance", str(inst), "--exact")
+    assert r.returncode == 0, r.stderr
 
 
 def test_round_sample_emits_matching(tmp_path):

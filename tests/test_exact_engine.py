@@ -12,7 +12,7 @@ from odrs_lab.instances import Arrival, MatchingInstance
 
 def test_bid_set_law_single_bin_fresh_nodes(matching_params):
     inst = MatchingInstance(2, (1, 1), (Arrival(((0, 0.3), (1, 0.4))),))
-    law = engine.bid_set_law(inst, matching_params, 0)
+    law = odrs.compile_scheme("odrs", inst, matching_params).bid_law(0)
     atoms = dict(law.atoms)
     a = odrs.scale_hat(0.3, 0.0, matching_params)
     b = odrs.scale_hat(0.4, 0.0, matching_params)
@@ -23,7 +23,7 @@ def test_bid_set_law_single_bin_fresh_nodes(matching_params):
 
 def test_bid_set_law_warmup_is_product():
     inst = instances.gen_uniform_star(3)
-    law = engine.bid_set_law(inst, None, 0, "warmup")
+    law = odrs.compile_scheme("warmup", inst, None).bid_law(0)
     atoms = dict(law.atoms)
     for mask in range(8):
         expect = math.prod((1 / 3) if mask >> k & 1 else (2 / 3) for k in range(3))
@@ -31,10 +31,12 @@ def test_bid_set_law_warmup_is_product():
 
 
 def test_bid_marginals_equal_scaled_fraction(matching_params):
+    # each offline node's bid probability, summed over the exact bid-set law,
+    # equals its scaled fraction xhat
     inst = instances.gen_random(6, 6, 0.7, seed=4)
-    comp = odrs.CompiledOdrs(inst, matching_params)
+    comp = odrs.compile_scheme("odrs", inst, matching_params)
     for t in range(inst.n_arrivals):
-        law = engine.bid_set_law(inst, matching_params, t)
+        law = comp.bid_law(t)
         for k, i in enumerate(law.elements):
             marg = sum(p for mk, p in law.atoms if mk >> k & 1)
             assert abs(marg - comp.plans[t].xhat[i]) < 1e-12

@@ -174,11 +174,15 @@ def test_scale_hat_never_exceeds_true_degree():
 def test_scale_hat_b_examples(b_matching_params):
     pb = b_matching_params
     p0 = odrs.ScalingParams(0.0, 0.0, "b_matching")
-    assert odrs.scale_hat_b(0.37, 1.21, p0) == pytest.approx(0.37, abs=1e-12)
+
+    def scaled(x, s, params):
+        return odrs.hat_position(s + x, params) - odrs.hat_position(s, params)
+
+    assert scaled(0.37, 1.21, p0) == pytest.approx(0.37, abs=1e-12)
     # a span inside [theta1, theta2) scales by (1-eps)
     t1, t2 = pb.theta1, pb.theta2
     x = (t2 - t1) / 2
-    assert abs(odrs.scale_hat_b(x, t1, pb) - x * (1 - pb.eps)) < 1e-12
+    assert abs(scaled(x, t1, pb) - x * (1 - pb.eps)) < 1e-12
     # full units are preserved exactly
     for k in range(1, 4):
         assert odrs.hat_position(float(k), pb) == float(k)
@@ -232,7 +236,7 @@ def test_warmup_star_and_independence(matching_params):
         assert abs(probs[(t, 0)] - expect) < 1e-12
     single = MatchingInstance(1, (1,), (Arrival(((0, 1.0),)),))
     for seed in range(20):
-        m = odrs.warmup_round(single, seed=seed)
+        m = odrs.compile_scheme("warmup", single, None).sample(seed)
         assert m.pairs == [(0, 0)]
 
 
@@ -298,10 +302,10 @@ def test_odrs_zero_params_at_least_warmup_bound():
 
 def test_bid_marginals_equal_scaled_fractions(matching_params):
     inst = instances.gen_random(6, 7, 0.8, seed=13)
-    comp = odrs.CompiledOdrs(inst, matching_params)
+    comp = odrs.compile_scheme("odrs", inst, matching_params)
     for t in range(inst.n_arrivals):
-        bm = comp.bid_marginals(t)
-        for i, val in bm.items():
+        law = comp.bid_law(t)
+        for i, val in zip(law.elements, law.marginals().tolist()):
             assert abs(val - comp.plans[t].xhat[i]) < 1e-12
 
 
@@ -324,8 +328,9 @@ def test_b_matching_count_invariants(b_matching_params):
 
 def test_b_matching_capacity_two_full_fractions(b_matching_params):
     inst = MatchingInstance(1, (2,), (Arrival(((0, 1.0),)), Arrival(((0, 1.0),))))
+    comp = odrs.compile_scheme("odrs_b", inst, b_matching_params)
     for seed in range(30):
-        m = odrs.odrs_round_b(inst, b_matching_params, seed=seed)
+        m = comp.sample(seed)
         assert sorted(m.pairs) == [(0, 0), (0, 1)]
 
 
@@ -381,7 +386,7 @@ def test_downscale_bin_count_bound(matching_params):
 
 def test_component_split_allows_structured_large_instances(matching_params):
     inst = instances.gen_lb_prefix(30)  # 60 offline nodes, disjoint pairs
-    m = odrs.odrs_round(inst, matching_params, seed=3)
+    m = odrs.compile_scheme("odrs", inst, matching_params).sample(3)
     m.assert_valid(inst)
 
 
@@ -402,7 +407,7 @@ def test_sampler_matches_exact_probabilities(matching_params):
 
 def test_matching_json_shape(matching_params):
     inst = instances.gen_random(4, 4, 0.9, seed=2)
-    m = odrs.odrs_round(inst, matching_params, seed=1)
+    m = odrs.compile_scheme("odrs", inst, matching_params).sample(1)
     doc = m.to_json_list()
     assert all(set(d) == {"arrival", "offline"} for d in doc)
     ts = [d["arrival"] for d in doc]
@@ -468,7 +473,30 @@ def test_odrs_rejects_stochastic_instances(matching_params):
     from odrs_lab.errors import DomainError as _DE
     inst = instances.gen_random(4, 4, 0.8, seed=1, stochastic=True)
     with _pytest.raises(_DE, match="sure arrivals"):
-        odrs.odrs_round(inst, matching_params, seed=0)
+        odrs.compile_scheme("odrs", inst, matching_params)
+
+
+def test_odrs_refuses_fractional_degree_above_one(matching_params, b_matching_params):
+    # the matching variant refuses a node of fractional degree above one
+    # before it builds any plan, naming the node; odrs_b rounds the instance
+    refused = 0
+    for seed in range(40):
+        inst = instances.gen_random(5, 7, 0.7, seed, max_b=3)
+        degree = [0.0] * inst.n_offline
+        for arr in inst.arrivals:
+            for i, x in arr.edges:
+                degree[i] += x
+        over = [i for i, d in enumerate(degree) if d > 1 + instances.TOL]
+        if not over:
+            odrs.build_plans(inst, matching_params)
+            continue
+        refused += 1
+        with pytest.raises(DomainError, match=f"offline node {over[0]} .* use odrs-b"):
+            odrs.build_plans(inst, matching_params)
+        with pytest.raises(DomainError, match="use odrs-b"):
+            engine.free_mask_distribution(inst, matching_params, 1)
+        odrs.compile_scheme("odrs_b", inst, b_matching_params).sample(seed)
+    assert refused > 0
 
 
 def test_saturating_node_exact_boundary(matching_params):
