@@ -23,10 +23,12 @@ from .instances import MatchingInstance
 def free_mask_distribution(inst: MatchingInstance, params, t: int,
                            algorithm: str = "odrs") -> SupportDistribution:
     """Joint law of the per-node bid states (bit = 1 at the ceiling) just
-    before arrival t (bucketed ODRS schemes only), over positions
-    0..n_offline-1."""
+    before arrival t in [0, n_arrivals] (bucketed ODRS schemes only), over
+    positions 0..n_offline-1."""
     if odrs_mod.checked_variant(algorithm, params) is None:
         raise DomainError(f"{algorithm} keeps no bid-state masks")
+    if not 0 <= t <= inst.n_arrivals:
+        raise DomainError(f"arrival {t} is outside [0, {inst.n_arrivals}]")
     dp = odrs_mod.BidLawDP(list(range(inst.n_offline)))
     for plan in odrs_mod.build_plans(inst, params)[:t]:
         dp.step(plan)

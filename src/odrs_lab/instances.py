@@ -104,11 +104,14 @@ def validate(inst: MatchingInstance) -> ValidationReport:
     """Check membership in the fractional b-matching polytope plus structure.
 
     Never raises; every violated constraint is reported with its location and
-    magnitude.
+    magnitude. An n_offline other than the number of capacities is reported
+    alone: the other checks are sized by it.
     """
     rep = _load_check(inst)
-    if len(inst.capacities) != inst.n_offline:
-        rep.add("capacity-count", "capacities", abs(len(inst.capacities) - inst.n_offline))
+    if inst.n_offline != len(inst.capacities):
+        rep.add("capacity-count", f"n_offline {inst.n_offline}, {len(inst.capacities)} capacities",
+                abs(len(inst.capacities) - inst.n_offline))
+        return rep
     for i, b in enumerate(inst.capacities):
         if math.isfinite(b) and int(b) == b and b < 1:  # else _load_check reports it
             rep.add("bad-capacity", f"offline {i}", b)
@@ -137,8 +140,7 @@ def validate(inst: MatchingInstance) -> ValidationReport:
         limit = arr.p
         if row > limit + TOL:
             rep.add("arrival-sum", f"arrival {t} degree {row:.12g} > {limit}", row - limit)
-    for i in range(inst.n_offline):
-        b = inst.capacities[i] if i < len(inst.capacities) else 1
+    for i, b in enumerate(inst.capacities):
         if col[i] > b + TOL:
             rep.add("offline-degree", f"offline node {i} degree {col[i]:.12g} > {b}", col[i] - b)
     return rep
@@ -166,18 +168,26 @@ def _load_check(inst: MatchingInstance) -> ValidationReport:
 
 
 def validate_multigraph(mg: MultigraphInstance) -> ValidationReport:
-    """Right ids in range, multiplicities nonnegative, and every degree
-    within the declared delta."""
+    """Node counts nonnegative, right ids in range and listed once per left
+    node, multiplicities nonnegative, and every degree within the declared
+    delta."""
     rep = ValidationReport()
     if mg.delta < 1:
         rep.add("bad-delta", "delta", mg.delta)
+    for side, count in (("left", mg.n_left), ("right", mg.n_right)):
+        if count < 0:
+            rep.add("negative-count", side, count)
     if len(mg.arrivals) > mg.n_left:
         rep.add("left-count", f"{len(mg.arrivals)} arrivals > {mg.n_left} left nodes",
                 len(mg.arrivals) - mg.n_left)
-    right = [0] * mg.n_right
+    right = [0] * max(mg.n_right, 0)
     for t, arr in enumerate(mg.arrivals):
         left = 0
+        seen = set()
         for j, kappa in arr:
+            if j in seen:
+                rep.add("duplicate-right", f"left {t} right {j}", j)
+            seen.add(j)
             if kappa < 0:
                 rep.add("negative-multiplicity", f"left {t} right {j}", kappa)
             elif not (0 <= j < mg.n_right):
@@ -231,17 +241,6 @@ def validate_cover(cov: CoverInstance) -> ValidationReport:
                 rep.add("infeasible-xstar", f"edge {e} covered {got:.12g} < {demand}",
                         demand - got)
     return rep
-
-
-def drop_zero_edges(inst: MatchingInstance) -> MatchingInstance:
-    """Remove zero-fraction edges; they never bid."""
-    arrivals = []
-    for arr in inst.arrivals:
-        keep = [k for k, (_, x) in enumerate(arr.edges) if x > 0.0]
-        edges = tuple(arr.edges[k] for k in keep)
-        weights = None if arr.weights is None else tuple(arr.weights[k] for k in keep)
-        arrivals.append(Arrival(edges, weights, arr.p))
-    return MatchingInstance(inst.n_offline, inst.capacities, tuple(arrivals))
 
 
 # ----------------------------------------------------------------------------
@@ -489,15 +488,18 @@ def cover_from_dict(doc: dict) -> CoverInstance:
 
 
 def load_json(path: str):
-    """Load any instance kind; matching instances are zero-edge-cleaned and
-    capacity-b online nodes pre-split into unit arrivals."""
+    """Load any instance kind from a JSON object; a matching instance keeps
+    its zero-fraction edges and has its capacity-b online nodes pre-split
+    into unit arrivals."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationFailure(f"JSON parse error at line {exc.lineno} col {exc.colno}: {exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise ValidationFailure(f"an instance is a JSON object, not {json.dumps(doc)[:40]}")
     if "multigraph" in doc:
         return multigraph_from_dict(doc)
     if "cover" in doc:
         return cover_from_dict(doc)
-    return drop_zero_edges(instance_from_dict(doc))
+    return instance_from_dict(doc)

@@ -201,11 +201,11 @@ def _fractional_indices(y: np.ndarray) -> list[int]:
     return out
 
 
-def offline_pivotal(x, seed: int = 0, rng: ScalarRng | None = None) -> np.ndarray:
+def offline_pivotal(x, seed: int = 0) -> np.ndarray:
     """Offline level-set rounding: repeatedly merge the two lowest-index
     fractional entries until none remain."""
     xs, n = _pad_to_integer(x)
-    rng = rng if rng is not None else ScalarRng(seed)
+    rng = ScalarRng(seed)
     y = xs.copy()
     for _ in range(len(y)):  # at most n-1 merges; one slack step for the guard
         frac = _fractional_indices(y)

@@ -424,39 +424,28 @@ def downscale_for_polytime(inst: MatchingInstance, gamma: float) -> MatchingInst
 # exact bid-set law (free/lag-mask dynamic program)
 # ----------------------------------------------------------------------------
 
-def _candidate_units(bins: list[GroupBin], crossing=()):
-    """Independent draw units of one arrival: (kind, [(node or None,
-    probability)]). Group bins: at most one candidate; crossing nodes: a coin.
-    """
-    units = []
-    for gb in bins:
-        outs = [(None, 1.0 - sum(gb.sizes))]
-        outs.extend((node, sz) for node, sz in zip(gb.nodes, gb.sizes))
-        units.append(("bin", outs))
-    for cn in crossing:
-        units.append(("cross", [(cn.node, cn.takeover), (None, 1.0 - cn.takeover)]))
-    return units
+def outcome_masks(bins: list[GroupBin], crossing: list[CrossingNode], pos
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every joint outcome of one arrival's draws as three arrays: the mask
+    of drawn bin candidates, the mask of crossing nodes on heads (bit
+    pos[node] per node), and the probability. Outcomes run in nested-loop
+    order, bins (no candidate, then each node) before coins (heads, then
+    tails), skipping options of probability zero."""
+    # per independent unit: its options as (drawn bit, heads bit, probability)
+    units = [[(0, 0, 1.0 - sum(gb.sizes)),
+              *((1 << pos[node], 0, sz) for node, sz in zip(gb.nodes, gb.sizes))] for gb in bins]
+    units += [[(0, 1 << pos[cn.node], cn.takeover), (0, 0, 1.0 - cn.takeover)] for cn in crossing]
+    drawn, heads, probs = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64), np.ones(1)
+    for options in units:
+        d, h, p = (np.array(col) for col in zip(*[opt for opt in options if opt[2] > 0.0]))
+        drawn, heads, probs = ((drawn[:, None] | d).ravel(), (heads[:, None] | h).ravel(),
+                               (probs[:, None] * p).ravel())
+    return drawn, heads, probs
 
 
-def _enumerate_candidates(units):
-    """All joint candidate outcomes: list of (candidate dict, probability).
-
-    Candidate dict maps node -> unit kind ('bin' or 'cross')."""
-    outcomes = [({}, 1.0)]
-    for kind, outs in units:
-        nxt = []
-        for cand, pr in outcomes:
-            for node, p in outs:
-                if p <= 0.0:
-                    continue
-                c2 = cand if node is None else {**cand, node: kind}
-                nxt.append((c2, pr * p))
-        outcomes = nxt
-    return outcomes
-
-
-# (state, outcome) pairs per numpy pass of BidLawDP.step; bounds its scratch
-# arrays to a few of this many entries
+# (state, outcome) pairs per numpy pass of `pair_chunks` (BidLawDP.step and
+# the stochastic matched-set DP); bounds their scratch arrays to a few of
+# this many entries
 CHUNK_PAIRS = 1 << 12
 _UNSEEN = np.iinfo(np.int64).max
 # BidLawDP.step drops lag-mask states of probability at most DROP_ATOM and
@@ -509,33 +498,23 @@ class BidLawDP:
         """Advance one arrival; returns the law of the bidder set P_t
         (masks over plan.active())."""
         active = plan.active()
-        outcomes = _enumerate_candidates(_candidate_units(plan.bins, plan.crossing))
         pos = self.pos
         # per outcome, over lag-mask bits: drawn bin candidates, and crossing
         # nodes that fall back in line if ahead (tails)
-        drawn = np.array([sum(1 << pos[i] for i, kind in cand.items() if kind == "bin")
-                          for cand, _ in outcomes], dtype=np.int64)
+        drawn, heads, cprobs = outcome_masks(plan.bins, plan.crossing, pos)
         cross = sum(1 << pos[cn.node] for cn in plan.crossing)
-        tails = np.array([cross - sum(1 << pos[i] for i, kind in cand.items()
-                                      if kind == "cross")
-                          for cand, _ in outcomes], dtype=np.int64)
-        cprobs = np.array([p for _, p in outcomes])
+        tails = cross & ~heads
         # bids fall on active nodes only, so the law is summed by the full
         # bid mask and projected onto the active positions once, at the end
-        law = _PairSums(len(self.nodes))
-        new_state = _PairSums(len(self.nodes))
-        n_out = len(outcomes)
-        rows = max(1, CHUNK_PAIRS // n_out)
-        for r0 in range(0, len(self.masks), rows):
-            m = self.masks[r0:r0 + rows, None]
-            p = (self.probs[r0:r0 + rows, None] * cprobs).ravel()
+        law = PairSums(len(self.nodes))
+        new_state = PairSums(len(self.nodes))
+        for m, p, index in pair_chunks(self.masks, self.probs, cprobs):
             # a drawn candidate bids iff not ahead, then moves ahead; a
             # crossing node bids when lagging or on heads, and an ahead
             # node on tails falls back in line
             moved = drawn & ~m
             bid = (moved | (cross & ~(m & tails))).ravel()
             new = ((m & ~tails) | moved).ravel()
-            index = np.arange(r0 * n_out, r0 * n_out + len(p))
             live = p > 0.0
             if not live.all():
                 p, bid, new, index = p[live], bid[live], new[live], index[live]
@@ -559,7 +538,19 @@ class BidLawDP:
                                            tuple(zip(keys.tolist(), sums.tolist())))
 
 
-class _PairSums:
+def pair_chunks(masks: np.ndarray, probs: np.ndarray, out_probs: np.ndarray):
+    """Walk the (state, outcome) grid state-major, CHUNK_PAIRS pairs at a
+    time. Yields the chunk's state masks as a column, each pair's
+    probability (state times outcome, flat in pair order) and each pair's
+    index in the whole grid."""
+    n_out = len(out_probs)
+    rows = max(1, CHUNK_PAIRS // n_out)
+    for r0 in range(0, len(masks), rows):
+        p = (probs[r0:r0 + rows, None] * out_probs).ravel()
+        yield masks[r0:r0 + rows, None], p, np.arange(r0 * n_out, r0 * n_out + len(p))
+
+
+class PairSums:
     """Dense per-mask sums over masks of `bits` bits, added in pair order,
     with each mask's first pair index to recover first-seen order."""
 
@@ -663,7 +654,9 @@ class _CompiledScheme:
     a selector."""
 
     def bid_law(self, t: int) -> crs_mod.SupportDistribution:
-        """Exact law of the bidder set P_t."""
+        """Exact law of the bidder set P_t, for t in [0, n_arrivals)."""
+        if not 0 <= t < len(self.selectors):
+            raise DomainError(f"arrival {t} is outside [0, {len(self.selectors)})")
         if self.selectors[t] is None:
             return crs_mod.SupportDistribution((), ((0, 1.0),))
         return self._law(t)
@@ -709,8 +702,8 @@ class CompiledOdrs(_CompiledScheme):
             self.laws.append(law)
             self.selectors.append(crs_mod.build_selector(law, v))
 
-    def sample(self, seed: int, rng: ScalarRng | None = None) -> Matching:
-        rng = rng if rng is not None else ScalarRng(seed)
+    def sample(self, seed: int) -> Matching:
+        rng = ScalarRng(seed)
         ahead = np.zeros(self.inst.n_offline, dtype=bool)
         out = Matching()
         for plan, selector in zip(self.plans, self.selectors):
@@ -780,8 +773,8 @@ class CompiledWarmup(_CompiledScheme):
                 s[i], comp[i] = kahan_add(s[i], comp[i], x)
             self.steps.append(rows)
 
-    def sample(self, seed: int, rng: ScalarRng | None = None) -> Matching:
-        rng = rng if rng is not None else ScalarRng(seed)
+    def sample(self, seed: int) -> Matching:
+        rng = ScalarRng(seed)
         warmup = OnlineWarmup(self.inst.n_offline)
         out = Matching()
         for t, (edges, sel) in enumerate(zip(self.edges, self.selectors)):

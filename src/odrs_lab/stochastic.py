@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bitmask
+from . import crs
 from . import odrs as odrs_mod
 from .errors import DomainError, InvariantBreach, SizeError
 from .instances import MatchingInstance
@@ -154,6 +155,9 @@ class StochasticPlan:
     bins: list[odrs_mod.GroupBin]
     xhat: dict[int, float]
     weights: dict[int, float]
+    # the bin nodes in the order the greedy takes them: heaviest first, ties
+    # to the lowest id
+    order: list[int]
 
 
 def build_stochastic_plans(inst: MatchingInstance, xstar: dict[tuple[int, int], float],
@@ -191,33 +195,29 @@ def build_stochastic_plans(inst: MatchingInstance, xstar: dict[tuple[int, int], 
         for i, xh in xhat_row.items():
             s[i] += xstar[(i, t)]
             shat[i] += xh
-        plans.append(StochasticPlan(t, p_t, bins, xhat_row, wrow))
+        order = sorted(wrow, key=lambda i: (-wrow[i], i))
+        plans.append(StochasticPlan(t, p_t, bins, xhat_row, wrow, order))
     return plans
 
 
 def stochastic_round(inst: MatchingInstance, xstar: dict[tuple[int, int], float],
-                     params: odrs_mod.ScalingParams, seed: int = 0,
-                     rng: ScalarRng | None = None) -> odrs_mod.Matching:
+                     params: odrs_mod.ScalingParams, seed: int = 0) -> odrs_mod.Matching:
     """One run of the stochastic matching algorithm.
 
-    Nodes stay free until matched; an arriving online node greedily takes its
-    maximum-weight bidder (ties to the lowest id).
+    Nodes stay free until matched; an arriving online node takes its first
+    bidder (a drawn free node) in `plan.order`.
     """
     plans = build_stochastic_plans(inst, xstar, params)
-    rng = rng if rng is not None else ScalarRng(seed)
+    rng = ScalarRng(seed)
     matched = [False] * inst.n_offline
     out = odrs_mod.Matching()
     for plan in plans:
-        bidders = []
-        for gb in plan.bins:
-            node = gb.draw(rng.uniform())
-            if node >= 0 and not matched[node]:
-                bidders.append(node)
-        arrived = rng.uniform() < plan.p
-        if bidders and arrived:
-            best = max(bidders, key=lambda i: (plan.weights[i], -i))
-            matched[best] = True
-            out.add(best, plan.t)
+        drawn = {gb.draw(rng.uniform()) for gb in plan.bins}
+        if rng.uniform() < plan.p:  # arrived
+            best = next((i for i in plan.order if i in drawn and not matched[i]), -1)
+            if best >= 0:
+                matched[best] = True
+                out.add(best, plan.t)
     out.assert_valid(inst)
     return out
 
@@ -226,69 +226,73 @@ def stochastic_round(inst: MatchingInstance, xstar: dict[tuple[int, int], float]
 # exact engine (matched-mask dynamic program)
 # ----------------------------------------------------------------------------
 
+DROP_TERM = 1e-18  # a matched-set DP term of at most this is dropped before summing
+# exact_threshold_check certifies Pr[w(M(t)) >= z] >= GUARANTEE * (LP mass of
+# weight >= z) at every arrival t and threshold z, up to GUARANTEE_TOL
+GUARANTEE = 0.652
+GUARANTEE_TOL = 1e-9
+
+
 class StochasticExact:
-    """Exact joint law of the matched set, evolved arrival by arrival."""
+    """Exact joint law of the matched set, stepped arrival by arrival on the
+    bid-law DP's outcome masks and pair sums (`odrs.outcome_masks`,
+    `odrs.pair_chunks`, `odrs.PairSums`): each (state, outcome) pair adds its
+    matched term, then its unmatched term, dropping terms of at most
+    DROP_TERM, so atoms and their order are those of the plain loop over
+    states and then outcomes."""
 
     def __init__(self, inst: MatchingInstance, xstar, params):
         bitmask.check_width(inst.n_offline, "an exact matched-set law")
         self.inst = inst
         self.plans = build_stochastic_plans(inst, xstar, params)
-        self.shat_before: list[dict[int, float]] = []
-        acc: dict[int, float] = {}
-        for plan in self.plans:
-            self.shat_before.append(dict(acc))
-            for i, xh in plan.xhat.items():
-                acc[i] = acc.get(i, 0.0) + xh
-        self.shat_final = acc
 
     def evolve(self):
-        """Yields (t, matched-mask law before t, plan); law maps mask -> prob."""
-        state = {0: 1.0}
-        for plan in self.plans:
-            yield plan.t, state, plan
-            outcomes = odrs_mod._enumerate_candidates(odrs_mod._candidate_units(plan.bins))
-            new_state: dict[int, float] = {}
+        """Yields (t, law of the matched set before t, plan) per arrival, then
+        (T, final law, None); each law is a crs.SupportDistribution over
+        positions 0..n_offline-1 (bit i = offline node i)."""
+        n = self.inst.n_offline
+        masks, probs = np.zeros(1, dtype=np.int64), np.ones(1)
+        for t, plan in enumerate([*self.plans, None]):
+            yield t, crs.SupportDistribution(tuple(range(n)),
+                                             tuple(zip(masks.tolist(), probs.tolist()))), plan
+            if plan is None:
+                break
+            drawn, _, cprobs = odrs_mod.outcome_masks(plan.bins, (), range(n))  # bit i = node i
+            new_state = odrs_mod.PairSums(n)
+            for m, p, index in odrs_mod.pair_chunks(masks, probs, cprobs):
+                bidders = (drawn & ~m).ravel()
+                best = np.zeros_like(bidders)
+                for node in reversed(plan.order):  # the first bidder in order wins
+                    best = np.where(bidders >> node & 1, 1 << node, best)
+                stay = m.ravel().repeat(len(drawn))
+                # pair k adds its matched term as 2k, its unmatched one as 2k + 1
+                terms = np.stack([np.where(best != 0, p * plan.p, 0.0),
+                                  np.where(best != 0, p * (1.0 - plan.p), p)], 1).ravel()
+                keep = terms > DROP_TERM
+                new_state.add(np.stack([stay | best, stay], 1).ravel()[keep], terms[keep],
+                              np.stack([2 * index, 2 * index + 1], 1).ravel()[keep])
+            masks, probs = new_state.items()
 
-            def put(mask, pr):
-                if pr > 1e-18:
-                    new_state[mask] = new_state.get(mask, 0.0) + pr
-
-            for mask, pr in state.items():
-                for cand, cpr in outcomes:
-                    bidders = [i for i in cand if not mask >> i & 1]
-                    p = pr * cpr
-                    if p <= 0:
-                        continue
-                    if bidders:
-                        best = max(bidders, key=lambda i: (plan.weights[i], -i))
-                        put(mask | (1 << best), p * plan.p)
-                        put(mask, p * (1.0 - plan.p))
-                    else:
-                        put(mask, p)
-            state = new_state
-        yield len(self.plans), state, None
-
-    def matched_weight_tail(self, t: int, z: float, state: dict[int, float],
+    def matched_weight_tail(self, t: int, z: float, state: crs.SupportDistribution,
                             plan: StochasticPlan) -> float:
-        """Exact Pr[t is matched at weight >= z]."""
-        total = 0.0
-        heavy = {i for i, w in plan.weights.items() if w >= z}
-        for mask, pr in state.items():
-            live_bins = []
-            for gb in plan.bins:
-                hit = sum(sz for node, sz in zip(gb.nodes, gb.sizes)
-                          if node in heavy and not mask >> node & 1)
-                live_bins.append(hit)
-            miss = math.prod(1.0 - h for h in live_bins)
-            total += pr * (1.0 - miss)
-        return plan.p * total
+        """Exact Pr[t is matched at weight >= z]: per atom, the chance that
+        some bin draws a free node of weight >= z, summed in atom order."""
+        masks, probs = (np.array(column) for column in zip(*state.atoms))
+        miss = np.ones(len(masks))
+        for gb in plan.bins:
+            hit = np.zeros(len(masks))
+            for node, sz in zip(gb.nodes, gb.sizes):
+                if plan.weights[node] >= z:
+                    hit += np.where(masks >> node & 1, 0.0, sz)
+            miss *= 1.0 - hit
+        # a left-to-right total: np.sum adds pairwise, which changes last bits
+        return plan.p * float(np.cumsum(probs * (1.0 - miss))[-1])
 
 
-def exact_threshold_check(inst: MatchingInstance, xstar, params,
-                          guarantee: float = 0.652, tol: float = 1e-9) -> float:
-    """Worst margin of Pr[w(M(t)) >= z] - guarantee * sum_{w_{i,t} >= z} x_{i,t}
-    over all arrivals and weight thresholds; nonnegative (within tol) when the
-    per-arrival guarantee holds."""
+def exact_threshold_check(inst: MatchingInstance, xstar, params) -> float:
+    """Worst margin of Pr[w(M(t)) >= z] - GUARANTEE * sum_{w_{i,t} >= z} x_{i,t}
+    over all arrivals and weight thresholds; nonnegative (within
+    GUARANTEE_TOL) when the per-arrival guarantee holds."""
     ex = StochasticExact(inst, xstar, params)
     worst = math.inf
     for t, state, plan in ex.evolve():
@@ -296,10 +300,10 @@ def exact_threshold_check(inst: MatchingInstance, xstar, params,
             break
         for z in sorted(set(plan.weights.values())):
             lhs = ex.matched_weight_tail(t, z, state, plan)
-            rhs = guarantee * sum(xstar.get((i, t), 0.0)
+            rhs = GUARANTEE * sum(xstar.get((i, t), 0.0)
                                   for i, w in plan.weights.items() if w >= z)
             worst = min(worst, lhs - rhs)
-    if worst < -tol:
+    if worst < -GUARANTEE_TOL:
         raise InvariantBreach(f"per-threshold guarantee violated by {-worst}")
     return 0.0 if math.isinf(worst) else worst
 
@@ -322,14 +326,12 @@ def eval_vs_lp(inst: MatchingInstance, params: odrs_mod.ScalingParams,
     lp = build_lp(inst)
     sol = solve_lp(lp)
     plans = build_stochastic_plans(inst, sol.x, params)
-    # bidders in the order the greedy takes them: heaviest first, ties to the lowest id
-    orders = [sorted(plan.weights, key=lambda i: (-plan.weights[i], i)) for plan in plans]
     weight = np.zeros(runs)
     for lo, hi, g in run_chunks(runs, seed, 7):
         size = hi - lo
         matched = np.zeros((inst.n_offline, size), dtype=bool)
         chunk_weight = weight[lo:hi]
-        for plan, order in zip(plans, orders):
+        for plan in plans:
             bid = {}
             for gb in plan.bins:
                 for node, hit in zip(gb.nodes, gb.draw_masks(g.random(size))):
@@ -337,7 +339,7 @@ def eval_vs_lp(inst: MatchingInstance, params: odrs_mod.ScalingParams,
                     bid[node] = hit
             # runs that arrived and are not matched yet at this arrival
             free = g.random(size) < plan.p
-            for node in order:
+            for node in plan.order:
                 take = bid[node]
                 take &= free
                 if take.any():

@@ -112,6 +112,17 @@ def reference_product_select(sel, bids, uniform):
     return ~ref
 
 
+def scaled_degree_prefixes(plans):
+    """Each node's scaled degree (prefix sums of `plan.xhat`) before every
+    arrival, then after the last: len(plans) + 1 dicts, indexed by t."""
+    out, acc = [], {}
+    for plan in plans:
+        out.append(dict(acc))
+        for i, xh in plan.xhat.items():
+            acc[i] = acc.get(i, 0.0) + xh
+    return out + [acc]
+
+
 def bit_law(n, probs):
     """The law over positions 0..n-1 with the given mask probabilities."""
     return crs.SupportDistribution(tuple(range(n)), tuple(probs.items()))

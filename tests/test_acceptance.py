@@ -12,7 +12,8 @@ import time
 
 import numpy as np
 
-from conftest import bit_law, cylinder_mass, digest, rotation_joint, sized_joint
+from conftest import (bit_law, cylinder_mass, digest, rotation_joint, scaled_degree_prefixes,
+                      sized_joint)
 from odrs_lab import apps, bench, exact_engine as engine
 from odrs_lab import instances, level_set as ls, odrs, stochastic as st
 
@@ -223,16 +224,17 @@ def test_criterion_11_stochastic(matching_params):
         inst = instances.gen_random(6, 6, 0.7, seed=6000 + s, stochastic=True)
         sol = st.solve_lp(st.build_lp(inst))
         ex = st.StochasticExact(inst, sol.x, matching_params)
+        shats = scaled_degree_prefixes(ex.plans)
         for t, state, plan in ex.evolve():
-            shat = ex.shat_before[t] if plan is not None else ex.shat_final
+            shat = shats[t]
             for size in (1, 2, 3):
                 for S in itertools.combinations(range(inst.n_offline), size):
-                    pr = sum(p for mk, p in state.items()
+                    pr = sum(p for mk, p in state.atoms
                              if all(mk >> i & 1 for i in S))
                     if pr > math.prod(shat.get(i, 0.0) for i in S) + 1e-9:
                         exact_ok = False
             for i in range(inst.n_offline):
-                free = sum(p for mk, p in state.items() if not mk >> i & 1)
+                free = sum(p for mk, p in state.atoms if not mk >> i & 1)
                 if free < 1 - shat.get(i, 0.0) - 1e-9:
                     exact_ok = False
     ok = worst_lo >= 0.652 and worst_hi <= 1.0 and exact_ok

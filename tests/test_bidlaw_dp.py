@@ -8,6 +8,20 @@ from odrs_lab.errors import InvariantBreach
 from odrs_lab.instances import Arrival, MatchingInstance
 
 
+def reference_outcomes(bins, crossing=()):
+    """The dict enumeration `odrs.outcome_masks` replaced: every joint
+    candidate outcome of one arrival as (candidate dict, probability), the
+    dict mapping each drawn node to its unit kind ('bin' or 'cross')."""
+    units = [("bin", [(None, 1.0 - sum(gb.sizes)), *zip(gb.nodes, gb.sizes)]) for gb in bins]
+    units += [("cross", [(cn.node, cn.takeover), (None, 1.0 - cn.takeover)])
+              for cn in crossing]
+    outcomes = [({}, 1.0)]
+    for kind, outs in units:
+        outcomes = [(cand if node is None else {**cand, node: kind}, pr * p)
+                    for cand, pr in outcomes for node, p in outs if p > 0.0]
+    return outcomes
+
+
 class ReferenceBidLawDP:
     """The dict-of-masks × enumerated-outcomes loop, kept as the reference."""
 
@@ -19,7 +33,7 @@ class ReferenceBidLawDP:
     def step(self, plan):
         active = plan.active()
         apos = {i: k for k, i in enumerate(active)}
-        outcomes = odrs._enumerate_candidates(odrs._candidate_units(plan.bins, plan.crossing))
+        outcomes = reference_outcomes(plan.bins, plan.crossing)
         law = {}
         new_state = {}
         bin_nodes = [node for gb in plan.bins for node in gb.nodes]
@@ -64,6 +78,26 @@ def assert_same_dp(inst, params):
         assert got.atoms == want.atoms  # same masks, same order, same floats
         assert list(new.state.items()) == list(ref.state.items())
     return plans
+
+
+def test_outcome_masks_equal_reference(matching_params, b_matching_params):
+    """Masks, probabilities and order of every plan's outcomes, bit for bit."""
+    cases = [(instances.gen_random(n, n + 2, 0.6, seed=seed), matching_params)
+             for n in range(3, 9) for seed in range(2)]
+    cases += [(instances.gen_random(6, 12, 0.7, seed=seed, max_b=3), b_matching_params)
+              for seed in range(2)]
+    crossed = 0
+    for inst, params in cases:
+        for plan in odrs.build_plans(inst, params):
+            crossed += len(plan.crossing)
+            pos = {i: (7 * i) % 11 for i in range(inst.n_offline)}  # not the identity
+            drawn, heads, probs = odrs.outcome_masks(plan.bins, plan.crossing, pos)
+            want = reference_outcomes(plan.bins, plan.crossing)
+            assert probs.tolist() == [p for _, p in want]
+            for kind, got in (("bin", drawn), ("cross", heads)):
+                assert got.tolist() == [sum(1 << pos[i] for i, k in cand.items() if k == kind)
+                                        for cand, _ in want]
+    assert crossed > 0
 
 
 @pytest.mark.parametrize("n", range(3, 11))

@@ -121,6 +121,39 @@ def test_stochastic_cli(tmp_path):
     assert doc["ratio"] >= 0.652 - 3 * doc["ratio_ci95"]
 
 
+def test_zero_fraction_edges_kept_cli_matches_library(tmp_path):
+    """The stochastic LP ignores x, so a zero-fraction edge is still an edge
+    of the graph: the CLI reports what the library does on the same dict."""
+    from odrs_lab import instances, odrs, stochastic
+
+    doc = {"n_offline": 2, "capacities": [1, 1], "arrivals": [
+        {"p": 0.9, "edges": [{"i": 0, "x": 0.0, "w": 2.0}, {"i": 1, "x": 0.0, "w": 1.0}]},
+        {"p": 0.7, "edges": [{"i": 0, "x": 0.0, "w": 1.5}]}]}
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(doc))
+    r = run("round", "--alg", "stochastic", "--instance", str(path),
+            "--n-runs", "10000", "--seed", "3")
+    assert r.returncode == 0, r.stderr
+    want = stochastic.eval_vs_lp(instances.instance_from_dict(doc), odrs.scheme_params("odrs"),
+                                 runs=10_000, seed=3)
+    assert json.loads(r.stdout) == want
+    assert want["lp_value"] > 0 and want["ratio"] < 1
+
+
+@pytest.mark.parametrize("text", ["5", "null", "[]", '"cover"', "{}"])
+@pytest.mark.parametrize("cmd", ["validate", "round", "color", "cover"])
+def test_documents_of_the_wrong_shape_exit_2(tmp_path, monkeypatch, capsys, cmd, text):
+    import odrs_lab.cli as cli_mod
+
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    argv = [cmd, str(path)] if cmd == "validate" else [cmd, "--instance", str(path)]
+    monkeypatch.setattr(sys, "argv", ["odrs-lab", *argv])
+    assert cli_mod.main() == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "internal error" not in err
+
+
 def test_exit_code_mapping(monkeypatch):
     import click
     import odrs_lab.cli as cli_mod

@@ -272,6 +272,24 @@ def test_free_mask_distribution(matching_params):
     assert dist.elements == tuple(range(5))
 
 
+def test_arrival_indices_are_range_checked(matching_params):
+    inst = instances.gen_random(4, 5, 0.7, seed=1)
+    T = inst.n_arrivals
+    for name, params in (("odrs", matching_params), ("warmup", None)):
+        comp = odrs.compile_scheme(name, inst, params)
+        for t in (-1, T):
+            with pytest.raises(DomainError, match=rf"arrival {t} is outside \[0, {T}\)"):
+                comp.bid_law(t)
+    for t in (-1, T + 1, 99):
+        with pytest.raises(DomainError, match=rf"arrival {t} is outside \[0, {T}\]"):
+            engine.free_mask_distribution(inst, matching_params, t)
+    final = odrs.BidLawDP(list(range(inst.n_offline)))
+    for plan in odrs.build_plans(inst, matching_params):
+        final.step(plan)
+    assert engine.free_mask_distribution(inst, matching_params, T).atoms == tuple(
+        final.state.items())
+
+
 def test_free_mask_distribution_equals_the_compiled_plans(matching_params, b_matching_params):
     # the law used to be read off compile_scheme's plans; build_plans gives
     # the same plans without synthesizing a selector per arrival

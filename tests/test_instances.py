@@ -102,15 +102,6 @@ def test_load_splits_capacity_b_online_nodes(tmp_path):
         assert arr.edges == ((0, 0.4), (1, 0.3))
 
 
-def test_load_drops_zero_edges(tmp_path):
-    doc = {"n_offline": 2, "capacities": [1, 1],
-           "arrivals": [{"edges": [{"i": 0, "x": 0.0}, {"i": 1, "x": 0.5}]}]}
-    path = tmp_path / "z.json"
-    path.write_text(json.dumps(doc))
-    inst = instances.load_json(path)
-    assert inst.arrivals[0].edges == ((1, 0.5),)
-
-
 def test_malformed_json_reports_location(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"n_offline": 2,\n "capacities": [1, }')
@@ -156,6 +147,33 @@ def test_validate_multigraph():
     bad = MultigraphInstance(2, 2, 2, (((0, 2), (1, -1)), ((0, 1), (3, 1))))
     kinds = {v.kind for v in instances.validate_multigraph(bad).violations}
     assert kinds == {"negative-multiplicity", "edge-endpoint", "right-degree"}
+
+
+def test_validate_multigraph_refuses_repeated_right_ids_and_negative_counts():
+    """A left node listing one right id twice would have its parallel edges
+    colored as if they were one edge's copies."""
+    twice = MultigraphInstance(1, 1, 3, (((0, 1), (0, 1)),))
+    assert [(v.kind, v.where) for v in instances.validate_multigraph(twice).violations] == [
+        ("duplicate-right", "left 0 right 0")]
+    negative = MultigraphInstance(0, -3, 2, ())
+    assert [(v.kind, v.where) for v in instances.validate_multigraph(negative).violations] == [
+        ("negative-count", "right")]
+
+
+def test_validate_reports_a_node_count_before_sizing_by_it():
+    for n in (-1, 10 ** 12, 3):
+        inst = MatchingInstance(n, (1, 1), (Arrival(((0, 0.5),)),))
+        rep = instances.validate(inst)
+        assert [v.kind for v in rep.violations] == ["capacity-count"]
+        assert rep.violations[0].magnitude == abs(n - 2)
+
+
+@pytest.mark.parametrize("text", ["5", "null", "[]", '"cover"', "true"])
+def test_load_refuses_a_document_that_is_not_an_object(tmp_path, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    with pytest.raises(ValidationFailure, match="an instance is a JSON object, not "):
+        instances.load_json(path)
 
 
 def test_non_integral_capacity_rejected_at_load():

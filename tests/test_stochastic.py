@@ -4,12 +4,107 @@ import math
 import numpy as np
 import pytest
 
-from odrs_lab import instances, odrs, stochastic as st
+from conftest import scaled_degree_prefixes
+from odrs_lab import crs, instances, odrs, stochastic as st
 from odrs_lab.instances import Arrival, MatchingInstance
+from test_bidlaw_dp import reference_outcomes
+
+
+class ReferenceStochasticExact:
+    """The dict-of-masks × enumerated-outcomes loop StochasticExact replaced,
+    kept as the reference: laws are dicts mask -> probability."""
+
+    def __init__(self, plans):
+        self.plans = plans
+
+    def evolve(self):
+        state = {0: 1.0}
+        for plan in self.plans:
+            yield plan.t, state, plan
+            outcomes = reference_outcomes(plan.bins)
+            new_state = {}
+
+            def put(mask, pr):
+                if pr > 1e-18:
+                    new_state[mask] = new_state.get(mask, 0.0) + pr
+
+            for mask, pr in state.items():
+                for cand, cpr in outcomes:
+                    bidders = [i for i in cand if not mask >> i & 1]
+                    p = pr * cpr
+                    if p <= 0:
+                        continue
+                    if bidders:
+                        best = max(bidders, key=lambda i: (plan.weights[i], -i))
+                        put(mask | (1 << best), p * plan.p)
+                        put(mask, p * (1.0 - plan.p))
+                    else:
+                        put(mask, p)
+            state = new_state
+        yield len(self.plans), state, None
+
+    @staticmethod
+    def matched_weight_tail(z, state, plan):
+        total = 0.0
+        heavy = {i for i, w in plan.weights.items() if w >= z}
+        for mask, pr in state.items():
+            live_bins = []
+            for gb in plan.bins:
+                hit = sum(sz for node, sz in zip(gb.nodes, gb.sizes)
+                          if node in heavy and not mask >> node & 1)
+                live_bins.append(hit)
+            miss = math.prod(1.0 - h for h in live_bins)
+            total += pr * (1.0 - miss)
+        return plan.p * total
 
 
 def _one_by_one(p=0.5, w=1.0):
     return MatchingInstance(1, (1,), (Arrival(((0, 0.0),), (w,), p),))
+
+
+def test_exact_laws_and_tails_equal_reference(matching_params):
+    """80 instances, n = 3..12: every law has the reference's atoms in its
+    order, bit for bit, and every weight tail is the same float."""
+    laws = 0
+    for n in range(3, 13):
+        for seed in range(8):
+            inst = instances.gen_random(n, n, 0.7, seed, stochastic=True)
+            sol = st.solve_lp(st.build_lp(inst))
+            ex = st.StochasticExact(inst, sol.x, matching_params)
+            ref = ReferenceStochasticExact(ex.plans)
+            for (t, law, plan), (_, want, _) in zip(ex.evolve(), ref.evolve(), strict=True):
+                assert isinstance(law, crs.SupportDistribution)
+                assert law.elements == tuple(range(n))
+                assert law.atoms == tuple(want.items())
+                laws += 1
+                if plan is None:
+                    continue
+                for z in sorted(set(plan.weights.values())):
+                    assert (ex.matched_weight_tail(t, z, law, plan)
+                            == ReferenceStochasticExact.matched_weight_tail(z, want, plan))
+    assert laws > 600
+
+
+def test_exact_laws_equal_reference_across_chunk_edges(matching_params, monkeypatch):
+    """Chunks smaller than one state's outcomes, and chunks that split the
+    state list unevenly."""
+    inst = instances.gen_random(9, 9, 0.7, 3, stochastic=True)
+    sol = st.solve_lp(st.build_lp(inst))
+    for budget in (1, 5, 64):
+        monkeypatch.setattr(odrs, "CHUNK_PAIRS", budget)
+        ex = st.StochasticExact(inst, sol.x, matching_params)
+        ref = ReferenceStochasticExact(ex.plans)
+        for (_, law, _), (_, want, _) in zip(ex.evolve(), ref.evolve(), strict=True):
+            assert law.atoms == tuple(want.items())
+
+
+def test_plan_order_is_the_greedy_rule(matching_params):
+    """Heaviest bidder first, ties to the lowest id: equal weights included."""
+    inst = MatchingInstance(4, (1,) * 4, (
+        Arrival(((3, 0.0), (1, 0.0), (0, 0.0), (2, 0.0)), (2.0, 5.0, 2.0, 5.0), 1.0),))
+    xstar = {(i, 0): 0.2 for i in range(4)}
+    plan, = st.build_stochastic_plans(inst, xstar, matching_params)
+    assert plan.order == [1, 2, 0, 3]
 
 
 def test_build_lp_rows_one_by_one():
@@ -81,7 +176,7 @@ def test_one_by_one_exact_match_probability(matching_params):
     xhat = odrs.scale_hat(0.5, 0.0, matching_params)
     for t, state, plan in ex.evolve():
         if plan is None:
-            matched = sum(p for mk, p in state.items() if mk & 1)
+            matched = sum(p for mk, p in state.atoms if mk & 1)
             assert matched == pytest.approx(xhat, abs=1e-12)
 
 
@@ -98,10 +193,10 @@ def test_bdm_identity(matching_params):
         for bits in itertools.product([0, 1], repeat=len(S)):
             A = [S[k] for k in range(len(S)) if bits[k]]
             rest = [S[k] for k in range(len(S)) if not bits[k]]
-            p_exact = sum(p for mk, p in state.items()
+            p_exact = sum(p for mk, p in state.atoms
                           if all(mk >> i & 1 for i in A)
                           and not any(mk >> i & 1 for i in rest))
-            p_super = sum(p for mk, p in state.items()
+            p_super = sum(p for mk, p in state.atoms
                           if all(mk >> i & 1 for i in A))
             lhs += p_exact * math.prod(q[S.index(i)] for i in rest)
             rhs += p_super * (math.prod(1 - q[S.index(i)] for i in A)
@@ -116,16 +211,17 @@ def test_submultiplicativity_and_free_floor(matching_params):
         inst = instances.gen_random(6, 6, 0.7, seed=seed, stochastic=True)
         sol = st.solve_lp(st.build_lp(inst))
         ex = st.StochasticExact(inst, sol.x, matching_params)
+        shats = scaled_degree_prefixes(ex.plans)
         for t, state, plan in ex.evolve():
-            shat = ex.shat_before[t] if plan is not None else ex.shat_final
+            shat = shats[t]
             nodes = range(inst.n_offline)
             for size in (1, 2, 3):
                 for S in itertools.combinations(nodes, size):
-                    pr = sum(p for mk, p in state.items()
+                    pr = sum(p for mk, p in state.atoms
                              if all(mk >> i & 1 for i in S))
                     assert pr <= math.prod(shat.get(i, 0.0) for i in S) + 1e-9
             for i in nodes:
-                free = sum(p for mk, p in state.items() if not mk >> i & 1)
+                free = sum(p for mk, p in state.atoms if not mk >> i & 1)
                 assert free >= 1 - shat.get(i, 0.0) - 1e-12
 
 
@@ -141,7 +237,7 @@ def test_bid_set_bound_stochastic(matching_params):
         for r in range(1, min(len(nodes), 4) + 1):
             for S in itertools.combinations(nodes, r):
                 hit = 0.0
-                for mask, pr in state.items():
+                for mask, pr in state.atoms:
                     live = 1.0
                     for gb in plan.bins:
                         got = sum(sz for nd, sz in zip(gb.nodes, gb.sizes)
