@@ -70,15 +70,17 @@ def edge_color_online(mg: MultigraphInstance, C: int | None = None,
     n_rounds = max(1, delta // C)
     per_round = math.ceil(WARMUP_ALPHA * C)
     rng = ScalarRng(seed)
+    # right-node state covers the listed right ids, not the declared count
+    n_right = 1 + max((j for arr in mg.arrivals for j, _ in arr), default=-1)
     # per matcher: (degree bound, fraction used per right node, warm-up step)
     matchers = []
     for r in range(n_rounds):
         bound = max(delta - r * C * (1.0 - ROUND_SLACK), float(C))
-        matchers.extend((bound, [0.0] * mg.n_right, OnlineWarmup(mg.n_right))
+        matchers.extend((bound, [0.0] * n_right, OnlineWarmup(n_right))
                         for _ in range(per_round))
     coloring = EdgeColoring()
-    left_used: list[set[int]] = [set() for _ in range(mg.n_left)]
-    right_used: list[set[int]] = [set() for _ in range(mg.n_right)]
+    left_used: list[set[int]] = [set() for _ in mg.arrivals]  # per arrival
+    right_used: list[set[int]] = [set() for _ in range(n_right)]
     for t, arr in enumerate(mg.arrivals):
         free_copies = {j: list(range(kappa)) for j, kappa in arr if kappa > 0}
         for color, (bound, col_used, warmup) in enumerate(matchers):

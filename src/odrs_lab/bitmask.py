@@ -59,7 +59,7 @@ def project(masks, positions, n: int) -> np.ndarray:
 def bit_matrix(masks, n: int) -> np.ndarray:
     """(len(masks), n) float matrix of 0/1 entries; row a holds bits 0..n-1
     of masks[a]."""
-    masks = checked(list(masks), n)
+    masks = checked(masks, n)
     bits = np.empty((len(masks), n))
     for k in range(n):
         bits[:, k] = masks >> k & 1

@@ -168,20 +168,21 @@ def crs_cmd(dist_path, v_path):
         pos = {e: k for k, e in enumerate(elements)}
         if len(pos) != len(elements):
             raise ValidationFailure(f"--dist elements repeat: {list(elements)!r}")
-        atoms = {}
+        masks, probs = [], []
         for a in doc["atoms"]:
             mask = 0
             for e in a["set"]:
                 if e not in pos:
                     raise ValidationFailure(f"atom set names {e!r}, which is not in elements")
                 mask |= 1 << pos[e]
-            atoms[mask] = atoms.get(mask, 0.0) + float(a["p"])
+            masks.append(mask)
+            probs.append(float(a["p"]))
         v = [float(vv) for vv in v]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationFailure(f"malformed --dist or --v JSON: {exc!r}") from exc
-    if not all(map(math.isfinite, [*atoms.values(), *v])):
+    if not all(map(math.isfinite, [*probs, *v])):
         raise ValidationFailure("--dist or --v holds a NaN or infinite number")
-    dist = crs_mod.SupportDistribution(elements, tuple(atoms.items()))
+    dist = crs_mod.SupportDistribution.summed(elements, masks, probs)
     try:
         dist.check()
     except InvariantBreach as exc:

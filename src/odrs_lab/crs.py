@@ -29,13 +29,16 @@ class SupportDistribution:
     exact law in the package is one.
 
     Atom masks index positions in `elements` (bit k = elements[k]); a law
-    over n bits has the elements 0..n-1.
+    over n bits has the elements 0..n-1. Only this module reads the stored
+    (mask, probability) pairs: laws are built by `summed` or `product`.
     """
 
     elements: tuple[int, ...]
     atoms: tuple[tuple[int, float], ...]
 
-    def check(self, tol: float = 1e-9):
+    def check(self, tol: float = 1e-9) -> "SupportDistribution":
+        """The law, once checked: probabilities sum to one within tol, none is
+        below -tol, and every mask lies in the elements."""
         total = sum(p for _, p in self.atoms)
         if abs(total - 1.0) > tol:
             raise InvariantBreach(f"atom probabilities sum to {total}")
@@ -45,12 +48,18 @@ class SupportDistribution:
                 raise InvariantBreach("negative atom probability")
             if mask & ~full:
                 raise InvariantBreach("atom mask outside declared elements")
+        return self
 
-    def to_json_dict(self) -> dict:
-        return {"elements": list(self.elements),
-                "atoms": [{"set": [self.elements[k] for k in range(len(self.elements))
-                                   if mask >> k & 1], "p": p}
-                          for mask, p in self.atoms]}
+    @staticmethod
+    def summed(elements, masks, probs) -> "SupportDistribution":
+        """One atom per distinct mask, in first-seen order, with the mask's
+        probabilities summed in input order; `masks` and `probs` are
+        sequences or arrays of equal length."""
+        masks, probs = (c.tolist() if isinstance(c, np.ndarray) else c for c in (masks, probs))
+        out: dict[int, float] = {}
+        for mask, p in zip(masks, probs, strict=True):
+            out[mask] = out.get(mask, 0.0) + p
+        return SupportDistribution(tuple(elements), tuple(out.items()))
 
     @staticmethod
     def product(elements, probs) -> "SupportDistribution":
@@ -70,14 +79,18 @@ class SupportDistribution:
             atoms = nxt
         return SupportDistribution(elements, tuple(atoms))
 
+    def columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """The atom masks (`bitmask.checked` over the elements, so Python
+        integers past 62 elements) and their probabilities as floats, in
+        atom order."""
+        masks = bitmask.checked([m for m, _ in self.atoms], len(self.elements))
+        return masks, np.array([p for _, p in self.atoms], dtype=float)
+
     def marginals(self) -> np.ndarray:
-        """Pr[element k in R] per position k, as the weights times the
+        """Pr[element k in R] per position k, as the probabilities times the
         atoms' 0/1 bit matrix (one matrix product, so the sums are fixed)."""
-        masks, weights = [], []
-        for m, p in self.atoms:  # no list of pairs: a dense 20-bit law has 2^20
-            masks.append(m)
-            weights.append(p)
-        return np.array(weights, dtype=float) @ bitmask.bit_matrix(masks, len(self.elements))
+        masks, probs = self.columns()
+        return probs @ bitmask.bit_matrix(masks, len(self.elements))
 
     def expectation(self, fn) -> float:
         """E[fn(mask)], summed in atom order."""
@@ -87,24 +100,17 @@ class SupportDistribution:
         """Total variation distance to a law over the same elements."""
         if other.elements != self.elements:
             raise DomainError("laws over different elements")
-        a, b = _by_mask(self.atoms), _by_mask(other.atoms)
+        a, b = (dict(SupportDistribution.summed(d.elements, *d.columns()).atoms)
+                for d in (self, other))
         return 0.5 * sum(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in set(a) | set(b))
-
-
-def _by_mask(atoms) -> dict[int, float]:
-    """Probability per mask, summed in atom order."""
-    out: dict[int, float] = {}
-    for mask, p in atoms:
-        out[mask] = out.get(mask, 0.0) + p
-    return out
 
 
 def _nonempty_hit_probs(dist: SupportDistribution, active: list[int]) -> np.ndarray:
     """Subset sums of the atom law projected onto `active` (local masks);
     Pr[R cap S = empty] is the entry at the complement of S."""
+    masks, probs = dist.columns()
     proj = np.zeros(1 << len(active))
-    local = bitmask.project([mask for mask, _ in dist.atoms], active, len(dist.elements))
-    np.add.at(proj, local, [p for _, p in dist.atoms])  # in atom order
+    np.add.at(proj, bitmask.project(masks, active, len(dist.elements)), probs)  # in atom order
     return bitmask.subset_sums(proj)
 
 
@@ -299,23 +305,21 @@ def exact_marginals(dist: SupportDistribution, rule) -> np.ndarray:
 
     The atoms go through `rule.conditional_win_probs` ATOM_CHUNK at a time
     and are summed in atom order by a running `np.cumsum` (a sequential sum,
-    unlike the pairwise `np.sum`), so the working arrays are bounded by the
-    chunk, not by the `2^k` atoms of a k-element law. A nonzero atom that a
-    `SelectionRule` does not model raises DomainError.
+    unlike the pairwise `np.sum`), so the (elements × atoms) working arrays
+    are bounded by the chunk, not by the `2^k` atoms of a k-element law. A
+    nonzero atom that a `SelectionRule` does not model raises DomainError.
     """
+    masks, probs = dist.columns()
     if isinstance(rule, SelectionRule):
-        for mask, _ in dist.atoms:
+        for mask in masks.tolist():
             if mask and mask not in rule.rows:
                 raise DomainError(f"unmodeled realization {mask:b}")
     acc = np.zeros(len(dist.elements))
-    atoms = dist.atoms
-    for a0 in range(0, len(atoms), ATOM_CHUNK):
-        chunk = atoms[a0:a0 + ATOM_CHUNK]
-        terms = np.empty((len(acc), len(chunk) + 1))
+    for a0 in range(0, len(masks), ATOM_CHUNK):
+        p = probs[a0:a0 + ATOM_CHUNK]
+        terms = np.empty((len(acc), len(p) + 1))
         terms[:, 0] = acc
-        np.multiply([p for _, p in chunk],
-                    rule.conditional_win_probs([mask for mask, _ in chunk]),
-                    out=terms[:, 1:])
+        np.multiply(p, rule.conditional_win_probs(masks[a0:a0 + ATOM_CHUNK]), out=terms[:, 1:])
         acc = np.cumsum(terms, axis=1)[:, -1]
     return acc
 

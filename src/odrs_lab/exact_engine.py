@@ -32,9 +32,7 @@ def free_mask_distribution(inst: MatchingInstance, params, t: int,
     dp = odrs_mod.BidLawDP(list(range(inst.n_offline)))
     for plan in odrs_mod.build_plans(inst, params)[:t]:
         dp.step(plan)
-    dist = SupportDistribution(tuple(range(inst.n_offline)), tuple(dp.state.items()))
-    dist.check(1e-9)
-    return dist
+    return SupportDistribution.summed(range(inst.n_offline), dp.masks, dp.probs).check(1e-9)
 
 
 def edge_match_probs(inst: MatchingInstance, params, algorithm: str
@@ -64,8 +62,8 @@ def max_pairwise_cov(law: SupportDistribution, common_p: float | None = None
     n = len(law.elements)
     if n < 2:
         raise DomainError("need at least two variables")
-    weights = np.array([p for _, p in law.atoms])
-    bits = bitmask.bit_matrix([mask for mask, _ in law.atoms], n)
+    masks, weights = law.columns()
+    bits = bitmask.bit_matrix(masks, n)
     m = bits.T @ weights
     joint2 = bits.T @ (bits * weights[:, None])
     cov_mat = joint2 - np.outer(m, m)
@@ -93,23 +91,14 @@ def n_r_bound(r: int, p: float, eps: float) -> int:
     return n_r_bound(1, p, e2) + 2 * n_r_bound(r - 1, p * p - e2, eps / 2.0)
 
 
-def _sum_by(keys, law: SupportDistribution, n: int) -> SupportDistribution:
-    """The law over positions 0..n-1 of the n-bit `keys`, one per atom of
-    `law`: each key's probabilities summed in atom order."""
-    out: dict[int, float] = {}
-    for key, (_, p) in zip(keys.tolist(), law.atoms):
-        out[key] = out.get(key, 0.0) + p
-    return SupportDistribution(tuple(range(n)), tuple(out.items()))
-
-
 def _pair_product_joint(law: SupportDistribution, pairs: list[tuple[int, int]]
                         ) -> SupportDistribution:
     """Joint of Z_s = Y_i * Y_j over the given disjoint pairs."""
-    masks = [mask for mask, _ in law.atoms]
+    masks, probs = law.columns()
     n = len(law.elements)
     z = (bitmask.project(masks, [i for i, _ in pairs], n)
          & bitmask.project(masks, [j for _, j in pairs], n))
-    return _sum_by(z, law, len(pairs))
+    return SupportDistribution.summed(range(len(pairs)), z, probs)
 
 
 def _thin_to(law: SupportDistribution, target: float) -> SupportDistribution:
@@ -119,8 +108,9 @@ def _thin_to(law: SupportDistribution, target: float) -> SupportDistribution:
     keep = [target / mu if mu > 0 else 0.0 for mu in law.marginals()]
     if any(k > 1.0 + 1e-12 for k in keep):
         raise InvariantBreach("thinning target above a variable's mean")
-    probs: dict[int, float] = {}
-    for mask, p in law.atoms:
+    masks, probs = law.columns()
+    subs, terms = [], []
+    for mask, p in zip(masks.tolist(), probs.tolist()):
         ones = [s for s in range(n) if mask >> s & 1]
         combos = [(0, 1.0)]
         for s in ones:
@@ -132,8 +122,9 @@ def _thin_to(law: SupportDistribution, target: float) -> SupportDistribution:
             combos = nxt
         for sub, q in combos:
             if q > 0:
-                probs[sub] = probs.get(sub, 0.0) + p * q
-    return SupportDistribution(tuple(range(n)), tuple(probs.items()))
+                subs.append(sub)
+                terms.append(p * q)
+    return SupportDistribution.summed(range(n), subs, terms)
 
 
 def find_positive_cylinder(law: SupportDistribution, p: float, r: int, eps: float
@@ -166,6 +157,7 @@ def find_positive_cylinder(law: SupportDistribution, p: float, r: int, eps: floa
         q2 = q ** 2 - e2
         m = n_r_bound(rr - 1, q2, ee / 2.0)
         nj = len(jnt.elements)
+        masks, probs = jnt.columns()
         pairs: list[tuple[int, int]] = []
         used: set[int] = set()
         sub = jnt
@@ -179,8 +171,8 @@ def find_positive_cylinder(law: SupportDistribution, p: float, r: int, eps: floa
             used.update((gi, gj))
             keep = [k for k in range(nj) if k not in used]
             remap = keep
-            sm = bitmask.project([mask for mask, _ in jnt.atoms], keep, nj)
-            sub = _sum_by(sm, jnt, len(keep))
+            sub = SupportDistribution.summed(range(len(keep)),
+                                             bitmask.project(masks, keep, nj), probs)
         aj = _thin_to(_pair_product_joint(jnt, pairs), q2)
         chosen = rec(aj, q2, rr - 1, ee / 2.0)
         out: list[int] = []
@@ -216,10 +208,9 @@ def neg_cylinder_check(dist: SupportDistribution, direction: str = "ones") -> Cy
     if direction not in ("ones", "zeros"):
         raise DomainError("direction must be 'ones' or 'zeros'")
     size = 1 << n
+    masks, probs = dist.columns()
     cyl = np.zeros(size)
-    for mask, p in dist.atoms:
-        key = mask if direction == "ones" else (size - 1) ^ mask
-        cyl[key] += p
+    np.add.at(cyl, masks if direction == "ones" else (size - 1) ^ masks, probs)  # in atom order
     cyl = bitmask.superset_sums(cyl)  # cyl[S] = Pr[bits of S all match]
     marg = dist.marginals()
     single = marg if direction == "ones" else 1.0 - marg

@@ -18,6 +18,7 @@ from .rng import generator
 
 TOL = 1e-9
 MAX_ARRIVAL_B = 1024  # largest per-arrival "b": each unit becomes its own arrival
+WEIGHT_RANGE = (0.5, 3.0)  # edge weights of a stochastic `gen_random` instance
 
 
 @dataclass(frozen=True)
@@ -180,7 +181,7 @@ def validate_multigraph(mg: MultigraphInstance) -> ValidationReport:
     if len(mg.arrivals) > mg.n_left:
         rep.add("left-count", f"{len(mg.arrivals)} arrivals > {mg.n_left} left nodes",
                 len(mg.arrivals) - mg.n_left)
-    right = [0] * max(mg.n_right, 0)
+    right: dict[int, int] = {}  # degree per listed right id
     for t, arr in enumerate(mg.arrivals):
         left = 0
         seen = set()
@@ -194,10 +195,10 @@ def validate_multigraph(mg: MultigraphInstance) -> ValidationReport:
                 rep.add("edge-endpoint", f"left {t} right {j}", j)
             else:
                 left += kappa
-                right[j] += kappa
+                right[j] = right.get(j, 0) + kappa
         if left > mg.delta:
             rep.add("left-degree", f"left node {t} degree {left} > {mg.delta}", left - mg.delta)
-    for j, d in enumerate(right):
+    for j, d in sorted(right.items()):
         if d > mg.delta:
             rep.add("right-degree", f"right node {j} degree {d} > {mg.delta}", d - mg.delta)
     return rep
@@ -264,14 +265,14 @@ def gen_lb_prefix(n: int) -> MatchingInstance:
 
 
 def gen_random(n: int, T: int, density: float, seed: int,
-               max_b: int = 1, stochastic: bool = False,
-               weight_range: tuple[float, float] = (0.5, 3.0)) -> MatchingInstance:
+               max_b: int = 1, stochastic: bool = False) -> MatchingInstance:
     """Random valid instance; deterministic for a fixed seed.
 
     Raw fractions are rescaled so both the per-arrival and per-offline-node
     sum constraints hold. With stochastic=True each arrival gets p in (0,1]
-    and random edge weights (the fractions are then feasibility placeholders;
-    the stochastic pipeline re-derives them from the LP).
+    and edge weights uniform on WEIGHT_RANGE (the fractions are then
+    feasibility placeholders; the stochastic pipeline re-derives them from
+    the LP).
     """
     if not (0 < density <= 1):
         raise DomainError("density must be in (0, 1]")
@@ -300,7 +301,7 @@ def gen_random(n: int, T: int, density: float, seed: int,
                 continue
             remaining[i] -= x
             edges.append((int(i), x))
-            weights.append(float(rng.uniform(*weight_range)))
+            weights.append(float(rng.uniform(*WEIGHT_RANGE)))
         if not edges:
             continue
         arrivals.append(Arrival(tuple(edges), tuple(weights) if stochastic else None, p))

@@ -243,24 +243,17 @@ def threshold_round(x, tau: float) -> np.ndarray:
 # exact output laws
 # ----------------------------------------------------------------------------
 
-def _bit_law(n: int, probs: dict[int, float], tol: float) -> SupportDistribution:
-    """The law over positions 0..n-1 with the given mask probabilities,
-    checked to sum to one within tol."""
-    dist = SupportDistribution(tuple(range(n)), tuple(probs.items()))
-    dist.check(tol)
-    return dist
-
-
 def exact_dist_online(x) -> SupportDistribution:
     """Exact output law of the online algorithm (path recursion over counts)."""
     xs, n = _pad_to_integer(x)
     bitmask.check_width(n, "an exact online law")
-    probs: dict[int, float] = {}
+    masks, probs = [], []
     m = len(xs)
 
     def rec(t: int, state: LevelSetState, mask: int, pr: float):
         if t == m:
-            probs[mask] = probs.get(mask, 0.0) + pr
+            masks.append(mask)
+            probs.append(pr)
             return
         p = step_probability(state, float(xs[t]))
         for sel, branch_p in ((1, p), (0, 1.0 - p)):
@@ -270,14 +263,14 @@ def exact_dist_online(x) -> SupportDistribution:
             rec(t + 1, st, mask | (sel << t) if t < n else mask, pr * branch_p)
 
     rec(0, LevelSetState(), 0, 1.0)
-    return _bit_law(n, probs, 1e-12)
+    return SupportDistribution.summed(range(n), masks, probs).check(1e-12)
 
 
 def exact_dist_offline(x) -> SupportDistribution:
     """Exact output law of the offline merge (branch enumeration)."""
     xs, n = _pad_to_integer(x)
     bitmask.check_width(n, "an exact offline law")
-    probs: dict[int, float] = {}
+    masks, probs = [], []
 
     def rec(y: np.ndarray, pr: float):
         frac = _fractional_indices(y)
@@ -286,7 +279,8 @@ def exact_dist_offline(x) -> SupportDistribution:
             for i in range(n):
                 if _snap(float(y[i])) >= 1.0:
                     mask |= 1 << i
-            probs[mask] = probs.get(mask, 0.0) + pr
+            masks.append(mask)
+            probs.append(pr)
             return
         i1, i2 = frac[0], frac[1]
         for a, b, p in step_outcomes(float(y[i1]), float(y[i2])):
@@ -297,7 +291,7 @@ def exact_dist_offline(x) -> SupportDistribution:
             rec(y2, pr * p)
 
     rec(xs.copy(), 1.0)
-    return _bit_law(n, probs, 1e-9)
+    return SupportDistribution.summed(range(n), masks, probs).check(1e-9)
 
 
 def threshold_exact_dist(x) -> SupportDistribution:
@@ -314,10 +308,9 @@ def threshold_exact_dist(x) -> SupportDistribution:
         s += float(xj)
         cuts.add(s - math.floor(s))
     pts = sorted(cuts)
-    probs: dict[int, float] = {}
+    masks, probs = [], []
     for a, b in zip(pts, pts[1:]):
-        tau = 0.5 * (a + b)
-        bits = threshold_round(xs, tau)
-        mask = int(sum(int(bit) << i for i, bit in enumerate(bits)))
-        probs[mask] = probs.get(mask, 0.0) + (b - a)
-    return _bit_law(n, probs, 1e-9)
+        bits = threshold_round(xs, 0.5 * (a + b))
+        masks.append(int(sum(int(bit) << i for i, bit in enumerate(bits))))
+        probs.append(b - a)
+    return SupportDistribution.summed(range(n), masks, probs).check(1e-9)

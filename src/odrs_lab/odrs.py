@@ -534,8 +534,7 @@ class BidLawDP:
         self.masks = masks
         # a left-to-right total: np.sum adds pairwise, which changes last bits
         self.probs = probs / np.cumsum(probs)[-1]
-        return crs_mod.SupportDistribution(tuple(active),
-                                           tuple(zip(keys.tolist(), sums.tolist())))
+        return crs_mod.SupportDistribution.summed(active, keys, sums)
 
 
 def pair_chunks(masks: np.ndarray, probs: np.ndarray, out_probs: np.ndarray):
@@ -658,7 +657,7 @@ class _CompiledScheme:
         if not 0 <= t < len(self.selectors):
             raise DomainError(f"arrival {t} is outside [0, {len(self.selectors)})")
         if self.selectors[t] is None:
-            return crs_mod.SupportDistribution((), ((0, 1.0),))
+            return crs_mod.SupportDistribution.summed((), [0], [1.0])
         return self._law(t)
 
     def edge_match_probs(self) -> dict[tuple[int, int], float]:

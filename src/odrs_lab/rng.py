@@ -51,10 +51,11 @@ def mix(base_seed: int, stream: int) -> int:
 
 
 class ScalarRng:
-    """SplitMix64-backed scalar uniform stream for the reference samplers."""
+    """SplitMix64-backed scalar uniform stream (stream 0 of the seed) for the
+    reference samplers."""
 
-    def __init__(self, seed: int, stream: int = 0):
-        self._state = mix(seed, stream)
+    def __init__(self, seed: int):
+        self._state = mix(seed, 0)
 
     def next_u64(self) -> int:
         self._state, out = splitmix64(self._state)

@@ -85,15 +85,18 @@ def build_lp(inst: MatchingInstance) -> StochasticLP:
     return StochasticLP(edges, np.array(weights), np.array(rows), np.array(bs), labels)
 
 
-def simplex_max(c: np.ndarray, A: np.ndarray, b: np.ndarray,
-                tol: float = 1e-10, max_iter: int = 200_000) -> np.ndarray:
+SIMPLEX_TOL = 1e-10  # pivot and reduced-cost tolerance of `simplex_max`
+SIMPLEX_MAX_ITER = 200_000
+
+
+def simplex_max(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """maximize c.x s.t. Ax <= b, x >= 0, with b >= 0.
 
     Dense tableau primal simplex with Bland's rule (anti-cycling);
     deterministic. The slack basis is feasible since b >= 0.
     """
     m, n = A.shape
-    if np.any(b < -tol):
+    if np.any(b < -SIMPLEX_TOL):
         raise DomainError("simplex_max expects b >= 0")
     T = np.zeros((m + 1, n + m + 1))
     T[:m, :n] = A
@@ -101,18 +104,18 @@ def simplex_max(c: np.ndarray, A: np.ndarray, b: np.ndarray,
     T[:m, -1] = b
     T[m, :n] = -c
     basis = list(range(n, n + m))
-    for _ in range(max_iter):
+    for _ in range(SIMPLEX_MAX_ITER):
         reduced = T[m, :n + m]
         enter = -1
         for j in range(n + m):  # Bland: lowest eligible index
-            if reduced[j] < -tol:
+            if reduced[j] < -SIMPLEX_TOL:
                 enter = j
                 break
         if enter < 0:
             break
         ratios = []
         for r in range(m):
-            if T[r, enter] > tol:
+            if T[r, enter] > SIMPLEX_TOL:
                 ratios.append((T[r, -1] / T[r, enter], basis[r], r))
         if not ratios:
             raise InvariantBreach("unbounded LP; box constraints should prevent this")
@@ -253,8 +256,7 @@ class StochasticExact:
         n = self.inst.n_offline
         masks, probs = np.zeros(1, dtype=np.int64), np.ones(1)
         for t, plan in enumerate([*self.plans, None]):
-            yield t, crs.SupportDistribution(tuple(range(n)),
-                                             tuple(zip(masks.tolist(), probs.tolist()))), plan
+            yield t, crs.SupportDistribution.summed(range(n), masks, probs), plan
             if plan is None:
                 break
             drawn, _, cprobs = odrs_mod.outcome_masks(plan.bins, (), range(n))  # bit i = node i
@@ -273,11 +275,12 @@ class StochasticExact:
                               np.stack([2 * index, 2 * index + 1], 1).ravel()[keep])
             masks, probs = new_state.items()
 
-    def matched_weight_tail(self, t: int, z: float, state: crs.SupportDistribution,
+    def matched_weight_tail(self, z: float, state: crs.SupportDistribution,
                             plan: StochasticPlan) -> float:
-        """Exact Pr[t is matched at weight >= z]: per atom, the chance that
-        some bin draws a free node of weight >= z, summed in atom order."""
-        masks, probs = (np.array(column) for column in zip(*state.atoms))
+        """Exact Pr[arrival plan.t is matched at weight >= z]: per atom, the
+        chance that some bin draws a free node of weight >= z, summed in atom
+        order."""
+        masks, probs = state.columns()
         miss = np.ones(len(masks))
         for gb in plan.bins:
             hit = np.zeros(len(masks))
@@ -299,7 +302,7 @@ def exact_threshold_check(inst: MatchingInstance, xstar, params) -> float:
         if plan is None:
             break
         for z in sorted(set(plan.weights.values())):
-            lhs = ex.matched_weight_tail(t, z, state, plan)
+            lhs = ex.matched_weight_tail(z, state, plan)
             rhs = GUARANTEE * sum(xstar.get((i, t), 0.0)
                                   for i, w in plan.weights.items() if w >= z)
             worst = min(worst, lhs - rhs)

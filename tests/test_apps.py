@@ -1,4 +1,6 @@
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,6 +48,28 @@ def test_coloring_proper_on_random_multigraphs():
         rep = apps.verify_coloring(mg, col)
         assert rep.proper and rep.all_colored, rep.violations[:3]
         assert rep.colors_used <= 2 * mg.delta - 1  # greedy-style hard ceiling
+
+
+def test_declared_node_counts_do_not_size_the_coloring_state(tmp_path):
+    # one arrival listing right node 0: validation and coloring state follow
+    # what the file lists, so declaring 10^5 nodes a side costs no memory
+    def load_and_color(declared):
+        path = tmp_path / f"mg{declared}.json"
+        path.write_text(json.dumps({"multigraph": {
+            "left": declared, "right": declared, "delta": 3,
+            "arrivals": [{"edges": [{"j": 0, "kappa": 3}]}]}}))
+        tracemalloc.start()
+        try:
+            coloring = apps.edge_color_online(instances.load_json(str(path)), seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return coloring.colors, peak
+
+    small, _ = load_and_color(1)
+    big, peak = load_and_color(100_000)
+    assert big == small and len(big) == 3
+    assert peak < 1 << 20, peak
 
 
 def test_verify_coloring_detects_duplicates_and_gaps():

@@ -362,9 +362,55 @@ def test_product_selector_select_law_matches_conditional_win_probs():
             assert abs(freq - q) < 4 * math.sqrt(q * (1 - q) / runs) + 1e-4
 
 
-def test_support_distribution_json_export():
-    d = crs.SupportDistribution((3, 7), ((0b01, 0.25), (0b10, 0.35), (0, 0.4)))
-    doc = d.to_json_dict()
-    assert doc["elements"] == [3, 7]
-    sets = {tuple(a["set"]) for a in doc["atoms"]}
-    assert sets == {(3,), (7,), ()}
+def _dict_loop(masks, probs):
+    """The per-mask loop that `SupportDistribution.summed` replaced."""
+    out = {}
+    for mask, p in zip(masks, probs):
+        out[mask] = out.get(mask, 0.0) + p
+    return tuple(out.items())
+
+
+def test_summed_adds_repeats_in_input_order_and_keeps_first_seen_order():
+    d = crs.SupportDistribution.summed((3, 7), [0b10, 0, 0b10, 0b01, 0],
+                                       [0.1, 0.2, 0.3, 0.15, 0.25])
+    assert d.elements == (3, 7)
+    assert d.atoms == ((0b10, 0.1 + 0.3), (0, 0.2 + 0.25), (0b01, 0.15))
+    # (0.1 + 0.2) + 0.3 and 0.1 + (0.2 + 0.3) differ in the last bit
+    assert crs.SupportDistribution.summed((0,), [1] * 3, [0.1, 0.2, 0.3]).atoms == (
+        (1, (0.1 + 0.2) + 0.3),)
+    with pytest.raises(ValueError):  # a mask without a probability
+        crs.SupportDistribution.summed((0,), [0, 1], [1.0])
+
+
+def test_summed_equals_the_dict_loop_bit_for_bit():
+    rng = np.random.default_rng(21)
+    for trial in range(60):
+        n = int(rng.choice([1, 8, 20, 62, 63, 100]))
+        pool = [int.from_bytes(rng.bytes(13), "little") >> (104 - n) for _ in range(8)]
+        masks = [pool[k] for k in rng.integers(0, len(pool), size=int(rng.integers(1, 40)))]
+        probs = rng.random(len(masks)) / len(masks)
+        want = _dict_loop(masks, probs.tolist())
+        for args in ((masks, probs.tolist()), (bitmask.checked(masks, n), probs)):
+            got = crs.SupportDistribution.summed(range(n), *args)
+            assert got.elements == tuple(range(n))
+            assert [m for m, _ in got.atoms] == [m for m, _ in want], trial
+            assert [p.hex() for _, p in got.atoms] == [p.hex() for _, p in want], trial
+
+
+def test_columns_are_the_atoms_in_order_with_wide_masks_as_python_ints():
+    d = crs.SupportDistribution.summed(range(5), [3, 0, 16], [0.25, 0.5, 0.25])
+    masks, probs = d.columns()
+    assert masks.dtype == np.int64 and masks.tolist() == [3, 0, 16]
+    assert probs.dtype == float and probs.tolist() == [0.25, 0.5, 0.25]
+    narrow = crs.SupportDistribution.summed(range(62), [(1 << 62) - 1], [1.0])
+    assert narrow.columns()[0].dtype == np.int64
+    wide = crs.SupportDistribution.summed(range(63), [1 << 62, 1], [0.5, 0.5])
+    masks, _ = wide.columns()
+    assert masks.dtype == object and masks.tolist() == [1 << 62, 1]
+
+
+def test_columns_refuse_an_atom_outside_the_elements():
+    d = crs.SupportDistribution.summed((4, 5), [0b100], [1.0])
+    for read in (d.columns, d.marginals):
+        with pytest.raises(DomainError):
+            read()

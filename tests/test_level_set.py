@@ -175,15 +175,6 @@ def test_dummy_padding_strips_tail():
     assert np.allclose(d.marginals(), [0.3, 0.4], atol=1e-12)
 
 
-def test_bit_distribution_json_export():
-    d = ls.exact_dist_online([0.5, 0.5])
-    doc = d.to_json_dict()
-    assert doc["elements"] == [0, 1]
-    sets = {tuple(a["set"]): a["p"] for a in doc["atoms"]}
-    assert set(sets) == {(0,), (1,)}
-    assert abs(sets[(0,)] - 0.5) < 1e-15
-
-
 def test_accumulation_dust_near_integer_prefixes():
     # repeated tenths/thirds land within float dust of integers; snapping must
     # keep the case analysis and the prefix invariant intact

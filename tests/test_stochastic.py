@@ -80,7 +80,7 @@ def test_exact_laws_and_tails_equal_reference(matching_params):
                 if plan is None:
                     continue
                 for z in sorted(set(plan.weights.values())):
-                    assert (ex.matched_weight_tail(t, z, law, plan)
+                    assert (ex.matched_weight_tail(z, law, plan)
                             == ReferenceStochasticExact.matched_weight_tail(z, want, plan))
     assert laws > 600
 
@@ -259,7 +259,7 @@ def test_per_threshold_guarantee(matching_params):
             if plan is None:
                 break
             for z in sorted(set(plan.weights.values())):
-                lhs = ex.matched_weight_tail(t, z, state, plan)
+                lhs = ex.matched_weight_tail(z, state, plan)
                 rhs = 0.652 * sum(sol.x.get((i, t), 0.0)
                                   for i, w in plan.weights.items() if w >= z)
                 assert lhs >= rhs - 1e-9
@@ -302,7 +302,7 @@ def expected_matched_weight(inst, xstar, params):
             break
         prev = 0.0
         for z in sorted(set(plan.weights.values())):
-            total += (z - prev) * ex.matched_weight_tail(t, z, state, plan)
+            total += (z - prev) * ex.matched_weight_tail(z, state, plan)
             prev = z
     return total
 
