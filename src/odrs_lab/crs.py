@@ -334,7 +334,8 @@ class ProductSelector:
 
     Elements are merged pairwise; each internal node solves a 3-atom
     transportation problem sending its bid-pattern mass to its children's
-    target win probabilities. Selection walks the tree top-down in O(n).
+    target win probabilities (`row`). Selection walks the tree top-down in
+    O(n), solving only the nodes it visits.
     The subset ratio Pr[R cap S != empty] / y(S) of a product law is minimized
     by the full set, so each node's Hall condition holds and the root is
     entered exactly when anyone bids.
@@ -348,10 +349,12 @@ class ProductSelector:
         self.y = y
         ysum = sum(y)
         self.alpha = (1.0 - math.prod(1.0 - p for p in y)) / ysum
-        # tree: leaves referenced as ~i, internal nodes by index
+        # tree: leaves referenced as ~i, internal nodes by index; per node its
+        # bid probability, its target win probability and the bits of its leaves
         self.children: list[tuple[int, int]] = []
-        bid_p = {~i: y[i] for i in range(self.n)}
-        target = {~i: self.alpha * y[i] for i in range(self.n)}
+        self.bid_p = bid_p = {~i: y[i] for i in range(self.n)}
+        self.target = target = {~i: self.alpha * y[i] for i in range(self.n)}
+        self.sub = sub = {~i: 1 << i for i in range(self.n)}
         layer = [~i for i in range(self.n)]
         while len(layer) > 1:
             nxt = []
@@ -361,36 +364,34 @@ class ProductSelector:
                 self.children.append((r1, r2))
                 bid_p[ref] = 1.0 - (1.0 - bid_p[r1]) * (1.0 - bid_p[r2])
                 target[ref] = target[r1] + target[r2]
+                sub[ref] = sub[r1] | sub[r2]
                 nxt.append(ref)
             if len(layer) % 2:
                 nxt.append(layer[-1])
             layer = nxt
         self.root = layer[0]
-        self.sub = {~i: 1 << i for i in range(self.n)}  # node -> the bits of its leaves
-        for ref, (r1, r2) in enumerate(self.children):
-            self.sub[ref] = self.sub[r1] | self.sub[r2]
-        # per-node pattern rows: pattern in {1: left only, 2: right only,
-        # 3: both} -> (weight of descending left, weight of descending right)
-        self.rows: list[dict] = []
-        for ref, (r1, r2) in enumerate(self.children):
-            p1, p2 = bid_p[r1], bid_p[r2]
-            p_node = 1.0 - (1.0 - p1) * (1.0 - p2)
-            m_total = target[ref]
-            d1 = target[r1] / m_total * p_node
-            d2 = target[r2] / m_total * p_node
-            a10, a01, a11 = p1 * (1.0 - p2), (1.0 - p1) * p2, p1 * p2
-            f1_10 = min(d1, a10)
-            f1_11 = d1 - f1_10
-            f2_01 = min(d2, a01)
-            f2_11 = d2 - f2_01
-            if f1_11 + f2_11 > a11 + 1e-9 or min(f1_11, f2_11) < -1e-12:
-                raise InvariantBreach("product-selector transportation infeasible")
-            self.rows.append({
-                1: (f1_10 / a10 if a10 > 0 else 0.0, 0.0),
-                2: (0.0, f2_01 / a01 if a01 > 0 else 0.0),
-                3: (f1_11 / a11 if a11 > 0 else 0.0,
-                    f2_11 / a11 if a11 > 0 else 0.0),
-            })
+
+    def row(self, ref: int) -> tuple:
+        """Internal node ref's transportation solve: per bid pattern (0: no
+        child bids, 1: left only, 2: right only, 3: both) the pair (weight of
+        descending left, weight of descending right)."""
+        r1, r2 = self.children[ref]
+        p1, p2 = self.bid_p[r1], self.bid_p[r2]
+        p_node = self.bid_p[ref]
+        m_total = self.target[ref]
+        d1 = self.target[r1] / m_total * p_node
+        d2 = self.target[r2] / m_total * p_node
+        a10, a01, a11 = p1 * (1.0 - p2), (1.0 - p1) * p2, p1 * p2
+        f1_10 = min(d1, a10)
+        f1_11 = d1 - f1_10
+        f2_01 = min(d2, a01)
+        f2_11 = d2 - f2_01
+        if f1_11 + f2_11 > a11 + 1e-9 or min(f1_11, f2_11) < -1e-12:
+            raise InvariantBreach("product-selector transportation infeasible")
+        return ((0.0, 0.0),
+                (f1_10 / a10 if a10 > 0 else 0.0, 0.0),
+                (0.0, f2_01 / a01 if a01 > 0 else 0.0),
+                (f1_11 / a11 if a11 > 0 else 0.0, f2_11 / a11 if a11 > 0 else 0.0))
 
     def select(self, mask: int, uniform) -> int:
         """Winner position among the realized bid set `mask` (bit i set when
@@ -408,7 +409,7 @@ class ProductSelector:
         while ref >= 0:
             r1, r2 = self.children[ref]
             pattern = (1 if mask & sub[r1] else 0) | (2 if mask & sub[r2] else 0)
-            w1, w2 = self.rows[ref][pattern]
+            w1, w2 = self.row(ref)[pattern]
             u = uniform()
             if u < w1:
                 ref = r1
@@ -436,8 +437,7 @@ class ProductSelector:
             w = np.where(w > 0, w, 0.0)
             r1, r2 = self.children[ref]
             pattern = ((masks & sub[r1]) != 0) + 2 * ((masks & sub[r2]) != 0)
-            row = self.rows[ref]
-            table = np.array(((0.0, 0.0), row[1], row[2], row[3]))[pattern]
+            table = np.array(self.row(ref))[pattern]
             weight[r1] = w * table[:, 0]
             weight[r2] = w * table[:, 1]
         out = np.empty((self.n, len(masks)))

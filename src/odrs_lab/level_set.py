@@ -9,7 +9,6 @@ pairwise-merge law, which carries the strong negative-correlation properties.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,20 +30,11 @@ def _snap(v: float) -> float:
     return float(r) if abs(v - r) <= SNAP_TOL else v
 
 
-@dataclass(frozen=True)
-class LevelSetState:
-    """Running prefix sum and selection count (plus Kahan compensation)."""
-
-    s_prev: float = 0.0
-    count_prev: int = 0
-    comp: float = 0.0
-
-
-def step_probability(state: LevelSetState, x: float) -> float:
-    """Selection probability for the next element, by the five-way case split."""
-    s_prev = _snap(state.s_prev)
-    s_t = _snap(state.s_prev + x)
-    count = state.count_prev
+def step_probability(s: float, count: int, x: float) -> float:
+    """Selection probability of the next element x, by the five-way case
+    split on the prefix sum s and the selection count before it."""
+    s_prev = _snap(s)
+    s_t = _snap(s + x)
     fl_prev = math.floor(s_prev)
     fl_t = math.floor(s_t)
     ce_t = math.ceil(s_t)
@@ -78,25 +68,25 @@ def step_table(s: float, x: float) -> tuple[int, float, float]:
     """
     s_prev = _snap(s)
     fl = math.floor(s_prev)
-    return (fl, step_probability(LevelSetState(s, fl), x),
-            step_probability(LevelSetState(s, math.ceil(s_prev)), x))
+    return (fl, step_probability(s, fl, x), step_probability(s, math.ceil(s_prev), x))
 
 
-def online_step(state: LevelSetState, x: float, u: float) -> tuple[int, LevelSetState]:
-    """One online decision: select with probability from the case split.
+def online_step(s: float, count: int, comp: float, x: float,
+                u: float) -> tuple[int, float, int, float]:
+    """One online decision on the stream state (prefix sum s, selection
+    count, Kahan compensation comp): select x when u < its step probability.
 
-    Returns (selected bit, new state); aborts if the prefix-count invariant
-    would break.
+    Returns (selected bit, s, count, comp) after x; aborts if the
+    prefix-count invariant would break.
     """
-    p = step_probability(state, x)
-    selected = 1 if u < p else 0
-    s_new, comp = kahan_add(state.s_prev, state.comp, x)
-    count = state.count_prev + selected
-    snapped = _snap(s_new)
+    selected = 1 if u < step_probability(s, count, x) else 0
+    s, comp = kahan_add(s, comp, x)
+    count += selected
+    snapped = _snap(s)
     if not (math.floor(snapped) <= count <= math.ceil(snapped)):
         raise InvariantBreach(
-            f"prefix count {count} outside [floor,ceil] of prefix sum {s_new}")
-    return selected, LevelSetState(s_new, count, comp)
+            f"prefix count {count} outside [floor,ceil] of prefix sum {s}")
+    return selected, s, count, comp
 
 
 def _pad_to_integer(x) -> tuple[np.ndarray, int]:
@@ -116,10 +106,10 @@ def online_round(x, seed: int = 0, rng: ScalarRng | None = None) -> np.ndarray:
     which is stripped from the output."""
     xs, n = _pad_to_integer(x)
     rng = rng if rng is not None else ScalarRng(seed)
-    state = LevelSetState()
+    s, count, comp = 0.0, 0, 0.0
     bits = np.zeros(len(xs), dtype=np.int8)
     for t, xt in enumerate(xs):
-        bits[t], state = online_step(state, float(xt), rng.uniform())
+        bits[t], s, count, comp = online_step(s, count, comp, float(xt), rng.uniform())
     return bits[:n]
 
 
@@ -250,19 +240,20 @@ def exact_dist_online(x) -> SupportDistribution:
     masks, probs = [], []
     m = len(xs)
 
-    def rec(t: int, state: LevelSetState, mask: int, pr: float):
+    def rec(t: int, s: float, count: int, comp: float, mask: int, pr: float):
         if t == m:
             masks.append(mask)
             probs.append(pr)
             return
-        p = step_probability(state, float(xs[t]))
+        x = float(xs[t])
+        p = step_probability(s, count, x)
         for sel, branch_p in ((1, p), (0, 1.0 - p)):
             if branch_p <= 0.0:
                 continue
-            _, st = online_step(state, float(xs[t]), 0.0 if sel else 1.0)
-            rec(t + 1, st, mask | (sel << t) if t < n else mask, pr * branch_p)
+            _, s_t, count_t, comp_t = online_step(s, count, comp, x, 0.0 if sel else 1.0)
+            rec(t + 1, s_t, count_t, comp_t, mask | (sel << t) if t < n else mask, pr * branch_p)
 
-    rec(0, LevelSetState(), 0, 1.0)
+    rec(0, 0.0, 0, 0.0, 0, 1.0)
     return SupportDistribution.summed(range(n), masks, probs).check(1e-12)
 
 

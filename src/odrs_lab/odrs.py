@@ -18,7 +18,7 @@ from . import bitmask
 from . import crs as crs_mod
 from .errors import DomainError, FeasibilityError, InvariantBreach
 from .instances import TOL, Arrival, MatchingInstance
-from .level_set import LevelSetState, _snap, kahan_add, online_step, step_table
+from .level_set import _snap, kahan_add, online_step, step_table
 from .level_set import step_probability  # noqa: F401 -- perfbench/tracing.py looks it up here
 from .rng import ScalarRng
 
@@ -728,7 +728,10 @@ class OnlineWarmup:
     arrival's bidders."""
 
     def __init__(self, n_offline: int):
-        self.state = [LevelSetState()] * n_offline  # frozen, so sharing is safe
+        # per node: its stream's prefix sum, selection count and Kahan compensation
+        self.s = [0.0] * n_offline
+        self.count = [0] * n_offline
+        self.comp = [0.0] * n_offline
 
     def arrive(self, edges: list[tuple[int, float]], rng: ScalarRng,
                selector: crs_mod.ProductSelector | None = None) -> int:
@@ -736,9 +739,10 @@ class OnlineWarmup:
         matched offline id or -1. One uniform per edge, then one selector
         walk if anyone bid; `selector` is the product selector on the
         fractions, built here when not given."""
+        s, count, comp = self.s, self.count, self.comp
         bid_mask = 0
         for k, (i, x) in enumerate(edges):
-            sel, self.state[i] = online_step(self.state[i], x, rng.uniform())
+            sel, s[i], count[i], comp[i] = online_step(s[i], count[i], comp[i], x, rng.uniform())
             bid_mask |= sel << k
         if not bid_mask:
             return -1

@@ -57,13 +57,10 @@ class ScalarRng:
     def __init__(self, seed: int):
         self._state = mix(seed, 0)
 
-    def next_u64(self) -> int:
-        self._state, out = splitmix64(self._state)
-        return out
-
     def uniform(self) -> float:
-        # 53-bit mantissa, uniform on [0, 1)
-        return (self.next_u64() >> 11) * (1.0 / (1 << 53))
+        """One SplitMix64 step; its top 53 bits as a uniform on [0, 1)."""
+        self._state, out = splitmix64(self._state)
+        return (out >> 11) * (1.0 / (1 << 53))
 
 
 def generator(seed: int, stream: int = 0) -> np.random.Generator:

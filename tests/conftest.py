@@ -1,4 +1,6 @@
 import hashlib
+import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from odrs_lab import crs
 from odrs_lab import exact_engine as engine
 from odrs_lab import odrs
 from odrs_lab.errors import DomainError, InvariantBreach
+from odrs_lab.level_set import SNAP_TOL, _snap, kahan_add
 
 
 @pytest.fixture(scope="session")
@@ -46,7 +49,7 @@ def reference_win_probs(sel, bids):
             continue
         r1, r2 = sel.children[ref]
         pattern = (1 if has_bid[r1] else 0) | (2 if has_bid[r2] else 0)
-        w1, w2 = sel.rows[ref][pattern]
+        w1, w2 = sel.row(ref)[pattern]
         stack.append((r1, w * w1))
         stack.append((r2, w * w2))
     return out
@@ -89,11 +92,19 @@ def reference_select(rule, realized_mask, u):
     return -1
 
 
-def reference_product_select(sel, bids, uniform):
-    """The set-based walk `ProductSelector.select` replaced: the winner
-    among the bidder positions `bids`, or -1."""
+def built_rows(sel):
+    """Every internal node's `ProductSelector.row`, built up front as the
+    selector did before its walk solved only the nodes it visits."""
+    return [sel.row(ref) for ref in range(len(sel.children))]
+
+
+def reference_product_select(sel, bids, uniform, rows=None):
+    """The set-based walk `ProductSelector.select` replaced, on fully built
+    rows (`built_rows(sel)` unless given): the winner among the bidder
+    positions `bids`, or -1."""
     if not bids:
         return -1
+    rows = built_rows(sel) if rows is None else rows
     has_bid = {~i: (i in bids) for i in range(sel.n)}
     for ref, (r1, r2) in enumerate(sel.children):
         has_bid[ref] = has_bid[r1] or has_bid[r2]
@@ -101,7 +112,7 @@ def reference_product_select(sel, bids, uniform):
     while ref >= 0:
         r1, r2 = sel.children[ref]
         pattern = (1 if has_bid[r1] else 0) | (2 if has_bid[r2] else 0)
-        w1, w2 = sel.rows[ref][pattern]
+        w1, w2 = rows[ref][pattern]
         u = uniform()
         if u < w1:
             ref = r1
@@ -110,6 +121,54 @@ def reference_product_select(sel, bids, uniform):
         else:
             return -1
     return ~ref
+
+
+@dataclass(frozen=True)
+class LevelSetState:
+    """The frozen per-step state the flat `level_set.online_step` replaced:
+    running prefix sum and selection count (plus Kahan compensation)."""
+
+    s_prev: float = 0.0
+    count_prev: int = 0
+    comp: float = 0.0
+
+
+def reference_step_probability(state: LevelSetState, x: float) -> float:
+    """`level_set.step_probability` as it read a `LevelSetState`: the
+    five-way case split the flat step must equal bit for bit."""
+    s_prev = _snap(state.s_prev)
+    s_t = _snap(state.s_prev + x)
+    count = state.count_prev
+    fl_prev = math.floor(s_prev)
+    fl_t = math.floor(s_t)
+    ce_t = math.ceil(s_t)
+    if count == ce_t:
+        p = 0.0
+    elif count < fl_t:
+        p = 1.0
+    elif count == fl_t == fl_prev:
+        p = x / (fl_prev + 1.0 - s_prev)
+    elif count == fl_t and fl_t > fl_prev and s_prev != fl_prev:
+        p = (s_t - fl_t) / (s_prev - fl_prev)
+    else:
+        p = 0.0
+    if p < -SNAP_TOL or p > 1.0 + SNAP_TOL:
+        raise InvariantBreach(f"selection probability {p} out of range at s={s_t}, count={count}")
+    return min(1.0, max(0.0, p))
+
+
+def reference_online_step(state: LevelSetState, x: float, u: float) -> tuple[int, LevelSetState]:
+    """`level_set.online_step` on a `LevelSetState`: (selected bit, new
+    state); aborts if the prefix-count invariant would break."""
+    p = reference_step_probability(state, x)
+    selected = 1 if u < p else 0
+    s_new, comp = kahan_add(state.s_prev, state.comp, x)
+    count = state.count_prev + selected
+    snapped = _snap(s_new)
+    if not (math.floor(snapped) <= count <= math.ceil(snapped)):
+        raise InvariantBreach(
+            f"prefix count {count} outside [floor,ceil] of prefix sum {s_new}")
+    return selected, LevelSetState(s_new, count, comp)
 
 
 def scaled_degree_prefixes(plans):

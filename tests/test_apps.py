@@ -8,7 +8,7 @@ import pytest
 from conftest import digest
 from odrs_lab import apps, instances, odrs
 from odrs_lab.instances import Arrival, CoverInstance, MatchingInstance, MultigraphInstance
-from odrs_lab.level_set import LevelSetState, _snap, online_step
+from odrs_lab.level_set import _snap, online_step
 from odrs_lab.rng import ScalarRng
 
 
@@ -127,15 +127,15 @@ def reference_multistage_cover(cov, seed):
     rng = ScalarRng(seed)
     y = np.zeros((cov.n_vars, cov.k), dtype=np.int64)
     for v in range(cov.n_vars):
-        state = LevelSetState()
+        s, count, comp = 0.0, 0, 0.0
         for stage in range(cov.k):
             base, frac = apps._peel(alpha * cov.xstar[v][stage])
-            sel, state = online_step(state, frac, rng.uniform())
+            sel, s, count, comp = online_step(s, count, comp, frac, rng.uniform())
             y[v, stage] = base + sel
-        total = _snap(state.s_prev)
+        total = _snap(s)
         pad = math.ceil(total) - total
         if pad > 0:
-            online_step(state, pad, rng.uniform())
+            online_step(s, count, comp, pad, rng.uniform())
     cost = float(sum(cov.costs[stage][v] * y[v, stage]
                      for v in range(cov.n_vars) for stage in range(cov.k)))
     return y, cost

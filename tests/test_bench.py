@@ -25,6 +25,17 @@ def test_seed_derivation_golden_values():
     assert ScalarRng(5).uniform() == 0.6763599147503829
 
 
+def test_scalar_stream_is_one_splitmix_step_per_draw():
+    for seed in (0, 5, 2**64 - 1):
+        rng = ScalarRng(seed)
+        state, want = mix(seed, 0), []
+        for _ in range(10_000):
+            state, out = splitmix64(state)
+            want.append((out >> 11) * 2**-53)
+        assert [rng.uniform() for _ in range(10_000)] == want
+    assert ScalarRng(5).uniform() == 0.6763599147503829
+
+
 def test_scalar_rng_uniform_range_and_determinism():
     a = ScalarRng(7)
     b = ScalarRng(7)

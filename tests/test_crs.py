@@ -1,11 +1,12 @@
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
 
-from conftest import (reference_exact_marginals, reference_product_select, reference_select,
-                      reference_win_probs)
+from conftest import (built_rows, reference_exact_marginals, reference_product_select,
+                      reference_select, reference_win_probs)
 from odrs_lab import bitmask, crs
 from odrs_lab.errors import DomainError, SizeError
 from odrs_lab.rng import ScalarRng
@@ -343,6 +344,44 @@ def test_product_selector_select_equals_the_set_walk():
     for bad in (1 << n, -1):
         with pytest.raises(DomainError):
             ps.select(bad, _no_draw)
+
+
+def test_product_selector_lazy_walk_equals_fully_built_rows():
+    # n = 1..64 covers odd carries at every layer; sure bidders (y = 1) take
+    # the rows' zero-mass branches
+    g = np.random.default_rng(23)
+    bits = random.Random(23)
+    checked = 0
+    for n in range(1, 65):
+        for _ in range(2):
+            y = g.uniform(0.01, 1.0, size=n)
+            y[g.random(n) < 0.2] = 1.0
+            ps = crs.ProductSelector(y)
+            rows = built_rows(ps)
+            for _ in range(80):
+                mask = bits.getrandbits(n)
+                seed = bits.getrandbits(62)
+                new, old = _CountingUniform(seed), _CountingUniform(seed)
+                bids = {i for i in range(n) if mask >> i & 1}
+                assert ps.select(mask, new) == reference_product_select(ps, bids, old, rows)
+                assert new.draws == old.draws
+                checked += 1
+    assert checked >= 10_000
+
+
+def test_product_selector_select_solves_only_the_nodes_it_visits():
+    ps = crs.ProductSelector(np.linspace(0.05, 0.95, 37))
+    solved = []
+    row = ps.row
+    ps.row = lambda ref: solved.append(ref) or row(ref)
+    for mask in (1, 1 << 36, (1 << 37) - 1, 0b1010_0110_0001):
+        solved.clear()
+        draws = _CountingUniform(mask)
+        ps.select(mask, draws)
+        # one solve per node on the walk, which is at most the tree's depth
+        assert len(solved) == len(set(solved)) == draws.draws <= 6
+    solved.clear()
+    assert ps.select(0, _no_draw) == -1 and not solved
 
 
 def test_product_selector_select_law_matches_conditional_win_probs():

@@ -5,21 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from conftest import LevelSetState, reference_online_step, reference_step_probability
 from odrs_lab import level_set as ls
-from odrs_lab.errors import SizeError
+from odrs_lab.errors import InvariantBreach, SizeError
 from odrs_lab.exact_engine import neg_cylinder_check
+from odrs_lab.rng import ScalarRng
 
 
 def test_online_step_forced_cases():
     # fresh unit with x = 1 must select
-    assert ls.step_probability(ls.LevelSetState(0.0, 0), 1.0) == 1.0
+    assert ls.step_probability(0.0, 0, 1.0) == 1.0
     # count at ceiling blocks
-    assert ls.step_probability(ls.LevelSetState(0.5, 1), 0.3) == 0.0
+    assert ls.step_probability(0.5, 1, 0.3) == 0.0
 
 
 def test_online_step_case3_hand_value():
     # s=1.25, count=1, x=0.5: p = 0.5 / (1 + 1 - 1.25) = 2/3
-    p = ls.step_probability(ls.LevelSetState(1.25, 1), 0.5)
+    p = ls.step_probability(1.25, 1, 0.5)
     assert abs(p - 2.0 / 3.0) < 1e-15
 
 
@@ -182,3 +184,69 @@ def test_accumulation_dust_near_integer_prefixes():
         ls.online_round_batch(x, 50_000, seed=3)
         d = ls.exact_dist_online(x[:10])
         assert np.max(np.abs(d.marginals() - np.asarray(x[:10]))) < 1e-9
+
+
+# ----------------------------------------------------------------------------
+# the flat step against the LevelSetState step it replaced
+# ----------------------------------------------------------------------------
+
+def _step_streams(n_streams, length, seed):
+    """Fraction streams: uniform ones, alternating with streams whose prefix
+    sums land on integers (dyadic draws, or one tenth or third repeated)."""
+    g = np.random.default_rng(seed)
+    dyadic = np.array([0.5, 0.25, 0.75, 1.0, 0.0])
+    dust = np.array([0.1, 0.2, 0.3, 0.7, 0.9, 1 / 3, 2 / 3])
+    for k in range(n_streams):
+        if k % 2 == 0:
+            yield g.random(length).tolist()
+        else:
+            yield (g.choice(dyadic, length) if k % 4 == 1 else
+                   np.full(length, g.choice(dust))).tolist()
+
+
+def test_flat_step_equals_the_state_step():
+    rng = ScalarRng(3)
+    steps = on_integer = 0
+    for xs in _step_streams(2_000, 60, seed=8):
+        ref = LevelSetState()
+        s, count, comp = 0.0, 0, 0.0
+        for x in xs:
+            u = rng.uniform()
+            assert ls.step_probability(s, count, x) == reference_step_probability(ref, x)
+            sel, s, count, comp = ls.online_step(s, count, comp, x, u)
+            ref_sel, ref = reference_online_step(ref, x, u)
+            assert (sel, count, s.hex(), comp.hex()) == \
+                (ref_sel, ref.count_prev, ref.s_prev.hex(), ref.comp.hex())
+            steps += 1
+            on_integer += ls._snap(s) == round(s)
+    assert steps >= 100_000 and on_integer > 10_000
+
+
+def _outcome(step):
+    try:
+        return step()
+    except InvariantBreach as exc:
+        return ("InvariantBreach", str(exc))
+
+
+def test_flat_step_breaches_like_the_state_step():
+    # counts outside [floor, ceil] of the prefix sum, and fractions outside
+    # [0, 1] that push the case split's probability out of range
+    g = np.random.default_rng(9)
+    breaches = {"step_probability": 0, "online_step": 0}
+    for _ in range(20_000):
+        s = float(g.integers(0, 6)) if g.random() < 0.3 else float(g.uniform(0, 6))
+        count = int(g.integers(-2, 9))
+        x = float(g.random()) if g.random() < 0.8 else float(g.uniform(-0.5, 2.0))
+        u = float(g.random())
+        ref = LevelSetState(s, count, 0.0)
+        want_p = _outcome(lambda: reference_step_probability(ref, x))
+        assert _outcome(lambda: ls.step_probability(s, count, x)) == want_p
+        want = _outcome(lambda: reference_online_step(ref, x, u))
+        got = _outcome(lambda: ls.online_step(s, count, 0.0, x, u))
+        if want[0] == "InvariantBreach":
+            assert got == want
+            breaches["step_probability" if want == want_p else "online_step"] += 1
+        else:
+            assert got == (want[0], want[1].s_prev, want[1].count_prev, want[1].comp)
+    assert breaches["step_probability"] > 50 and breaches["online_step"] > 5_000

@@ -4,8 +4,8 @@ every sampler built on them."""
 import numpy as np
 import pytest
 
-from conftest import digest, reference_product_select
-from odrs_lab import apps, instances, odrs
+from conftest import LevelSetState, digest, reference_online_step, reference_product_select
+from odrs_lab import apps, crs, instances, odrs
 from odrs_lab import level_set as ls
 from odrs_lab.instances import Arrival, MatchingInstance
 from odrs_lab.rng import ScalarRng
@@ -115,12 +115,61 @@ def _fraction_streams(n_streams=200, length=40):
 def test_step_table_equals_step_probability_on_running_state():
     rng = ScalarRng(1)
     for xs in _fraction_streams():
-        state = ls.LevelSetState()
+        state_s, count, state_comp = 0.0, 0, 0.0
         s = comp = 0.0
         for x in xs:
-            fl, p_lag, p_ahead = ls.step_table(state.s_prev, x)
-            p = p_lag if state.count_prev == fl else p_ahead
-            assert p == ls.step_probability(state, x)
-            _, state = ls.online_step(state, x, rng.uniform())
+            fl, p_lag, p_ahead = ls.step_table(state_s, x)
+            p = p_lag if count == fl else p_ahead
+            assert p == ls.step_probability(state_s, count, x)
+            _, state_s, count, state_comp = ls.online_step(state_s, count, state_comp, x,
+                                                           rng.uniform())
             s, comp = ls.kahan_add(s, comp, x)
-            assert (state.s_prev, state.comp) == (s, comp)
+            assert (state_s, state_comp) == (s, comp)
+
+
+class _CountingRng:
+    """A ScalarRng whose uniform draws are counted."""
+
+    def __init__(self, seed):
+        self.rng = ScalarRng(seed)
+        self.draws = 0
+
+    def uniform(self):
+        self.draws += 1
+        return self.rng.uniform()
+
+
+def reference_arrive(states, edges, rng):
+    """`OnlineWarmup.arrive` as it ran on one frozen `LevelSetState` per
+    node, with a fully built selector."""
+    bid_mask = 0
+    for k, (i, x) in enumerate(edges):
+        sel, states[i] = reference_online_step(states[i], x, rng.uniform())
+        bid_mask |= sel << k
+    if not bid_mask:
+        return -1
+    sel = crs.ProductSelector([x for _, x in edges])
+    bids = {k for k in range(len(edges)) if bid_mask >> k & 1}
+    win = reference_product_select(sel, bids, rng.uniform)
+    return edges[win][0] if win >= 0 else -1
+
+
+def test_online_warmup_equals_the_state_list_step():
+    g = np.random.default_rng(12)
+    arrivals = 0
+    for case in range(40):
+        n = 2 + case % 12
+        warmup, states = odrs.OnlineWarmup(n), [LevelSetState()] * n
+        rng_a, rng_b = _CountingRng(case), _CountingRng(case)
+        for _ in range(150):
+            nodes = np.flatnonzero(g.random(n) < 0.6).tolist()
+            xs = g.choice([0.5, 0.25, 1.0], len(nodes)) if case % 2 else \
+                g.uniform(0.01, 1.0, len(nodes))
+            edges = [(i, float(x)) for i, x in zip(nodes, xs)]
+            assert warmup.arrive(edges, rng_a) == reference_arrive(states, edges, rng_b)
+            assert rng_a.draws == rng_b.draws
+            arrivals += 1
+        assert [v.hex() for v in warmup.s] == [st.s_prev.hex() for st in states]
+        assert [v.hex() for v in warmup.comp] == [st.comp.hex() for st in states]
+        assert warmup.count == [st.count_prev for st in states]
+    assert arrivals == 6_000
