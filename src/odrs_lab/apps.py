@@ -56,10 +56,10 @@ def edge_color_online(mg: MultigraphInstance, C: int | None = None,
 
     Round r uses the declared residual degree bound
     max(Delta - r*C*(1-ROUND_SLACK), C); matcher i within a round sees only
-    edges left uncolored by matchers before it. A matcher is the warm-up ODRS step fed fractions kappa/bound,
-    clipped to the per-vertex budgets so its stream stays a fractional
-    matching no matter how the residual fluctuates. The greedy finish reuses
-    the palette first.
+    edges left uncolored by matchers before it. A matcher is the warm-up ODRS
+    step fed fractions kappa/bound, clipped to the per-vertex budgets so its
+    stream stays a fractional matching no matter how the residual fluctuates.
+    The greedy finish reuses the palette first.
     """
     delta = mg.delta
     if C is None:
@@ -83,32 +83,36 @@ def edge_color_online(mg: MultigraphInstance, C: int | None = None,
     right_used: list[set[int]] = [set() for _ in range(n_right)]
     for t, arr in enumerate(mg.arrivals):
         free_copies = {j: list(range(kappa)) for j, kappa in arr if kappa > 0}
+        # right ids with a free copy, ascending; an id leaves with its last copy
+        order = sorted(free_copies)
         for color, (bound, col_used, warmup) in enumerate(matchers):
-            if not free_copies:
+            if not order:
                 break
             row_used = 0.0
             edges = []
-            for j, copies in sorted(free_copies.items()):
-                x = min(len(copies) / bound, 1.0 - row_used, 1.0 - col_used[j])
+            for j in order:
+                x = min(len(free_copies[j]) / bound, 1.0 - row_used, 1.0 - col_used[j])
                 if x <= 1e-12:
                     continue
                 row_used += x
                 col_used[j] += x
                 edges.append((j, x))
             j = warmup.arrive(edges, rng)
-            if j >= 0 and free_copies.get(j):
+            if j >= 0:
                 # a matched simple edge colors one of its copies uniformly
-                pick = int(rng.uniform() * len(free_copies[j]))
-                copy = free_copies[j].pop(min(pick, len(free_copies[j]) - 1))
+                copies = free_copies[j]
+                pick = int(rng.uniform() * len(copies))
+                copy = copies.pop(min(pick, len(copies) - 1))
                 coloring.colors[(t, j, copy)] = color
                 left_used[t].add(color)
                 right_used[j].add(color)
-                if not free_copies[j]:
+                if not copies:
                     del free_copies[j]
+                    order.remove(j)
         # greedy finish for this arrival's leftover copies (first free color);
         # reusing a matcher's color blocks that matcher from this right node
-        for j, copies in sorted(free_copies.items()):
-            for copy in copies:
+        for j in order:
+            for copy in free_copies[j]:
                 c = 0
                 while c in left_used[t] or c in right_used[j]:
                     c += 1

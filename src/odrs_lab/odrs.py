@@ -740,15 +740,16 @@ class OnlineWarmup:
         walk if anyone bid; `selector` is the product selector on the
         fractions, built here when not given."""
         s, count, comp = self.s, self.count, self.comp
+        uniform = rng.uniform
         bid_mask = 0
         for k, (i, x) in enumerate(edges):
-            sel, s[i], count[i], comp[i] = online_step(s[i], count[i], comp[i], x, rng.uniform())
+            sel, s[i], count[i], comp[i] = online_step(s[i], count[i], comp[i], x, uniform())
             bid_mask |= sel << k
         if not bid_mask:
             return -1
         if selector is None:
             selector = crs_mod.ProductSelector([x for _, x in edges])
-        win = selector.select(bid_mask, rng.uniform)
+        win = selector.select(bid_mask, uniform)
         return edges[win][0] if win >= 0 else -1
 
 

@@ -9,8 +9,9 @@ Seeds derive from SplitMix64 (gamma = 0x9E3779B97F4A7C15):
 
 Replica r of base seed s draws from the stream seeded by mix(s, r). The scalar
 stream is SplitMix64 started at that state (state += gamma, output
-scramble(state)); bulk vectorized sampling delegates to numpy's PCG64 seeded
-with the same mixed seed.
+scramble(state)); `ScalarRng` computes it in numpy uint64 blocks, where draw k
+of a block starting at state s0 scrambles s0 + k * gamma. Bulk vectorized
+sampling delegates to numpy's PCG64 seeded with the same mixed seed.
 
 A batch replay of n_runs runs draws every uniform as one `random(n_runs)`
 batch from that PCG64 stream, so batch d for runs [lo, hi) sits at stream
@@ -20,6 +21,8 @@ replay draws the same uniforms for every run as the unchunked one.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 import numpy as np
 
@@ -31,18 +34,20 @@ _GAMMA = 0x9E3779B97F4A7C15
 # runs per chunk of a batch replay: per-run state is O(CHUNK_RUNS x n)
 CHUNK_RUNS = 1 << 14
 
+# scalar draws per block: the first block is small for short streams, later
+# ones double up to the largest
+FIRST_BLOCK = 64
+MAX_BLOCK = 4096
+# k * gamma mod 2^64 for k = 1..MAX_BLOCK (uint64 array arithmetic wraps)
+_STEPS = np.arange(1, MAX_BLOCK + 1, dtype=np.uint64) * np.uint64(_GAMMA)
 
-def _scramble(z: int) -> int:
-    z &= _MASK64
+
+def _scramble(z):
+    """SplitMix64's output function of a 64-bit int, or elementwise of a
+    uint64 array (whose products wrap, so the masks leave it unchanged)."""
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
-
-
-def splitmix64(state: int) -> tuple[int, int]:
-    """One SplitMix64 step: returns (new_state, output word)."""
-    state = (state + _GAMMA) & _MASK64
-    return state, _scramble(state)
 
 
 def mix(base_seed: int, stream: int) -> int:
@@ -50,17 +55,28 @@ def mix(base_seed: int, stream: int) -> int:
     return _scramble((base_seed & _MASK64) ^ ((stream + 1) * _GAMMA & _MASK64))
 
 
+def _uniform_blocks(state: int):
+    """Lists of the SplitMix64 uniforms after `state`, FIRST_BLOCK of them
+    first, then twice as many per list up to MAX_BLOCK."""
+    state, size = np.uint64(state), FIRST_BLOCK
+    while True:
+        states = state + _STEPS[:size]
+        state = states[-1]
+        # the top 53 bits fit a float64 exactly, so each entry equals the
+        # scalar (out >> 11) * 2**-53
+        yield ((_scramble(states) >> 11) * 2.0**-53).tolist()
+        size = min(2 * size, MAX_BLOCK)
+
+
 class ScalarRng:
     """SplitMix64-backed scalar uniform stream (stream 0 of the seed) for the
-    reference samplers."""
+    reference samplers.
+
+    `uniform()` is one SplitMix64 step per call, its top 53 bits as a uniform
+    on [0, 1); the steps are computed in numpy blocks and served one by one."""
 
     def __init__(self, seed: int):
-        self._state = mix(seed, 0)
-
-    def uniform(self) -> float:
-        """One SplitMix64 step; its top 53 bits as a uniform on [0, 1)."""
-        self._state, out = splitmix64(self._state)
-        return (out >> 11) * (1.0 / (1 << 53))
+        self.uniform = chain.from_iterable(_uniform_blocks(mix(seed, 0))).__next__
 
 
 def generator(seed: int, stream: int = 0) -> np.random.Generator:

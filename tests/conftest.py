@@ -10,6 +10,7 @@ from odrs_lab import exact_engine as engine
 from odrs_lab import odrs
 from odrs_lab.errors import DomainError, InvariantBreach
 from odrs_lab.level_set import SNAP_TOL, _snap, kahan_add
+from odrs_lab.rng import _scramble
 
 
 @pytest.fixture(scope="session")
@@ -169,6 +170,13 @@ def reference_online_step(state: LevelSetState, x: float, u: float) -> tuple[int
         raise InvariantBreach(
             f"prefix count {count} outside [floor,ceil] of prefix sum {s_new}")
     return selected, LevelSetState(s_new, count, comp)
+
+
+def splitmix64(state: int) -> tuple[int, int]:
+    """One scalar SplitMix64 step, the chain `rng.ScalarRng` computes in
+    blocks: returns (new_state, output word)."""
+    state = (state + 0x9E3779B97F4A7C15) & ((1 << 64) - 1)
+    return state, _scramble(state)
 
 
 def scaled_degree_prefixes(plans):

@@ -1,13 +1,15 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from conftest import splitmix64
 from odrs_lab import bench, instances, odrs
 from odrs_lab import exact_engine as engine
 from odrs_lab.errors import DomainError, SizeError
-from odrs_lab.rng import ScalarRng, generator, mix, splitmix64
+from odrs_lab.rng import MAX_BLOCK, ScalarRng, generator, mix
 
 
 def test_seed_mixing_distinct_streams():
@@ -26,13 +28,26 @@ def test_seed_derivation_golden_values():
 
 
 def test_scalar_stream_is_one_splitmix_step_per_draw():
-    for seed in (0, 5, 2**64 - 1):
-        rng = ScalarRng(seed)
-        state, want = mix(seed, 0), []
-        for _ in range(10_000):
-            state, out = splitmix64(state)
-            want.append((out >> 11) * 2**-53)
-        assert [rng.uniform() for _ in range(10_000)] == want
+    # the draws span several MAX_BLOCK blocks; a numpy overflow warning fails
+    n_draws = 30_000
+    assert n_draws > 5 * MAX_BLOCK
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in (0, 5, 2**64 - 1):
+            rng = ScalarRng(seed)
+            state, want = mix(seed, 0), []
+            for _ in range(n_draws):
+                state, out = splitmix64(state)
+                want.append((out >> 11) * 2**-53)
+            assert [rng.uniform() for _ in range(n_draws)] == want
+            # two streams of one seed, drawn in turns, each yield the chain
+            a, b = ScalarRng(seed), ScalarRng(seed)
+            drawn_a, drawn_b = [], []
+            for k in range(n_draws):
+                drawn_a.append(a.uniform())
+                if k % 3 == 0:
+                    drawn_b.extend((b.uniform(), b.uniform(), b.uniform()))
+            assert drawn_a == want and drawn_b == want
     assert ScalarRng(5).uniform() == 0.6763599147503829
 
 
