@@ -82,16 +82,17 @@ def edge_color_online(mg: MultigraphInstance, C: int | None = None,
     left_used: list[set[int]] = [set() for _ in mg.arrivals]  # per arrival
     right_used: list[set[int]] = [set() for _ in range(n_right)]
     for t, arr in enumerate(mg.arrivals):
-        free_copies = {j: list(range(kappa)) for j, kappa in arr if kappa > 0}
-        # right ids with a free copy, ascending; an id leaves with its last copy
-        order = sorted(free_copies)
+        # right id -> free copies, in ascending id order (deleting an id
+        # keeps the rest in order)
+        free_copies = dict(sorted({j: list(range(kappa))
+                                   for j, kappa in arr if kappa > 0}.items()))
         for color, (bound, col_used, warmup) in enumerate(matchers):
-            if not order:
+            if not free_copies:
                 break
             row_used = 0.0
             edges = []
-            for j in order:
-                x = min(len(free_copies[j]) / bound, 1.0 - row_used, 1.0 - col_used[j])
+            for j, copies in free_copies.items():
+                x = min(len(copies) / bound, 1.0 - row_used, 1.0 - col_used[j])
                 if x <= 1e-12:
                     continue
                 row_used += x
@@ -108,11 +109,10 @@ def edge_color_online(mg: MultigraphInstance, C: int | None = None,
                 right_used[j].add(color)
                 if not copies:
                     del free_copies[j]
-                    order.remove(j)
         # greedy finish for this arrival's leftover copies (first free color);
         # reusing a matcher's color blocks that matcher from this right node
-        for j in order:
-            for copy in free_copies[j]:
+        for j, copies in free_copies.items():
+            for copy in copies:
                 c = 0
                 while c in left_used[t] or c in right_used[j]:
                     c += 1

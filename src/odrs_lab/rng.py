@@ -34,12 +34,10 @@ _GAMMA = 0x9E3779B97F4A7C15
 # runs per chunk of a batch replay: per-run state is O(CHUNK_RUNS x n)
 CHUNK_RUNS = 1 << 14
 
-# scalar draws per block: the first block is small for short streams, later
-# ones double up to the largest
-FIRST_BLOCK = 64
-MAX_BLOCK = 4096
-# k * gamma mod 2^64 for k = 1..MAX_BLOCK (uint64 array arithmetic wraps)
-_STEPS = np.arange(1, MAX_BLOCK + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+# scalar draws per block, and k * gamma mod 2^64 for k = 1.._BLOCK (uint64
+# array arithmetic wraps)
+_BLOCK = 4096
+_STEPS = np.arange(1, _BLOCK + 1, dtype=np.uint64) * np.uint64(_GAMMA)
 
 
 def _scramble(z):
@@ -56,16 +54,15 @@ def mix(base_seed: int, stream: int) -> int:
 
 
 def _uniform_blocks(state: int):
-    """Lists of the SplitMix64 uniforms after `state`, FIRST_BLOCK of them
-    first, then twice as many per list up to MAX_BLOCK."""
-    state, size = np.uint64(state), FIRST_BLOCK
+    """Lists of _BLOCK SplitMix64 uniforms each, continuing the chain after
+    `state`."""
+    state = np.uint64(state)
     while True:
-        states = state + _STEPS[:size]
+        states = state + _STEPS
         state = states[-1]
         # the top 53 bits fit a float64 exactly, so each entry equals the
         # scalar (out >> 11) * 2**-53
         yield ((_scramble(states) >> 11) * 2.0**-53).tolist()
-        size = min(2 * size, MAX_BLOCK)
 
 
 class ScalarRng:

@@ -9,7 +9,7 @@ from conftest import splitmix64
 from odrs_lab import bench, instances, odrs
 from odrs_lab import exact_engine as engine
 from odrs_lab.errors import DomainError, SizeError
-from odrs_lab.rng import MAX_BLOCK, ScalarRng, generator, mix
+from odrs_lab.rng import _BLOCK, ScalarRng, generator, mix
 
 
 def test_seed_mixing_distinct_streams():
@@ -28,9 +28,9 @@ def test_seed_derivation_golden_values():
 
 
 def test_scalar_stream_is_one_splitmix_step_per_draw():
-    # the draws span several MAX_BLOCK blocks; a numpy overflow warning fails
+    # the draws span several blocks; a numpy overflow warning fails
     n_draws = 30_000
-    assert n_draws > 5 * MAX_BLOCK
+    assert n_draws > 5 * _BLOCK
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for seed in (0, 5, 2**64 - 1):
