@@ -152,7 +152,7 @@ def round_cmd(alg, path, eps, delta, seed, n_runs, exact, sample, csv):
               default="matching", show_default=True)
 def optimize_cmd(variant):
     """Numerically maximize the rounding-ratio bound."""
-    eps, delta, alpha = odrs.optimize_params(variant.replace("-", "_"))
+    eps, delta, alpha = odrs.search_params(variant.replace("-", "_"))
     _emit({"variant": variant, "eps": eps, "delta": delta, "alpha": alpha})
 
 

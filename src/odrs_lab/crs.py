@@ -168,19 +168,27 @@ class FlowNetwork:
         return eid
 
     def max_flow(self, s: int, t: int) -> int:
+        """Edmonds-Karp: augment along shortest residual paths until none is
+        left; returns the flow value and leaves the residual capacities in
+        `cap`. Each BFS scans nodes in queue order and their edges in
+        adjacency (insertion) order, and stops as soon as it discovers `t`:
+        the edge that discovered `t` (and so the whole path) is fixed at that
+        moment. These paths fix the flow on every edge, which the selector
+        rows of `build_selector` are read from."""
+        head, to, cap = self.head, self.to, self.cap
         total = 0
         while True:
             parent_edge = [-1] * self.n
             parent_edge[s] = -2
             q = deque([s])
-            while q:
+            while q and parent_edge[t] == -1:
                 u = q.popleft()
-                if u == t:
-                    break
-                for eid in self.head[u]:
-                    v = self.to[eid]
-                    if self.cap[eid] > 0 and parent_edge[v] == -1:
+                for eid in head[u]:
+                    v = to[eid]
+                    if cap[eid] > 0 and parent_edge[v] == -1:
                         parent_edge[v] = eid
+                        if v == t:
+                            break
                         q.append(v)
             if parent_edge[t] == -1:
                 return total
@@ -189,14 +197,14 @@ class FlowNetwork:
             v = t
             while v != s:
                 eid = parent_edge[v]
-                bottleneck = self.cap[eid] if bottleneck is None else min(bottleneck, self.cap[eid])
-                v = self.to[eid ^ 1]
+                bottleneck = cap[eid] if bottleneck is None else min(bottleneck, cap[eid])
+                v = to[eid ^ 1]
             v = t
             while v != s:
                 eid = parent_edge[v]
-                self.cap[eid] -= bottleneck
-                self.cap[eid ^ 1] += bottleneck
-                v = self.to[eid ^ 1]
+                cap[eid] -= bottleneck
+                cap[eid ^ 1] += bottleneck
+                v = to[eid ^ 1]
             total += bottleneck
 
     def flow_on(self, eid: int) -> int:

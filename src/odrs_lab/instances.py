@@ -421,18 +421,19 @@ def save_json(inst, path: str):
 def instance_from_dict(doc: dict) -> MatchingInstance:
     rep = ValidationReport()  # a bad "b" is not kept in the instance, so _load_check cannot see it
     try:
-        n = int(doc["n_offline"])
-        caps = tuple(_capacity(b) for b in doc["capacities"])
+        n = _integer(doc["n_offline"], '"n_offline"')
+        caps = tuple(_integer(b, f"capacity of offline {i}", keep_float=True)
+                     for i, b in enumerate(doc["capacities"]))
         arrivals = []
         for t, arr in enumerate(doc["arrivals"]):
             p = float(arr.get("p", 1.0))
-            b_t = _capacity(arr.get("b", 1))
+            b_t = _integer(arr.get("b", 1), f'"b" of arrival {t}', keep_float=True)
             if isinstance(b_t, float) or not 1 <= b_t <= MAX_ARRIVAL_B:
                 rep.add("bad-b", f"arrival {t}", b_t)
                 b_t = 1
             edges, weights, has_w = [], [], False
-            for e in arr["edges"]:
-                edges.append((int(e["i"]), float(e["x"])))
+            for k, e in enumerate(arr["edges"]):
+                edges.append((_integer(e["i"], f'"i" of arrival {t} edge {k}'), float(e["x"])))
                 w = e.get("w")
                 has_w = has_w or w is not None
                 weights.append(float(w) if w is not None else 1.0)
@@ -452,22 +453,31 @@ def instance_from_dict(doc: dict) -> MatchingInstance:
     return inst
 
 
-def _capacity(b) -> int | float:
-    """An integral capacity (or per-arrival `b`) as an int; any other value as
-    a float, kept for the load checks to report."""
-    if isinstance(b, int):
-        return b
-    v = float(b)
-    return int(v) if v.is_integer() else v
+def _integer(v, field: str, keep_float: bool = False) -> int | float:
+    """An integer field: an int, or an integral float as an int. With
+    `keep_float`, any other float is returned as is (a capacity or per-arrival
+    `b`, for the load checks to report); any other value (a non-integral
+    number, a string, a bool, null) raises ValidationFailure naming `field`."""
+    if isinstance(v, float):
+        if v.is_integer():
+            return int(v)
+        if keep_float:
+            return v
+    elif isinstance(v, int) and not isinstance(v, bool):
+        return v
+    raise ValidationFailure(f"{field} must be an integer, not {v!r}")
 
 
 def multigraph_from_dict(doc: dict) -> MultigraphInstance:
     try:
         mg = doc["multigraph"]
         arrivals = tuple(
-            tuple(sorted((int(e["j"]), int(e["kappa"])) for e in arr["edges"]))
-            for arr in mg["arrivals"])
-        out = MultigraphInstance(int(mg["left"]), int(mg["right"]), int(mg["delta"]), arrivals)
+            tuple(sorted((_integer(e["j"], f'"j" of left {t} edge {k}'),
+                          _integer(e["kappa"], f'"kappa" of left {t} edge {k}'))
+                         for k, e in enumerate(arr["edges"])))
+            for t, arr in enumerate(mg["arrivals"]))
+        out = MultigraphInstance(*(_integer(mg[f], f'"{f}"') for f in ("left", "right", "delta")),
+                                 arrivals)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationFailure(f"malformed multigraph JSON: {exc!r}") from exc
     validate_multigraph(out).raise_if_invalid()
@@ -478,9 +488,11 @@ def cover_from_dict(doc: dict) -> CoverInstance:
     try:
         cv = doc["cover"]
         out = CoverInstance(
-            int(cv["k"]), len(cv["xstar"]),
+            _integer(cv["k"], '"k"'), len(cv["xstar"]),
             tuple(tuple(float(c) for c in s["costs"]) for s in cv["stages"]),
-            tuple((tuple(int(v) for v in e["verts"]), int(e["demand"])) for e in cv["edges"]),
+            tuple((tuple(_integer(v, f'"verts" of edge {e}') for v in edge["verts"]),
+                   _integer(edge["demand"], f'"demand" of edge {e}'))
+                  for e, edge in enumerate(cv["edges"])),
             tuple(tuple(float(v) for v in row) for row in cv["xstar"]))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationFailure(f"malformed cover JSON: {exc!r}") from exc

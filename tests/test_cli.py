@@ -321,6 +321,16 @@ def test_non_integral_capacity_rejected(tmp_path):
         assert "bad-capacity at offline 0 (magnitude 2.5)" in r.stderr
 
 
+def test_non_integral_offline_id_rejected(tmp_path):
+    path = tmp_path / "id.json"
+    for i, n in ((1.7, 2), (-0.5, 2), (1, 2.9)):
+        path.write_text(json.dumps({"n_offline": n, "capacities": [1, 1],
+                                    "arrivals": [{"edges": [{"i": i, "x": 0.5}]}]}))
+        r = run("round", "--alg", "odrs", "--exact", "--instance", str(path))
+        assert r.returncode == 2 and r.stdout == "" and "Traceback" not in r.stderr
+        assert len(r.stderr.splitlines()) == 1 and "must be an integer" in r.stderr
+
+
 def test_run_counts_are_validated(tmp_path):
     cov = tmp_path / "cov.json"
     assert run("gen", "--kind", "cover", "--n", "6", "--out", str(cov)).returncode == 0

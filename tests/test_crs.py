@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -7,7 +8,7 @@ import pytest
 
 from conftest import (built_rows, reference_exact_marginals, reference_product_select,
                       reference_select, reference_win_probs)
-from odrs_lab import bitmask, crs
+from odrs_lab import bitmask, crs, instances, odrs
 from odrs_lab.errors import DomainError, SizeError
 from odrs_lab.rng import ScalarRng
 
@@ -195,6 +196,90 @@ def test_max_flow_basics():
     net = crs.FlowNetwork(3)
     net.add_edge(0, 1, one)
     assert net.max_flow(0, 2) == 0
+
+
+def reference_max_flow(net, s, t):
+    """The Edmonds-Karp loop whose BFS ran until it popped the sink. Returns
+    the flow and the number of augmenting paths that used a reverse edge."""
+    total = backward = 0
+    while True:
+        parent_edge = [-1] * net.n
+        parent_edge[s] = -2
+        q = collections.deque([s])
+        while q:
+            u = q.popleft()
+            if u == t:
+                break
+            for eid in net.head[u]:
+                v = net.to[eid]
+                if net.cap[eid] > 0 and parent_edge[v] == -1:
+                    parent_edge[v] = eid
+                    q.append(v)
+        if parent_edge[t] == -1:
+            return total, backward
+        path = []
+        v = t
+        while v != s:
+            path.append(parent_edge[v])
+            v = net.to[parent_edge[v] ^ 1]
+        bottleneck = min(net.cap[eid] for eid in path)
+        for eid in path:
+            net.cap[eid] -= bottleneck
+            net.cap[eid ^ 1] += bottleneck
+        total += bottleneck
+        backward += any(eid & 1 for eid in path)
+
+
+def _copy_network(net):
+    twin = crs.FlowNetwork(net.n)
+    twin.head = [list(h) for h in net.head]
+    twin.to, twin.cap = list(net.to), list(net.cap)
+    return twin
+
+
+def test_max_flow_equals_reference(monkeypatch):
+    # random layered networks src -> atoms -> elements -> sink, edges added
+    # in shuffled order, with capped middle edges so that augmenting paths
+    # run back along residual element -> atom edges
+    rng = random.Random(5)
+    backward = 0
+    for _ in range(300):
+        n_atoms, n_el = rng.randint(1, 7), rng.randint(1, 7)
+        sink = 1 + n_atoms + n_el
+        edges = [(0, 1 + a, rng.randint(0, 20)) for a in range(n_atoms)]
+        edges += [(1 + n_atoms + k, sink, rng.randint(0, 20)) for k in range(n_el)]
+        edges += [(1 + a, 1 + n_atoms + k, rng.choice((rng.randint(1, 9), 1000)))
+                  for a in range(n_atoms) for k in range(n_el) if rng.random() < 0.6]
+        rng.shuffle(edges)
+        net = crs.FlowNetwork(sink + 1)
+        for u, v, c in edges:
+            net.add_edge(u, v, c)
+        ref = _copy_network(net)
+        want, back = reference_max_flow(ref, 0, sink)
+        assert net.max_flow(0, sink) == want
+        assert net.cap == ref.cap
+        backward += back > 0
+    assert backward >= 30
+
+    # every selector network the compiled schemes build
+    seen = []
+    max_flow = crs.FlowNetwork.max_flow
+
+    def checked(net, s, t):
+        ref = _copy_network(net)
+        want, _ = reference_max_flow(ref, s, t)
+        got = max_flow(net, s, t)
+        assert got == want and net.cap == ref.cap
+        seen.append(got)
+        return got
+
+    monkeypatch.setattr(crs.FlowNetwork, "max_flow", checked)
+    for name in ("odrs", "odrs_b", "warmup"):
+        params = odrs.scheme_params(name)
+        for n in range(4, 10):
+            for seed in range(3):
+                odrs.compile_scheme(name, instances.gen_random(n, n, 0.7, seed), params)
+    assert len(seen) >= 200  # 117 each for odrs and odrs_b; the warm-up builds none
 
 
 def test_max_flow_matches_balance_ratio_on_selector_network():

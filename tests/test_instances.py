@@ -186,6 +186,42 @@ def test_non_integral_capacity_rejected_at_load():
     assert [v.kind for v in rep.violations] == ["bad-capacity"]
 
 
+def test_integer_fields_must_be_integral():
+    def matching(n=2, cap=1, i=1):
+        return {"n_offline": n, "capacities": [1, cap], "arrivals": [{"edges": [{"i": i, "x": 0.5}]}]}
+
+    def multigraph(left=1, delta=2, j=0, kappa=1):
+        return {"multigraph": {"left": left, "right": 1, "delta": delta,
+                               "arrivals": [{"edges": [{"j": j, "kappa": kappa}]}]}}
+
+    good = instances.instance_from_dict(matching(n=2.0, cap=1.0, i=1.0))
+    assert good == instances.instance_from_dict(matching())
+    assert type(good.n_offline) is type(good.capacities[1]) is type(good.arrivals[0].edges[0][0]) is int
+    assert instances.multigraph_from_dict(multigraph(1.0, 2.0, 0.0, 1.0)) == \
+        instances.multigraph_from_dict(multigraph())
+    assert instances.cover_from_dict(_cover_doc(k=2.0)) == instances.cover_from_dict(_cover_doc())
+    bad = [(instances.instance_from_dict, matching(n=2.9), '"n_offline" must be an integer, not 2.9'),
+           (instances.instance_from_dict, matching(i=1.7), '"i" of arrival 0 edge 0 .* not 1.7'),
+           (instances.instance_from_dict, matching(i=-0.5), '"i" of arrival 0 edge 0'),
+           (instances.instance_from_dict, matching(i="1"), '"i" of arrival 0 edge 0'),
+           (instances.instance_from_dict, matching(i=True), '"i" of arrival 0 edge 0'),
+           (instances.instance_from_dict, matching(n=None), '"n_offline"'),
+           (instances.instance_from_dict, matching(cap="1"), "capacity of offline 1 .* not '1'"),
+           (instances.instance_from_dict, matching(cap=False), "capacity of offline 1"),
+           (instances.multigraph_from_dict, multigraph(left=1.5), '"left"'),
+           (instances.multigraph_from_dict, multigraph(delta="2"), '"delta"'),
+           (instances.multigraph_from_dict, multigraph(j=0.5), '"j" of left 0 edge 0'),
+           (instances.multigraph_from_dict, multigraph(kappa=1.5), '"kappa" of left 0 edge 0'),
+           (instances.cover_from_dict, _cover_doc(k=2.5), '"k"'),
+           (instances.cover_from_dict, _cover_doc(edges=[{"verts": [0, 1.2], "demand": 1}]),
+            '"verts" of edge 0'),
+           (instances.cover_from_dict, _cover_doc(edges=[{"verts": [0, 1], "demand": 1.5}]),
+            '"demand" of edge 0')]
+    for load, doc, message in bad:
+        with pytest.raises(ValidationFailure, match=message):
+            load(doc)
+
+
 def test_bad_per_arrival_b_rejected_at_load():
     doc = {"n_offline": 1, "capacities": [1], "arrivals": [{"b": 2, "edges": [{"i": 0, "x": 0.5}]}]}
     assert instances.instance_from_dict(doc).arrivals == (Arrival(((0, 0.25),)),) * 2

@@ -50,7 +50,7 @@ def test_optimize_params_b_matching(b_matching_params):
     assert abs(eps - 0.0347) <= 0.003 and abs(delta - 0.0425) <= 0.003
 
 
-# float.hex of optimize_params(variant): (eps, delta, alpha)
+# float.hex of search_params(variant): (eps, delta, alpha)
 GOLDEN_OPTIMA = {
     "matching": ("0x1.89e55aba26359p-5", "0x1.07916872b020cp-4", "0x1.4e3cdae57e65cp-1"),
     "b_matching": ("0x1.158ff8505ce61p-5", "0x1.533c6a7ef9db4p-5", "0x1.4ac38213760e8p-1"),
@@ -82,7 +82,7 @@ def reference_min_feasible_eps(delta, variant, lo=0.0, hi=0.9):
 
 
 def reference_optimize_params(variant):
-    """The cell-by-cell parameter search that `optimize_params` replaced."""
+    """The cell-by-cell parameter search that `search_params` replaced."""
     best = (odrs.ratio_bound_raw(0.0, 0.0), 0.0, 0.0)
     for j in range(201):
         delta = j * 1e-3
@@ -114,9 +114,20 @@ def reference_optimize_params(variant):
 
 @pytest.mark.parametrize("variant", ["matching", "b_matching"])
 def test_optimize_params_equals_reference_and_golden(variant):
-    got = odrs.optimize_params(variant)
+    got = odrs.search_params(variant)
     assert got == reference_optimize_params(variant)
     assert tuple(v.hex() for v in got) == GOLDEN_OPTIMA[variant]
+
+
+@pytest.mark.parametrize("variant", ["matching", "b_matching"])
+def test_optimize_params_serves_the_pinned_search(variant):
+    eps, delta, alpha = odrs.optimize_params(variant)
+    assert (eps, delta, alpha) == odrs.search_params(variant)
+    assert odrs.feasibility_violation(eps, delta, variant) is None
+    assert alpha.hex() == odrs.ratio_bound_raw(eps, delta).hex()
+    for fn in (odrs.optimize_params, odrs.search_params):
+        with pytest.raises(DomainError, match="unknown variant"):
+            fn("b-matching")
 
 
 @pytest.mark.parametrize("variant", ["matching", "b_matching"])
@@ -137,10 +148,10 @@ def test_feasible_many_equals_violation_check(variant):
 
 
 def test_optimize_params_transient_memory():
-    odrs.optimize_params("matching")
+    odrs.search_params("matching")
     tracemalloc.start()
     try:
-        odrs.optimize_params("matching")
+        odrs.search_params("matching")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
