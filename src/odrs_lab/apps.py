@@ -219,10 +219,10 @@ def cover_trials(cov: CoverInstance, n_trials: int, seed: int) -> dict:
 
     Trials run `rng.CHUNK_RUNS` at a time (`rng.run_chunks`, stream 11), each
     vertex's stages through `level_set.batch_stream`; per-vertex totals live
-    per chunk, `(chunk, n_vars)`, and violations are counted per chunk. Each
-    trial's cost goes into one vector of `n_trials` floats, so the mean and
-    the standard error are taken over all trials at once and do not depend on
-    the chunk size.
+    per chunk, node-major `(n_vars, chunk)`, and violations are counted per
+    chunk. Each trial's cost goes into one vector of `n_trials` floats, so the
+    mean and the standard error are taken over all trials at once and do not
+    depend on the chunk size.
     """
     if n_trials < 2:
         raise DomainError("cover trials need at least 2 trials (for the standard error)")
@@ -232,16 +232,16 @@ def cover_trials(cov: CoverInstance, n_trials: int, seed: int) -> dict:
     cost = np.zeros(n_trials)
     violations = 0
     for lo, hi, g in run_chunks(n_trials, seed, 11):
-        totals = np.zeros((hi - lo, cov.n_vars), dtype=np.int64)
+        totals = np.zeros((cov.n_vars, hi - lo), dtype=np.int64)
         chunk_cost = cost[lo:hi]
         for v, vpeeled in enumerate(peeled):
             bits = batch_stream([frac for _, frac in vpeeled], g, hi - lo)
             for stage, ((base, _), sel) in enumerate(zip(vpeeled, bits)):
                 yv = base + sel
-                totals[:, v] += yv
+                totals[v] += yv
                 chunk_cost += cov.costs[stage][v] * yv
         for verts, demand in cov.edges:
-            cover = totals[:, list(verts)].sum(axis=1)
+            cover = totals[list(verts)].sum(axis=0)
             violations += int((cover < demand).sum())
     lp_cost = _lp_cost(cov)
     return {"trials": n_trials, "violations": violations,

@@ -5,10 +5,14 @@ time (`rng.run_chunks`): per-node state is node-major, `(n, chunk)`, each
 arrival's selection table is built once per replay from the selector's
 `conditional_win_probs` (either scheme's selector), and edge counts are
 summed over chunks (integers, so exactly). A caller that needs the per-run
-matched flags gets them one chunk at a time through `on_chunk`. A chunk draws
-the uniforms the unchunked replay gives its runs, so reports are
-reproducible bit for bit for every chunk size; replica streams derive from
-the base seed by the documented 64-bit mix.
+matched flags gets them one chunk at a time through `on_chunk`. A caller that
+reads only some offline nodes' edges replays only the arrivals of their
+offline components (`nodes`) and advances the stream past the other
+arrivals' batches: components evolve independently, so the kept arrivals'
+counts are those of the full replay. A chunk draws the uniforms the
+unchunked replay gives its runs, so reports are reproducible bit for bit for
+every chunk size; replica streams derive from the base seed by the
+documented 64-bit mix.
 """
 
 from __future__ import annotations
@@ -20,12 +24,13 @@ import numpy as np
 
 from . import exact_engine as engine
 from . import odrs as odrs_mod
-from .errors import DomainError, SizeError
+from .errors import DomainError, InvariantBreach, SizeError
 from .instances import Arrival, MatchingInstance, gen_lb_prefix, validate
 from .rng import run_chunks
 
 LB_RATIO = 2.0 * math.sqrt(2.0) - 2.0
 MAX_TABLE_ACTIVE = 14
+FLOAT32_EXACT = 1 << 24  # float32 holds every integer up to here exactly
 BID_MASK = np.uint16  # per-run bid masks over at most MAX_TABLE_ACTIVE positions
 
 
@@ -127,16 +132,21 @@ def _replay_chunks(n_offline: int, n_arrivals: int, n_runs: int, seed: int, on_c
     return counts
 
 
-def _batch_odrs(comp: odrs_mod.CompiledOdrs, n_runs: int, seed: int, on_chunk=None):
+def _batch_odrs(comp: odrs_mod.CompiledOdrs, n_runs: int, seed: int, on_chunk=None,
+                keep=None):
     """Vectorized replays of the improved ODRS, returning what `_batch_run`
-    returns.
+    returns; `keep`, when given, is the set of arrivals to replay, and every
+    other arrival's batches are skipped.
 
     The bid state `ahead` is node-major, `(n, chunk)`; the draws are those of
     the scalar sampler, one batch per bin, crossing node and arrival."""
     n = comp.inst.n_offline
-    steps = []  # built once, before any draw
+    steps = []  # built once, before any draw; an int is a number of batches to skip
     for plan, selector in zip(comp.plans, comp.selectors):
         if selector is None:
+            continue
+        if keep is not None and plan.t not in keep:
+            steps.append(len(plan.bins) + len(plan.crossing) + 1)
             continue
         active = list(selector.elements)
         steps.append((plan, active, {i: BID_MASK(1 << k) for k, i in enumerate(active)},
@@ -144,7 +154,11 @@ def _batch_odrs(comp: odrs_mod.CompiledOdrs, n_runs: int, seed: int, on_chunk=No
 
     def body(g, out, runs):
         ahead = np.zeros((n, runs), dtype=bool)
-        for plan, active, bit, table in steps:
+        for step in steps:
+            if isinstance(step, int):
+                g.skip(step)
+                continue
+            plan, active, bit, table = step
             bid_mask = np.zeros(runs, dtype=BID_MASK)
             for gb in plan.bins:
                 for node, hit in zip(gb.nodes, gb.draw_masks(g.random(runs))):
@@ -160,22 +174,31 @@ def _batch_odrs(comp: odrs_mod.CompiledOdrs, n_runs: int, seed: int, on_chunk=No
     return _replay_chunks(n, len(comp.plans), n_runs, seed, on_chunk, body)
 
 
-def _batch_warmup(comp: odrs_mod.CompiledWarmup, n_runs: int, seed: int, on_chunk=None):
+def _batch_warmup(comp: odrs_mod.CompiledWarmup, n_runs: int, seed: int, on_chunk=None,
+                  keep=None):
     """Vectorized replays of the warm-up ODRS, returning what `_batch_run`
-    returns. Each node's level-set count is node-major, `(n, chunk)`, in the
-    smallest unsigned type that holds the number of arrivals."""
+    returns; `keep` is as in `_batch_odrs`. Each node's level-set count is
+    node-major, `(n, chunk)`, in the smallest unsigned type that holds the
+    number of arrivals."""
     n = comp.inst.n_offline
     count_type = np.min_scalar_type(len(comp.steps))
-    steps = []  # built once, before any draw
+    steps = []  # built once, before any draw; an int is a number of batches to skip
     for t, rows in enumerate(comp.steps):
         sel = comp.selectors[t]
         if sel is None:
+            continue
+        if keep is not None and t not in keep:
+            steps.append(len(rows) + 1)
             continue
         steps.append((t, rows, [i for i, *_ in rows], _win_table(sel, len(rows))))
 
     def body(g, out, runs):
         counts = np.zeros((n, runs), dtype=count_type)
-        for t, rows, nodes, table in steps:
+        for step in steps:
+            if isinstance(step, int):
+                g.skip(step)
+                continue
+            t, rows, nodes, table = step
             bid_mask = np.zeros(runs, dtype=BID_MASK)
             for pos, (i, fl, lo, hi) in enumerate(rows):
                 p = np.where(counts[i] == fl, lo, hi)
@@ -188,18 +211,40 @@ def _batch_warmup(comp: odrs_mod.CompiledWarmup, n_runs: int, seed: int, on_chun
 
 
 def _batch_run(algorithm: str, inst: MatchingInstance, params, n_runs: int, seed: int,
-               on_chunk=None) -> dict[tuple[int, int], int]:
+               on_chunk=None, nodes=None) -> dict[tuple[int, int], int]:
     """Edge counts of n_runs vectorized replays of scheme `algorithm`.
 
     `on_chunk(offline, arrival)`, when given, receives each run chunk's
     matched flags as run-major bool arrays of shape (runs, n) and (runs, T),
     chunks in run order, so a replay holds O(CHUNK_RUNS x (n + T)) flags at
-    a time."""
+    a time.
+
+    `nodes`, when given, restricts the replay to the arrivals whose
+    positive-fraction edges lie in the offline components of those nodes;
+    the counts then hold only those arrivals' edges, each equal to the full
+    replay's. It cannot be combined with `on_chunk`, whose flags would show
+    the other arrivals as never matched."""
+    keep = None
+    if nodes is not None:
+        if on_chunk is not None:
+            raise DomainError("a replay restricted to some nodes keeps no matched flags")
+        keep = _component_arrivals(inst, nodes)
     comp = odrs_mod.compile_scheme(algorithm, inst, params)
     # kernels are looked up at call time, so a wrapper installed on the
     # module global is the one that runs
     kernel = _batch_warmup if isinstance(comp, odrs_mod.CompiledWarmup) else _batch_odrs
-    return kernel(comp, n_runs, seed, on_chunk)
+    return kernel(comp, n_runs, seed, on_chunk, keep=keep)
+
+
+def _component_arrivals(inst: MatchingInstance, nodes) -> set[int]:
+    """The arrivals with a positive-fraction edge in an offline component of
+    `nodes` (all of an arrival's such edges share one component)."""
+    if any(not 0 <= i < inst.n_offline for i in nodes):
+        raise DomainError(f"offline nodes {list(nodes)} are not all in [0, {inst.n_offline})")
+    labels = odrs_mod._components(inst)
+    wanted = {labels[i] for i in nodes}
+    return {t for t, arr in enumerate(inst.arrivals)
+            if any(x > 0 and labels[i] in wanted for i, x in arr.edges)}
 
 
 def monte_carlo_edge_probs(algorithm: str, inst: MatchingInstance, n_runs: int,
@@ -252,10 +297,15 @@ class _PairCounts:
 
 
 def _gram(flags: np.ndarray) -> np.ndarray:
-    """`flags.T @ flags` of a (runs, m) bool array as int64. The float
-    product is exact: every entry is an integer count below 2^53."""
-    f = flags.astype(np.float64)
-    return (f.T @ f).astype(np.int64)
+    """`flags.T @ flags` of a (runs, m) bool array as int64, taken in float32
+    on the node-major `(m, runs)` flags. The float product is exact: every
+    entry and partial sum is an integer count of at most `runs`, at most
+    2^24."""
+    if flags.shape[0] > FLOAT32_EXACT:
+        raise InvariantBreach(f"a chunk of {flags.shape[0]} runs overflows the exact "
+                              f"float32 count {FLOAT32_EXACT}")
+    f = flags.T.astype(np.float32)
+    return (f @ f.T).astype(np.int64)
 
 
 def lb_adversary(algorithm: str, n: int, n_probe: int, n_eval: int, seed: int,
@@ -266,8 +316,11 @@ def lb_adversary(algorithm: str, n: int, n_probe: int, n_eval: int, seed: int,
     probability and pick the pair (t, t') with the largest covariance, then
     the offline pair (i, j) in their neighborhoods with the largest
     joint-matched probability. Evaluate: append a final arrival on {i, j}
-    with fractions 1/2 and report its edge ratios over fresh replays. Both
-    phases need at least 10^3 runs.
+    with fractions 1/2 and report its edge ratios over fresh replays. The
+    probe replays every arrival, since its argmax reads every arrival pair;
+    the evaluation replays only the arrivals in the offline components of i
+    and j and skips the other arrivals' batches, which gives the counts of
+    the full replay. Both phases need at least 10^3 runs.
     """
     if n < 3:
         raise DomainError("adversary needs n >= 3")
@@ -293,7 +346,8 @@ def lb_adversary(algorithm: str, n: int, n_probe: int, n_eval: int, seed: int,
                             prefix.arrivals + (final,))
     rep = validate(full)
     rep.raise_if_invalid()
-    counts = _batch_run(algorithm, full, params, n_eval, seed + 1)
+    # only the final arrival's components can change its two counts
+    counts = _batch_run(algorithm, full, params, n_eval, seed + 1, nodes=(i, j))
     t_final = full.n_arrivals - 1
     edges = []
     for node in (i, j):

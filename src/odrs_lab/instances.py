@@ -426,17 +426,18 @@ def instance_from_dict(doc: dict) -> MatchingInstance:
                      for i, b in enumerate(doc["capacities"]))
         arrivals = []
         for t, arr in enumerate(doc["arrivals"]):
-            p = float(arr.get("p", 1.0))
+            p = _real(arr.get("p", 1.0), f'"p" of arrival {t}')
             b_t = _integer(arr.get("b", 1), f'"b" of arrival {t}', keep_float=True)
             if isinstance(b_t, float) or not 1 <= b_t <= MAX_ARRIVAL_B:
                 rep.add("bad-b", f"arrival {t}", b_t)
                 b_t = 1
             edges, weights, has_w = [], [], False
             for k, e in enumerate(arr["edges"]):
-                edges.append((_integer(e["i"], f'"i" of arrival {t} edge {k}'), float(e["x"])))
+                edges.append((_integer(e["i"], f'"i" of arrival {t} edge {k}'),
+                              _real(e["x"], f'"x" of arrival {t} edge {k}')))
                 w = e.get("w")
                 has_w = has_w or w is not None
-                weights.append(float(w) if w is not None else 1.0)
+                weights.append(_real(w, f'"w" of arrival {t} edge {k}') if w is not None else 1.0)
             wtup = tuple(weights) if has_w else None
             if b_t > 1:
                 # split a capacity-b online node into b unit arrivals
@@ -468,6 +469,14 @@ def _integer(v, field: str, keep_float: bool = False) -> int | float:
     raise ValidationFailure(f"{field} must be an integer, not {v!r}")
 
 
+def _real(v, field: str) -> float:
+    """A real-valued field: an int or a float, as a float; any other value (a
+    string, a bool, null) raises ValidationFailure naming `field`."""
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        return float(v)
+    raise ValidationFailure(f"{field} must be a number, not {v!r}")
+
+
 def multigraph_from_dict(doc: dict) -> MultigraphInstance:
     try:
         mg = doc["multigraph"]
@@ -489,11 +498,13 @@ def cover_from_dict(doc: dict) -> CoverInstance:
         cv = doc["cover"]
         out = CoverInstance(
             _integer(cv["k"], '"k"'), len(cv["xstar"]),
-            tuple(tuple(float(c) for c in s["costs"]) for s in cv["stages"]),
+            tuple(tuple(_real(c, f'"costs" of stage {stage}') for c in st["costs"])
+                  for stage, st in enumerate(cv["stages"])),
             tuple((tuple(_integer(v, f'"verts" of edge {e}') for v in edge["verts"]),
                    _integer(edge["demand"], f'"demand" of edge {e}'))
                   for e, edge in enumerate(cv["edges"])),
-            tuple(tuple(float(v) for v in row) for row in cv["xstar"]))
+            tuple(tuple(_real(x, f'"xstar" of var {v}') for x in row)
+                  for v, row in enumerate(cv["xstar"])))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationFailure(f"malformed cover JSON: {exc!r}") from exc
     validate_cover(out).raise_if_invalid()

@@ -17,7 +17,9 @@ A batch replay of n_runs runs draws every uniform as one `random(n_runs)`
 batch from that PCG64 stream, so batch d for runs [lo, hi) sits at stream
 offset d * n_runs + lo. `run_chunks` replays runs CHUNK_RUNS at a time through
 a `ChunkStream`, which jumps to those offsets with `PCG64.advance`: a chunked
-replay draws the same uniforms for every run as the unchunked one.
+replay draws the same uniforms for every run as the unchunked one, and a
+replay that skips whole batches draws the same uniforms in the batches it
+keeps.
 """
 
 from __future__ import annotations
@@ -84,13 +86,15 @@ def generator(seed: int, stream: int = 0) -> np.random.Generator:
 class ChunkStream:
     """Runs [lo, hi) of the batch stream `generator(seed, stream)` that draws
     n_runs uniforms per batch: each `random(hi - lo)` returns those runs'
-    entries of the next `random(n_runs)` batch."""
+    entries of the next `random(n_runs)` batch, and `skip(k)` passes over the
+    next k batches without drawing them."""
 
     def __init__(self, seed: int, stream: int, n_runs: int, lo: int, hi: int):
         self._bits = np.random.PCG64(mix(seed, stream))
         self._bits.advance(lo)
         self._gen = np.random.Generator(self._bits)
         self.size = hi - lo
+        self._n_runs = n_runs
         self._skip = n_runs - self.size
 
     def random(self, size: int) -> np.ndarray:
@@ -99,6 +103,9 @@ class ChunkStream:
         out = self._gen.random(size)
         self._bits.advance(self._skip)
         return out
+
+    def skip(self, batches: int):
+        self._bits.advance(batches * self._n_runs)
 
 
 def run_chunks(n_runs: int, seed: int, stream: int):

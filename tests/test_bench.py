@@ -145,7 +145,7 @@ def test_batch_and_scalar_samplers_agree(matching_params):
 
 
 def test_lb_adversary_never_match_reports_zero(monkeypatch):
-    def never(comp, n_runs, seed, on_chunk=None):
+    def never(comp, n_runs, seed, on_chunk=None, keep=None):
         if on_chunk is not None:
             on_chunk(np.zeros((n_runs, comp.inst.n_offline), dtype=bool),
                      np.zeros((n_runs, comp.inst.n_arrivals), dtype=bool))

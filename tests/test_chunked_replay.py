@@ -130,6 +130,13 @@ def test_pair_counts_are_flag_co_occurrences(monkeypatch):
                                  for b in range(m)] for a in range(m)]
 
 
+def test_gram_refuses_a_chunk_past_exact_float32_counts():
+    assert rng.CHUNK_RUNS <= bench.FLOAT32_EXACT
+    flags = np.broadcast_to(np.ones(2, dtype=bool), (bench.FLOAT32_EXACT + 1, 2))
+    with pytest.raises(InvariantBreach, match="exact float32"):
+        bench._gram(flags)
+
+
 def test_run_counts_below_one_are_rejected():
     inst = instances.gen_random(4, 4, 0.8, seed=1)
     for n_runs in (-3, 0):

@@ -331,6 +331,20 @@ def test_non_integral_offline_id_rejected(tmp_path):
         assert len(r.stderr.splitlines()) == 1 and "must be an integer" in r.stderr
 
 
+def test_non_numeric_fraction_rejected(tmp_path):
+    path = tmp_path / "x.json"
+    for edge, p, field in (({"i": 1, "x": "0.5"}, 1.0, '"x" of arrival 0 edge 0'),
+                           ({"i": 1, "x": 0.5}, True, '"p" of arrival 0'),
+                           ({"i": 1, "x": 0.5, "w": False}, 1.0, '"w" of arrival 0 edge 0')):
+        path.write_text(json.dumps({"n_offline": 2, "capacities": [1, 1],
+                                    "arrivals": [{"p": p, "edges": [edge]}]}))
+        for cmd in (["validate", str(path)], ["round", "--exact", "--instance", str(path)]):
+            r = run(*cmd)
+            assert r.returncode == 2 and r.stdout == "" and "Traceback" not in r.stderr
+            assert len(r.stderr.splitlines()) == 1
+            assert f"{field} must be a number" in r.stderr
+
+
 def test_run_counts_are_validated(tmp_path):
     cov = tmp_path / "cov.json"
     assert run("gen", "--kind", "cover", "--n", "6", "--out", str(cov)).returncode == 0

@@ -222,6 +222,40 @@ def test_integer_fields_must_be_integral():
             load(doc)
 
 
+def test_real_fields_must_be_numbers():
+    def matching(p=1.0, x=0.5, w=2.0):
+        return {"n_offline": 2, "capacities": [1, 1],
+                "arrivals": [{"p": p, "edges": [{"i": 1, "x": x, "w": w}]}]}
+
+    good = instances.instance_from_dict(matching(p=1, x=0.5, w=2))
+    assert good == instances.instance_from_dict(matching())
+    assert type(good.arrivals[0].p) is type(good.arrivals[0].weights[0]) is float
+    unweighted = instances.instance_from_dict(matching(w=None))
+    assert unweighted.arrivals[0].weights is None
+    assert instances.cover_from_dict(_cover_doc(stages=[{"costs": [1, 2, 1.5]},
+                                                        {"costs": [0.5, 1, 1]}])) == \
+        instances.cover_from_dict(_cover_doc())
+    bad = [(instances.instance_from_dict, matching(x="0.5"), '"x" of arrival 0 edge 0 must be a number'),
+           (instances.instance_from_dict, matching(x=True), '"x" of arrival 0 edge 0 .* not True'),
+           (instances.instance_from_dict, matching(x=None), '"x" of arrival 0 edge 0 .* not None'),
+           (instances.instance_from_dict, matching(p=True), '"p" of arrival 0 must be a number'),
+           (instances.instance_from_dict, matching(p="1"), '"p" of arrival 0'),
+           (instances.instance_from_dict, matching(p=None), '"p" of arrival 0'),
+           (instances.instance_from_dict, matching(w=False), '"w" of arrival 0 edge 0 .* not False'),
+           (instances.instance_from_dict, matching(w="2"), '"w" of arrival 0 edge 0'),
+           (instances.cover_from_dict, _cover_doc(stages=[{"costs": [1.0, "2", 1.5]},
+                                                         {"costs": [0.5, 1.0, 1.0]}]),
+            '"costs" of stage 0 must be a number'),
+           (instances.cover_from_dict, _cover_doc(stages=[{"costs": [1.0, 2.0, 1.5]},
+                                                         {"costs": [0.5, None, 1.0]}]),
+            '"costs" of stage 1'),
+           (instances.cover_from_dict, _cover_doc(xstar=[[0.5, 0.25], [0.25, True], [0.75, 0.5]]),
+            '"xstar" of var 1 must be a number, not True')]
+    for load, doc, message in bad:
+        with pytest.raises(ValidationFailure, match=message):
+            load(doc)
+
+
 def test_bad_per_arrival_b_rejected_at_load():
     doc = {"n_offline": 1, "capacities": [1], "arrivals": [{"b": 2, "edges": [{"i": 0, "x": 0.5}]}]}
     assert instances.instance_from_dict(doc).arrivals == (Arrival(((0, 0.25),)),) * 2

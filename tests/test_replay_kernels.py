@@ -165,8 +165,10 @@ KERNEL = {"warmup": "_batch_warmup", "odrs": "_batch_odrs", "odrs_b": "_batch_od
 
 def reference_kernel(scheme):
     """A stand-in for the scheme's bench kernel that runs the run-major
-    reference and hands all of its runs' flags to `on_chunk` as one chunk."""
-    def kernel(comp, n_runs, seed, on_chunk=None):
+    reference and hands all of its runs' flags to `on_chunk` as one chunk. It
+    ignores `keep` and replays every arrival, so its counts are the full
+    replay's."""
+    def kernel(comp, n_runs, seed, on_chunk=None, keep=None):
         counts, offline, arrival = REFERENCE[scheme](comp, n_runs, seed)
         if on_chunk is not None:
             on_chunk(offline, arrival)
