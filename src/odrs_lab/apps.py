@@ -22,7 +22,7 @@ from .level_set import _snap, batch_stream, online_round
 from .level_set import online_step  # noqa: F401 -- perfbench/tracing.py looks it up here
 from .level_set import step_probability  # noqa: F401 -- perfbench/tracing.py looks it up here
 from .odrs import OnlineWarmup
-from .rng import ScalarRng, run_chunks
+from .rng import ScalarRng, mean_and_se, run_chunks
 
 WARMUP_ALPHA = math.e / (math.e - 1.0)  # 1 / (1 - 1/e)
 ROUND_SLACK = 0.1
@@ -221,8 +221,8 @@ def cover_trials(cov: CoverInstance, n_trials: int, seed: int) -> dict:
     vertex's stages through `level_set.batch_stream`; per-vertex totals live
     per chunk, node-major `(n_vars, chunk)`, and violations are counted per
     chunk. Each trial's cost goes into one vector of `n_trials` floats, so the
-    mean and the standard error are taken over all trials at once and do not
-    depend on the chunk size.
+    mean and the standard error are taken over all trials at once
+    (`rng.mean_and_se`, in place) and do not depend on the chunk size.
     """
     if n_trials < 2:
         raise DomainError("cover trials need at least 2 trials (for the standard error)")
@@ -244,11 +244,10 @@ def cover_trials(cov: CoverInstance, n_trials: int, seed: int) -> dict:
             cover = totals[list(verts)].sum(axis=0)
             violations += int((cover < demand).sum())
     lp_cost = _lp_cost(cov)
-    return {"trials": n_trials, "violations": violations,
-            "mean_cost": float(cost.mean()),
-            "cost_se": float(cost.std(ddof=1) / math.sqrt(n_trials)),
-            "lp_cost": float(lp_cost), "alpha": alpha,
-            "cost_ratio": float(cost.mean() / lp_cost) if lp_cost > 0 else 1.0}
+    mean, se = mean_and_se(cost)
+    return {"trials": n_trials, "violations": violations, "mean_cost": mean,
+            "cost_se": se, "lp_cost": float(lp_cost), "alpha": alpha,
+            "cost_ratio": mean / lp_cost if lp_cost > 0 else 1.0}
 
 
 @dataclass

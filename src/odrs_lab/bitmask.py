@@ -42,10 +42,13 @@ def project(masks, positions, n: int) -> np.ndarray:
     """Bit j of out[a] is bit positions[j] of masks[a] (masks over n
     positions); int64 below 63 output bits, Python integers past that.
 
-    Row q of a (bytes, 256) table maps a value of input byte q to the
-    projected bits of the positions in that byte.
+    Positions 0..n-1 in order return the `checked` masks as they are (the
+    caller's own array if it was one); otherwise row q of a (bytes, 256)
+    table maps a value of input byte q to the projected bits of its positions.
     """
     masks = checked(masks, n)
+    if len(positions) == n and list(positions) == list(range(n)):
+        return masks
     weights = np.zeros(8 * max(1, (n + 7) // 8),
                        dtype=np.int64 if len(positions) < _WIDE else object)
     weights[list(positions)] = [1 << j for j in range(len(positions))]

@@ -9,8 +9,8 @@ get a polytime merge-tree selector usable at any scale.
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,14 +119,15 @@ def balance_ratio(dist: SupportDistribution, v) -> float:
 
     Only elements with v_i > 0 matter; at most bitmask.MAX_BITS of them are
     allowed (the polytime route keeps bidder counts small, so the cap is not
-    binding at desk scale).
+    binding at desk scale). A negative or non-finite v_i raises DomainError;
+    the targets are read as Python floats (`tolist`), not numpy scalars.
     """
-    v = np.asarray(v, dtype=float)
-    if len(v) != len(dist.elements):
+    vl = np.asarray(v, dtype=float).tolist()
+    if len(vl) != len(dist.elements):
         raise DomainError("v must align with dist.elements")
-    if np.any(v < 0):
-        raise DomainError("v must be nonnegative")
-    active = [k for k in range(len(v)) if v[k] > 0]
+    if not all(0.0 <= vk < math.inf for vk in vl):  # NaN fails this too
+        raise DomainError("v must be finite and nonnegative")
+    active = [k for k, vk in enumerate(vl) if vk > 0]
     if not active:
         raise DomainError("at least one v_i must be positive")
     bitmask.check_width(len(active), "the balance ratio's active set")
@@ -139,7 +140,7 @@ def balance_ratio(dist: SupportDistribution, v) -> float:
     vsum = np.zeros(1 << k)
     for b in range(k - 1, -1, -1):
         step = 2 << b
-        vsum[1 << b::step] = vsum[::step] + v[active[b]]
+        vsum[1 << b::step] = vsum[::step] + vl[active[b]]
     m = np.arange(1, 1 << k)
     return max(0.0, np.min((1.0 - g[full ^ m]) / vsum[1:]))
 
@@ -160,11 +161,9 @@ class FlowNetwork:
     def add_edge(self, u: int, v: int, cap: int) -> int:
         eid = len(self.to)
         self.head[u].append(eid)
-        self.to.append(v)
-        self.cap.append(cap)
         self.head[v].append(eid + 1)
-        self.to.append(u)
-        self.cap.append(0)
+        self.to += (v, u)
+        self.cap += (cap, 0)
         return eid
 
     def max_flow(self, s: int, t: int) -> int:
@@ -180,31 +179,30 @@ class FlowNetwork:
         while True:
             parent_edge = [-1] * self.n
             parent_edge[s] = -2
-            q = deque([s])
-            while q and parent_edge[t] == -1:
-                u = q.popleft()
+            queue = [s]
+            for u in queue:  # the queue grows while it is scanned
                 for eid in head[u]:
-                    v = to[eid]
-                    if cap[eid] > 0 and parent_edge[v] == -1:
-                        parent_edge[v] = eid
-                        if v == t:
-                            break
-                        q.append(v)
-            if parent_edge[t] == -1:
+                    if cap[eid] > 0:
+                        v = to[eid]
+                        if parent_edge[v] == -1:
+                            parent_edge[v] = eid
+                            if v == t:
+                                break
+                            queue.append(v)
+                if parent_edge[t] != -1:
+                    break
+            else:
                 return total
-            # bottleneck along the path
-            bottleneck = None
+            path = []
             v = t
             while v != s:
                 eid = parent_edge[v]
-                bottleneck = cap[eid] if bottleneck is None else min(bottleneck, cap[eid])
+                path.append(eid)
                 v = to[eid ^ 1]
-            v = t
-            while v != s:
-                eid = parent_edge[v]
+            bottleneck = min([cap[eid] for eid in path])
+            for eid in path:
                 cap[eid] -= bottleneck
                 cap[eid ^ 1] += bottleneck
-                v = to[eid ^ 1]
             total += bottleneck
 
     def flow_on(self, eid: int) -> int:
@@ -266,6 +264,7 @@ def build_selector(dist: SupportDistribution, v) -> SelectionRule:
     src -> atom S with capacity Pr[R=S]; atom -> element i in S (uncapped);
     element i -> sink with capacity alpha * v_i. The balance ratio is exactly
     the scaled Hall condition, so the flow saturates every element edge.
+    The order edges are added in fixes the paths `FlowNetwork.max_flow` takes.
     """
     v = np.asarray(v, dtype=float)
     alpha = balance_ratio(dist, v)
@@ -275,15 +274,13 @@ def build_selector(dist: SupportDistribution, v) -> SelectionRule:
     sink = 1 + len(atoms) + n_el
     net = FlowNetwork(sink + 1)
     inf_cap = int(round(FLOW_SCALE * 1.001)) + len(atoms)
-    atom_edges = []
-    mid_edges = {}
+    mid_edges = []  # per atom: (position, edge id) of each element edge
     for a, (mask, p) in enumerate(atoms):
-        atom_edges.append(net.add_edge(src, 1 + a, int(round(p * FLOW_SCALE))))
-        for k in range(n_el):
-            if mask >> k & 1:
-                mid_edges[(a, k)] = net.add_edge(1 + a, 1 + len(atoms) + k, inf_cap)
-    for k in range(n_el):
-        net.add_edge(1 + len(atoms) + k, sink, int(round(alpha * v[k] * FLOW_SCALE)))
+        net.add_edge(src, 1 + a, int(round(p * FLOW_SCALE)))
+        mid_edges.append([(k, net.add_edge(1 + a, 1 + len(atoms) + k, inf_cap))
+                          for k in range(n_el) if mask >> k & 1])
+    for k, vk in enumerate(v.tolist()):
+        net.add_edge(1 + len(atoms) + k, sink, int(round(alpha * vk * FLOW_SCALE)))
     flow = net.max_flow(src, sink)
     want = alpha * float(v.sum())
     if flow / FLOW_SCALE < want - 1e-6:
@@ -291,19 +288,13 @@ def build_selector(dist: SupportDistribution, v) -> SelectionRule:
             f"selector flow {flow / FLOW_SCALE} below required {want}; "
             "balance ratio or flow solver is inconsistent")
     rows = {}
-    for a, (mask, p) in enumerate(atoms):
+    for (mask, p), edges in zip(atoms, mid_edges):
         if p < ATOM_EPS:
-            members = [k for k in range(n_el) if mask >> k & 1]
-            rows[mask] = tuple((k, 1.0 / len(members)) for k in members)
+            rows[mask] = tuple((k, 1.0 / len(edges)) for k, _ in edges)
             continue
         scaled = int(round(p * FLOW_SCALE))
-        row = []
-        for k in range(n_el):
-            if mask >> k & 1:
-                f = net.flow_on(mid_edges[(a, k)])
-                if f > 0:
-                    row.append((k, f / scaled))
-        rows[mask] = tuple(row)
+        flows = [(k, net.flow_on(eid)) for k, eid in edges]
+        rows[mask] = tuple((k, f / scaled) for k, f in flows if f > 0)
     return SelectionRule(dist.elements, rows, alpha)
 
 
@@ -336,14 +327,31 @@ def exact_marginals(dist: SupportDistribution, rule) -> np.ndarray:
 # product-law selector (merge tree), polytime at any scale
 # ----------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=256)
+def _merge_tree(n: int) -> tuple[tuple, int, tuple]:
+    """(children, root, sub) of `ProductSelector`'s merge tree over n leaves,
+    which depends on n alone."""
+    children, sub = [], [0] * (n - 1) + [1 << i for i in range(n - 1, -1, -1)]
+    layer = list(range(-1, -n - 1, -1))
+    while len(layer) > 1:
+        nxt = list(range(len(children), len(children) + len(layer) // 2))
+        for ref, r1, r2 in zip(nxt, layer[::2], layer[1::2]):
+            children.append((r1, r2))
+            sub[ref] = sub[r1] | sub[r2]
+        layer = nxt + layer[2 * len(nxt):]  # an odd node out moves up a layer
+    return tuple(children), layer[0], tuple(sub)
+
+
 class ProductSelector:
     """Exact selector for independent bids with targets proportional to the
     bid probabilities: Pr[i wins] = y_i * (1 - prod(1 - y_j)) / sum(y_j).
 
-    Elements are merged pairwise; each internal node solves a 3-atom
-    transportation problem sending its bid-pattern mass to its children's
-    target win probabilities (`row`). Selection walks the tree top-down in
-    O(n), solving only the nodes it visits.
+    Elements are merged pairwise, layer by layer; each internal node solves
+    a 3-atom transportation problem sending its bid-pattern mass to its
+    children's target win probabilities (`row`). Selection walks the tree
+    top-down in O(n), solving only the nodes it visits. Internal node refs
+    are 0..n-2 in merge order and leaf i's is ~i, so the per-node lists
+    (`bid_p`, `target`, `sub`) hold the leaves in their reversed tail.
     The subset ratio Pr[R cap S != empty] / y(S) of a product law is minimized
     by the full set, so each node's Hall condition holds and the root is
     entered exactly when anyone bids.
@@ -351,33 +359,18 @@ class ProductSelector:
 
     def __init__(self, y):
         y = [float(p) for p in y]
-        if any(not 0 < p <= 1 for p in y):  # NaN fails this too
-            raise DomainError("product selector needs probabilities in (0, 1]")
-        self.n = len(y)
+        if not y or any(not 0 < p <= 1 for p in y):  # NaN fails this too
+            raise DomainError("product selector needs one or more probabilities in (0, 1]")
+        self.n = n = len(y)
         self.y = y
-        ysum = sum(y)
-        self.alpha = (1.0 - math.prod(1.0 - p for p in y)) / ysum
-        # tree: leaves referenced as ~i, internal nodes by index; per node its
-        # bid probability, its target win probability and the bits of its leaves
-        self.children: list[tuple[int, int]] = []
-        self.bid_p = bid_p = {~i: y[i] for i in range(self.n)}
-        self.target = target = {~i: self.alpha * y[i] for i in range(self.n)}
-        self.sub = sub = {~i: 1 << i for i in range(self.n)}
-        layer = [~i for i in range(self.n)]
-        while len(layer) > 1:
-            nxt = []
-            for a in range(0, len(layer) - 1, 2):
-                r1, r2 = layer[a], layer[a + 1]
-                ref = len(self.children)
-                self.children.append((r1, r2))
-                bid_p[ref] = 1.0 - (1.0 - bid_p[r1]) * (1.0 - bid_p[r2])
-                target[ref] = target[r1] + target[r2]
-                sub[ref] = sub[r1] | sub[r2]
-                nxt.append(ref)
-            if len(layer) % 2:
-                nxt.append(layer[-1])
-            layer = nxt
-        self.root = layer[0]
+        self.alpha = alpha = (1.0 - math.prod(1.0 - p for p in y)) / sum(y)
+        self.children, self.root, self.sub = _merge_tree(n)
+        # per node: its bid probability and its target win probability
+        self.bid_p = bid_p = [0.0] * (n - 1) + y[::-1]
+        self.target = target = [0.0] * (n - 1) + [alpha * p for p in y[::-1]]
+        for ref, (r1, r2) in enumerate(self.children):
+            bid_p[ref] = 1.0 - (1.0 - bid_p[r1]) * (1.0 - bid_p[r2])
+            target[ref] = target[r1] + target[r2]
 
     def row(self, ref: int) -> tuple:
         """Internal node ref's transportation solve: per bid pattern (0: no

@@ -32,25 +32,29 @@ def _snap(v: float) -> float:
 
 def step_probability(s: float, count: int, x: float) -> float:
     """Selection probability of the next element x, by the five-way case
-    split on the prefix sum s and the selection count before it."""
-    s_prev = _snap(s)
-    s_t = _snap(s + x)
-    fl_prev = math.floor(s_prev)
+    split on the prefix sum s and the selection count before it (both sums
+    snapped as by `_snap`, written out: this runs once per stream step)."""
+    r = round(s)
+    s_prev = r + 0.0 if -SNAP_TOL <= s - r <= SNAP_TOL else s
+    s_t = s + x
+    r = round(s_t)
+    if -SNAP_TOL <= s_t - r <= SNAP_TOL:
+        s_t = r + 0.0
     fl_t = math.floor(s_t)
-    ce_t = math.ceil(s_t)
-    if count == ce_t:
-        p = 0.0
-    elif count < fl_t:
-        p = 1.0
-    elif count == fl_t == fl_prev:
+    if count == fl_t + (s_t != fl_t):  # the ceiling of s_t
+        return 0.0
+    if count < fl_t:
+        return 1.0
+    fl_prev = math.floor(s_prev)
+    if count == fl_t == fl_prev:
         p = x / (fl_prev + 1.0 - s_prev)
     elif count == fl_t and fl_t > fl_prev and s_prev != fl_prev:
         p = (s_t - fl_t) / (s_prev - fl_prev)
     else:
-        p = 0.0
+        return 0.0
     if p < -SNAP_TOL or p > 1.0 + SNAP_TOL:
         raise InvariantBreach(f"selection probability {p} out of range at s={s_t}, count={count}")
-    return min(1.0, max(0.0, p))
+    return p if 0.0 < p < 1.0 else float(p >= 1.0)
 
 
 def kahan_add(s: float, comp: float, x: float) -> tuple[float, float]:
@@ -77,22 +81,26 @@ def online_step(s: float, count: int, comp: float, x: float,
     count, Kahan compensation comp): select x when u < its step probability.
 
     Returns (selected bit, s, count, comp) after x; aborts if the
-    prefix-count invariant would break.
+    prefix-count invariant would break. `kahan_add` and `_snap` written out.
     """
     selected = 1 if u < step_probability(s, count, x) else 0
-    s, comp = kahan_add(s, comp, x)
+    y = x - comp
+    s_new = s + y
+    comp = (s_new - s) - y
     count += selected
-    snapped = _snap(s)
-    if not (math.floor(snapped) <= count <= math.ceil(snapped)):
+    r = round(s_new)
+    snapped = -SNAP_TOL <= s_new - r <= SNAP_TOL  # then floor and ceiling are r
+    fl = r if snapped else math.floor(s_new)
+    if not fl <= count <= fl + (not snapped):
         raise InvariantBreach(
-            f"prefix count {count} outside [floor,ceil] of prefix sum {s}")
-    return selected, s, count, comp
+            f"prefix count {count} outside [floor,ceil] of prefix sum {s_new}")
+    return selected, s_new, count, comp
 
 
 def _pad_to_integer(x) -> tuple[np.ndarray, int]:
     """Append the dummy element that tops the sum up to the next integer."""
     x = np.asarray(x, dtype=float)
-    if np.any(x < -SNAP_TOL) or np.any(x > 1 + SNAP_TOL):
+    if not np.all((x >= -SNAP_TOL) & (x <= 1 + SNAP_TOL)):  # NaN fails this too
         raise DomainError("fractions must lie in [0, 1]")
     total = _snap(float(x.sum()))
     if total == round(total):

@@ -24,6 +24,7 @@ keeps.
 
 from __future__ import annotations
 
+import math
 from itertools import chain
 
 import numpy as np
@@ -115,3 +116,14 @@ def run_chunks(n_runs: int, seed: int, stream: int):
         raise DomainError(f"need at least one run, got {n_runs}")
     bounds = [(lo, min(lo + CHUNK_RUNS, n_runs)) for lo in range(0, n_runs, CHUNK_RUNS)]
     return ((lo, hi, ChunkStream(seed, stream, n_runs, lo, hi)) for lo, hi in bounds)
+
+
+def mean_and_se(v: np.ndarray) -> tuple[float, float]:
+    """(mean, standard error) of the n >= 2 per-run values v, bit for bit
+    `v.mean()` and `v.std(ddof=1) / sqrt(n)`; v is overwritten with the squared
+    deviations, so no second vector of n floats is allocated."""
+    n = len(v)
+    mean = float(v.mean())
+    np.subtract(v, mean, out=v)
+    np.multiply(v, v, out=v)
+    return mean, math.sqrt(float(v.sum()) / (n - 1)) / math.sqrt(n)

@@ -18,7 +18,7 @@ from . import crs
 from . import odrs as odrs_mod
 from .errors import DomainError, InvariantBreach, SizeError
 from .instances import MatchingInstance
-from .rng import ScalarRng, run_chunks
+from .rng import ScalarRng, mean_and_se, run_chunks
 
 
 # ----------------------------------------------------------------------------
@@ -319,10 +319,11 @@ def eval_vs_lp(inst: MatchingInstance, params: odrs_mod.ScalingParams,
     (`rng.run_chunks`, stream 7), with the matched flags stored node-major,
     `(n, chunk)`, and each arrival's bids kept per bin node. Each run's
     matched weight goes into one vector of `runs` floats, so the mean and
-    the standard error are taken over all runs at once and do not depend on
-    the chunk size. The report carries a normal-approximation CI for the
-    ratio. On small instances (n <= 12) the exact per-threshold guarantee is
-    checked as well. Zero-value LPs report ratio 1 by convention.
+    the standard error are taken over all runs at once (`rng.mean_and_se`,
+    in place) and do not depend on the chunk size. The report carries a
+    normal-approximation CI for the ratio. On small instances (n <= 12) the
+    exact per-threshold guarantee is checked as well. Zero-value LPs report
+    ratio 1 by convention.
     """
     if runs < 10_000:
         raise DomainError("eval_vs_lp needs at least 10^4 runs")
@@ -350,8 +351,7 @@ def eval_vs_lp(inst: MatchingInstance, params: odrs_mod.ScalingParams,
                     # adding 0.0 leaves a weight unchanged, so this is the masked add
                     chunk_weight += np.where(take, plan.weights[node], 0.0)
                     free ^= take
-    mean = float(weight.mean())
-    se = float(weight.std(ddof=1) / math.sqrt(runs))
+    mean, se = mean_and_se(weight)
     if sol.value <= 0:
         ratio, ci = 1.0, 0.0
     else:

@@ -1,6 +1,8 @@
 import hashlib
 import math
+from collections import deque
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -124,6 +126,102 @@ def reference_product_select(sel, bids, uniform, rows=None):
     return ~ref
 
 
+def reference_product_tree(y):
+    """The dict-built merge tree of `crs.ProductSelector` before its per-node
+    lists: n, alpha, children, root, and bid_p, target and sub as dicts keyed
+    by node ref (leaf i as ~i). `crs.ProductSelector.row` reads it as it
+    reads a selector."""
+    n = len(y)
+    alpha = (1.0 - math.prod(1.0 - p for p in y)) / sum(y)
+    children = []
+    bid_p = {~i: y[i] for i in range(n)}
+    target = {~i: alpha * y[i] for i in range(n)}
+    sub = {~i: 1 << i for i in range(n)}
+    layer = [~i for i in range(n)]
+    while len(layer) > 1:
+        nxt = []
+        for a in range(0, len(layer) - 1, 2):
+            r1, r2 = layer[a], layer[a + 1]
+            ref = len(children)
+            children.append((r1, r2))
+            bid_p[ref] = 1.0 - (1.0 - bid_p[r1]) * (1.0 - bid_p[r2])
+            target[ref] = target[r1] + target[r2]
+            sub[ref] = sub[r1] | sub[r2]
+            nxt.append(ref)
+        if len(layer) % 2:
+            nxt.append(layer[-1])
+        layer = nxt
+    return SimpleNamespace(n=n, alpha=alpha, children=children, root=layer[0],
+                           bid_p=bid_p, target=target, sub=sub)
+
+
+def reference_max_flow(net, s, t):
+    """`crs.FlowNetwork.max_flow` as a deque BFS that tests for the sink before
+    each node it takes, on `net`'s lists: the same augmenting paths."""
+    head, to, cap = net.head, net.to, net.cap
+    total = 0
+    while True:
+        parent_edge = [-1] * net.n
+        parent_edge[s] = -2
+        q = deque([s])
+        while q and parent_edge[t] == -1:
+            u = q.popleft()
+            for eid in head[u]:
+                v = to[eid]
+                if cap[eid] > 0 and parent_edge[v] == -1:
+                    parent_edge[v] = eid
+                    if v == t:
+                        break
+                    q.append(v)
+        if parent_edge[t] == -1:
+            return total
+        bottleneck = None
+        v = t
+        while v != s:
+            eid = parent_edge[v]
+            bottleneck = cap[eid] if bottleneck is None else min(bottleneck, cap[eid])
+            v = to[eid ^ 1]
+        v = t
+        while v != s:
+            eid = parent_edge[v]
+            cap[eid] -= bottleneck
+            cap[eid ^ 1] += bottleneck
+            v = to[eid ^ 1]
+        total += bottleneck
+
+
+def reference_build_selector(dist, v):
+    """`crs.build_selector` before its atoms kept (position, edge) lists:
+    element edges in an (atom, position) dict, sink capacities from numpy
+    scalars and `reference_max_flow`. Returns (rows, alpha)."""
+    v = np.asarray(v, dtype=float)
+    alpha = crs.balance_ratio(dist, v)
+    atoms = [(mask, p) for mask, p in dist.atoms if mask]
+    n_el = len(dist.elements)
+    sink = 1 + len(atoms) + n_el
+    net = crs.FlowNetwork(sink + 1)
+    inf_cap = int(round(crs.FLOW_SCALE * 1.001)) + len(atoms)
+    mid_edges = {}
+    for a, (mask, p) in enumerate(atoms):
+        net.add_edge(0, 1 + a, int(round(p * crs.FLOW_SCALE)))
+        for k in range(n_el):
+            if mask >> k & 1:
+                mid_edges[(a, k)] = net.add_edge(1 + a, 1 + len(atoms) + k, inf_cap)
+    for k in range(n_el):
+        net.add_edge(1 + len(atoms) + k, sink, int(round(alpha * v[k] * crs.FLOW_SCALE)))
+    reference_max_flow(net, 0, sink)
+    rows = {}
+    for a, (mask, p) in enumerate(atoms):
+        members = [k for k in range(n_el) if mask >> k & 1]
+        if p < crs.ATOM_EPS:
+            rows[mask] = tuple((k, 1.0 / len(members)) for k in members)
+            continue
+        scaled = int(round(p * crs.FLOW_SCALE))
+        flows = [(k, net.flow_on(mid_edges[(a, k)])) for k in members]
+        rows[mask] = tuple((k, f / scaled) for k, f in flows if f > 0)
+    return rows, alpha
+
+
 @dataclass(frozen=True)
 class LevelSetState:
     """The frozen per-step state the flat `level_set.online_step` replaced:
@@ -135,8 +233,9 @@ class LevelSetState:
 
 
 def reference_step_probability(state: LevelSetState, x: float) -> float:
-    """`level_set.step_probability` as it read a `LevelSetState`: the
-    five-way case split the flat step must equal bit for bit."""
+    """`level_set.step_probability` as it read a `LevelSetState`, with its
+    snaps through `_snap` and its clamp through min and max: the five-way case
+    split the flat, helper-free step must equal bit for bit."""
     s_prev = _snap(state.s_prev)
     s_t = _snap(state.s_prev + x)
     count = state.count_prev
@@ -159,8 +258,9 @@ def reference_step_probability(state: LevelSetState, x: float) -> float:
 
 
 def reference_online_step(state: LevelSetState, x: float, u: float) -> tuple[int, LevelSetState]:
-    """`level_set.online_step` on a `LevelSetState`: (selected bit, new
-    state); aborts if the prefix-count invariant would break."""
+    """`level_set.online_step` on a `LevelSetState`, through `kahan_add` and
+    `_snap`: (selected bit, new state); aborts if the prefix-count invariant
+    would break."""
     p = reference_step_probability(state, x)
     selected = 1 if u < p else 0
     s_new, comp = kahan_add(state.s_prev, state.comp, x)

@@ -80,3 +80,21 @@ def test_check_width_is_the_one_cap():
     bitmask.check_width(bitmask.MAX_BITS, "a table")
     with pytest.raises(SizeError, match=r"a table needs a 2\^21-entry .* cap 2\^20; try less"):
         bitmask.check_width(bitmask.MAX_BITS + 1, "a table", "try less")
+
+
+def test_project_onto_every_position_in_order_is_the_identity():
+    rng = np.random.default_rng(8)
+    for n in (1, 5, 8, 40, 62, 63, 100):
+        masks = [int(rng.integers(0, 2)) << (n - 1) | int(rng.integers(0, 1 << min(n, 62)))
+                 for _ in range(50)] + [0, (1 << n) - 1]
+        for positions in (range(n), list(range(n))):
+            got = bitmask.project(masks, positions, n)
+            assert got.dtype == (object if n > 62 else np.int64)
+            assert got.tolist() == reference_project(masks, positions) == masks
+        checked = bitmask.checked(masks, n)
+        assert bitmask.project(checked, range(n), n) is checked
+        # out of order, the table path
+        positions = list(range(n))[::-1]
+        assert bitmask.project(masks, positions, n).tolist() == reference_project(masks, positions)
+    with pytest.raises(DomainError):
+        bitmask.project([4], range(2), 2)

@@ -6,8 +6,9 @@ import random
 import numpy as np
 import pytest
 
-from conftest import (built_rows, reference_exact_marginals, reference_product_select,
-                      reference_select, reference_win_probs)
+from conftest import (built_rows, reference_build_selector, reference_exact_marginals,
+                      reference_product_select, reference_product_tree, reference_select,
+                      reference_win_probs)
 from odrs_lab import bitmask, crs, instances, odrs
 from odrs_lab.errors import DomainError, SizeError
 from odrs_lab.rng import ScalarRng
@@ -538,3 +539,77 @@ def test_columns_refuse_an_atom_outside_the_elements():
     for read in (d.columns, d.marginals):
         with pytest.raises(DomainError):
             read()
+
+
+# ----------------------------------------------------------------------------
+# list-backed product selector and leaner selector synthesis against the
+# dict-built code they replaced
+# ----------------------------------------------------------------------------
+
+def test_product_selector_lists_equal_dict_tree():
+    rng = np.random.default_rng(21)
+    walks = 0
+    for n in range(1, 41):
+        for _ in range(3):
+            y = rng.uniform(0.01, 1.0, size=n)
+            y[rng.random(n) < 0.15] = 1.0
+            ps = crs.ProductSelector(y)
+            ref = reference_product_tree(y.tolist())
+            assert (list(ps.children), ps.root, ps.alpha) == (ref.children, ref.root, ref.alpha)
+            for node in ref.bid_p:
+                assert (ps.bid_p[node], ps.target[node], ps.sub[node]) == \
+                    (ref.bid_p[node], ref.target[node], ref.sub[node]), (n, node)
+            rows = [crs.ProductSelector.row(ref, node) for node in range(n - 1)]
+            assert built_rows(ps) == rows
+            for _ in range(20):
+                mask = int(rng.integers(0, 1 << n))
+                draws = rng.random(n + 1).tolist()
+                got_it, want_it = iter(draws), iter(draws)
+                got = ps.select(mask, lambda: next(got_it))
+                want = reference_product_select(ref, {k for k in range(n) if mask >> k & 1},
+                                                lambda: next(want_it), rows)
+                # the same winner from the same uniforms, as many of them
+                assert (got, list(got_it)) == (want, list(want_it)), (n, mask)
+                walks += mask != 0
+    assert walks > 2_000
+
+
+def _atom_eps_law(rng, k):
+    """A random law over k positions with some atoms below ATOM_EPS."""
+    masks = rng.choice(1 << k, size=int(rng.integers(2, min(1 << k, 40) + 1)), replace=False)
+    probs = rng.random(len(masks))
+    probs[rng.random(len(masks)) < 0.2] = crs.ATOM_EPS * rng.random()
+    probs /= probs.sum()
+    return crs.SupportDistribution(tuple(range(k)), tuple(zip(masks.tolist(), probs.tolist())))
+
+
+def test_build_selector_equals_dict_built_selector():
+    rng = np.random.default_rng(22)
+    tiny = zeros = 0
+    for trial in range(300):
+        k = int(rng.integers(1, 8))
+        d = _atom_eps_law(rng, k)
+        v = rng.random(k) + 0.02
+        if k > 1:
+            v[rng.random(k) < 0.3] = 0.0  # zero targets: a proper projection
+            v[int(rng.integers(0, k))] += 0.1
+        rule = crs.build_selector(d, v)
+        rows, alpha = reference_build_selector(d, v)
+        assert rule.alpha == alpha and rule.rows == rows, trial
+        tiny += any(0 < p < crs.ATOM_EPS for _, p in d.atoms)
+        zeros += bool((v == 0).any())
+    assert tiny > 50 and zeros > 50
+
+
+def test_product_selector_needs_a_bidder():
+    with pytest.raises(DomainError):
+        crs.ProductSelector([])
+
+
+def test_balance_ratio_rejects_non_finite_targets():
+    d = crs.SupportDistribution.product((0, 1), (0.5, 0.5))
+    for v in ([0.5, math.nan], [math.nan, math.nan], [0.5, math.inf], [-math.inf, 0.5]):
+        with pytest.raises(DomainError):
+            crs.balance_ratio(d, v)
+        with pytest.raises(DomainError):
+            crs.build_selector(d, v)

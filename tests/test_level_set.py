@@ -7,7 +7,7 @@ from hypothesis import strategies as hst
 
 from conftest import LevelSetState, reference_online_step, reference_step_probability
 from odrs_lab import level_set as ls
-from odrs_lab.errors import InvariantBreach, SizeError
+from odrs_lab.errors import DomainError, InvariantBreach, SizeError
 from odrs_lab.exact_engine import neg_cylinder_check
 from odrs_lab.rng import ScalarRng
 
@@ -250,3 +250,50 @@ def test_flat_step_breaches_like_the_state_step():
         else:
             assert got == (want[0], want[1].s_prev, want[1].count_prev, want[1].comp)
     assert breaches["step_probability"] > 50 and breaches["online_step"] > 5_000
+
+
+def _near_integers():
+    """Prefix sums at integers 0..4, within SNAP_TOL of them, on the
+    tolerance itself and just past it, each with its two float neighbours."""
+    out = set()
+    for k in range(5):
+        for d in (0.0, 0.5 * ls.SNAP_TOL, ls.SNAP_TOL, ls.SNAP_TOL * (1 + 1e-6),
+                  2 * ls.SNAP_TOL, 0.25):
+            for v in (k + d, k - d):
+                out.update((v, math.nextafter(v, -math.inf), math.nextafter(v, math.inf)))
+    return sorted(v for v in out if v >= 0.0)
+
+
+def test_inline_snaps_equal_snap_near_integers():
+    # the flat step snaps both sums and the new sum inline; on a grid that
+    # straddles SNAP_TOL around every integer, with x landing the sum on,
+    # within the tolerance of, and just off an integer, and counts at the
+    # floor, at the ceiling and one beyond either, it equals the `_snap` step
+    grid = _near_integers()
+    snapped = sum(ls._snap(s) != s for s in grid)
+    kept = sum(ls._snap(s) == s and s != round(s) for s in grid)
+    assert snapped > 20 and kept > 20
+    cases = 0
+    for s in grid:
+        fl, ce = math.floor(ls._snap(s)), math.ceil(ls._snap(s))
+        for x in {0.0, 0.3, 1.0, ls.SNAP_TOL, min(1.0, ce - s), min(1.0, fl + 1 - s),
+                  min(1.0, ce - s + 0.5 * ls.SNAP_TOL), max(0.0, ce - s - 0.5 * ls.SNAP_TOL),
+                  max(0.0, ce - s - 2 * ls.SNAP_TOL)}:
+            for count in {fl - 1, fl, ce, ce + 1}:
+                ref = LevelSetState(s, count, 0.0)
+                want_p = _outcome(lambda: reference_step_probability(ref, x))
+                assert _outcome(lambda: ls.step_probability(s, count, x)) == want_p, (s, count, x)
+                for u in (0.0, 0.5, math.nextafter(1.0, 0.0)):
+                    want = _outcome(lambda: reference_online_step(ref, x, u))
+                    got = _outcome(lambda: ls.online_step(s, count, 0.0, x, u))
+                    if want[0] != "InvariantBreach":
+                        want = (want[0], want[1].s_prev, want[1].count_prev, want[1].comp)
+                    assert got == want, (s, count, x, u)
+                    cases += 1
+    assert cases > 10_000
+
+
+def test_non_finite_fractions_are_rejected():
+    for x in ([0.5, math.nan], [math.nan], [0.5, math.inf]):
+        with pytest.raises(DomainError):
+            ls.online_round(x)

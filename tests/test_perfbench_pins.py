@@ -3,9 +3,12 @@ package, so a refactor that renames or moves one shows up here instead of as
 a failed traced pass of `perfbench/run.py`."""
 
 import ast
+import contextlib
 import importlib
 import importlib.util
+import io
 import pathlib
+import sys
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -50,3 +53,40 @@ def test_expected_spans_are_traced():
     assert expected
     missing = sorted({name for names in expected.values() for name in names} - spans)
     assert not missing, missing
+
+
+def test_small_many_spans_fire(tmp_path, monkeypatch):
+    """A tiny run of each kind of small-many operation under the installed
+    `Tracer` fires every span the workload's traced pass expects, so a call
+    that stops going through a module global fails here, not in the
+    benchmark's traced gate."""
+    from odrs_lab import cli, exact_engine, instances, odrs
+
+    tracing = load_tracing()
+    mg = tmp_path / "mg.json"
+    instances.save_json(instances.gen_random_multigraph(4, 4, 6, 0), str(mg))
+    files = {}
+    for alg, stochastic in (("warmup", False), ("odrs", False), ("stochastic", True)):
+        files[alg] = tmp_path / f"{alg}.json"
+        instances.save_json(instances.gen_random(4, 4, 0.7, 1, stochastic=stochastic),
+                            str(files[alg]))
+    argvs = [["color", "--csv", "--c", "2", "--seed", "0", "--instance", str(mg)]]
+    argvs += [["round", "--alg", alg, "--sample", "--seed", "0", "--instance", str(path)]
+              for alg, path in files.items()]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert tracer.binding_errors() == []
+        for argv in argvs:
+            monkeypatch.setattr(sys, "argv", ["odrs-lab", *argv])
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main() == 0, argv
+        eps, delta, _ = odrs.optimize_params("matching")
+        exact_engine.rounding_ratio_exact(instances.gen_random(5, 5, 0.7, 2),
+                                          odrs.ScalingParams(eps, delta), "odrs")
+    finally:
+        tracer.uninstall()
+    silent = [name for name in expected_spans()["small-many"]
+              if name not in tracer.stats or tracer.stats[name].calls == 0]
+    assert not silent, silent
+    assert sum(st.errors for st in tracer.stats.values()) == 0

@@ -328,3 +328,14 @@ def test_simplex_matches_highs_on_random_instances():
         res = linprog(-lp.weights, A_ub=lp.A, b_ub=lp.b, bounds=(0, None), method="highs")
         assert res.status == 0
         assert abs(float(lp.weights @ x) - -res.fun) <= 1e-9
+
+
+def test_mean_and_se_equals_numpy_std():
+    from odrs_lab.rng import mean_and_se
+    g = np.random.default_rng(17)
+    for n in [2, 3, 7, 1000, *g.integers(2, 200_000, size=20).tolist()]:
+        v = g.standard_normal(n) * g.uniform(0.01, 100.0) + g.uniform(-50.0, 50.0)
+        if n % 2:
+            v = np.round(v)  # repeated values
+        want = (float(v.mean()), float(v.std(ddof=1) / math.sqrt(n)))
+        assert mean_and_se(v.copy()) == want, n
