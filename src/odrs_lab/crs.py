@@ -64,9 +64,14 @@ class SupportDistribution:
     @staticmethod
     def product(elements, probs) -> "SupportDistribution":
         """Independent Bernoulli inclusion with the given probabilities
-        (up to 2^len(elements) atoms, so at most bitmask.MAX_BITS elements)."""
+        (up to 2^len(elements) atoms, so at most bitmask.MAX_BITS elements).
+        One probability per element, each finite in [0, 1], else DomainError."""
         elements = tuple(elements)
         probs = [float(p) for p in probs]
+        if len(probs) != len(elements):
+            raise DomainError("a product law needs one probability per element")
+        if not all(0.0 <= p <= 1.0 for p in probs):  # NaN fails this too
+            raise DomainError("product-law probabilities must lie in [0, 1]")
         bitmask.check_width(len(probs), "a product law")
         atoms = [(0, 1.0)]
         for k, p in enumerate(probs):
@@ -168,12 +173,15 @@ class FlowNetwork:
 
     def max_flow(self, s: int, t: int) -> int:
         """Edmonds-Karp: augment along shortest residual paths until none is
-        left; returns the flow value and leaves the residual capacities in
-        `cap`. Each BFS scans nodes in queue order and their edges in
+        left; returns the flow value added and leaves the residual capacities
+        in `cap`. Each BFS scans nodes in queue order and their edges in
         adjacency (insertion) order, and stops as soon as it discovers `t`:
         the edge that discovered `t` (and so the whole path) is fixed at that
         moment. These paths fix the flow on every edge, which the selector
-        rows of `build_selector` are read from."""
+        rows of `build_selector` are read from. It may start from a residual
+        network: `build_selector` first pushes the shortest paths through
+        `_short_paths`, and the BFS then takes the paths it would have taken
+        next."""
         head, to, cap = self.head, self.to, self.cap
         total = 0
         while True:
@@ -258,30 +266,90 @@ class SelectionRule:
         return out
 
 
+def _short_paths(cap: list[int], src_edges: list[int], mid_edges: list[list],
+                 sink_edges: list[int]) -> int:
+    """Push Edmonds-Karp's length-3 augmenting paths src -> atom -> element
+    -> sink on the selector network, in the order `FlowNetwork.max_flow`
+    takes them, without a BFS; returns the flow pushed and leaves the
+    residual capacities in `cap`.
+
+    `src_edges[a]` is atom a's source edge, `mid_edges[a]` its (position,
+    edge) pairs in position order and `sink_edges[k]` position k's sink edge.
+    The BFS queues each element under the first atom holding it whose source
+    edge has residual capacity, in the order (that atom, position), and stops
+    at the first element whose sink edge has residual capacity; the path runs
+    through that atom. The middle edges' capacity exceeds every source
+    capacity, so they never bind and the bottleneck is the smaller of the
+    source and sink residuals. Each position keeps its holders in atom order
+    with a pointer that only moves forward past saturated atoms, so a path
+    costs O(positions), not the BFS's O(edges).
+    """
+    holders = [[] for _ in sink_edges]  # per position: (source edge, middle edge)
+    for se, edges in zip(src_edges, mid_edges):
+        for k, me in edges:
+            holders[k].append((se, me))
+    first = [0] * len(sink_edges)
+    live = [k for k, te in enumerate(sink_edges) if holders[k] and cap[te] > 0]
+    total = 0
+    while live:
+        best, best_se, still = -1, 0, []
+        for k in live:  # positions in order, so ties go to the lower one
+            hs, i = holders[k], first[k]
+            while i < len(hs) and cap[hs[i][0]] <= 0:
+                i += 1
+            first[k] = i
+            if i < len(hs):
+                still.append(k)
+                if best < 0 or hs[i][0] < best_se:  # source edge ids run in atom order
+                    best, best_se = k, hs[i][0]
+        live = still
+        if best < 0:
+            break
+        se, me = holders[best][first[best]]
+        te = sink_edges[best]
+        push = min(cap[se], cap[te])
+        if push <= 0:  # each path saturates a source or a sink edge, so the phase ends
+            raise InvariantBreach("short-path phase chose a saturated path")
+        for eid in (se, me, te):
+            cap[eid] -= push
+            cap[eid ^ 1] += push
+        total += push
+        if cap[te] <= 0:
+            live.remove(best)
+    return total
+
+
 def build_selector(dist: SupportDistribution, v) -> SelectionRule:
     """Synthesize p_{i,S} by max flow on the atoms/elements network.
 
     src -> atom S with capacity Pr[R=S]; atom -> element i in S (uncapped);
     element i -> sink with capacity alpha * v_i. The balance ratio is exactly
     the scaled Hall condition, so the flow saturates every element edge.
-    The order edges are added in fixes the paths `FlowNetwork.max_flow` takes.
+    The order edges are added in fixes the paths Edmonds-Karp takes:
+    `_short_paths` pushes its length-3 paths directly, then
+    `FlowNetwork.max_flow` finds the longer ones by BFS, so the flow equals
+    that of `max_flow` run from scratch. An atom probability above one
+    raises DomainError.
     """
     v = np.asarray(v, dtype=float)
     alpha = balance_ratio(dist, v)
     atoms = [(mask, p) for mask, p in dist.atoms if mask]
+    if any(p > 1.0 + 1e-9 for _, p in atoms):  # keeps every middle edge unsaturated
+        raise DomainError("atom probabilities must not exceed one")
     n_el = len(dist.elements)
     src = 0
     sink = 1 + len(atoms) + n_el
     net = FlowNetwork(sink + 1)
     inf_cap = int(round(FLOW_SCALE * 1.001)) + len(atoms)
+    src_edges = []  # per atom: its source edge id
     mid_edges = []  # per atom: (position, edge id) of each element edge
     for a, (mask, p) in enumerate(atoms):
-        net.add_edge(src, 1 + a, int(round(p * FLOW_SCALE)))
+        src_edges.append(net.add_edge(src, 1 + a, int(round(p * FLOW_SCALE))))
         mid_edges.append([(k, net.add_edge(1 + a, 1 + len(atoms) + k, inf_cap))
                           for k in range(n_el) if mask >> k & 1])
-    for k, vk in enumerate(v.tolist()):
-        net.add_edge(1 + len(atoms) + k, sink, int(round(alpha * vk * FLOW_SCALE)))
-    flow = net.max_flow(src, sink)
+    sink_edges = [net.add_edge(1 + len(atoms) + k, sink, int(round(alpha * vk * FLOW_SCALE)))
+                  for k, vk in enumerate(v.tolist())]
+    flow = _short_paths(net.cap, src_edges, mid_edges, sink_edges) + net.max_flow(src, sink)
     want = alpha * float(v.sum())
     if flow / FLOW_SCALE < want - 1e-6:
         raise InvariantBreach(

@@ -97,11 +97,18 @@ def online_step(s: float, count: int, comp: float, x: float,
     return selected, s_new, count, comp
 
 
-def _pad_to_integer(x) -> tuple[np.ndarray, int]:
-    """Append the dummy element that tops the sum up to the next integer."""
+def _fractions(x) -> np.ndarray:
+    """x as a float array, once every fraction lies in [0, 1] up to SNAP_TOL
+    (else DomainError)."""
     x = np.asarray(x, dtype=float)
     if not np.all((x >= -SNAP_TOL) & (x <= 1 + SNAP_TOL)):  # NaN fails this too
         raise DomainError("fractions must lie in [0, 1]")
+    return x
+
+
+def _pad_to_integer(x) -> tuple[np.ndarray, int]:
+    """Append the dummy element that tops the sum up to the next integer."""
+    x = _fractions(x)
     total = _snap(float(x.sum()))
     if total == round(total):
         return x, len(x)
@@ -223,8 +230,11 @@ def threshold_round(x, tau: float) -> np.ndarray:
     """Warm-up thresholding: select j iff (s_{j-1}, s_j] meets tau + N.
 
     Satisfies P1 (over a uniform tau) and P2, but not negative correlation.
+    Fractions outside [0, 1] and a tau outside [0, 1) raise DomainError.
     """
-    xs = np.asarray(x, dtype=float)
+    xs = _fractions(x)
+    if not 0.0 <= tau < 1.0:  # NaN fails this too
+        raise DomainError("threshold tau must lie in [0, 1)")
     bits = np.zeros(len(xs), dtype=np.int8)
     s = 0.0
     for j, xj in enumerate(xs):
@@ -298,8 +308,9 @@ def threshold_exact_dist(x) -> SupportDistribution:
 
     The selection pattern is piecewise constant in tau with breakpoints at the
     fractional parts of the prefix sums, so the law has at most n + 1 atoms.
+    Fractions outside [0, 1] raise DomainError.
     """
-    xs = np.asarray(x, dtype=float)
+    xs = _fractions(x)
     n = len(xs)
     cuts = {0.0, 1.0}
     s = 0.0

@@ -493,7 +493,7 @@ class BidLawDP:
     that chunk plus two pairs of dense tables of 2^n entries (n = len(nodes)
     <= bitmask.MAX_BITS), one for the next state and one for the bid law,
     which is summed by the full bid mask and projected onto the active nodes
-    once per step. A random 14-node component compiles in about 0.13 s on a
+    once per step. A random 14-node component compiles in about 0.08 s on a
     2-vCPU VM. Sums run in pair order, state-major, so each atom, its
     position and its bits are those of the plain loop over states and then
     outcomes. `dropped` is the state mass dropped so far (at most
@@ -516,25 +516,30 @@ class BidLawDP:
 
     def step(self, plan: StepPlan) -> crs_mod.SupportDistribution:
         """Advance one arrival; returns the law of the bidder set P_t
-        (masks over plan.active())."""
+        (masks over plan.active()).
+
+        A drawn candidate bids iff not ahead, then is ahead; a crossing node
+        bids when lagging or on heads, and an ahead node on tails falls back
+        in line. Bin candidates and crossing nodes are disjoint and heads
+        lie in the crossing nodes, so per (state m, outcome) pair the grid
+        takes four mask ops: bid = ((drawn | cross) & ~m) | heads and
+        new = (m | drawn) & ~tails.
+        """
         active = plan.active()
         pos = self.pos
-        # per outcome, over lag-mask bits: drawn bin candidates, and crossing
-        # nodes that fall back in line if ahead (tails)
+        # per outcome, over lag-mask bits: drawn bin candidates and crossing
+        # nodes on heads
         drawn, heads, cprobs = outcome_masks(plan.bins, plan.crossing, pos)
         cross = sum(1 << pos[cn.node] for cn in plan.crossing)
-        tails = cross & ~heads
+        may_bid = drawn | cross
+        not_tails = ~(cross & ~heads)
         # bids fall on active nodes only, so the law is summed by the full
         # bid mask and projected onto the active positions once, at the end
         law = PairSums(len(self.nodes))
         new_state = PairSums(len(self.nodes))
         for m, p, index in pair_chunks(self.masks, self.probs, cprobs):
-            # a drawn candidate bids iff not ahead, then moves ahead; a
-            # crossing node bids when lagging or on heads, and an ahead
-            # node on tails falls back in line
-            moved = drawn & ~m
-            bid = (moved | (cross & ~(m & tails))).ravel()
-            new = ((m & ~tails) | moved).ravel()
+            bid = ((may_bid & ~m) | heads).ravel()
+            new = ((m | drawn) & not_tails).ravel()
             live = p > 0.0
             if not live.all():
                 p, bid, new, index = p[live], bid[live], new[live], index[live]

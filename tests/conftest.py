@@ -191,9 +191,10 @@ def reference_max_flow(net, s, t):
 
 
 def reference_build_selector(dist, v):
-    """`crs.build_selector` before its atoms kept (position, edge) lists:
-    element edges in an (atom, position) dict, sink capacities from numpy
-    scalars and `reference_max_flow`. Returns (rows, alpha)."""
+    """`crs.build_selector` before its atoms kept (position, edge) lists and
+    before its short phase: element edges in an (atom, position) dict, sink
+    capacities from numpy scalars and the whole Edmonds-Karp run by
+    `reference_max_flow` from scratch. Returns (rows, alpha)."""
     v = np.asarray(v, dtype=float)
     alpha = crs.balance_ratio(dist, v)
     atoms = [(mask, p) for mask, p in dist.atoms if mask]

@@ -601,6 +601,85 @@ def test_build_selector_equals_dict_built_selector():
     assert tiny > 50 and zeros > 50
 
 
+def test_short_phase_then_bfs_equals_full_edmonds_karp(monkeypatch):
+    # every selector law odrs and odrs_b compile on small random instances:
+    # the rows and alpha equal those of Edmonds-Karp run by BFS alone (laws
+    # with zero targets and zero-capacity atoms are checked by
+    # test_build_selector_equals_dict_built_selector)
+    phases = []  # per build: (flow of the short phase, flow the BFS added)
+    short_paths, max_flow = crs._short_paths, crs.FlowNetwork.max_flow
+
+    def short_then(cap, *edges):
+        phases.append([short_paths(cap, *edges), None])
+        return phases[-1][0]
+
+    def bfs(net, s, t):
+        phases[-1][1] = max_flow(net, s, t)
+        return phases[-1][1]
+
+    monkeypatch.setattr(crs, "_short_paths", short_then)
+    monkeypatch.setattr(crs.FlowNetwork, "max_flow", bfs)
+    build = crs.build_selector
+
+    def checked(dist, v):
+        rule = build(dist, v)
+        rows, alpha = reference_build_selector(dist, v)
+        assert rule.alpha == alpha and rule.rows == rows, len(phases)
+        return rule
+
+    monkeypatch.setattr(crs, "build_selector", checked)
+    for name in ("odrs", "odrs_b"):
+        for n in range(4, 12):
+            odrs.compile_scheme(name, instances.gen_random(n, n, 0.7, n), odrs.scheme_params(name))
+    assert len(phases) == 120
+    assert sum(more > 0 for _, more in phases) >= 20  # the BFS still has paths to push
+    assert sum(more == 0 for _, more in phases) >= 20  # the short phase alone finishes
+
+
+def test_short_paths_skip_saturated_atoms_and_prefer_lower_positions():
+    # atoms {0, 1}, {1} (mass 0.25 each) and {0} (0.5); elements 0 and 1
+    # take 0.5 each
+    q = crs.FLOW_SCALE // 4
+    net = crs.FlowNetwork(7)  # src 0, atoms 1-3, elements 4-5, sink 6
+    src_edges, mid_edges = [], []
+    for a, (positions, mass) in enumerate((((0, 1), q), ((1,), q), ((0,), 2 * q))):
+        src_edges.append(net.add_edge(0, 1 + a, mass))
+        mid_edges.append([(k, net.add_edge(1 + a, 4 + k, 5 * q)) for k in positions])
+    sink_edges = [net.add_edge(4 + k, 6, 2 * q) for k in range(2)]
+    assert crs._short_paths(net.cap, src_edges, mid_edges, sink_edges) == 3 * q
+    # atom 0 serves position 0, the lower one; position 1 then passes over the
+    # saturated atom 0 to atom 1, which comes before atom 2 of position 0
+    flows = [[net.flow_on(e) for _, e in edges] for edges in mid_edges]
+    assert flows == [[q, 0], [q], [q]]
+    # the BFS goes on along src -> atom 2 -> element 0 -> atom 0 -> element 1
+    assert net.max_flow(0, 6) == q
+    assert [[net.flow_on(e) for _, e in edges] for edges in mid_edges] == [[0, q], [q], [2 * q]]
+
+
+def test_build_selector_rejects_atom_probabilities_above_one():
+    d = crs.SupportDistribution((0, 1), ((0b01, 1.5), (0b10, -0.5)))
+    with pytest.raises(DomainError):
+        crs.build_selector(d, [0.5, 0.5])
+
+
+def test_product_law_needs_one_probability_per_element():
+    for elements, probs in (((0, 1), (0.5,)), ((0,), (0.5, 0.5)), ((), (0.5,))):
+        with pytest.raises(DomainError):
+            crs.SupportDistribution.product(elements, probs)
+
+
+def test_product_law_rejects_probabilities_outside_unit_interval():
+    for p in (1.5, -0.25, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            crs.SupportDistribution.product((0, 1), (0.5, p))
+
+
+def test_product_law_rejects_nan_probabilities():
+    with pytest.raises(DomainError):
+        crs.SupportDistribution.product((0,), (math.nan,))
+    assert crs.SupportDistribution.product((0,), (1.0,)).atoms == ((1, 1.0),)
+
+
 def test_product_selector_needs_a_bidder():
     with pytest.raises(DomainError):
         crs.ProductSelector([])

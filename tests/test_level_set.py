@@ -98,6 +98,21 @@ def test_threshold_round_examples():
     assert abs(cov02 - 0.25) < 1e-12  # positive correlation: P3 fails
 
 
+def test_threshold_round_rejects_fractions_outside_unit_interval():
+    for x in ([2.5, -1.0], [0.5, -0.1], [math.nan, 0.5], [0.5, math.inf]):
+        with pytest.raises(DomainError):
+            ls.threshold_round(x, 0.3)
+        with pytest.raises(DomainError):
+            ls.threshold_exact_dist(x)
+
+
+def test_threshold_round_rejects_tau_outside_zero_one():
+    for tau in (-0.1, 1.0, 1.5, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            ls.threshold_round([0.5] * 4, tau)
+    assert list(ls.threshold_round([0.5] * 4, 0.0)) == [0, 1, 0, 1]
+
+
 def test_exact_dist_examples():
     d = ls.exact_dist_online([0.5, 0.5])
     probs = dict(d.atoms)

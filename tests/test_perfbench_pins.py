@@ -90,3 +90,32 @@ def test_small_many_spans_fire(tmp_path, monkeypatch):
               if name not in tracer.stats or tracer.stats[name].calls == 0]
     assert not silent, silent
     assert sum(st.errors for st in tracer.stats.values()) == 0
+
+
+def test_exact_large_spans_fire(tmp_path, monkeypatch):
+    """Tiny `round --exact` runs of each exact-large scheme under the
+    installed `Tracer` fire every span the workload's traced pass expects, so
+    a refactor of selector synthesis or the bid-law DP that bypasses a traced
+    name fails here, not in the benchmark's traced gate."""
+    from odrs_lab import cli, instances
+
+    tracing = load_tracing()
+    argvs = []
+    for alg, max_b in (("odrs", 1), ("odrs-b", 3), ("warmup", 1)):
+        path = tmp_path / f"{alg}.json"
+        instances.save_json(instances.gen_random(5, 5, 0.7, 1, max_b=max_b), str(path))
+        argvs.append(["round", "--alg", alg, "--exact", "--instance", str(path)])
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert tracer.binding_errors() == []
+        for argv in argvs:
+            monkeypatch.setattr(sys, "argv", ["odrs-lab", *argv])
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main() == 0, argv
+    finally:
+        tracer.uninstall()
+    silent = [name for name in expected_spans()["exact-large"]
+              if name not in tracer.stats or tracer.stats[name].calls == 0]
+    assert not silent, silent
+    assert sum(st.errors for st in tracer.stats.values()) == 0
