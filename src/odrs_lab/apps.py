@@ -237,7 +237,7 @@ def cover_trials(cov: CoverInstance, n_trials: int, seed: int) -> dict:
         for v, vpeeled in enumerate(peeled):
             bits = batch_stream([frac for _, frac in vpeeled], g, hi - lo)
             for stage, ((base, _), sel) in enumerate(zip(vpeeled, bits)):
-                yv = base + sel
+                yv = base + sel if base else sel
                 totals[v] += yv
                 chunk_cost += cov.costs[stage][v] * yv
         for verts, demand in cov.edges:

@@ -9,7 +9,11 @@ matched flags gets them one chunk at a time through `on_chunk`. A caller that
 reads only some offline nodes' edges replays only the arrivals of their
 offline components (`nodes`) and advances the stream past the other
 arrivals' batches: components evolve independently, so the kept arrivals'
-counts are those of the full replay. A chunk draws the uniforms the
+counts are those of the full replay. Before the first chunk, each kernel
+marks every (replayed arrival, node) row that is the node's first or last
+touch (`rng.touch_marks`): a first touch reads an all-zero state and a last
+touch writes a state nothing reads again, so the chunk body skips that
+per-run work and draws exactly as before. A chunk draws the uniforms the
 unchunked replay gives its runs, so reports are reproducible bit for bit for
 every chunk size; replica streams derive from the base seed by the
 documented 64-bit mix.
@@ -26,9 +30,13 @@ from . import exact_engine as engine
 from . import odrs as odrs_mod
 from .errors import DomainError, InvariantBreach, SizeError
 from .instances import Arrival, MatchingInstance, gen_lb_prefix, validate
-from .rng import run_chunks
+from .level_set import batch_select
+from .rng import run_chunks, touch_marks
 
 LB_RATIO = 2.0 * math.sqrt(2.0) - 2.0
+# largest adversary prefix: the probe holds 2n x CHUNK_RUNS float32 flags and
+# (2n)^2 + n^2 int64 pair counts, so its memory grows with n
+LB_MAX_N = 256
 MAX_TABLE_ACTIVE = 14
 FLOAT32_EXACT = 1 << 24  # float32 holds every integer up to here exactly
 BID_MASK = np.uint16  # per-run bid masks over at most MAX_TABLE_ACTIVE positions
@@ -99,12 +107,14 @@ class _Replay:
         the first-True rule, so the rows of `table` need not be monotone."""
         idx = bid_mask.astype(np.intp)
         last = len(nodes) - 1
-        open_ = u < table[last][idx]  # runs whose winner is at this position or later
+        open_ = u < table[last].take(idx)  # runs whose winner is at this position or later
+        if self.arrival is not None:
+            self.arrival[t] |= open_  # the runs that match t: every winner's rows
         for pos, node in enumerate(nodes):
             if pos == last:
                 rows = open_
             else:
-                rows = u < table[pos][idx]
+                rows = u < table[pos].take(idx)
                 rows &= open_
                 open_ ^= rows
             cnt = int(np.count_nonzero(rows))
@@ -112,7 +122,6 @@ class _Replay:
                 self.counts[(node, t)] = self.counts.get((node, t), 0) + cnt
                 if self.offline is not None:
                     self.offline[node] |= rows
-                    self.arrival[t] |= rows
 
 
 def _replay_chunks(n_offline: int, n_arrivals: int, n_runs: int, seed: int, on_chunk, body):
@@ -139,7 +148,10 @@ def _batch_odrs(comp: odrs_mod.CompiledOdrs, n_runs: int, seed: int, on_chunk=No
     other arrival's batches are skipped.
 
     The bid state `ahead` is node-major, `(n, chunk)`; the draws are those of
-    the scalar sampler, one batch per bin, crossing node and arrival."""
+    the scalar sampler, one batch per bin, crossing node and arrival. Bin
+    nodes and crossing coins both read and write `ahead`, so both count as
+    touches (`rng.touch_marks`): a bin node's first touch skips the read of
+    its all-false row and its last touch skips the write nothing reads."""
     n = comp.inst.n_offline
     steps = []  # built once, before any draw; an int is a number of batches to skip
     for plan, selector in zip(comp.plans, comp.selectors):
@@ -147,10 +159,19 @@ def _batch_odrs(comp: odrs_mod.CompiledOdrs, n_runs: int, seed: int, on_chunk=No
             continue
         if keep is not None and plan.t not in keep:
             steps.append(len(plan.bins) + len(plan.crossing) + 1)
-            continue
+        else:
+            steps.append((plan, selector))
+    replayed = [k for k, step in enumerate(steps) if not isinstance(step, int)]
+    marks = touch_marks([[i for gb in steps[k][0].bins for i in gb.nodes]
+                         + [cn.node for cn in steps[k][0].crossing] for k in replayed])
+    for k, mark in zip(replayed, marks):
+        plan, selector = steps[k]
         active = list(selector.elements)
-        steps.append((plan, active, {i: BID_MASK(1 << k) for k, i in enumerate(active)},
-                      _win_table(selector, len(active))))
+        bit = {i: BID_MASK(1 << pos) for pos, i in enumerate(active)}
+        mark = iter(mark)  # bin nodes come first; the crossing coins' marks go unused
+        bins = [(gb, [(i, bit[i], *next(mark)) for i in gb.nodes]) for gb in plan.bins]
+        crossing = [(cn.node, cn.takeover, bit[cn.node]) for cn in plan.crossing]
+        steps[k] = (plan.t, bins, crossing, active, _win_table(selector, len(active)))
 
     def body(g, out, runs):
         ahead = np.zeros((n, runs), dtype=bool)
@@ -158,18 +179,20 @@ def _batch_odrs(comp: odrs_mod.CompiledOdrs, n_runs: int, seed: int, on_chunk=No
             if isinstance(step, int):
                 g.skip(step)
                 continue
-            plan, active, bit, table = step
+            t, bins, crossing, active, table = step
             bid_mask = np.zeros(runs, dtype=BID_MASK)
-            for gb in plan.bins:
-                for node, hit in zip(gb.nodes, gb.draw_masks(g.random(runs))):
-                    hit &= ~ahead[node]
-                    ahead[node] |= hit
-                    bid_mask |= hit * bit[node]
-            for cn in plan.crossing:
-                heads = g.random(runs) < cn.takeover
-                bid_mask |= (heads | ~ahead[cn.node]) * bit[cn.node]
-                ahead[cn.node] &= heads
-            out.settle(plan.t, active, table, bid_mask, g.random(runs))
+            for gb, rows in bins:
+                for (node, bit, first, last), hit in zip(rows, gb.draw_masks(g.random(runs))):
+                    if not first:
+                        hit &= ~ahead[node]
+                    if not last:
+                        ahead[node] |= hit
+                    bid_mask |= hit * bit
+            for node, takeover, bit in crossing:
+                heads = g.random(runs) < takeover
+                bid_mask |= (heads | ~ahead[node]) * bit
+                ahead[node] &= heads
+            out.settle(t, active, table, bid_mask, g.random(runs))
 
     return _replay_chunks(n, len(comp.plans), n_runs, seed, on_chunk, body)
 
@@ -179,18 +202,27 @@ def _batch_warmup(comp: odrs_mod.CompiledWarmup, n_runs: int, seed: int, on_chun
     """Vectorized replays of the warm-up ODRS, returning what `_batch_run`
     returns; `keep` is as in `_batch_odrs`. Each node's level-set count is
     node-major, `(n, chunk)`, in the smallest unsigned type that holds the
-    number of arrivals."""
+    number of arrivals. A row whose probability does not depend on the count
+    (a node's first touch, where every count is 0, the floor; or p_lag ==
+    p_ahead) compares the uniforms against the scalar, and a node's last
+    touch does not add to a count nothing reads again (`rng.touch_marks`)."""
     n = comp.inst.n_offline
     count_type = np.min_scalar_type(len(comp.steps))
     steps = []  # built once, before any draw; an int is a number of batches to skip
     for t, rows in enumerate(comp.steps):
-        sel = comp.selectors[t]
-        if sel is None:
+        if comp.selectors[t] is None:
             continue
         if keep is not None and t not in keep:
             steps.append(len(rows) + 1)
-            continue
-        steps.append((t, rows, [i for i, *_ in rows], _win_table(sel, len(rows))))
+        else:
+            steps.append((t, rows))
+    replayed = [k for k, step in enumerate(steps) if not isinstance(step, int)]
+    marks = touch_marks([[i for i, *_ in steps[k][1]] for k in replayed])
+    for k, mark in zip(replayed, marks):
+        t, rows = steps[k]
+        rows = [(i, fl, lo, hi, BID_MASK(1 << pos), first or lo == hi, last)
+                for pos, ((i, fl, lo, hi), (first, last)) in enumerate(zip(rows, mark))]
+        steps[k] = (t, rows, [i for i, *_ in rows], _win_table(comp.selectors[t], len(rows)))
 
     def body(g, out, runs):
         counts = np.zeros((n, runs), dtype=count_type)
@@ -200,11 +232,12 @@ def _batch_warmup(comp: odrs_mod.CompiledWarmup, n_runs: int, seed: int, on_chun
                 continue
             t, rows, nodes, table = step
             bid_mask = np.zeros(runs, dtype=BID_MASK)
-            for pos, (i, fl, lo, hi) in enumerate(rows):
-                p = np.where(counts[i] == fl, lo, hi)
-                bid = g.random(runs) < p
-                counts[i] += bid
-                bid_mask |= bid * BID_MASK(1 << pos)
+            for i, fl, lo, hi, bit, fixed, last in rows:
+                u = g.random(runs)
+                bid = u < lo if fixed else batch_select(u, counts[i] == fl, lo, hi)
+                if not last:
+                    counts[i] += bid
+                bid_mask |= bid * bit
             out.settle(t, nodes, table, bid_mask, g.random(runs))
 
     return _replay_chunks(n, len(comp.steps), n_runs, seed, on_chunk, body)
@@ -320,10 +353,13 @@ def lb_adversary(algorithm: str, n: int, n_probe: int, n_eval: int, seed: int,
     probe replays every arrival, since its argmax reads every arrival pair;
     the evaluation replays only the arrivals in the offline components of i
     and j and skips the other arrivals' batches, which gives the counts of
-    the full replay. Both phases need at least 10^3 runs.
+    the full replay. Both phases need at least 10^3 runs, and n lies in
+    [3, LB_MAX_N].
     """
     if n < 3:
         raise DomainError("adversary needs n >= 3")
+    if n > LB_MAX_N:
+        raise SizeError(f"adversary prefix n = {n} exceeds the cap {LB_MAX_N}")
     if min(n_probe, n_eval) < 1000:
         raise DomainError("adversary needs at least 10^3 probe and eval runs")
     prefix = gen_lb_prefix(n)

@@ -502,8 +502,9 @@ class BidLawDP:
 
     def __init__(self, nodes: list[int]):
         self.nodes = sorted(nodes)
-        bitmask.check_width(len(self.nodes), "a bid-law DP component",
-                            "downscale for the polytime pathway or use the warm-up ODRS")
+        # downscaling keeps every positive fraction positive, so it never
+        # splits a component; the warm-up ODRS builds no bid-law DP
+        bitmask.check_width(len(self.nodes), "a bid-law DP component", "use the warm-up ODRS")
         self.pos = {i: k for k, i in enumerate(self.nodes)}
         self.masks = np.zeros(1, dtype=np.int64)
         self.probs = np.ones(1)

@@ -19,7 +19,8 @@ offset d * n_runs + lo. `run_chunks` replays runs CHUNK_RUNS at a time through
 a `ChunkStream`, which jumps to those offsets with `PCG64.advance`: a chunked
 replay draws the same uniforms for every run as the unchunked one, and a
 replay that skips whole batches draws the same uniforms in the batches it
-keeps.
+keeps. `touch_marks` tells a replay kernel, before its first chunk, where a
+node's per-run state is still all zero and where nothing reads it again.
 """
 
 from __future__ import annotations
@@ -116,6 +117,24 @@ def run_chunks(n_runs: int, seed: int, stream: int):
         raise DomainError(f"need at least one run, got {n_runs}")
     bounds = [(lo, min(lo + CHUNK_RUNS, n_runs)) for lo in range(0, n_runs, CHUNK_RUNS)]
     return ((lo, hi, ChunkStream(seed, stream, n_runs, lo, hi)) for lo, hi in bounds)
+
+
+def touch_marks(touched) -> list[list[tuple[bool, bool]]]:
+    """(first, last) per entry of `touched`, a list per replayed arrival of
+    the nodes whose per-run state the arrival reads or writes, in order:
+    first when no earlier entry names the node (its state is still all
+    zero), last when no later one does (nothing reads the state again)."""
+    first_at, last_at, k = {}, {}, 0
+    for nodes in touched:
+        for i in nodes:
+            first_at.setdefault(i, k)
+            last_at[i] = k
+            k += 1
+    marks, k = [], 0
+    for nodes in touched:
+        marks.append([(first_at[i] == k + j, last_at[i] == k + j) for j, i in enumerate(nodes)])
+        k += len(nodes)
+    return marks
 
 
 def mean_and_se(v: np.ndarray) -> tuple[float, float]:

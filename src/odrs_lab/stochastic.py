@@ -18,7 +18,7 @@ from . import crs
 from . import odrs as odrs_mod
 from .errors import DomainError, InvariantBreach, SizeError
 from .instances import MatchingInstance
-from .rng import ScalarRng, mean_and_se, run_chunks
+from .rng import ScalarRng, mean_and_se, run_chunks, touch_marks
 
 
 # ----------------------------------------------------------------------------
@@ -93,7 +93,10 @@ def simplex_max(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """maximize c.x s.t. Ax <= b, x >= 0, with b >= 0.
 
     Dense tableau primal simplex with Bland's rule (anti-cycling);
-    deterministic. The slack basis is feasible since b >= 0.
+    deterministic. The slack basis is feasible since b >= 0. Each pivot is a
+    few whole-array operations: the lowest eligible column enters, the
+    minimum ratio leaves (ties to the lowest basis index), and every other
+    row with a nonzero entry in the entering column is eliminated at once.
     """
     m, n = A.shape
     if np.any(b < -SIMPLEX_TOL):
@@ -103,34 +106,28 @@ def simplex_max(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> np.ndarray:
     T[:m, n:n + m] = np.eye(m)
     T[:m, -1] = b
     T[m, :n] = -c
-    basis = list(range(n, n + m))
+    basis = np.arange(n, n + m)
     for _ in range(SIMPLEX_MAX_ITER):
-        reduced = T[m, :n + m]
-        enter = -1
-        for j in range(n + m):  # Bland: lowest eligible index
-            if reduced[j] < -SIMPLEX_TOL:
-                enter = j
-                break
-        if enter < 0:
+        eligible = np.flatnonzero(T[m, :n + m] < -SIMPLEX_TOL)
+        if not eligible.size:
             break
-        ratios = []
-        for r in range(m):
-            if T[r, enter] > SIMPLEX_TOL:
-                ratios.append((T[r, -1] / T[r, enter], basis[r], r))
-        if not ratios:
+        enter = eligible[0]  # Bland: lowest eligible index
+        rows = np.flatnonzero(T[:m, enter] > SIMPLEX_TOL)
+        if not rows.size:
             raise InvariantBreach("unbounded LP; box constraints should prevent this")
-        _, _, leave = min(ratios, key=lambda z: (z[0], z[1]))
-        piv = T[leave, enter]
-        T[leave] /= piv
-        for r in range(m + 1):
-            if r != leave and T[r, enter] != 0.0:
-                T[r] -= T[r, enter] * T[leave]
+        ratios = T[rows, -1] / T[rows, enter]
+        tied = rows[ratios == ratios.min()]
+        leave = tied[np.argmin(basis[tied])]
+        T[leave] /= T[leave, enter]
+        col = T[:, enter].copy()  # the multipliers, read before any row changes
+        col[leave] = 0.0
+        upd = np.flatnonzero(col)
+        T[upd] -= col[upd, None] * T[leave]
         basis[leave] = enter
     else:
         raise InvariantBreach("simplex iteration limit hit")
     x = np.zeros(n + m)
-    for r, var in enumerate(basis):
-        x[var] = T[r, -1]
+    x[basis] = T[:m, -1]
     return x[:n]
 
 
@@ -188,6 +185,8 @@ def build_stochastic_plans(inst: MatchingInstance, xstar: dict[tuple[int, int], 
                     f"bid probability {size} > 1 at ({i},{t}); x* violates the LP constraint")
             xhat_row[i] = xh
             wrow[i] = arr.weight_of(k)
+            if not math.isfinite(wrow[i]):  # eval_vs_lp adds take * w, which needs a finite w
+                raise DomainError(f"arrival {t} has a non-finite weight for offline {i}")
             if s[i] <= theta + 1e-12:
                 low_items.append((i, min(1.0, size)))
             else:
@@ -317,39 +316,50 @@ def eval_vs_lp(inst: MatchingInstance, params: odrs_mod.ScalingParams,
 
     Vectorized over runs and driven `rng.CHUNK_RUNS` runs at a time
     (`rng.run_chunks`, stream 7), with the matched flags stored node-major,
-    `(n, chunk)`, and each arrival's bids kept per bin node. Each run's
-    matched weight goes into one vector of `runs` floats, so the mean and
-    the standard error are taken over all runs at once (`rng.mean_and_se`,
-    in place) and do not depend on the chunk size. The report carries a
-    normal-approximation CI for the ratio. On small instances (n <= 12) the
-    exact per-threshold guarantee is checked as well. Zero-value LPs report
-    ratio 1 by convention.
+    `(n, chunk)`, and each arrival's bids kept per bin node. A node's first
+    touch skips the read of its all-false flags and its last touch skips the
+    write nothing reads (`rng.touch_marks`). Each run's matched weight goes
+    into one vector of `runs` floats, so the mean and the standard error are
+    taken over all runs at once (`rng.mean_and_se`, in place) and do not
+    depend on the chunk size. The report carries a normal-approximation CI
+    for the ratio. On small instances (n <= 12) the exact per-threshold
+    guarantee is checked as well. Zero-value LPs report ratio 1 by
+    convention.
     """
     if runs < 10_000:
         raise DomainError("eval_vs_lp needs at least 10^4 runs")
     lp = build_lp(inst)
     sol = solve_lp(lp)
     plans = build_stochastic_plans(inst, sol.x, params)
+    touched = [[i for gb in plan.bins for i in gb.nodes] for plan in plans]
+    steps = []  # per arrival: p, its bins' (node, first, last) rows, (node, w, last) in order
+    for plan, nodes, marks in zip(plans, touched, touch_marks(touched)):
+        mark = dict(zip(nodes, marks))
+        steps.append((plan.p, [(gb, [(i, *mark[i]) for i in gb.nodes]) for gb in plan.bins],
+                      [(i, plan.weights[i], mark[i][1]) for i in plan.order]))
     weight = np.zeros(runs)
     for lo, hi, g in run_chunks(runs, seed, 7):
         size = hi - lo
         matched = np.zeros((inst.n_offline, size), dtype=bool)
         chunk_weight = weight[lo:hi]
-        for plan in plans:
+        for p, bins, order in steps:
             bid = {}
-            for gb in plan.bins:
-                for node, hit in zip(gb.nodes, gb.draw_masks(g.random(size))):
-                    hit &= ~matched[node]
+            for gb, rows in bins:
+                for (node, first, _), hit in zip(rows, gb.draw_masks(g.random(size))):
+                    if not first:
+                        hit &= ~matched[node]
                     bid[node] = hit
             # runs that arrived and are not matched yet at this arrival
-            free = g.random(size) < plan.p
-            for node in plan.order:
+            free = g.random(size) < p
+            for node, w, last in order:
                 take = bid[node]
                 take &= free
                 if take.any():
-                    matched[node] |= take
-                    # adding 0.0 leaves a weight unchanged, so this is the masked add
-                    chunk_weight += np.where(take, plan.weights[node], 0.0)
+                    if not last:
+                        matched[node] |= take
+                    # w is finite (build_stochastic_plans), so take * w is w or
+                    # +-0.0, and adding +-0.0 leaves a weight summed from +0.0 as it is
+                    chunk_weight += take * w
                     free ^= take
     mean, se = mean_and_se(weight)
     if sol.value <= 0:

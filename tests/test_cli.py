@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from odrs_lab import bench
+
 CLI = [sys.executable, "-m", "odrs_lab.cli"]
 
 
@@ -359,6 +361,13 @@ def test_run_counts_are_validated(tmp_path):
         assert "error:" in r.stderr
     r = run("lowerbound", "--n", "5", "--probe", "1000", "--eval", "1000")
     assert r.returncode == 0 and json.loads(r.stdout)["eval_runs"] == 1000
+
+
+def test_lowerbound_n_above_the_cap_is_rejected():
+    for n in (bench.LB_MAX_N + 1, 10**9):
+        r = run("lowerbound", "--n", str(n))
+        assert r.returncode == 2 and r.stdout == "" and "Traceback" not in r.stderr
+        assert len(r.stderr.splitlines()) == 1 and f"cap {bench.LB_MAX_N}" in r.stderr, r.stderr
 
 
 def test_bad_cover_instances_rejected(tmp_path):

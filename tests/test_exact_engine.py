@@ -80,6 +80,19 @@ def test_size_cap(matching_params):
         assert engine.rounding_ratio_exact(big, params, alg) == small / 0.5
 
 
+def test_component_size_error_names_a_remedy_that_works(matching_params):
+    # a chain of 21 offline nodes is one component; downscaling keeps every
+    # positive fraction positive, so the component stays whole
+    chain = MatchingInstance(21, (1,) * 21,
+                             tuple(Arrival(((t, 0.5), (t + 1, 0.5))) for t in range(20)))
+    for inst in (chain, odrs.downscale_for_polytime(chain, 0.1)):
+        with pytest.raises(SizeError, match="component") as err:
+            engine.edge_match_probs(inst, matching_params, "odrs")
+        assert "downscal" not in str(err.value) and "warm-up ODRS" in str(err.value)
+    probs = engine.edge_match_probs(chain, None, "warmup")
+    assert len(probs) == 40
+
+
 def _stochastic_exact(n):
     inst = instances.gen_random(n, 2, 0.5, seed=0, stochastic=True)
     xstar = {(i, t): x for i, t, x in inst.edge_list()}

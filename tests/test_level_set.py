@@ -312,3 +312,14 @@ def test_non_finite_fractions_are_rejected():
     for x in ([0.5, math.nan], [math.nan], [0.5, math.inf]):
         with pytest.raises(DomainError):
             ls.online_round(x)
+
+
+def test_batch_select_equals_where_comparison():
+    rng = np.random.default_rng(4)
+    u = rng.random(10_000)
+    at_floor = rng.random(10_000) < 0.6
+    for p_lag, p_ahead in [(0.3, 0.7), (0.7, 0.3), (0.0, 1.0), (1.0, 0.0), (0.5, 0.5),
+                           (u[17], u[42])]:  # thresholds equal to some u
+        want = u < np.where(at_floor, p_lag, p_ahead)
+        got = ls.batch_select(u, at_floor, p_lag, p_ahead)
+        assert got.dtype == want.dtype and np.array_equal(got, want)

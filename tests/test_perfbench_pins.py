@@ -119,3 +119,41 @@ def test_exact_large_spans_fire(tmp_path, monkeypatch):
               if name not in tracer.stats or tracer.stats[name].calls == 0]
     assert not silent, silent
     assert sum(st.errors for st in tracer.stats.values()) == 0
+
+
+def test_mc_replay_spans_fire(tmp_path, monkeypatch):
+    """Tiny runs of each kind of mc-replay operation (`lowerbound`, `round
+    --n-runs` for every replayed scheme, `round --alg stochastic --n-runs`,
+    `cover --trials`) under the installed `Tracer` fire every span the
+    workload's traced pass expects, so a Monte Carlo kernel that stops going
+    through a traced module global fails here, not in the benchmark's traced
+    gate."""
+    from odrs_lab import cli, instances
+
+    tracing = load_tracing()
+    argvs = [["lowerbound", "--n", "4", "--probe", "1000", "--eval", "1000", "--seed", "0"]]
+    for alg, max_b, stochastic, runs in (("warmup", 1, False, "1000"), ("odrs", 1, False, "1000"),
+                                          ("odrs-b", 3, False, "1000"),
+                                          ("stochastic", 1, True, "10000")):
+        path = tmp_path / f"{alg}.json"
+        instances.save_json(instances.gen_random(5, 5, 0.7, 1, max_b=max_b,
+                                                 stochastic=stochastic), str(path))
+        argvs.append(["round", "--alg", alg, "--n-runs", runs, "--seed", "0",
+                      "--instance", str(path)])
+    cover = tmp_path / "cover.json"
+    instances.save_json(instances.gen_random_cover(6, 7, 3, 2, 3, 0), str(cover))
+    argvs.append(["cover", "--trials", "100", "--seed", "0", "--instance", str(cover)])
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert tracer.binding_errors() == []
+        for argv in argvs:
+            monkeypatch.setattr(sys, "argv", ["odrs-lab", *argv])
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main() == 0, argv
+    finally:
+        tracer.uninstall()
+    silent = [name for name in expected_spans()["mc-replay"]
+              if name not in tracer.stats or tracer.stats[name].calls == 0]
+    assert not silent, silent
+    assert sum(st.errors for st in tracer.stats.values()) == 0

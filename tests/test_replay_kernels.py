@@ -1,7 +1,10 @@
 """The node-major batch kernels against the run-major loops they replaced:
 edge counts, both matched-flag arrays (gathered through `on_chunk`) and the
 `eval_vs_lp` report must be equal exactly, not within a tolerance (every
-draw stays in the same order)."""
+draw stays in the same order). The touch-analysis cases pin the rows where a
+kernel skips work (`rng.touch_marks`): nodes touched once, crossing coins at
+a node's first or last touch, warm-up rows with p_lag == p_ahead, replays
+restricted by `keep`, and level-set streams that start at 0 or 1."""
 
 import math
 
@@ -9,9 +12,10 @@ import numpy as np
 import pytest
 
 from conftest import reference_win_probs
-from odrs_lab import bench, instances, odrs
+from odrs_lab import bench, instances, level_set, odrs
 from odrs_lab import stochastic as st
-from odrs_lab.rng import generator
+from odrs_lab.instances import Arrival, MatchingInstance
+from odrs_lab.rng import generator, touch_marks
 
 
 # ----------------------------------------------------------------------------
@@ -270,3 +274,118 @@ def test_eval_vs_lp_matches_run_major(matching_params, n, seed):
     inst = instances.gen_random(n, n, 0.7, seed, stochastic=True)
     got = st.eval_vs_lp(inst, matching_params, runs=20_000, seed=seed + 3)
     assert got == reference_eval_vs_lp(inst, matching_params, 20_000, seed + 3)
+
+
+# ----------------------------------------------------------------------------
+# touch analysis
+# ----------------------------------------------------------------------------
+
+def test_touch_marks_flags_first_and_last_entries():
+    touched = [[3, 1], [], [1, 2, 1], [4], [2]]
+    assert touch_marks(touched) == [
+        [(True, True), (True, False)],
+        [],
+        [(False, False), (True, False), (False, True)],
+        [(True, True)],
+        [(False, True)],
+    ]
+
+
+def odrs_touches(comp):
+    return [[i for gb in plan.bins for i in gb.nodes] + [cn.node for cn in plan.crossing]
+            for plan, sel in zip(comp.plans, comp.selectors) if sel is not None]
+
+
+@pytest.mark.parametrize("scheme", ["warmup", "odrs"])
+def test_kernels_match_when_some_nodes_are_touched_once(scheme):
+    # nodes 0, 1 and 4 have one edge each; nodes 2 and 3 several
+    inst = MatchingInstance(5, (1,) * 5, (
+        Arrival(((0, 0.5), (2, 0.25))), Arrival(((2, 0.25), (3, 0.5))),
+        Arrival(((1, 0.4), (2, 0.25), (3, 0.25))), Arrival(((3, 0.25), (4, 0.5)))))
+    instances.validate(inst).raise_if_invalid()
+    comp = odrs.compile_scheme(scheme, inst, odrs.scheme_params(scheme))
+    touched = (odrs_touches(comp) if scheme == "odrs"
+               else [[i for i, *_ in rows] for rows in comp.steps])
+    flat = [i for nodes in touched for i in nodes]
+    assert {i for i in range(5) if flat.count(i) == 1} == {0, 1, 4}
+    assert_same_replay(scheme, inst, 4001, 11)
+
+
+def crossing_instance():
+    """Node 0's first touch is a crossing coin, and node 1's last touch is a
+    crossing coin after two bin touches."""
+    return MatchingInstance(3, (3, 2, 1), (
+        Arrival(((0, 1.0),)), Arrival(((0, 0.5), (1, 0.5))), Arrival(((0, 0.6), (1, 0.4))),
+        Arrival(((0, 0.3), (2, 0.7))), Arrival(((1, 0.9),))))
+
+
+def test_odrs_b_kernel_matches_when_crossing_coins_touch_first_or_last():
+    inst = crossing_instance()
+    instances.validate(inst).raise_if_invalid()
+    comp = odrs.compile_scheme("odrs_b", inst, odrs.scheme_params("odrs_b"))
+    crossing = [{cn.node for cn in plan.crossing} for plan in comp.plans]
+    bins = [{i for gb in plan.bins for i in gb.nodes} for plan in comp.plans]
+    assert 0 in crossing[0] and 0 in bins[1]  # node 0: crossing coin, then bins
+    touches_of_1 = [t for t in range(len(comp.plans)) if 1 in crossing[t] | bins[t]]
+    assert [1 in bins[t] for t in touches_of_1] == [True, True, False]
+    assert_same_replay("odrs_b", inst, 5000, 3)
+
+
+def test_warmup_kernel_matches_on_rows_with_equal_step_probabilities():
+    # node 0's prefix sum is 1 before its third edge, so that row has
+    # p_lag == p_ahead although it is not the node's first touch
+    inst = MatchingInstance(3, (2, 1, 1), (
+        Arrival(((0, 0.5), (1, 0.5))), Arrival(((0, 0.5), (2, 0.5))),
+        Arrival(((0, 0.3), (1, 0.5), (2, 0.2))), Arrival(((0, 0.7),))))
+    instances.validate(inst).raise_if_invalid()
+    comp = odrs.compile_scheme("warmup", inst, None)
+    marks = touch_marks([[i for i, *_ in rows] for rows in comp.steps])
+    assert any(not first and lo == hi
+               for rows, mark in zip(comp.steps, marks)
+               for (_, _, lo, hi), (first, _) in zip(rows, mark))
+    assert any(not first and lo != hi
+               for rows, mark in zip(comp.steps, marks)
+               for (_, _, lo, hi), (first, _) in zip(rows, mark))
+    assert_same_replay("warmup", inst, 4000, 5)
+
+
+@pytest.mark.parametrize("scheme,max_b", [("warmup", 1), ("odrs", 1), ("odrs_b", 3)])
+def test_keep_restricted_replay_matches_the_reference(scheme, max_b):
+    # two components, arrivals alternating between them; replay only the first
+    a = instances.gen_random(5, 6, 0.8, 4, max_b=max_b)
+    b = instances.gen_random(4, 5, 0.8, 9, max_b=max_b)
+    arrivals = []
+    for t in range(6):
+        arrivals.append(a.arrivals[t])
+        if t < 5:
+            arrivals.append(Arrival(tuple((i + 5, x) for i, x in b.arrivals[t].edges)))
+    inst = MatchingInstance(9, a.capacities + b.capacities, tuple(arrivals))
+    instances.validate(inst).raise_if_invalid()
+    params = odrs.scheme_params(scheme)
+    want, _, _ = REFERENCE[scheme](odrs.compile_scheme(scheme, inst, params), 3001, 2)
+    kept = bench._component_arrivals(inst, [0])
+    assert 0 < len(kept) < inst.n_arrivals
+    got = bench._batch_run(scheme, inst, params, 3001, 2, nodes=[0])
+    assert got == {key: cnt for key, cnt in want.items() if key[1] in kept}
+    assert got
+
+
+def reference_batch_stream(xs, g, n_runs):
+    counts = np.zeros(n_runs, dtype=np.int64)
+    s = comp = 0.0
+    for x in xs:
+        fl, p_lag, p_ahead = level_set.step_table(s, x)
+        sel = g.random(n_runs) < np.where(counts == fl, p_lag, p_ahead)
+        counts += sel
+        s, comp = level_set.kahan_add(s, comp, x)
+        yield sel
+
+
+@pytest.mark.parametrize("xs", [[0.0, 0.5, 0.5, 1.0, 0.3, 0.7], [1.0, 0.2, 0.8, 0.6, 0.4],
+                                [0.0, 0.0, 1.0, 0.35, 0.35, 0.3], [0.3, 0.4, 0.3, 0.6, 0.4]])
+def test_batch_stream_matches_reference(xs):
+    got = list(level_set.batch_stream(xs, generator(8, 3), 5000))
+    want = list(reference_batch_stream(xs, generator(8, 3), 5000))
+    assert len(got) == len(want)
+    for g_sel, w_sel in zip(got, want):
+        assert g_sel.dtype == w_sel.dtype and np.array_equal(g_sel, w_sel)

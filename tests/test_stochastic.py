@@ -330,6 +330,47 @@ def test_simplex_matches_highs_on_random_instances():
         assert abs(float(lp.weights @ x) - -res.fun) <= 1e-9
 
 
+def reference_simplex_max(c, A, b):
+    """The row-by-row tableau loop `simplex_max` replaced, kept as the
+    reference: Bland's rule, ratio ties to the lowest basis index."""
+    m, n = A.shape
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, :n] = A
+    T[:m, n:n + m] = np.eye(m)
+    T[:m, -1] = b
+    T[m, :n] = -c
+    basis = list(range(n, n + m))
+    while True:
+        reduced = T[m, :n + m]
+        enter = next((j for j in range(n + m) if reduced[j] < -st.SIMPLEX_TOL), -1)
+        if enter < 0:
+            break
+        ratios = [(T[r, -1] / T[r, enter], basis[r], r) for r in range(m)
+                  if T[r, enter] > st.SIMPLEX_TOL]
+        _, _, leave = min(ratios, key=lambda z: (z[0], z[1]))
+        T[leave] /= T[leave, enter]
+        for r in range(m + 1):
+            if r != leave and T[r, enter] != 0.0:
+                T[r] -= T[r, enter] * T[leave]
+        basis[leave] = enter
+    x = np.zeros(n + m)
+    for r, var in enumerate(basis):
+        x[var] = T[r, -1]
+    return x[:n]
+
+
+def test_simplex_is_bit_identical_to_row_loop():
+    checked = 0
+    for n in range(3, 13):
+        for seed in range(24):
+            inst = instances.gen_random(n, n, 0.7, seed=100 * n + seed, stochastic=True)
+            lp = st.build_lp(inst)
+            got = st.simplex_max(lp.weights, lp.A, lp.b)
+            assert got.tobytes() == reference_simplex_max(lp.weights, lp.A, lp.b).tobytes()
+            checked += 1
+    assert checked == 240
+
+
 def test_mean_and_se_equals_numpy_std():
     from odrs_lab.rng import mean_and_se
     g = np.random.default_rng(17)
