@@ -138,6 +138,7 @@ def _replay_chunks(n_offline: int, n_arrivals: int, n_runs: int, seed: int, on_c
             counts[key] = counts.get(key, 0) + cnt
         if on_chunk is not None:
             on_chunk(out.offline.T, out.arrival.T)
+        del out  # free this chunk's flags before the next chunk allocates its own
     return counts
 
 

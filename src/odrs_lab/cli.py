@@ -1,8 +1,10 @@
 """Command-line surface: odrs-lab.
 
-Exit codes: 0 success, 1 usage error, 2 validation failure, 3 invariant
-breach or any other unexpected error. Reports are JSON (CSV with --csv) and
-byte-reproducible for a fixed seed; wall times go to stderr only.
+Exit codes: 0 success, 1 usage error, 2 validation failure or any other
+refused input (infeasible --eps/--delta, a size cap, a run count out of
+range; printed as `error: ...`), 3 invariant breach or any other unexpected
+error. Reports are JSON (CSV with --csv) and byte-reproducible for a fixed
+seed; wall times go to stderr only.
 """
 
 import os
@@ -187,8 +189,8 @@ def crs_cmd(dist_path, v_path):
         dist.check()
     except InvariantBreach as exc:
         raise ValidationFailure(f"--dist is not a probability law: {exc}") from exc
-    alpha = crs_mod.balance_ratio(dist, v)
     rule = crs_mod.build_selector(dist, v)
+    alpha = rule.alpha
     marg = crs_mod.exact_marginals(dist, rule)
     _emit({"alpha": alpha,
            "marginals": [{"element": e, "prob": float(m), "target": alpha * float(vv)}

@@ -123,8 +123,7 @@ def balance_ratio(dist: SupportDistribution, v) -> float:
     """min over nonempty S of Pr[R cap S != empty] / v(S), exhaustively.
 
     Only elements with v_i > 0 matter; at most bitmask.MAX_BITS of them are
-    allowed (the polytime route keeps bidder counts small, so the cap is not
-    binding at desk scale). A negative or non-finite v_i raises DomainError;
+    allowed. A negative or non-finite v_i raises DomainError;
     the targets are read as Python floats (`tolist`), not numpy scalars.
     """
     vl = np.asarray(v, dtype=float).tolist()

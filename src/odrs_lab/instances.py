@@ -312,6 +312,8 @@ def gen_random_multigraph(n_left: int, n_right: int, delta: int, seed: int) -> M
     """Random bipartite multigraph with max degree exactly bounded by delta."""
     if delta < 1:
         raise DomainError(f"multigraph needs delta >= 1, got {delta}")
+    if n_left < 0 or n_right < 0:
+        raise DomainError(f"multigraph needs n_left, n_right >= 0, got {n_left}, {n_right}")
     rng = generator(seed, 1)
     right_load = np.zeros(n_right, dtype=int)
     arrivals = []

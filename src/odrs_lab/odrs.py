@@ -17,7 +17,7 @@ import numpy as np
 from . import bitmask
 from . import crs as crs_mod
 from .errors import DomainError, FeasibilityError, InvariantBreach
-from .instances import TOL, Arrival, MatchingInstance
+from .instances import TOL, MatchingInstance
 from .level_set import _snap, kahan_add, online_step, step_table
 from .level_set import step_probability  # noqa: F401 -- perfbench/tracing.py looks it up here
 from .rng import ScalarRng
@@ -100,76 +100,24 @@ class ScalingParams:
 
 
 def ratio_bound_raw(eps: float, delta: float) -> float:
+    """Closed-form rounding-ratio bound, for feasible (eps, delta)."""
     return 1.0 - math.exp(-1.0 - delta + (eps + delta) / (1.0 - eps)) * (1.0 - eps) / (1.0 + delta)
-
-
-def ratio_bound(params: ScalingParams) -> float:
-    """Closed-form rounding-ratio bound for feasible parameters."""
-    bad = feasibility_violation(params.eps, params.delta, params.variant)
-    if bad is not None:
-        raise FeasibilityError(f"infeasible parameters: {bad}", bad)
-    return ratio_bound_raw(params.eps, params.delta)
-
-
-def _feasible(eps: float, delta: float, variant: str) -> bool:
-    """`feasibility_violation(eps, delta, variant) is None`, without the
-    message: the same arithmetic with the exponential taken once."""
-    z = z_star(eps, delta, variant)
-    ex = math.exp(-z * (1.0 + delta))
-    return not (ex - (1.0 - z * (1.0 - eps)) < 0 or -(1.0 + delta) * ex + (1.0 - eps) < 0)
-
-
-def _feasible_many(eps: np.ndarray, delta: np.ndarray, variant: str) -> np.ndarray:
-    """`_feasible` elementwise over broadcast float arrays, bit for bit.
-
-    Every operation is the scalar one in the same order, elementwise IEEE
-    arithmetic, except the exponential: it goes through `math.exp`, because
-    `np.exp` may differ from it in the last place and flip a decision on the
-    feasibility boundary.
-    """
-    eps, delta = np.broadcast_arrays(np.asarray(eps, dtype=float),
-                                     np.asarray(delta, dtype=float))
-    s = eps + delta
-    if variant == "matching":
-        den = 2.0 * s
-    else:
-        den = (3.0 + 2.0 * delta) * s
-    with np.errstate(invalid="ignore"):
-        z = np.where(s == 0, 0.0, eps / den)
-    arg = -z * (1.0 + delta)
-    ex = np.fromiter(map(math.exp, arg.ravel().tolist()), float, arg.size).reshape(arg.shape)
-    return ~((ex - (1.0 - z * (1.0 - eps)) < 0) | (-(1.0 + delta) * ex + (1.0 - eps) < 0))
-
-
-GRID = np.arange(201) * 1e-3  # the coarse grid's eps (and delta) values
-GRID_ROWS = 16  # delta rows per grid block: bounds the block arrays to ~26 kB each
-SCAN_STEP = 2e-3
-
-
-def _scan_points() -> np.ndarray:
-    """Boundary-scan eps values 0, 2e-3, ... up to 0.9, built by repeated
-    addition so each point is the float the scalar scan reaches."""
-    pts, e = [], 0.0
-    while e <= 0.9:
-        pts.append(e)
-        e += SCAN_STEP
-    return np.array(pts)
-
-
-SCAN = _scan_points()
 
 
 def _min_feasible_eps(delta: float, variant: str) -> float | None:
     """Smallest feasible eps for a given delta: the first feasible point of
-    the 2e-3 scan, then 60 bisection steps on the boundary below it."""
-    hits = np.flatnonzero(_feasible_many(SCAN, delta, variant))
-    if not len(hits):
-        return None
-    found = float(SCAN[hits[0]])
-    lo_inf, hi_ok = max(0.0, found - SCAN_STEP), found
+    a 2e-3 scan over [0, 0.9], then 60 bisection steps on the boundary below
+    it."""
+    step = 2e-3
+    e = 0.0
+    while feasibility_violation(e, delta, variant) is not None:
+        e += step
+        if e > 0.9:
+            return None
+    lo_inf, hi_ok = max(0.0, e - step), e
     for _ in range(60):
         mid = 0.5 * (lo_inf + hi_ok)
-        if _feasible(mid, delta, variant):
+        if feasibility_violation(mid, delta, variant) is None:
             hi_ok = mid
         else:
             lo_inf = mid
@@ -189,25 +137,20 @@ def search_params(variant: str = "matching") -> tuple[float, float, float]:
     in eps on the feasible side, so the optimum pins eps to the feasibility
     boundary; refinement therefore walks delta with halving steps and
     re-bisects the boundary eps at each probe (plain coordinate descent
-    stalls on this curved ridge).
-
-    The grid is evaluated as arrays of GRID_ROWS rows at a time and the
-    boundary scan as one array (`_feasible_many`), with the same floats and
-    the same decisions as a cell-by-cell loop; one call takes about 10 ms
-    and about 0.25 MB of transient memory.
+    stalls on this curved ridge). One call takes about 60 ms.
     """
     if variant not in ("matching", "b_matching"):
         raise DomainError(f"unknown variant {variant!r}")
     best = (ratio_bound_raw(0.0, 0.0), 0.0, 0.0)
-    for j0 in range(0, len(GRID), GRID_ROWS):
-        rows = GRID[j0:j0 + GRID_ROWS]
-        ok = _feasible_many(GRID[None, :], rows[:, None], variant)
-        for delta, row in zip(rows.tolist(), ok):
-            if row.any():
-                eps = float(GRID[row.argmax()])
+    for j in range(201):
+        delta = j * 1e-3
+        for i in range(201):
+            eps = i * 1e-3
+            if feasibility_violation(eps, delta, variant) is None:
                 val = ratio_bound_raw(eps, delta)
                 if val > best[0]:
                     best = (val, eps, delta)
+                break
     _, _, delta = best
     val, eps = best[0], best[1]
     step = 1e-3
@@ -237,7 +180,7 @@ OPTIMA = {variant: tuple(map(float.fromhex, triple)) for variant, triple in _OPT
 
 def optimize_params(variant: str = "matching") -> tuple[float, float, float]:
     """The optimum (eps, delta, alpha) of `variant`: `search_params(variant)`
-    bit for bit, pinned in OPTIMA, so a call is a lookup rather than a 10 ms
+    bit for bit, pinned in OPTIMA, so a call is a lookup rather than a 60 ms
     search (tests/test_odrs.py checks the pin against the search)."""
     if variant not in OPTIMA:
         raise DomainError(f"unknown variant {variant!r}")
@@ -429,17 +372,6 @@ def build_plans(inst: MatchingInstance, params: ScalingParams) -> list[StepPlan]
     return plans
 
 
-def downscale_for_polytime(inst: MatchingInstance, gamma: float) -> MatchingInstance:
-    """Multiply every fraction by (1 - gamma); keeps per-arrival nonempty-bin
-    counts O(1/gamma) so bid-set supports stay polynomial."""
-    if not (0 < gamma < 0.5):
-        raise DomainError("gamma must lie in (0, 0.5)")
-    arrivals = tuple(
-        Arrival(tuple((i, x * (1.0 - gamma)) for i, x in arr.edges), arr.weights, arr.p)
-        for arr in inst.arrivals)
-    return MatchingInstance(inst.n_offline, inst.capacities, arrivals)
-
-
 # ----------------------------------------------------------------------------
 # exact bid-set law (free/lag-mask dynamic program)
 # ----------------------------------------------------------------------------
@@ -502,8 +434,7 @@ class BidLawDP:
 
     def __init__(self, nodes: list[int]):
         self.nodes = sorted(nodes)
-        # downscaling keeps every positive fraction positive, so it never
-        # splits a component; the warm-up ODRS builds no bid-law DP
+        # the warm-up ODRS builds no bid-law DP
         bitmask.check_width(len(self.nodes), "a bid-law DP component", "use the warm-up ODRS")
         self.pos = {i: k for k, i in enumerate(self.nodes)}
         self.masks = np.zeros(1, dtype=np.int64)

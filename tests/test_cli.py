@@ -410,6 +410,7 @@ BAD_GENERATOR_OPTIONS = {
     "cover-n1": ["--kind", "cover", "--n", "1"],
     "cover-n2": ["--kind", "cover", "--n", "2"],
     "multigraph-delta0": ["--kind", "multigraph", "--delta", "0"],
+    "multigraph-n-1": ["--kind", "multigraph", "--n", "-1"],
 }
 
 

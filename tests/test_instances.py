@@ -147,6 +147,10 @@ def test_validate_multigraph():
     bad = MultigraphInstance(2, 2, 2, (((0, 2), (1, -1)), ((0, 1), (3, 1))))
     kinds = {v.kind for v in instances.validate_multigraph(bad).violations}
     assert kinds == {"negative-multiplicity", "edge-endpoint", "right-degree"}
+    # the generator refuses node counts its own validation would reject
+    for n_left, n_right in ((-1, 5), (5, -1)):
+        with pytest.raises(DomainError, match="n_left, n_right >= 0"):
+            instances.gen_random_multigraph(n_left, n_right, 16, 0)
 
 
 def test_validate_multigraph_refuses_repeated_right_ids_and_negative_counts():
