@@ -59,7 +59,10 @@ def edge_color_online(mg: MultigraphInstance, C: int | None = None,
     edges left uncolored by matchers before it. A matcher is the warm-up ODRS
     step fed fractions kappa/bound, clipped to the per-vertex budgets so its
     stream stays a fractional matching no matter how the residual fluctuates.
-    The greedy finish reuses the palette first.
+    A matcher scans the residual's right nodes in ascending id order and stops
+    once its row is full (1 - row_used <= 1e-12), since every later candidate
+    would clip to that room and be skipped. The greedy finish reuses the
+    palette first.
     """
     delta = mg.delta
     if C is None:
@@ -79,9 +82,10 @@ def edge_color_online(mg: MultigraphInstance, C: int | None = None,
         matchers.extend((bound, [0.0] * n_right, OnlineWarmup(n_right))
                         for _ in range(per_round))
     coloring = EdgeColoring()
-    left_used: list[set[int]] = [set() for _ in mg.arrivals]  # per arrival
+    colors = coloring.colors
     right_used: list[set[int]] = [set() for _ in range(n_right)]
     for t, arr in enumerate(mg.arrivals):
+        left_used: set[int] = set()  # colors at this arrival
         # right id -> free copies, in ascending id order (deleting an id
         # keeps the rest in order)
         free_copies = dict(sorted({j: list(range(kappa))
@@ -89,36 +93,45 @@ def edge_color_online(mg: MultigraphInstance, C: int | None = None,
         for color, (bound, col_used, warmup) in enumerate(matchers):
             if not free_copies:
                 break
-            row_used = 0.0
+            row_used, row_room = 0.0, 1.0
             edges = []
             for j, copies in free_copies.items():
-                x = min(len(copies) / bound, 1.0 - row_used, 1.0 - col_used[j])
+                x = len(copies) / bound
+                if row_room < x:
+                    x = row_room
+                room = 1.0 - col_used[j]
+                if room < x:
+                    x = room
                 if x <= 1e-12:
                     continue
                 row_used += x
+                row_room = 1.0 - row_used
                 col_used[j] += x
                 edges.append((j, x))
+                if row_room <= 1e-12:  # the row is full
+                    break
             j = warmup.arrive(edges, rng)
             if j >= 0:
                 # a matched simple edge colors one of its copies uniformly
                 copies = free_copies[j]
                 pick = int(rng.uniform() * len(copies))
                 copy = copies.pop(min(pick, len(copies) - 1))
-                coloring.colors[(t, j, copy)] = color
-                left_used[t].add(color)
+                colors[t, j, copy] = color
+                left_used.add(color)
                 right_used[j].add(color)
                 if not copies:
                     del free_copies[j]
         # greedy finish for this arrival's leftover copies (first free color);
         # reusing a matcher's color blocks that matcher from this right node
         for j, copies in free_copies.items():
+            right = right_used[j]
             for copy in copies:
                 c = 0
-                while c in left_used[t] or c in right_used[j]:
+                while c in left_used or c in right:
                     c += 1
-                coloring.colors[(t, j, copy)] = c
-                left_used[t].add(c)
-                right_used[j].add(c)
+                colors[t, j, copy] = c
+                left_used.add(c)
+                right.add(c)
                 if c < len(matchers):
                     matchers[c][1][j] = 1.0
     return coloring
@@ -141,15 +154,17 @@ def verify_coloring(mg: MultigraphInstance, coloring: EdgeColoring) -> ColoringR
     """Properness plus completeness: every copy colored, no vertex sees a
     color twice."""
     violations = []
-    seen_left: dict[tuple[int, int], tuple] = {}
-    seen_right: dict[tuple[int, int], tuple] = {}
-    for (t, j, copy), c in coloring.colors.items():
-        if (t, c) in seen_left:
+    seen_left: set[tuple[int, int]] = set()  # (left, color)
+    seen_right: set[tuple[int, int]] = set()  # (right, color)
+    for (t, j, _), c in coloring.colors.items():
+        key = (t, c)
+        if key in seen_left:
             violations.append(f"left {t} repeats color {c}")
-        seen_left[(t, c)] = (t, j, copy)
-        if (j, c) in seen_right:
+        seen_left.add(key)
+        key = (j, c)
+        if key in seen_right:
             violations.append(f"right {j} repeats color {c}")
-        seen_right[(j, c)] = (t, j, copy)
+        seen_right.add(key)
     copies = Counter((t, j) for t, j, _ in coloring.colors)
     for t, arr in enumerate(mg.arrivals):
         for j, kappa in arr:

@@ -235,10 +235,9 @@ def color_cmd(path, c_colors, delta_cap, seed, csv):
     if not (rep.proper and rep.all_colored):
         raise InvariantBreach(f"improper coloring: {rep.violations[:3]}")
     if csv:
-        lines = ["left,right,copy,color"]
-        for (t, j, copy), c in sorted(coloring.colors.items()):
-            lines.append(f"{t},{j},{copy},{c}")
-        _echo("\n".join(lines))
+        colors = coloring.colors
+        _echo("\n".join(["left,right,copy,color"] + [f"{t},{j},{copy},{colors[t, j, copy]}"
+                                                      for t, j, copy in sorted(colors)]))
     else:
         _emit({"proper": rep.proper, "all_colored": rep.all_colored,
                "colors_used": rep.colors_used, "delta": rep.delta,

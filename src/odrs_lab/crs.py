@@ -425,12 +425,19 @@ class ProductSelector:
     """
 
     def __init__(self, y):
-        y = [float(p) for p in y]
-        if not y or any(not 0 < p <= 1 for p in y):  # NaN fails this too
+        y = list(map(float, y))
+        if not y:
             raise DomainError("product selector needs one or more probabilities in (0, 1]")
+        # math.prod and sum of y, in their left-to-right order
+        miss, total = 1.0, 0.0
+        for p in y:
+            if not 0 < p <= 1:  # NaN fails this too
+                raise DomainError("product selector needs one or more probabilities in (0, 1]")
+            miss *= 1.0 - p
+            total += p
         self.n = n = len(y)
         self.y = y
-        self.alpha = alpha = (1.0 - math.prod(1.0 - p for p in y)) / sum(y)
+        self.alpha = alpha = (1.0 - miss) / total
         self.children, self.root, self.sub = _merge_tree(n)
         # per node: its bid probability and its target win probability
         self.bid_p = bid_p = [0.0] * (n - 1) + y[::-1]
@@ -443,18 +450,19 @@ class ProductSelector:
         """Internal node ref's transportation solve: per bid pattern (0: no
         child bids, 1: left only, 2: right only, 3: both) the pair (weight of
         descending left, weight of descending right)."""
+        bid_p, target = self.bid_p, self.target
         r1, r2 = self.children[ref]
-        p1, p2 = self.bid_p[r1], self.bid_p[r2]
-        p_node = self.bid_p[ref]
-        m_total = self.target[ref]
-        d1 = self.target[r1] / m_total * p_node
-        d2 = self.target[r2] / m_total * p_node
+        p1, p2 = bid_p[r1], bid_p[r2]
+        p_node = bid_p[ref]
+        m_total = target[ref]
+        d1 = target[r1] / m_total * p_node
+        d2 = target[r2] / m_total * p_node
         a10, a01, a11 = p1 * (1.0 - p2), (1.0 - p1) * p2, p1 * p2
-        f1_10 = min(d1, a10)
+        f1_10 = a10 if a10 < d1 else d1  # min(d1, a10)
         f1_11 = d1 - f1_10
-        f2_01 = min(d2, a01)
+        f2_01 = a01 if a01 < d2 else d2  # min(d2, a01)
         f2_11 = d2 - f2_01
-        if f1_11 + f2_11 > a11 + 1e-9 or min(f1_11, f2_11) < -1e-12:
+        if f1_11 + f2_11 > a11 + 1e-9 or f1_11 < -1e-12 or f2_11 < -1e-12:
             raise InvariantBreach("product-selector transportation infeasible")
         return ((0.0, 0.0),
                 (f1_10 / a10 if a10 > 0 else 0.0, 0.0),
@@ -472,12 +480,12 @@ class ProductSelector:
             raise DomainError(f"bid mask must lie in [0, 2^{self.n})")
         if not mask:
             return -1
-        sub = self.sub
+        sub, children, row = self.sub, self.children, self.row
         ref = self.root
         while ref >= 0:
-            r1, r2 = self.children[ref]
+            r1, r2 = children[ref]
             pattern = (1 if mask & sub[r1] else 0) | (2 if mask & sub[r2] else 0)
-            w1, w2 = self.row(ref)[pattern]
+            w1, w2 = row(ref)[pattern]
             u = uniform()
             if u < w1:
                 ref = r1

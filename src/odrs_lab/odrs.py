@@ -46,11 +46,14 @@ def z_star(eps: float, delta: float, variant: str) -> float:
 
 
 def feasibility_violation(eps: float, delta: float, variant: str) -> str | None:
+    """The name of the first condition that fails at z*, "f" (f >= 0) or
+    "f'" (f' >= 0), or None when (eps, delta) is feasible. The search calls
+    this tens of thousands of times, so it formats nothing."""
     z = z_star(eps, delta, variant)
     if f_eps_delta(z, eps, delta) < 0:
-        return f"f({z:.6g}) = {f_eps_delta(z, eps, delta):.3g} < 0"
+        return "f"
     if f_prime(z, eps, delta) < 0:
-        return f"f'({z:.6g}) = {f_prime(z, eps, delta):.3g} < 0"
+        return "f'"
     return None
 
 
@@ -70,7 +73,10 @@ class ScalingParams:
             raise DomainError("eps, delta must lie in [0, 1]")
         bad = feasibility_violation(self.eps, self.delta, self.variant)
         if bad is not None:
-            raise FeasibilityError(f"infeasible ({self.eps}, {self.delta}): {bad}", bad)
+            z = z_star(self.eps, self.delta, self.variant)
+            value = (f_eps_delta if bad == "f" else f_prime)(z, self.eps, self.delta)
+            detail = f"{bad}({z:.6g}) = {value:.3g} < 0"
+            raise FeasibilityError(f"infeasible ({self.eps}, {self.delta}): {detail}", detail)
 
     @property
     def theta(self) -> float:
@@ -137,7 +143,7 @@ def search_params(variant: str = "matching") -> tuple[float, float, float]:
     in eps on the feasible side, so the optimum pins eps to the feasibility
     boundary; refinement therefore walks delta with halving steps and
     re-bisects the boundary eps at each probe (plain coordinate descent
-    stalls on this curved ridge). One call takes about 60 ms.
+    stalls on this curved ridge). One call takes about 20 ms.
     """
     if variant not in ("matching", "b_matching"):
         raise DomainError(f"unknown variant {variant!r}")
@@ -180,7 +186,7 @@ OPTIMA = {variant: tuple(map(float.fromhex, triple)) for variant, triple in _OPT
 
 def optimize_params(variant: str = "matching") -> tuple[float, float, float]:
     """The optimum (eps, delta, alpha) of `variant`: `search_params(variant)`
-    bit for bit, pinned in OPTIMA, so a call is a lookup rather than a 60 ms
+    bit for bit, pinned in OPTIMA, so a call is a lookup rather than a 20 ms
     search (tests/test_odrs.py checks the pin against the search)."""
     if variant not in OPTIMA:
         raise DomainError(f"unknown variant {variant!r}")
@@ -699,9 +705,12 @@ class OnlineWarmup:
         s, count, comp = self.s, self.count, self.comp
         uniform = rng.uniform
         bid_mask = 0
-        for k, (i, x) in enumerate(edges):
+        bit = 1  # the current edge's bit in the mask
+        for i, x in edges:
             sel, s[i], count[i], comp[i] = online_step(s[i], count[i], comp[i], x, uniform())
-            bid_mask |= sel << k
+            if sel:
+                bid_mask |= bit
+            bit <<= 1
         if not bid_mask:
             return -1
         if selector is None:

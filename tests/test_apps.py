@@ -50,6 +50,42 @@ def test_coloring_proper_on_random_multigraphs():
         assert rep.colors_used <= 2 * mg.delta - 1  # greedy-style hard ceiling
 
 
+def test_coloring_at_benchmark_scale_is_pinned(monkeypatch):
+    # Delta = 256 with C = 32 (408 matchers): rounds after the first have
+    # bound 54.4, so matcher rows fill after a few right nodes and the
+    # candidate scan stops early; the colors, the level-set steps and the
+    # scalar draws are those of the scan that clips every candidate
+    steps = draws = 0
+    step = odrs.online_step
+
+    def counting_step(*args):
+        nonlocal steps
+        steps += 1
+        return step(*args)
+
+    class CountingRng(ScalarRng):
+        def __init__(self, seed):
+            super().__init__(seed)
+            uniform = self.uniform
+
+            def counting_uniform():
+                nonlocal draws
+                draws += 1
+                return uniform()
+            self.uniform = counting_uniform
+
+    monkeypatch.setattr(odrs, "online_step", counting_step)
+    monkeypatch.setattr(apps, "ScalarRng", CountingRng)
+    mg = instances.gen_random_multigraph(50, 50, 256, 0)
+    col = apps.edge_color_online(mg, 32, seed=0)
+    assert digest(sorted(col.colors.items())) == \
+        "e95641e06abfb7c4a261603f4cc37b7b5bb58bbbf4995eb7e1da92336c4dcd9c"
+    # the README's "157k level-set steps and 204k scalar draws"
+    assert (steps, draws) == (157_415, 203_657)
+    rep = apps.verify_coloring(mg, col)
+    assert rep.proper and rep.all_colored and rep.colors_used == 408
+
+
 def test_declared_node_counts_do_not_size_the_coloring_state(tmp_path):
     # one arrival listing right node 0: validation and coloring state follow
     # what the file lists, so declaring 10^5 nodes a side costs no memory
@@ -80,6 +116,16 @@ def test_verify_coloring_detects_duplicates_and_gaps():
     partial = apps.EdgeColoring({(0, 0, 0): 0})
     rep2 = apps.verify_coloring(mg, partial)
     assert not rep2.all_colored
+    # repeated left and right colors and a missing copy, reported in the
+    # order the colors are listed, then the arrivals' edges
+    mg3 = MultigraphInstance(2, 3, 3, (((0, 2), (1, 1), (2, 1)), ((0, 1), (1, 2))))
+    bad3 = apps.EdgeColoring({(0, 0, 0): 0, (0, 0, 1): 0, (0, 1, 0): 1,
+                              (1, 0, 0): 2, (1, 1, 0): 1, (1, 1, 1): 2})
+    rep3 = apps.verify_coloring(mg3, bad3)
+    assert rep3.violations == ["left 0 repeats color 0", "right 0 repeats color 0",
+                               "right 1 repeats color 1", "left 1 repeats color 2",
+                               "edge (0,2) colored 0/1 copies"]
+    assert (rep3.proper, rep3.all_colored, rep3.colors_used) == (False, False, 3)
 
 
 def test_fair_matching_marginal_lower_bound():

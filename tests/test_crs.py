@@ -574,6 +574,36 @@ def test_product_selector_lists_equal_dict_tree():
     assert walks > 2_000
 
 
+def test_product_selector_init_equals_prod_and_sum():
+    # __init__ folds validation, the miss product and the sum into one loop
+    # in math.prod's and sum's left-to-right order: alpha, bid_p and target
+    # stay bit for bit those of the math.prod/sum tree, with sure bidders
+    # (y = 1), one leaf, 64 leaves and all-sure inputs among the cases
+    rng = np.random.default_rng(31)
+    cases = [[0.3], [1.0], [1.0] * 5, [1.0] * 64]
+    for n in (1, 2, 3, 5, 8, 13, 33, 64):
+        for _ in range(6):
+            y = rng.uniform(0.001, 1.0, size=n)
+            y[rng.random(n) < 0.2] = 1.0
+            cases.append(y.tolist())
+            # small fractions keep the miss product near 1, where a
+            # last-bit change in it shows in alpha
+            cases.append(rng.uniform(0.001, 0.05, size=n).tolist())
+    for y in cases:
+        ps = crs.ProductSelector(y)
+        ref = reference_product_tree(y)
+        assert ps.y == y and ps.n == len(y)
+        assert ps.alpha == (1.0 - math.prod(1.0 - p for p in y)) / sum(y) == ref.alpha
+        assert len(ps.bid_p) == len(ps.target) == len(ref.bid_p) == 2 * len(y) - 1
+        for node in ref.bid_p:
+            assert (ps.bid_p[node], ps.target[node]) == (ref.bid_p[node], ref.target[node])
+    # a bad value anywhere in the list, or no value at all, is refused
+    for bad in ([], [0.0], [0.4, 0.0], [1.5], [0.4, 1.0 + 1e-12], [math.nan],
+                [0.4, 0.7, math.nan], [0.4, -0.1], [0.2, math.inf]):
+        with pytest.raises(DomainError, match=r"one or more probabilities in \(0, 1\]"):
+            crs.ProductSelector(bad)
+
+
 def _atom_eps_law(rng, k):
     """A random law over k positions with some atoms below ATOM_EPS."""
     masks = rng.choice(1 << k, size=int(rng.integers(2, min(1 << k, 40) + 1)), replace=False)

@@ -34,6 +34,16 @@ def test_ratio_bound_collapses_at_zero():
 def test_infeasible_params_name_violation():
     with pytest.raises(FeasibilityError, match="f"):
         odrs.ScalingParams(0.3, 0.001)
+    # the error names the failing condition at z* with its value; the
+    # feasibility test itself returns only the condition's name
+    for eps, delta, variant, name, detail in (
+            (0.3, 0.001, "matching", "f", "f(0.498339) = -0.0439 < 0"),
+            (0.0, 0.05, "b_matching", "f'", "f'(0) = -0.05 < 0")):
+        assert odrs.feasibility_violation(eps, delta, variant) == name
+        with pytest.raises(FeasibilityError) as err:
+            odrs.ScalingParams(eps, delta, variant)
+        assert str(err.value) == f"infeasible ({eps}, {delta}): {detail}"
+        assert err.value.violated == detail
 
 
 def test_optimize_params_matching(matching_params):
