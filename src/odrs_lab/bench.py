@@ -9,20 +9,21 @@ matched flags gets them one chunk at a time through `on_chunk`. A caller that
 reads only some offline nodes' edges replays only the arrivals of their
 offline components (`nodes`) and advances the stream past the other
 arrivals' batches: components evolve independently, so the kept arrivals'
-counts are those of the full replay. Before the first chunk, each kernel
-marks every (replayed arrival, node) row that is the node's first or last
-touch (`rng.touch_marks`): a first touch reads an all-zero state and a last
-touch writes a state nothing reads again, so the chunk body skips that
-per-run work and draws exactly as before. A chunk draws the uniforms the
-unchunked replay gives its runs, so reports are reproducible bit for bit for
-every chunk size; replica streams derive from the base seed by the
-documented 64-bit mix.
+counts are those of the full replay. A kernel lists only the arrivals it
+replays, each with the batches left out before it as one jump (PCG64's
+advances add); batches after the last one are never drawn. Before the first
+chunk, each kernel marks every (replayed arrival, node) row that is the
+node's first or last touch (`rng.touch_marks`): a first touch reads an
+all-zero state and a last touch writes a state nothing reads again, so the
+chunk body skips that per-run work and draws exactly as before. A chunk
+draws the uniforms the unchunked replay gives its runs, so reports are
+reproducible bit for bit for every chunk size; replica streams derive from
+the base seed by the documented 64-bit mix.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,40 +41,6 @@ LB_MAX_N = 256
 MAX_TABLE_ACTIVE = 14
 FLOAT32_EXACT = 1 << 24  # float32 holds every integer up to here exactly
 BID_MASK = np.uint16  # per-run bid masks over at most MAX_TABLE_ACTIVE positions
-
-
-@dataclass
-class EdgeStat:
-    offline: int
-    arrival: int
-    x: float
-    prob: float
-    se: float  # zero marks an exact entry
-    ratio: float
-
-
-@dataclass
-class RoundReport:
-    algorithm: str
-    seed: int
-    n_runs: int
-    exact: bool
-    edges: list[EdgeStat]
-    min_ratio: float
-    params: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "seed": self.seed,
-            "n_runs": self.n_runs,
-            "exact": self.exact,
-            "params": self.params,
-            "min_ratio": self.min_ratio,
-            "edges": [{"offline": e.offline, "arrival": e.arrival, "x": e.x,
-                       "prob": e.prob, "se": e.se, "ratio": e.ratio}
-                      for e in self.edges],
-        }
 
 
 def _win_table(selector, k: int) -> np.ndarray:
@@ -146,7 +113,8 @@ def _batch_odrs(comp: odrs_mod.CompiledOdrs, n_runs: int, seed: int, on_chunk=No
                 keep=None):
     """Vectorized replays of the improved ODRS, returning what `_batch_run`
     returns; `keep`, when given, is the set of arrivals to replay, and every
-    other arrival's batches are skipped.
+    other arrival's batches are skipped, folded into the count each replayed
+    arrival skips before its own draws.
 
     The bid state `ahead` is node-major, `(n, chunk)`; the draws are those of
     the scalar sampler, one batch per bin, crossing node and arrival. Bin
@@ -154,33 +122,30 @@ def _batch_odrs(comp: odrs_mod.CompiledOdrs, n_runs: int, seed: int, on_chunk=No
     touches (`rng.touch_marks`): a bin node's first touch skips the read of
     its all-false row and its last touch skips the write nothing reads."""
     n = comp.inst.n_offline
-    steps = []  # built once, before any draw; an int is a number of batches to skip
+    steps, skip = [], 0  # the replayed arrivals, each with the batches skipped before it
     for plan, selector in zip(comp.plans, comp.selectors):
         if selector is None:
             continue
-        if keep is not None and plan.t not in keep:
-            steps.append(len(plan.bins) + len(plan.crossing) + 1)
+        if keep is None or plan.t in keep:
+            steps.append((skip, plan, selector))
+            skip = 0
         else:
-            steps.append((plan, selector))
-    replayed = [k for k, step in enumerate(steps) if not isinstance(step, int)]
-    marks = touch_marks([[i for gb in steps[k][0].bins for i in gb.nodes]
-                         + [cn.node for cn in steps[k][0].crossing] for k in replayed])
-    for k, mark in zip(replayed, marks):
-        plan, selector = steps[k]
+            skip += len(plan.bins) + len(plan.crossing) + 1
+    marks = touch_marks([[i for gb in plan.bins for i in gb.nodes]
+                         + [cn.node for cn in plan.crossing] for _, plan, _ in steps])
+    for k, ((skip, plan, selector), mark) in enumerate(zip(steps, marks)):
         active = list(selector.elements)
         bit = {i: BID_MASK(1 << pos) for pos, i in enumerate(active)}
         mark = iter(mark)  # bin nodes come first; the crossing coins' marks go unused
         bins = [(gb, [(i, bit[i], *next(mark)) for i in gb.nodes]) for gb in plan.bins]
         crossing = [(cn.node, cn.takeover, bit[cn.node]) for cn in plan.crossing]
-        steps[k] = (plan.t, bins, crossing, active, _win_table(selector, len(active)))
+        steps[k] = (skip, plan.t, bins, crossing, active, _win_table(selector, len(active)))
 
     def body(g, out, runs):
         ahead = np.zeros((n, runs), dtype=bool)
-        for step in steps:
-            if isinstance(step, int):
-                g.skip(step)
-                continue
-            t, bins, crossing, active, table = step
+        for skip, t, bins, crossing, active, table in steps:
+            if skip:
+                g.skip(skip)
             bid_mask = np.zeros(runs, dtype=BID_MASK)
             for gb, rows in bins:
                 for (node, bit, first, last), hit in zip(rows, gb.draw_masks(g.random(runs))):
@@ -209,29 +174,26 @@ def _batch_warmup(comp: odrs_mod.CompiledWarmup, n_runs: int, seed: int, on_chun
     touch does not add to a count nothing reads again (`rng.touch_marks`)."""
     n = comp.inst.n_offline
     count_type = np.min_scalar_type(len(comp.steps))
-    steps = []  # built once, before any draw; an int is a number of batches to skip
+    steps, skip = [], 0  # the replayed arrivals, each with the batches skipped before it
     for t, rows in enumerate(comp.steps):
         if comp.selectors[t] is None:
             continue
-        if keep is not None and t not in keep:
-            steps.append(len(rows) + 1)
+        if keep is None or t in keep:
+            steps.append((skip, t, rows))
+            skip = 0
         else:
-            steps.append((t, rows))
-    replayed = [k for k, step in enumerate(steps) if not isinstance(step, int)]
-    marks = touch_marks([[i for i, *_ in steps[k][1]] for k in replayed])
-    for k, mark in zip(replayed, marks):
-        t, rows = steps[k]
+            skip += len(rows) + 1
+    marks = touch_marks([[i for i, *_ in rows] for _, _, rows in steps])
+    for k, ((skip, t, rows), mark) in enumerate(zip(steps, marks)):
         rows = [(i, fl, lo, hi, BID_MASK(1 << pos), first or lo == hi, last)
                 for pos, ((i, fl, lo, hi), (first, last)) in enumerate(zip(rows, mark))]
-        steps[k] = (t, rows, [i for i, *_ in rows], _win_table(comp.selectors[t], len(rows)))
+        steps[k] = (skip, t, rows, [i for i, *_ in rows], _win_table(comp.selectors[t], len(rows)))
 
     def body(g, out, runs):
         counts = np.zeros((n, runs), dtype=count_type)
-        for step in steps:
-            if isinstance(step, int):
-                g.skip(step)
-                continue
-            t, rows, nodes, table = step
+        for skip, t, rows, nodes, table in steps:
+            if skip:
+                g.skip(skip)
             bid_mask = np.zeros(runs, dtype=BID_MASK)
             for i, fl, lo, hi, bit, fixed, last in rows:
                 u = g.random(runs)
@@ -282,29 +244,34 @@ def _component_arrivals(inst: MatchingInstance, nodes) -> set[int]:
 
 
 def monte_carlo_edge_probs(algorithm: str, inst: MatchingInstance, n_runs: int,
-                           seed: int, params=None, exact: bool = False) -> RoundReport:
-    """Per-edge match probabilities: exact (engine) or frequencies over
-    n_runs vectorized replays with normal-approximation standard errors."""
+                           seed: int, params=None, exact: bool = False) -> dict:
+    """The report `round` prints: per-edge match probabilities, exact (engine,
+    standard error 0) or frequencies over n_runs vectorized replays with
+    normal-approximation standard errors."""
     if not exact and n_runs < 1000:
         raise DomainError("need at least 10^3 runs")
     xs = {(i, t): x for i, t, x in inst.edge_list() if x > 0}
-    stats = []
     if exact:
         probs = engine.edge_match_probs(inst, params, algorithm)
-        for (i, t), x in sorted(xs.items(), key=lambda kv: (kv[0][1], kv[0][0])):
-            p = probs.get((i, t), 0.0)
-            stats.append(EdgeStat(i, t, x, p, 0.0, p / x))
     else:
         counts = _batch_run(algorithm, inst, params, n_runs, seed)
-        for (i, t), x in sorted(xs.items(), key=lambda kv: (kv[0][1], kv[0][0])):
-            p = counts.get((i, t), 0) / n_runs
-            se = math.sqrt(max(p * (1.0 - p), 1e-12) / n_runs)
-            stats.append(EdgeStat(i, t, x, p, se, p / x))
-    min_ratio = min(e.ratio for e in stats) if stats else 1.0
-    pd = {} if params is None else {"eps": params.eps, "delta": params.delta,
-                                    "variant": params.variant}
-    return RoundReport(algorithm, seed, 0 if exact else n_runs, exact, stats,
-                       min_ratio, pd)
+        probs = {key: cnt / n_runs for key, cnt in counts.items()}
+    edges = []
+    for (i, t), x in sorted(xs.items(), key=lambda kv: (kv[0][1], kv[0][0])):
+        p = probs.get((i, t), 0.0)
+        se = 0.0 if exact else _binomial_se(p, n_runs)
+        edges.append({"offline": i, "arrival": t, "x": x, "prob": p, "se": se, "ratio": p / x})
+    return {"algorithm": algorithm, "seed": seed, "n_runs": 0 if exact else n_runs,
+            "exact": exact,
+            "params": {} if params is None else {"eps": params.eps, "delta": params.delta,
+                                                 "variant": params.variant},
+            "min_ratio": min((e["ratio"] for e in edges), default=1.0), "edges": edges}
+
+
+def _binomial_se(p: float, n_runs: int) -> float:
+    """Normal-approximation standard error of a frequency p over n_runs runs,
+    with p(1 - p) floored at 1e-12."""
+    return math.sqrt(max(p * (1.0 - p), 1e-12) / n_runs)
 
 
 # ----------------------------------------------------------------------------
@@ -389,7 +356,7 @@ def lb_adversary(algorithm: str, n: int, n_probe: int, n_eval: int, seed: int,
     edges = []
     for node in (i, j):
         p = counts.get((node, t_final), 0) / n_eval
-        se = math.sqrt(max(p * (1.0 - p), 1e-12) / n_eval)
+        se = _binomial_se(p, n_eval)
         edges.append({"offline": node, "prob": p, "se": se,
                       "ratio": p / 0.5, "ratio_se": se / 0.5})
     # the final arrival is matched in a run iff one of its two edges is
@@ -425,7 +392,7 @@ def three_node_impossibility(algorithm: str, params=None, n_runs: int | None = N
         if n_runs:
             counts = _batch_run(algorithm, inst, params, n_runs, seed)
             entry["mc_matched_prob"] = (counts.get((i, 3), 0) + counts.get((j, 3), 0)) / n_runs
-            entry["mc_se"] = math.sqrt(max(exact_p * (1 - exact_p), 1e-12) / n_runs)
+            entry["mc_se"] = _binomial_se(exact_p, n_runs)
         choices.append(entry)
     return {"choices": choices,
             "min_matched_prob": min(c["exact_matched_prob"] for c in choices)}

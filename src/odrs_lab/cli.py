@@ -143,9 +143,8 @@ def round_cmd(alg, path, eps, delta, seed, n_runs, exact, sample, csv):
         if sample:
             _emit(odrs.compile_scheme(name, inst, params).sample(seed).to_json_list(), csv)
         else:
-            rep = bench.monte_carlo_edge_probs(name, inst, n_runs, seed,
-                                               params=params, exact=exact)
-            _emit(rep.to_json_dict(), csv)
+            _emit(bench.monte_carlo_edge_probs(name, inst, n_runs, seed,
+                                               params=params, exact=exact), csv)
     _echo(f"wall time {time.time() - t0:.2f}s", err=True)
 
 
@@ -171,15 +170,15 @@ def crs_cmd(dist_path, v_path):
         if len(pos) != len(elements):
             raise ValidationFailure(f"--dist elements repeat: {list(elements)!r}")
         masks, probs = [], []
-        for a in doc["atoms"]:
+        for k, a in enumerate(doc["atoms"]):
             mask = 0
             for e in a["set"]:
                 if e not in pos:
                     raise ValidationFailure(f"atom set names {e!r}, which is not in elements")
                 mask |= 1 << pos[e]
             masks.append(mask)
-            probs.append(float(a["p"]))
-        v = [float(vv) for vv in v]
+            probs.append(instances._real(a["p"], f'"p" of --dist atom {k}'))
+        v = [instances._real(vv, f"--v entry {k}") for k, vv in enumerate(v)]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationFailure(f"malformed --dist or --v JSON: {exc!r}") from exc
     if not all(map(math.isfinite, [*probs, *v])):

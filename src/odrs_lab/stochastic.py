@@ -50,39 +50,24 @@ def build_lp(inst: MatchingInstance) -> StochasticLP:
         for k, (i, _) in enumerate(arr.edges):
             edges.append((i, t))
             weights.append(arr.weight_of(k))
-    n_var = len(edges)
-    col = {e: j for j, e in enumerate(edges)}
-    rows = []
-    bs = []
-    labels = []
-    for i in range(inst.n_offline):
-        row = np.zeros(n_var)
-        for (ii, t), j in col.items():
-            if ii == i:
-                row[j] = 1.0
-        rows.append(row)
-        bs.append(float(inst.capacities[i]))
-        labels.append(f"degree[{i}]")
-    for t, arr in enumerate(inst.arrivals):
-        row = np.zeros(n_var)
-        for (i, tt), j in col.items():
-            if tt == t:
-                row[j] = 1.0
-        rows.append(row)
-        bs.append(arr.p)
-        labels.append(f"flow[{t}]")
-    for (i, t), j in col.items():
-        # x_{i,t} + p_t * sum_{t'<t} x_{i,t'} <= p_t
-        p_t = inst.arrivals[t].p
-        row = np.zeros(n_var)
-        row[j] = 1.0
-        for (ii, tt), jj in col.items():
-            if ii == i and tt < t:
-                row[jj] += p_t
-        rows.append(row)
-        bs.append(p_t)
-        labels.append(f"cond[{i},{t}]")
-    return StochasticLP(edges, np.array(weights), np.array(rows), np.array(bs), labels)
+    n, n_arr, n_var = inst.n_offline, inst.n_arrivals, len(edges)
+    if len(set(edges)) < n_var or any(not 0 <= i < n for i, _ in edges):
+        raise DomainError(f"each arrival needs distinct offline nodes in [0, {n})")
+    off = np.array([i for i, _ in edges], dtype=np.intp)
+    at = np.array([t for _, t in edges], dtype=np.intp)
+    p = np.array([arr.p for arr in inst.arrivals], dtype=float)
+    var = np.arange(n_var)
+    A = np.zeros((n + n_arr + n_var, n_var))
+    A[off, var] = 1.0
+    A[n + at, var] = 1.0
+    A[n + n_arr + var, var] = 1.0
+    # x_{i,t} + p_t * sum_{t'<t} x_{i,t'} <= p_t: cond row k holds p_t at i's earlier edges
+    k, j = np.nonzero((off[:, None] == off) & (at[None, :] < at[:, None]))
+    A[n + n_arr + k, j] = p[at[k]]
+    b = np.concatenate([np.array(inst.capacities, dtype=float), p, p[at]])
+    labels = ([f"degree[{i}]" for i in range(n)] + [f"flow[{t}]" for t in range(n_arr)]
+              + [f"cond[{i},{t}]" for i, t in edges])
+    return StochasticLP(edges, np.array(weights), A, b, labels)
 
 
 SIMPLEX_TOL = 1e-10  # pivot and reduced-cost tolerance of `simplex_max`

@@ -64,15 +64,15 @@ def test_monte_carlo_report_deterministic(matching_params):
     inst = instances.gen_random(5, 5, 0.8, seed=3)
     r1 = bench.monte_carlo_edge_probs("odrs", inst, 20_000, seed=5, params=matching_params)
     r2 = bench.monte_carlo_edge_probs("odrs", inst, 20_000, seed=5, params=matching_params)
-    assert json.dumps(r1.to_json_dict()) == json.dumps(r2.to_json_dict())
+    assert json.dumps(r1) == json.dumps(r2)
 
 
 def test_monte_carlo_deterministic_instance():
     from odrs_lab.instances import Arrival, MatchingInstance
     inst = MatchingInstance(2, (1, 1), (Arrival(((0, 1.0),)), Arrival(((1, 1.0),))))
     rep = bench.monte_carlo_edge_probs("warmup", inst, 5000, seed=1)
-    assert all(e.prob in (0.0, 1.0) for e in rep.edges)
-    assert rep.min_ratio == pytest.approx(1.0)
+    assert all(e["prob"] in (0.0, 1.0) for e in rep["edges"])
+    assert rep["min_ratio"] == pytest.approx(1.0)
 
 
 def test_monte_carlo_needs_enough_runs():
@@ -85,12 +85,12 @@ def test_monte_carlo_matches_exact_within_se(matching_params):
     inst = instances.gen_random(6, 6, 0.7, seed=11)
     mc = bench.monte_carlo_edge_probs("odrs", inst, 100_000, seed=3, params=matching_params)
     ex = bench.monte_carlo_edge_probs("odrs", inst, 0, seed=0, params=matching_params, exact=True)
-    assert all(e.se == 0.0 for e in ex.edges)
+    assert all(e["se"] == 0.0 for e in ex["edges"])
     bad = 0
-    for m, e in zip(mc.edges, ex.edges):
-        if abs(m.prob - e.prob) > 4 * max(m.se, 1e-9):
+    for m, e in zip(mc["edges"], ex["edges"]):
+        if abs(m["prob"] - e["prob"]) > 4 * max(m["se"], 1e-9):
             bad += 1
-    assert bad <= max(1, len(mc.edges) // 100)
+    assert bad <= max(1, len(mc["edges"]) // 100)
 
 
 def test_ci_coverage_self_test():
@@ -167,9 +167,9 @@ def test_engine_vs_sampler_agreement_large(matching_params):
     star = instances.gen_uniform_star(10)
     mc = bench.monte_carlo_edge_probs("warmup", star, 1_000_000, seed=2)
     ex = bench.monte_carlo_edge_probs("warmup", star, 0, seed=0, exact=True)
-    misses = sum(1 for m, e in zip(mc.edges, ex.edges)
-                 if abs(m.prob - e.prob) > 4 * m.se)
-    assert misses / len(mc.edges) <= 0.01
+    misses = sum(1 for m, e in zip(mc["edges"], ex["edges"])
+                 if abs(m["prob"] - e["prob"]) > 4 * m["se"])
+    assert misses / len(mc["edges"]) <= 0.01
 
 
 @pytest.mark.parametrize("scheme,max_b", [("warmup", 1), ("odrs", 1), ("odrs_b", 3)])

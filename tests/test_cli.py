@@ -200,12 +200,20 @@ def test_bad_crs_and_report_inputs_exit_2(tmp_path):
         dist_file("short.json", [0, 1], ([0], 0.3), ([1], 0.3)),
     ]
     bad_vs = [write("nan_v.json", "[NaN, 0.5]"), write("inf_v.json", "[0.5, Infinity]")]
+    # numbers are ints or floats, as in instance files; the message names the field
+    fields = {dist_file("string_p.json", [0, 1], ([0], "0.5"), ([1], 0.5)): '"p" of --dist atom 0',
+              dist_file("bool_p.json", [0, 1], ([0, 1], True)): '"p" of --dist atom 0',
+              write("string_v.json", '["0.5", 0.5]'): "--v entry 0",
+              write("bool_v.json", "[0.5, true]"): "--v entry 1"}
+    bad_dists += list(fields)[:2]
+    bad_vs += list(fields)[2:]
     for cmd in (*(("crs", "--dist", d, "--v", vfile) for d in bad_dists),
                 *(("crs", "--dist", good, "--v", v) for v in bad_vs),
                 ("report", "--infile", text)):
         r = run(*cmd)
         assert r.returncode == 2 and r.stdout == "", cmd
         assert r.stderr.startswith("validation failure:") and r.stderr.count("\n") == 1, r.stderr
+        assert all(field in r.stderr for path, field in fields.items() if path in cmd), r.stderr
 
 
 def test_odrs_refuses_b_matching_instances_exit_2(tmp_path):

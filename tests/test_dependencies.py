@@ -1,7 +1,8 @@
 """The package needs nothing at run time beyond numpy and click: every import
 in `src/odrs_lab` names the standard library, numpy, click or the package
 itself. And every name a module imports is used there, unless its line says
-`# noqa: F401`."""
+`# noqa: F401`. The interpreter's builtin `sum` adds floats left to right,
+which the byte-for-byte reports assume."""
 
 import ast
 import pathlib
@@ -104,3 +105,13 @@ def test_unused_import_checker_self_test():
         "    raise DomainError(os.path.sep)\n"
     )
     assert unused_imports(source) == [(3, "json"), (6, "odrs"), (8, "SizeError")]
+
+
+def test_builtin_sum_adds_floats_left_to_right():
+    # CPython 3.12 made sum() of floats compensated (Neumaier), which gives 1.0 here
+    assert sum([1e16, 1.0, -1e16]) == 0.0, (
+        "this interpreter's sum() of floats is compensated, not left to right, so "
+        "reports built on it change in their last bits: `round --exact` (the bid-law "
+        "outcomes' 1 - sum(sizes)), the `cover` costs and the stochastic report's "
+        "exact_threshold_margin, and with them perfbench/golden/*.json and the "
+        "suite's report digests; byte-for-byte reports are verified on CPython 3.11 only")

@@ -40,7 +40,7 @@ CASES = [
     ("odrs", interleave(instances.gen_random(6, 7, 0.9, 21), instances.gen_random(4, 5, 0.8, 2),
                         instances.gen_lb_prefix(3))),
     ("odrs_b", interleave(instances.gen_random(5, 8, 0.8, 41, max_b=3),
-                          instances.gen_random(4, 6, 0.8, 7, max_b=3))),
+                          instances.gen_random(4, 6, 0.8, 7, max_b=3), instances.gen_lb_prefix(3))),
 ]
 
 
@@ -60,6 +60,10 @@ def test_restricted_counts_equal_the_full_replay(monkeypatch, scheme, inst):
     with_selector = {t for t, sel in enumerate(comp.selectors) if sel is not None}
     full = bench._batch_run(scheme, inst, params, N_RUNS, 5)
     skips_between = 0  # node sets with a skipped arrival between kept ones
+    # node sets whose skips a kernel folds: two or more skipped arrivals in a
+    # row before a kept one, skipped arrivals before the first kept one, and
+    # skipped arrivals after the last kept one (never drawn)
+    folded = leading = trailing = 0
     for chunk in CHUNKS:
         monkeypatch.setattr(rng, "CHUNK_RUNS", chunk)
         assert bench._batch_run(scheme, inst, params, N_RUNS, 5) == full
@@ -69,12 +73,16 @@ def test_restricted_counts_equal_the_full_replay(monkeypatch, scheme, inst):
             # something is skipped unless every component is kept
             assert kept & with_selector and (skipped or len(parts) == 2 == len(nodes))
             skips_between += any(min(kept) < t < max(kept) for t in skipped)
+            pattern = "".join("k" if t in kept else "s" for t in sorted(with_selector))
+            folded += "ssk" in pattern
+            leading += pattern.startswith("s")
+            trailing += pattern.endswith("s")
             got = bench._batch_run(scheme, inst, params, N_RUNS, 5, nodes=nodes)
             assert got and got == {key: cnt for key, cnt in full.items() if key[1] in kept}
         everyone = bench._batch_run(scheme, inst, params, N_RUNS, 5,
                                     nodes=range(inst.n_offline))
         assert everyone == full
-    assert skips_between
+    assert skips_between and folded and leading and trailing
 
 
 def test_component_arrivals_follow_positive_fractions():

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import scaled_degree_prefixes
 from odrs_lab import crs, instances, odrs, stochastic as st
+from odrs_lab.errors import DomainError
 from odrs_lab.instances import Arrival, MatchingInstance
 from test_bidlaw_dp import reference_outcomes
 
@@ -121,6 +122,72 @@ def test_build_lp_sequential_coupling_row():
     k = lp.row_labels.index("cond[0,1]")
     # x_{0,1} + p * x_{0,0} <= p with p = 1
     assert np.allclose(lp.A[k], [1.0, 1.0]) and lp.b[k] == 1.0
+
+
+def reference_build_lp(inst):
+    """The column-scanning loop `build_lp` replaced, kept as the reference:
+    each degree and flow row scans every column, and each conditional row
+    scans every column for the node's earlier edges."""
+    edges = []
+    weights = []
+    for t, arr in enumerate(inst.arrivals):
+        for k, (i, _) in enumerate(arr.edges):
+            edges.append((i, t))
+            weights.append(arr.weight_of(k))
+    n_var = len(edges)
+    col = {e: j for j, e in enumerate(edges)}
+    rows, bs, labels = [], [], []
+    for i in range(inst.n_offline):
+        row = np.zeros(n_var)
+        for (ii, t), j in col.items():
+            if ii == i:
+                row[j] = 1.0
+        rows.append(row)
+        bs.append(float(inst.capacities[i]))
+        labels.append(f"degree[{i}]")
+    for t, arr in enumerate(inst.arrivals):
+        row = np.zeros(n_var)
+        for (i, tt), j in col.items():
+            if tt == t:
+                row[j] = 1.0
+        rows.append(row)
+        bs.append(arr.p)
+        labels.append(f"flow[{t}]")
+    for (i, t), j in col.items():
+        p_t = inst.arrivals[t].p
+        row = np.zeros(n_var)
+        row[j] = 1.0
+        for (ii, tt), jj in col.items():
+            if ii == i and tt < t:
+                row[jj] += p_t
+        rows.append(row)
+        bs.append(p_t)
+        labels.append(f"cond[{i},{t}]")
+    return edges, np.array(weights), np.array(rows), np.array(bs), labels
+
+
+def test_build_lp_is_bit_identical_to_column_scan():
+    cases = [instances.gen_random(n, T, density, seed=seed, stochastic=seed % 3 > 0)
+             for n, T, density in ((1, 4, 1.0), (3, 7, 0.5), (6, 6, 0.7), (9, 12, 0.4))
+             for seed in range(60)]
+    cases.append(MatchingInstance(3, (1, 2, 1), (Arrival(()), Arrival((), None, 0.5))))
+    cases.append(MatchingInstance(2, (1, 1), ()))
+    for inst in cases:
+        lp = st.build_lp(inst)
+        edges, weights, A, b, labels = reference_build_lp(inst)
+        assert lp.edges == edges and lp.row_labels == labels
+        for got, want in ((lp.weights, weights), (lp.A, A), (lp.b, b)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+    assert len(cases) == 242
+
+
+def test_build_lp_refuses_a_repeated_edge_and_an_unknown_node():
+    repeat = MatchingInstance(2, (1, 1), (Arrival(((0, 0.2),)),
+                                          Arrival(((1, 0.2), (1, 0.3)))))
+    for inst in (repeat, *(MatchingInstance(2, (1, 1), (Arrival(((i, 0.2),)),)) for i in (2, -1))):
+        with pytest.raises(DomainError, match=r"distinct offline nodes in \[0, 2\)"):
+            st.build_lp(inst)
 
 
 def test_solve_lp_hand_examples():
