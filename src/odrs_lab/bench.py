@@ -1,24 +1,23 @@
 """Monte Carlo estimation harness, lower-bound adversary, and reports.
 
-Replays are vectorized across runs and driven `rng.CHUNK_RUNS` runs at a
-time (`rng.run_chunks`): per-node state is node-major, `(n, chunk)`, each
-arrival's selection table is built once per replay from the selector's
-`conditional_win_probs` (either scheme's selector), and edge counts are
-summed over chunks (integers, so exactly). A caller that needs the per-run
-matched flags gets them one chunk at a time through `on_chunk`. A caller that
-reads only some offline nodes' edges replays only the arrivals of their
-offline components (`nodes`) and advances the stream past the other
-arrivals' batches: components evolve independently, so the kept arrivals'
-counts are those of the full replay. A kernel lists only the arrivals it
-replays, each with the batches left out before it as one jump (PCG64's
-advances add); batches after the last one are never drawn. Before the first
-chunk, each kernel marks every (replayed arrival, node) row that is the
-node's first or last touch (`rng.touch_marks`): a first touch reads an
-all-zero state and a last touch writes a state nothing reads again, so the
-chunk body skips that per-run work and draws exactly as before. A chunk
-draws the uniforms the unchunked replay gives its runs, so reports are
-reproducible bit for bit for every chunk size; replica streams derive from
-the base seed by the documented 64-bit mix.
+Both ODRS schemes replay through one kernel, `_batch_replay`, vectorized
+across runs and driven `rng.CHUNK_RUNS` runs at a time (`rng.run_chunks`).
+A node's per-run state is one bit, node-major `(n, chunk)`: whether its
+level-set count is one above the floor. Warm-up edges and odrs-b crossing
+coins are level-set steps on that bit, and bin candidates bid iff not
+ahead. Each arrival's selection table is built once per replay, and edge
+counts are summed over chunks (integers, so exactly). A caller that needs
+the per-run matched flags gets them one chunk at a time through `on_chunk`.
+A caller that reads only some offline nodes' edges replays only the
+arrivals of their offline components (`nodes`) and jumps the stream past
+the other arrivals' batches (PCG64's advances add, and batches after the
+last kept arrival are never drawn): components evolve independently, so the
+kept arrivals' counts are those of the full replay. A node's first touch
+reads an all-zero state and its last writes one nothing reads again
+(`rng.touch_marks`), so the replay skips that per-run work and draws exactly
+as before. A chunk draws the uniforms the unchunked replay gives its runs,
+so reports are reproducible bit for bit for every chunk size; replica
+streams derive from the base seed by the documented 64-bit mix.
 """
 
 from __future__ import annotations
@@ -91,59 +90,49 @@ class _Replay:
                     self.offline[node] |= rows
 
 
-def _replay_chunks(n_offline: int, n_arrivals: int, n_runs: int, seed: int, on_chunk, body):
-    """Drive `body(g, replay, runs)` over the run chunks of one replay, where
-    g draws the chunk's share of each batch of stream 13 and `replay` is the
-    chunk's `_Replay`, and return the edge counts summed over chunks; see
-    `_batch_run` for `on_chunk`."""
+def _batch_replay(comp, arrivals, n_runs: int, seed: int, on_chunk, keep):
+    """Edge counts of n_runs vectorized replays of the compiled scheme `comp`
+    given as `arrivals`, one `(t, selector, active, bins, steps)` per arrival
+    with a selector, in arrival order; see `_batch_run` for `on_chunk`.
+    `keep`, when given, is the set of arrivals to replay; every other
+    arrival's batches are skipped, folded into one jump before the next
+    replayed arrival.
+
+    The per-run state is one bool per (node, run), `ahead`: the node's count
+    is one above the floor of its level-set prefix sum (else at the floor, by
+    P2). An arrival draws one batch per bin group, per step and for the
+    settle, in that order. A drawn bin candidate bids iff not ahead, and is
+    ahead afterwards. A step `(node, p_lag, p_ahead, rises)` bids on
+    `u < (p_ahead if ahead else p_lag)` and leaves the node ahead iff it was
+    ahead or bid where the floor stays (p_ahead is 0 there), and iff it was
+    ahead and bid where the floor rises (p_lag is 1 there). The bids, as bits
+    at the positions of `active` (the selector's elements, in order), pick
+    the winner through the arrival's `_win_table`. A first touch reads no
+    state and compares with p_lag, and a last touch writes none."""
+    n = comp.inst.n_offline
+    kept, skip = [], 0  # the replayed arrivals, each with the batches skipped before it
+    for t, selector, active, bins, steps in arrivals:
+        if keep is None or t in keep:
+            kept.append((skip, t, selector, active, bins, steps))
+            skip = 0
+        else:
+            skip += len(bins) + len(steps) + 1
+    marks = touch_marks([[i for gb in bins for i in gb.nodes] + [step[0] for step in steps]
+                         for *_, bins, steps in kept])
+    for k, ((skip, t, selector, active, bins, steps), mark) in enumerate(zip(kept, marks)):
+        bit = {i: BID_MASK(1 << pos) for pos, i in enumerate(active)}
+        mark = iter(mark)  # bin nodes come first, then the steps' nodes
+        bins = [(gb, [(i, bit[i], *next(mark)) for i in gb.nodes]) for gb in bins]
+        steps = [(i, lo, hi, rises, bit[i], first or lo == hi, last)
+                 for (i, lo, hi, rises), (first, last) in zip(steps, mark)]
+        kept[k] = (skip, t, active, bins, steps, _win_table(selector, len(active)))
     chunks = run_chunks(n_runs, seed, 13)  # rejects n_runs < 1 before any allocation
     counts: dict[tuple[int, int], int] = {}
     for lo, hi, g in chunks:
-        out = _Replay(n_offline, n_arrivals, hi - lo, keep_flags=on_chunk is not None)
-        body(g, out, hi - lo)
-        for key, cnt in out.counts.items():
-            counts[key] = counts.get(key, 0) + cnt
-        if on_chunk is not None:
-            on_chunk(out.offline.T, out.arrival.T)
-        del out  # free this chunk's flags before the next chunk allocates its own
-    return counts
-
-
-def _batch_odrs(comp: odrs_mod.CompiledOdrs, n_runs: int, seed: int, on_chunk=None,
-                keep=None):
-    """Vectorized replays of the improved ODRS, returning what `_batch_run`
-    returns; `keep`, when given, is the set of arrivals to replay, and every
-    other arrival's batches are skipped, folded into the count each replayed
-    arrival skips before its own draws.
-
-    The bid state `ahead` is node-major, `(n, chunk)`; the draws are those of
-    the scalar sampler, one batch per bin, crossing node and arrival. Bin
-    nodes and crossing coins both read and write `ahead`, so both count as
-    touches (`rng.touch_marks`): a bin node's first touch skips the read of
-    its all-false row and its last touch skips the write nothing reads."""
-    n = comp.inst.n_offline
-    steps, skip = [], 0  # the replayed arrivals, each with the batches skipped before it
-    for plan, selector in zip(comp.plans, comp.selectors):
-        if selector is None:
-            continue
-        if keep is None or plan.t in keep:
-            steps.append((skip, plan, selector))
-            skip = 0
-        else:
-            skip += len(plan.bins) + len(plan.crossing) + 1
-    marks = touch_marks([[i for gb in plan.bins for i in gb.nodes]
-                         + [cn.node for cn in plan.crossing] for _, plan, _ in steps])
-    for k, ((skip, plan, selector), mark) in enumerate(zip(steps, marks)):
-        active = list(selector.elements)
-        bit = {i: BID_MASK(1 << pos) for pos, i in enumerate(active)}
-        mark = iter(mark)  # bin nodes come first; the crossing coins' marks go unused
-        bins = [(gb, [(i, bit[i], *next(mark)) for i in gb.nodes]) for gb in plan.bins]
-        crossing = [(cn.node, cn.takeover, bit[cn.node]) for cn in plan.crossing]
-        steps[k] = (skip, plan.t, bins, crossing, active, _win_table(selector, len(active)))
-
-    def body(g, out, runs):
+        runs = hi - lo
+        out = _Replay(n, comp.inst.n_arrivals, runs, keep_flags=on_chunk is not None)
         ahead = np.zeros((n, runs), dtype=bool)
-        for skip, t, bins, crossing, active, table in steps:
+        for skip, t, active, bins, steps, table in kept:
             if skip:
                 g.skip(skip)
             bid_mask = np.zeros(runs, dtype=BID_MASK)
@@ -154,56 +143,52 @@ def _batch_odrs(comp: odrs_mod.CompiledOdrs, n_runs: int, seed: int, on_chunk=No
                     if not last:
                         ahead[node] |= hit
                     bid_mask |= hit * bit
-            for node, takeover, bit in crossing:
-                heads = g.random(runs) < takeover
-                bid_mask |= (heads | ~ahead[node]) * bit
-                ahead[node] &= heads
+            for node, p_lag, p_ahead, rises, bit, fixed, last in steps:
+                u = g.random(runs)
+                bid = u < p_lag if fixed else batch_select(u, ahead[node], p_ahead, p_lag)
+                if not last:
+                    if rises:
+                        ahead[node] &= bid
+                    else:
+                        ahead[node] |= bid
+                bid_mask |= bid * bit
             out.settle(t, active, table, bid_mask, g.random(runs))
+        del ahead  # free it before `on_chunk` copies the flags
+        for key, cnt in out.counts.items():
+            counts[key] = counts.get(key, 0) + cnt
+        if on_chunk is not None:
+            on_chunk(out.offline.T, out.arrival.T)
+        del out  # free this chunk's flags before the next chunk allocates its own
+    return counts
 
-    return _replay_chunks(n, len(comp.plans), n_runs, seed, on_chunk, body)
+
+def _batch_odrs(comp: odrs_mod.CompiledOdrs, n_runs: int, seed: int, on_chunk=None,
+                keep=None):
+    """Vectorized replays of the improved ODRS (`_batch_replay`): each plan's
+    bin groups, then each crossing node as the level-set step `(node, 1,
+    takeover, True)`, which bids surely when lagging and on the takeover
+    coin when ahead, and leaves the node ahead iff it was and the coin came
+    up heads."""
+    arrivals = [(plan.t, selector, list(selector.elements), plan.bins,
+                 [(cn.node, 1.0, cn.takeover, True) for cn in plan.crossing])
+                for plan, selector in zip(comp.plans, comp.selectors) if selector is not None]
+    return _batch_replay(comp, arrivals, n_runs, seed, on_chunk, keep)
 
 
 def _batch_warmup(comp: odrs_mod.CompiledWarmup, n_runs: int, seed: int, on_chunk=None,
                   keep=None):
-    """Vectorized replays of the warm-up ODRS, returning what `_batch_run`
-    returns; `keep` is as in `_batch_odrs`. Each node's level-set count is
-    node-major, `(n, chunk)`, in the smallest unsigned type that holds the
-    number of arrivals. A row whose probability does not depend on the count
-    (a node's first touch, where every count is 0, the floor; or p_lag ==
-    p_ahead) compares the uniforms against the scalar, and a node's last
-    touch does not add to a count nothing reads again (`rng.touch_marks`)."""
-    n = comp.inst.n_offline
-    count_type = np.min_scalar_type(len(comp.steps))
-    steps, skip = [], 0  # the replayed arrivals, each with the batches skipped before it
-    for t, rows in enumerate(comp.steps):
-        if comp.selectors[t] is None:
-            continue
-        if keep is None or t in keep:
-            steps.append((skip, t, rows))
-            skip = 0
-        else:
-            skip += len(rows) + 1
-    marks = touch_marks([[i for i, *_ in rows] for _, _, rows in steps])
-    for k, ((skip, t, rows), mark) in enumerate(zip(steps, marks)):
-        rows = [(i, fl, lo, hi, BID_MASK(1 << pos), first or lo == hi, last)
-                for pos, ((i, fl, lo, hi), (first, last)) in enumerate(zip(rows, mark))]
-        steps[k] = (skip, t, rows, [i for i, *_ in rows], _win_table(comp.selectors[t], len(rows)))
-
-    def body(g, out, runs):
-        counts = np.zeros((n, runs), dtype=count_type)
-        for skip, t, rows, nodes, table in steps:
-            if skip:
-                g.skip(skip)
-            bid_mask = np.zeros(runs, dtype=BID_MASK)
-            for i, fl, lo, hi, bit, fixed, last in rows:
-                u = g.random(runs)
-                bid = u < lo if fixed else batch_select(u, counts[i] == fl, lo, hi)
-                if not last:
-                    counts[i] += bid
-                bid_mask |= bid * bit
-            out.settle(t, nodes, table, bid_mask, g.random(runs))
-
-    return _replay_chunks(n, len(comp.steps), n_runs, seed, on_chunk, body)
+    """Vectorized replays of the warm-up ODRS (`_batch_replay`): each edge is
+    one step of its node's level-set stream, `(node, p_lag, p_ahead, rises)`
+    from its row of `comp.steps`, where the floor rises iff the node's next
+    row has a higher floor (a row with no next row is a last touch)."""
+    arrivals, floor_next = [], {}  # node -> the floor at its next row
+    for t in reversed(range(len(comp.steps))):
+        rows = comp.steps[t]
+        if comp.selectors[t] is not None:
+            arrivals.append((t, comp.selectors[t], [i for i, *_ in rows], [],
+                             [(i, lo, hi, floor_next.get(i, fl) > fl) for i, fl, lo, hi in rows]))
+            floor_next.update((i, fl) for i, fl, _, _ in rows)
+    return _batch_replay(comp, arrivals[::-1], n_runs, seed, on_chunk, keep)
 
 
 def _batch_run(algorithm: str, inst: MatchingInstance, params, n_runs: int, seed: int,

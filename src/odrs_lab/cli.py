@@ -14,7 +14,6 @@ if "ODRS_THREADS" in os.environ:  # must precede numpy's initialization
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, os.environ["ODRS_THREADS"])
 
-import json  # noqa: E402
 import math  # noqa: E402
 import time  # noqa: E402
 
@@ -30,15 +29,6 @@ def _echo(text: str, err: bool = False):
     with no `file`, click caches a wrapper per stream for the life of the
     process, which keeps every stream it has written to alive."""
     click.echo(text, file=sys.stderr if err else sys.stdout)
-
-
-def _read_json(path: str, what: str):
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationFailure(f"{what} is not JSON: line {exc.lineno} col "
-                                    f"{exc.colno}: {exc.msg}") from exc
 
 
 def _emit(doc, csv: bool = False):
@@ -65,7 +55,7 @@ def cli():
 
 
 @cli.command("validate")
-@click.argument("path", type=click.Path(exists=True))
+@click.argument("path", type=click.Path(exists=True, dir_okay=False))
 def validate_cmd(path):
     """Check an instance against the fractional b-matching constraints."""
     inst = instances.load_json(path)
@@ -89,7 +79,7 @@ def validate_cmd(path):
 @click.option("--max-b", default=1, show_default=True)
 @click.option("--delta", "mg_delta", default=16, show_default=True)
 @click.option("--seed", default=0, show_default=True)
-@click.option("--out", type=click.Path(), required=True)
+@click.option("--out", type=click.Path(dir_okay=False), required=True)
 def gen_cmd(kind, n, arrivals, density, max_b, mg_delta, seed, out):
     """Generate an instance and write it as JSON."""
     if kind == "star":
@@ -111,7 +101,8 @@ def gen_cmd(kind, n, arrivals, density, max_b, mg_delta, seed, out):
 @cli.command("round")
 @click.option("--alg", type=click.Choice(["warmup", "odrs", "odrs-b", "stochastic"]),
               default="odrs", show_default=True)
-@click.option("--instance", "path", type=click.Path(exists=True), required=True)
+@click.option("--instance", "path", type=click.Path(exists=True, dir_okay=False),
+              required=True)
 @click.option("--eps", type=float, default=None)
 @click.option("--delta", type=float, default=None)
 @click.option("--seed", default=0, show_default=True)
@@ -158,12 +149,12 @@ def optimize_cmd(variant):
 
 
 @cli.command("crs")
-@click.option("--dist", "dist_path", type=click.Path(exists=True), required=True)
-@click.option("--v", "v_path", type=click.Path(exists=True), required=True)
+@click.option("--dist", "dist_path", type=click.Path(exists=True, dir_okay=False), required=True)
+@click.option("--v", "v_path", type=click.Path(exists=True, dir_okay=False), required=True)
 def crs_cmd(dist_path, v_path):
     """Balance ratio and exact selector marginals of a subset distribution."""
-    doc = _read_json(dist_path, "--dist")
-    v = _read_json(v_path, "--v")
+    doc = instances.read_json(dist_path, "--dist")
+    v = instances.read_json(v_path, "--v")
     try:
         elements = tuple(doc["elements"])
         pos = {e: k for k, e in enumerate(elements)}
@@ -215,7 +206,8 @@ def lowerbound_cmd(n, probe, n_eval, alg, eps, delta, seed):
 
 
 @cli.command("color")
-@click.option("--instance", "path", type=click.Path(exists=True), required=True)
+@click.option("--instance", "path", type=click.Path(exists=True, dir_okay=False),
+              required=True)
 @click.option("--c", "c_colors", type=int, default=None)
 @click.option("--delta-cap", type=int, default=None,
               help="Override the declared max degree.")
@@ -244,7 +236,8 @@ def color_cmd(path, c_colors, delta_cap, seed, csv):
 
 
 @cli.command("cover")
-@click.option("--instance", "path", type=click.Path(exists=True), required=True)
+@click.option("--instance", "path", type=click.Path(exists=True, dir_okay=False),
+              required=True)
 @click.option("--trials", default=0, show_default=True,
               help="Monte Carlo trials; 0 rounds once and verifies.")
 @click.option("--seed", default=0, show_default=True)
@@ -266,12 +259,13 @@ def cover_cmd(path, trials, seed):
 
 
 @cli.command("report")
-@click.option("--infile", "path", type=click.Path(exists=True), required=True)
+@click.option("--infile", "path", type=click.Path(exists=True, dir_okay=False),
+              required=True)
 @click.option("--csv", is_flag=True, expose_value=False,
               help="Accepted and ignored: CSV is the only output.")
 def report_cmd(path):
     """Re-emit a JSON report as CSV."""
-    doc = _read_json(path, "--infile")
+    doc = instances.read_json(path, "--infile")
     try:
         text = _to_csv(doc)
     except (KeyError, TypeError, ValueError) as exc:

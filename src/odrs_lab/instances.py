@@ -401,23 +401,28 @@ def instance_to_dict(inst: MatchingInstance) -> dict:
 
 
 def save_json(inst, path: str):
-    with open(path, "w") as fh:
-        if isinstance(inst, MatchingInstance):
-            fh.write(dumps(instance_to_dict(inst)))
-        elif isinstance(inst, MultigraphInstance):
-            fh.write(dumps({"multigraph": {
-                "left": inst.n_left, "right": inst.n_right, "delta": inst.delta,
-                "arrivals": [{"edges": [{"j": j, "kappa": k} for j, k in arr]}
-                             for arr in inst.arrivals]}}))
-        elif isinstance(inst, CoverInstance):
-            fh.write(dumps({"cover": {
-                "k": inst.k,
-                "stages": [{"costs": list(c)} for c in inst.costs],
-                "edges": [{"verts": list(v), "demand": d} for v, d in inst.edges],
-                "xstar": [list(row) for row in inst.xstar]}}))
-        else:
-            raise DomainError(f"cannot serialize {type(inst).__name__}")
-        fh.write("\n")
+    """Write an instance of any kind as JSON to `path`; a path that cannot be
+    written is refused with DomainError naming it."""
+    if isinstance(inst, MatchingInstance):
+        doc = instance_to_dict(inst)
+    elif isinstance(inst, MultigraphInstance):
+        doc = {"multigraph": {
+            "left": inst.n_left, "right": inst.n_right, "delta": inst.delta,
+            "arrivals": [{"edges": [{"j": j, "kappa": k} for j, k in arr]}
+                         for arr in inst.arrivals]}}
+    elif isinstance(inst, CoverInstance):
+        doc = {"cover": {
+            "k": inst.k,
+            "stages": [{"costs": list(c)} for c in inst.costs],
+            "edges": [{"verts": list(v), "demand": d} for v, d in inst.edges],
+            "xstar": [list(row) for row in inst.xstar]}}
+    else:
+        raise DomainError(f"cannot serialize {type(inst).__name__}")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(dumps(doc) + "\n")
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def instance_from_dict(doc: dict) -> MatchingInstance:
@@ -426,8 +431,13 @@ def instance_from_dict(doc: dict) -> MatchingInstance:
         n = _integer(doc["n_offline"], '"n_offline"')
         caps = tuple(_integer(b, f"capacity of offline {i}", keep_float=True)
                      for i, b in enumerate(doc["capacities"]))
-        arrivals = []
-        for t, arr in enumerate(doc["arrivals"]):
+        arrivals, docs = [], doc["arrivals"]
+        if not isinstance(docs, list):
+            raise ValidationFailure(f'"arrivals" must be a list, not {json.dumps(docs)[:40]}')
+        for t, arr in enumerate(docs):
+            if not isinstance(arr, dict):
+                raise ValidationFailure(f"arrival {t} must be an object, not "
+                                        f"{json.dumps(arr)[:40]}")
             p = _real(arr.get("p", 1.0), f'"p" of arrival {t}')
             b_t = _integer(arr.get("b", 1), f'"b" of arrival {t}', keep_float=True)
             if isinstance(b_t, float) or not 1 <= b_t <= MAX_ARRIVAL_B:
@@ -513,15 +523,24 @@ def cover_from_dict(doc: dict) -> CoverInstance:
     return out
 
 
+def read_json(path: str, what: str):
+    """The JSON document in the UTF-8 file `path`; a file that is not UTF-8
+    or not JSON is refused with ValidationFailure naming it as `what`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ValidationFailure(f"{what} is not JSON: line {exc.lineno} col "
+                                f"{exc.colno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationFailure(f"{what} is not JSON: byte {exc.start} is not UTF-8") from exc
+
+
 def load_json(path: str):
     """Load any instance kind from a JSON object; a matching instance keeps
     its zero-fraction edges and has its capacity-b online nodes pre-split
     into unit arrivals."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationFailure(f"JSON parse error at line {exc.lineno} col {exc.colno}: {exc.msg}") from exc
+    doc = read_json(path, f"instance file {path}")
     if not isinstance(doc, dict):
         raise ValidationFailure(f"an instance is a JSON object, not {json.dumps(doc)[:40]}")
     if "multigraph" in doc:

@@ -128,15 +128,17 @@ def online_round(x, seed: int = 0, rng: ScalarRng | None = None) -> np.ndarray:
     return bits[:n]
 
 
-def batch_select(u: np.ndarray, at_floor: np.ndarray, p_lag: float, p_ahead: float) -> np.ndarray:
-    """The vectorized level-set step's selections: u < p_lag where at_floor,
-    else u < p_ahead. These are the bits of `u < np.where(at_floor, p_lag,
-    p_ahead)`, from two scalar comparisons and three bool operations, which
-    cost a sixth of that `np.where` on 2^14 runs."""
-    sel = u < p_ahead
-    flip = u < p_lag
+def batch_select(u: np.ndarray, mask: np.ndarray, p_true: float, p_false: float) -> np.ndarray:
+    """The vectorized level-set step's selections: u < p_true where mask,
+    else u < p_false, with mask one of the step's two count states (the count
+    at the floor in `batch_stream`, ahead of it in the bench replay). These
+    are the bits of `u < np.where(mask, p_true, p_false)`, from two scalar
+    comparisons and three bool operations, which cost a sixth of that
+    `np.where` on 2^14 runs."""
+    sel = u < p_false
+    flip = u < p_true
     flip ^= sel
-    flip &= at_floor
+    flip &= mask
     sel ^= flip
     return sel
 

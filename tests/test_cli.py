@@ -142,7 +142,9 @@ def test_zero_fraction_edges_kept_cli_matches_library(tmp_path):
     assert want["lp_value"] > 0 and want["ratio"] < 1
 
 
-@pytest.mark.parametrize("text", ["5", "null", "[]", '"cover"', "{}"])
+@pytest.mark.parametrize("text", ["5", "null", "[]", '"cover"', "{}", *(
+    json.dumps({"n_offline": 1, "capacities": [1], "arrivals": arrivals})
+    for arrivals in (["a"], {"k": 1}, [[0.5]]))])
 @pytest.mark.parametrize("cmd", ["validate", "round", "color", "cover"])
 def test_documents_of_the_wrong_shape_exit_2(tmp_path, monkeypatch, capsys, cmd, text):
     import odrs_lab.cli as cli_mod
@@ -154,6 +156,37 @@ def test_documents_of_the_wrong_shape_exit_2(tmp_path, monkeypatch, capsys, cmd,
     assert cli_mod.main() == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "internal error" not in err
+
+
+# every file a command reads, as the argv before the path, with valid companion files
+INPUT_PATHS = [["validate"], ["round", "--instance"], ["color", "--instance"],
+               ["cover", "--instance"], ["report", "--infile"],
+               ["crs", "--v", "{v}", "--dist"], ["crs", "--dist", "{dist}", "--v"]]
+
+
+@pytest.mark.parametrize("argv,code", [
+    *(pytest.param([*opt, "{dir}"], 1, id=" ".join([*opt, "DIR"])) for opt in INPUT_PATHS),
+    *(pytest.param([*opt, "{latin1}"], 2, id=" ".join([*opt, "LATIN1"])) for opt in INPUT_PATHS),
+    pytest.param(["gen", "--kind", "star", "--out", "{dir}"], 1, id="gen --out DIR"),
+    pytest.param(["gen", "--kind", "star", "--out", "{missing}"], 2, id="gen --out MISSING/x")])
+def test_unusable_paths_are_refused_in_one_line(tmp_path, monkeypatch, capsys, argv, code):
+    """A directory is a usage error (exit 1); a file that is not UTF-8, or an
+    output path in a missing directory, is refused (exit 2)."""
+    import odrs_lab.cli as cli_mod
+
+    paths = {"dir": tmp_path / "dir", "latin1": tmp_path / "latin1.json",
+             "missing": tmp_path / "missing" / "x.json",
+             "dist": tmp_path / "dist.json", "v": tmp_path / "v.json"}
+    paths["dir"].mkdir()
+    paths["latin1"].write_bytes('{"note": "café"}'.encode("latin-1"))
+    paths["dist"].write_text(json.dumps({"elements": [0, 1], "atoms": [
+        {"set": [0], "p": 0.5}, {"set": [1], "p": 0.5}]}))
+    paths["v"].write_text("[0.5, 0.5]")
+    monkeypatch.setattr(sys, "argv", ["odrs-lab", *(a.format(**paths) for a in argv)])
+    assert cli_mod.main() == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "internal error" not in err, err
+    assert not paths["missing"].parent.exists()
 
 
 def test_exit_code_mapping(monkeypatch):

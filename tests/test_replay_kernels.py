@@ -208,10 +208,31 @@ def assert_same_replay(scheme, inst, n_runs, seed):
 # tests
 # ----------------------------------------------------------------------------
 
-@pytest.mark.parametrize("scheme", ["warmup", "odrs", "odrs_b"])
+def rising_rows(comp):
+    """The warm-up rows (node, floor, p_lag, p_ahead) whose node's next row
+    has a higher floor: the rows where the replay's `ahead` bit is and-ed
+    with the bid, not or-ed."""
+    rows = [row for arrival_rows in comp.steps for row in arrival_rows]
+    out = []
+    for k, (i, fl, _, _) in enumerate(rows):
+        later = [fl_next for j, fl_next, _, _ in rows[k + 1:] if j == i]
+        if later and later[0] > fl:
+            out.append(rows[k])
+    return out
+
+
+@pytest.mark.parametrize("scheme,max_b,t_per_n", [
+    pytest.param("warmup", 1, 1, id="warmup"), pytest.param("odrs", 1, 1, id="odrs"),
+    pytest.param("odrs_b", 3, 1, id="odrs_b"),
+    # capacities up to 3 and 2n arrivals: node streams pass integer floors
+    pytest.param("warmup", 3, 2, id="warmup_b")])
 @pytest.mark.parametrize("n,seed", [(6, 3), (9, 12), (12, 5)])
-def test_kernels_match_run_major_on_random_instances(scheme, n, seed):
-    inst = instances.gen_random(n, n, 0.7, seed, max_b=3 if scheme == "odrs_b" else 1)
+def test_kernels_match_run_major_on_random_instances(scheme, max_b, t_per_n, n, seed):
+    inst = instances.gen_random(n, t_per_n * n, 0.7, seed, max_b=max_b)
+    if scheme == "warmup" and max_b > 1:
+        # a rising row that is not a last touch, where an ahead run may bid
+        comp = odrs.compile_scheme(scheme, inst, None)
+        assert any(0 < p_ahead for _, _, _, p_ahead in rising_rows(comp))
     assert_same_replay(scheme, inst, 3001, seed + 1)
 
 
@@ -349,7 +370,8 @@ def test_warmup_kernel_matches_on_rows_with_equal_step_probabilities():
     assert_same_replay("warmup", inst, 4000, 5)
 
 
-@pytest.mark.parametrize("scheme,max_b", [("warmup", 1), ("odrs", 1), ("odrs_b", 3)])
+@pytest.mark.parametrize("scheme,max_b", [("warmup", 1), ("odrs", 1), ("odrs_b", 3),
+                                          ("warmup", 3)])
 def test_keep_restricted_replay_matches_the_reference(scheme, max_b):
     # two components, arrivals alternating between them; replay only the first
     a = instances.gen_random(5, 6, 0.8, 4, max_b=max_b)
