@@ -180,7 +180,8 @@ class FlowNetwork:
         rows of `build_selector` are read from. It may start from a residual
         network: `build_selector` first pushes the shortest paths through
         `_short_paths`, and the BFS then takes the paths it would have taken
-        next."""
+        next; `build_selector` calls it only while some sink edge keeps
+        residual capacity."""
         head, to, cap = self.head, self.to, self.cap
         total = 0
         while True:
@@ -327,8 +328,10 @@ def build_selector(dist: SupportDistribution, v) -> SelectionRule:
     The order edges are added in fixes the paths Edmonds-Karp takes:
     `_short_paths` pushes its length-3 paths directly, then
     `FlowNetwork.max_flow` finds the longer ones by BFS, so the flow equals
-    that of `max_flow` run from scratch. An atom probability above one
-    raises DomainError.
+    that of `max_flow` run from scratch. The element -> sink edges are the
+    only residual edges into the sink, so when the short phase has saturated
+    all of them the BFS would find no path and is not run. An atom
+    probability above one raises DomainError.
     """
     v = np.asarray(v, dtype=float)
     alpha = balance_ratio(dist, v)
@@ -348,7 +351,9 @@ def build_selector(dist: SupportDistribution, v) -> SelectionRule:
                           for k in range(n_el) if mask >> k & 1])
     sink_edges = [net.add_edge(1 + len(atoms) + k, sink, int(round(alpha * vk * FLOW_SCALE)))
                   for k, vk in enumerate(v.tolist())]
-    flow = _short_paths(net.cap, src_edges, mid_edges, sink_edges) + net.max_flow(src, sink)
+    flow = _short_paths(net.cap, src_edges, mid_edges, sink_edges)
+    if any(net.cap[te] for te in sink_edges):  # else no residual edge enters the sink
+        flow += net.max_flow(src, sink)
     want = alpha * float(v.sum())
     if flow / FLOW_SCALE < want - 1e-6:
         raise InvariantBreach(
@@ -415,10 +420,10 @@ class ProductSelector:
 
     Elements are merged pairwise, layer by layer; each internal node solves
     a 3-atom transportation problem sending its bid-pattern mass to its
-    children's target win probabilities (`row`). Selection walks the tree
-    top-down in O(n), solving only the nodes it visits. Internal node refs
-    are 0..n-2 in merge order and leaf i's is ~i, so the per-node lists
-    (`bid_p`, `target`, `sub`) hold the leaves in their reversed tail.
+    children's target win probabilities (`weights`, `row`). Selection walks
+    the tree top-down in O(n), solving only the nodes it visits. Internal
+    node refs are 0..n-2 in merge order and leaf i's is ~i, so the per-node
+    lists (`bid_p`, `target`, `sub`) hold the leaves in their reversed tail.
     The subset ratio Pr[R cap S != empty] / y(S) of a product law is minimized
     by the full set, so each node's Hall condition holds and the root is
     entered exactly when anyone bids.
@@ -446,10 +451,10 @@ class ProductSelector:
             bid_p[ref] = 1.0 - (1.0 - bid_p[r1]) * (1.0 - bid_p[r2])
             target[ref] = target[r1] + target[r2]
 
-    def row(self, ref: int) -> tuple:
-        """Internal node ref's transportation solve: per bid pattern (0: no
-        child bids, 1: left only, 2: right only, 3: both) the pair (weight of
-        descending left, weight of descending right)."""
+    def weights(self, ref: int, pattern: int) -> tuple[float, float]:
+        """Internal node ref's transportation solve, read at one bid pattern
+        (0: no child bids, 1: left only, 2: right only, 3: both): the pair
+        (weight of descending left, weight of descending right)."""
         bid_p, target = self.bid_p, self.target
         r1, r2 = self.children[ref]
         p1, p2 = bid_p[r1], bid_p[r2]
@@ -464,28 +469,36 @@ class ProductSelector:
         f2_11 = d2 - f2_01
         if f1_11 + f2_11 > a11 + 1e-9 or f1_11 < -1e-12 or f2_11 < -1e-12:
             raise InvariantBreach("product-selector transportation infeasible")
-        return ((0.0, 0.0),
-                (f1_10 / a10 if a10 > 0 else 0.0, 0.0),
-                (0.0, f2_01 / a01 if a01 > 0 else 0.0),
-                (f1_11 / a11 if a11 > 0 else 0.0, f2_11 / a11 if a11 > 0 else 0.0))
+        if pattern == 1:
+            return (f1_10 / a10 if a10 > 0 else 0.0, 0.0)
+        if pattern == 2:
+            return (0.0, f2_01 / a01 if a01 > 0 else 0.0)
+        if pattern == 3:
+            return (f1_11 / a11 if a11 > 0 else 0.0, f2_11 / a11 if a11 > 0 else 0.0)
+        return (0.0, 0.0)
+
+    def row(self, ref: int) -> tuple:
+        """Internal node ref's `weights` at every bid pattern, in pattern
+        order."""
+        return tuple(self.weights(ref, pattern) for pattern in range(4))
 
     def select(self, mask: int, uniform) -> int:
         """Winner position among the realized bid set `mask` (bit i set when
         position i bids), or -1 for none.
 
         `uniform` is a niladic callable returning U[0,1) draws; it is called
-        once per internal node on the walk, so not at all for mask 0.
+        once per internal node on the walk, so not at all for mask 0. Each
+        node on the walk is solved at the one bid pattern the walk reads.
         """
         if mask >> self.n:
             raise DomainError(f"bid mask must lie in [0, 2^{self.n})")
         if not mask:
             return -1
-        sub, children, row = self.sub, self.children, self.row
+        sub, children, weights = self.sub, self.children, self.weights
         ref = self.root
         while ref >= 0:
             r1, r2 = children[ref]
-            pattern = (1 if mask & sub[r1] else 0) | (2 if mask & sub[r2] else 0)
-            w1, w2 = row(ref)[pattern]
+            w1, w2 = weights(ref, (1 if mask & sub[r1] else 0) | (2 if mask & sub[r2] else 0))
             u = uniform()
             if u < w1:
                 ref = r1

@@ -33,19 +33,34 @@ def _snap(v: float) -> float:
 def step_probability(s: float, count: int, x: float) -> float:
     """Selection probability of the next element x, by the five-way case
     split on the prefix sum s and the selection count before it (both sums
-    snapped as by `_snap`, written out: this runs once per stream step)."""
-    r = round(s)
-    s_prev = r + 0.0 if -SNAP_TOL <= s - r <= SNAP_TOL else s
+    snapped as by `_snap`, written out: this runs once per stream step).
+
+    A sum v snaps through its float remainder f = v % 1.0: v - f is exactly
+    floor(v), f is exactly v - floor(v) wherever `round` takes the floor, and
+    v - (floor(v) + 1.0) is exactly v - round(v) wherever it takes the
+    ceiling, so each snap test compares the difference `_snap` compares.
+    (f - 1.0 is not: for v in (-0.5, 0), v % 1.0 rounds to the nearest
+    float below one.)
+    """
     s_t = s + x
-    r = round(s_t)
-    if -SNAP_TOL <= s_t - r <= SNAP_TOL:
-        s_t = r + 0.0
-    fl_t = math.floor(s_t)
-    if count == fl_t + (s_t != fl_t):  # the ceiling of s_t
+    f = s_t % 1.0
+    fl_t = s_t - f
+    ce_t = fl_t + 1.0
+    if f <= SNAP_TOL:
+        s_t = ce_t = fl_t
+    elif s_t - ce_t >= -SNAP_TOL:
+        s_t = fl_t = ce_t
+    if count == ce_t:
         return 0.0
     if count < fl_t:
         return 1.0
-    fl_prev = math.floor(s_prev)
+    f = s % 1.0
+    fl_prev = s - f
+    s_prev = s
+    if f <= SNAP_TOL:
+        s_prev = fl_prev
+    elif s - (fl_prev + 1.0) >= -SNAP_TOL:
+        s_prev = fl_prev = fl_prev + 1.0
     if count == fl_t == fl_prev:
         p = x / (fl_prev + 1.0 - s_prev)
     elif count == fl_t and fl_t > fl_prev and s_prev != fl_prev:
@@ -81,17 +96,22 @@ def online_step(s: float, count: int, comp: float, x: float,
     count, Kahan compensation comp): select x when u < its step probability.
 
     Returns (selected bit, s, count, comp) after x; aborts if the
-    prefix-count invariant would break. `kahan_add` and `_snap` written out.
+    prefix-count invariant would break. `kahan_add` and `_snap` written out,
+    the snap as in `step_probability`.
     """
     selected = 1 if u < step_probability(s, count, x) else 0
     y = x - comp
     s_new = s + y
     comp = (s_new - s) - y
     count += selected
-    r = round(s_new)
-    snapped = -SNAP_TOL <= s_new - r <= SNAP_TOL  # then floor and ceiling are r
-    fl = r if snapped else math.floor(s_new)
-    if not fl <= count <= fl + (not snapped):
+    f = s_new % 1.0
+    fl = s_new - f
+    ce = fl + 1.0
+    if f <= SNAP_TOL:
+        ce = fl
+    elif s_new - ce >= -SNAP_TOL:
+        fl = ce
+    if not fl <= count <= ce:
         raise InvariantBreach(
             f"prefix count {count} outside [floor,ceil] of prefix sum {s_new}")
     return selected, s_new, count, comp

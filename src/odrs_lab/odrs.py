@@ -388,17 +388,19 @@ def outcome_masks(bins: list[GroupBin], crossing: list[CrossingNode], pos
     of drawn bin candidates, the mask of crossing nodes on heads (bit
     pos[node] per node), and the probability. Outcomes run in nested-loop
     order, bins (no candidate, then each node) before coins (heads, then
-    tails), skipping options of probability zero."""
+    tails), skipping options of probability zero. They are enumerated as
+    Python tuples and converted to arrays once: a unit has a few options, so
+    per-unit numpy calls would cost more than the products."""
     # per independent unit: its options as (drawn bit, heads bit, probability)
     units = [[(0, 0, 1.0 - sum(gb.sizes)),
               *((1 << pos[node], 0, sz) for node, sz in zip(gb.nodes, gb.sizes))] for gb in bins]
     units += [[(0, 1 << pos[cn.node], cn.takeover), (0, 0, 1.0 - cn.takeover)] for cn in crossing]
-    drawn, heads, probs = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64), np.ones(1)
+    outcomes = [(0, 0, 1.0)]
     for options in units:
-        d, h, p = (np.array(col) for col in zip(*[opt for opt in options if opt[2] > 0.0]))
-        drawn, heads, probs = ((drawn[:, None] | d).ravel(), (heads[:, None] | h).ravel(),
-                               (probs[:, None] * p).ravel())
-    return drawn, heads, probs
+        options = [opt for opt in options if opt[2] > 0.0]
+        outcomes = [(d | d2, h | h2, p * p2) for d, h, p in outcomes for d2, h2, p2 in options]
+    drawn, heads, probs = zip(*outcomes)
+    return np.array(drawn, dtype=np.int64), np.array(heads, dtype=np.int64), np.array(probs)
 
 
 # (state, outcome) pairs per numpy pass of `pair_chunks` (BidLawDP.step and

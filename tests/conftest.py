@@ -129,7 +129,7 @@ def reference_product_select(sel, bids, uniform, rows=None):
 def reference_product_tree(y):
     """The dict-built merge tree of `crs.ProductSelector` before its per-node
     lists: n, alpha, children, root, and bid_p, target and sub as dicts keyed
-    by node ref (leaf i as ~i). `crs.ProductSelector.row` reads it as it
+    by node ref (leaf i as ~i). `crs.ProductSelector.weights` reads it as it
     reads a selector."""
     n = len(y)
     alpha = (1.0 - math.prod(1.0 - p for p in y)) / sum(y)

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import digest
 from odrs_lab import apps, instances, odrs
+from odrs_lab.errors import SizeError
 from odrs_lab.instances import Arrival, CoverInstance, MatchingInstance, MultigraphInstance
 from odrs_lab.level_set import _snap, online_step
 from odrs_lab.rng import ScalarRng
@@ -20,6 +21,15 @@ def test_single_pair_full_multiplicity():
     rep = apps.verify_coloring(mg, col)
     assert rep.proper and rep.all_colored
     assert rep.colors_used >= 4
+
+
+def test_declared_delta_is_capped():
+    # the cap itself colors (about 0.1 s on one pair); one above it is refused
+    mg = MultigraphInstance(1, 1, apps.COLOR_MAX_DELTA, (((0, 3),),))
+    rep = apps.verify_coloring(mg, apps.edge_color_online(mg))
+    assert rep.proper and rep.all_colored
+    with pytest.raises(SizeError, match=f"cap {apps.COLOR_MAX_DELTA}$"):
+        apps.edge_color_online(MultigraphInstance(1, 1, apps.COLOR_MAX_DELTA + 1, (((0, 3),),)))
 
 
 def test_matching_multigraph_one_color_from_greedy():

@@ -411,6 +411,25 @@ def test_lowerbound_n_above_the_cap_is_rejected():
         assert len(r.stderr.splitlines()) == 1 and f"cap {bench.LB_MAX_N}" in r.stderr, r.stderr
 
 
+@pytest.mark.parametrize("declared,extra", [(10**30, []), (3, ["--delta-cap", str(10**30)])])
+def test_color_delta_above_the_cap_is_refused_before_any_matcher(
+        tmp_path, monkeypatch, capsys, declared, extra):
+    import odrs_lab.cli as cli_mod
+    from odrs_lab import apps
+
+    def no_matcher(n_offline):
+        raise AssertionError("a fair matcher was allocated")
+
+    path = tmp_path / "mg.json"
+    path.write_text(json.dumps({"multigraph": {"left": 1, "right": 1, "delta": declared, "arrivals": [
+        {"edges": [{"j": 0, "kappa": 3}]}]}}))
+    monkeypatch.setattr(apps, "OnlineWarmup", no_matcher)
+    monkeypatch.setattr(sys, "argv", ["odrs-lab", "color", "--instance", str(path), *extra])
+    assert cli_mod.main() == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and f"cap {apps.COLOR_MAX_DELTA}" in err, err
+
+
 def test_bad_cover_instances_rejected(tmp_path):
     cov = {"k": 1, "stages": [{"costs": [1.0, 1.0]}],
            "edges": [{"verts": [0, 1], "demand": 1}], "xstar": [[0.5], [0.5]]}

@@ -231,6 +231,19 @@ def reference_max_flow(net, s, t):
         backward += any(eid & 1 for eid in path)
 
 
+def _recorded_networks(monkeypatch):
+    """Every `crs.FlowNetwork` made from now on, in creation order."""
+    nets = []
+
+    class Recorded(crs.FlowNetwork):
+        def __init__(self, n_nodes):
+            super().__init__(n_nodes)
+            nets.append(self)
+
+    monkeypatch.setattr(crs, "FlowNetwork", Recorded)
+    return nets
+
+
 def _copy_network(net):
     twin = crs.FlowNetwork(net.n)
     twin.head = [list(h) for h in net.head]
@@ -262,19 +275,23 @@ def test_max_flow_equals_reference(monkeypatch):
         backward += back > 0
     assert backward >= 30
 
-    # every selector network the compiled schemes build
-    seen = []
-    max_flow = crs.FlowNetwork.max_flow
+    # every selector network the compiled schemes build, from the residual
+    # the short phase leaves: `build_selector` runs the BFS only where a sink
+    # edge keeps capacity, so each network's BFS runs here on a copy
+    nets, seen = _recorded_networks(monkeypatch), []
+    short_paths = crs._short_paths
 
-    def checked(net, s, t):
+    def short_then_bfs(cap, *edges):
+        pushed = short_paths(cap, *edges)
+        net = _copy_network(nets[-1])
         ref = _copy_network(net)
-        want, _ = reference_max_flow(ref, s, t)
-        got = max_flow(net, s, t)
+        want, _ = reference_max_flow(ref, 0, net.n - 1)
+        got = net.max_flow(0, net.n - 1)
         assert got == want and net.cap == ref.cap
         seen.append(got)
-        return got
+        return pushed
 
-    monkeypatch.setattr(crs.FlowNetwork, "max_flow", checked)
+    monkeypatch.setattr(crs, "_short_paths", short_then_bfs)
     for name in ("odrs", "odrs_b", "warmup"):
         params = odrs.scheme_params(name)
         for n in range(4, 10):
@@ -458,8 +475,8 @@ def test_product_selector_lazy_walk_equals_fully_built_rows():
 def test_product_selector_select_solves_only_the_nodes_it_visits():
     ps = crs.ProductSelector(np.linspace(0.05, 0.95, 37))
     solved = []
-    row = ps.row
-    ps.row = lambda ref: solved.append(ref) or row(ref)
+    weights = ps.weights
+    ps.weights = lambda ref, pattern: solved.append(ref) or weights(ref, pattern)
     for mask in (1, 1 << 36, (1 << 37) - 1, 0b1010_0110_0001):
         solved.clear()
         draws = _CountingUniform(mask)
@@ -559,7 +576,8 @@ def test_product_selector_lists_equal_dict_tree():
             for node in ref.bid_p:
                 assert (ps.bid_p[node], ps.target[node], ps.sub[node]) == \
                     (ref.bid_p[node], ref.target[node], ref.sub[node]), (n, node)
-            rows = [crs.ProductSelector.row(ref, node) for node in range(n - 1)]
+            rows = [tuple(crs.ProductSelector.weights(ref, node, pattern) for pattern in range(4))
+                    for node in range(n - 1)]
             assert built_rows(ps) == rows
             for _ in range(20):
                 mask = int(rng.integers(0, 1 << n))
@@ -637,6 +655,7 @@ def test_short_phase_then_bfs_equals_full_edmonds_karp(monkeypatch):
     # with zero targets and zero-capacity atoms are checked by
     # test_build_selector_equals_dict_built_selector)
     phases = []  # per build: (flow of the short phase, flow the BFS added)
+    skipped = 0  # builds whose short phase saturated every sink edge
     short_paths, max_flow = crs._short_paths, crs.FlowNetwork.max_flow
 
     def short_then(cap, *edges):
@@ -649,10 +668,18 @@ def test_short_phase_then_bfs_equals_full_edmonds_karp(monkeypatch):
 
     monkeypatch.setattr(crs, "_short_paths", short_then)
     monkeypatch.setattr(crs.FlowNetwork, "max_flow", bfs)
+    nets = _recorded_networks(monkeypatch)
     build = crs.build_selector
 
     def checked(dist, v):
+        nonlocal skipped
         rule = build(dist, v)
+        if phases[-1][1] is None:  # build_selector skipped the BFS: it adds nothing
+            skipped += 1
+            built = nets[-1]
+            net = _copy_network(built)
+            phases[-1][1] = max_flow(net, 0, net.n - 1)
+            assert phases[-1][1] == 0 and net.cap == built.cap
         rows, alpha = reference_build_selector(dist, v)
         assert rule.alpha == alpha and rule.rows == rows, len(phases)
         return rule
@@ -664,6 +691,7 @@ def test_short_phase_then_bfs_equals_full_edmonds_karp(monkeypatch):
     assert len(phases) == 120
     assert sum(more > 0 for _, more in phases) >= 20  # the BFS still has paths to push
     assert sum(more == 0 for _, more in phases) >= 20  # the short phase alone finishes
+    assert skipped >= 20
 
 
 def test_short_paths_skip_saturated_atoms_and_prefer_lower_positions():

@@ -308,6 +308,52 @@ def test_inline_snaps_equal_snap_near_integers():
     assert cases > 10_000
 
 
+def _remainder_boundaries():
+    """Prefix sums where a snap through `s % 1.0` could part from one through
+    `round`: integers up to 2^20, on, inside and outside SNAP_TOL and
+    2 * SNAP_TOL of them, exact halves, signed zeros and negatives small
+    enough that `s % 1.0` rounds to 1.0, each with its two float neighbours."""
+    out = {0.0, -0.0, -1e-20, -5e-17, -math.ulp(0.0)}
+    for k in (0, 1, 2, 3, 7, 255, 256, 1 << 10, (1 << 20) - 1, 1 << 20):
+        for d in (0.0, ls.SNAP_TOL, 2 * ls.SNAP_TOL, 0.5):
+            out.update((k + d, k - d))
+    for v in list(out):
+        out.update((math.nextafter(v, -math.inf), math.nextafter(v, math.inf)))
+    return sorted(out)
+
+
+def test_remainder_snaps_equal_round_snaps_bit_for_bit():
+    # step_probability and online_step snap each sum through its remainder;
+    # on the sums where that could part from `round` and fractions that land
+    # the next sum on or near the next integer, every probability, state and
+    # raised error equals the `_snap` step's, compared by their bits
+    def bits(out):
+        if isinstance(out, tuple) and isinstance(out[1], LevelSetState):
+            out = (out[0], out[1].s_prev, out[1].count_prev, out[1].comp)
+        return tuple(v.hex() if isinstance(v, float) else v
+                     for v in (out if isinstance(out, tuple) else (out,)))
+
+    grid = _remainder_boundaries()
+    assert sum(s < 0.0 and s % 1.0 == 1.0 for s in grid) >= 3
+    assert sum(ls._snap(s) != s for s in grid) > 50 and sum(s % 1.0 == 0.5 for s in grid) > 10
+    cases = raised = 0
+    for s in grid:
+        fl = math.floor(s)
+        for x in {0.0, 1e-12, 1.0 - (s - fl), 1.0}:
+            for count in {fl - 1, fl, fl + 1, fl + 2}:
+                ref = LevelSetState(s, count, 0.0)
+                want_p = _outcome(lambda: reference_step_probability(ref, x))
+                got_p = _outcome(lambda: ls.step_probability(s, count, x))
+                assert bits(got_p) == bits(want_p), (s, count, x)
+                for u in (0.0, 0.5, math.nextafter(1.0, 0.0)):
+                    want = _outcome(lambda: reference_online_step(ref, x, u))
+                    got = _outcome(lambda: ls.online_step(s, count, 0.0, x, u))
+                    assert bits(got) == bits(want), (s, count, x, u)
+                    cases += 1
+                    raised += want[0] == "InvariantBreach"
+    assert cases > 9_000 and raised > 1_000, (cases, raised)
+
+
 def test_non_finite_fractions_are_rejected():
     for x in ([0.5, math.nan], [math.nan], [0.5, math.inf]):
         with pytest.raises(DomainError):
