@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, SizeError
-from .instances import CoverInstance, MultigraphInstance
+from .instances import COLOR_MAX_DELTA, CoverInstance, MultigraphInstance
 from .level_set import _snap, batch_stream, online_round
 from .level_set import online_step  # noqa: F401 -- perfbench/tracing.py looks it up here
 from .level_set import step_probability  # noqa: F401 -- perfbench/tracing.py looks it up here
@@ -26,11 +26,6 @@ from .rng import ScalarRng, mean_and_se, run_chunks
 
 WARMUP_ALPHA = math.e / (math.e - 1.0)  # 1 / (1 - 1/e)
 ROUND_SLACK = 0.1
-# largest declared max degree `edge_color_online` takes: it allocates about
-# 1.6 * delta fair matchers up front, each holding per-right-node lists. At
-# this cap, one left node on 50 right nodes colors in 1.0-1.3 s of CPU and
-# 131 MB peak RSS (2-vCPU VM, Python 3.11); both grow linearly with delta.
-COLOR_MAX_DELTA = 1 << 14
 
 
 # ----------------------------------------------------------------------------
@@ -67,8 +62,9 @@ def edge_color_online(mg: MultigraphInstance, C: int | None = None,
     A matcher scans the residual's right nodes in ascending id order and stops
     once its row is full (1 - row_used <= 1e-12), since every later candidate
     would clip to that room and be skipped. The greedy finish reuses the
-    palette first. A declared delta above COLOR_MAX_DELTA raises SizeError
-    before any matcher is allocated.
+    palette first. A matcher's state is allocated on its first use. A
+    declared delta above COLOR_MAX_DELTA raises SizeError before any matcher
+    is allocated.
     """
     delta = mg.delta
     if delta > COLOR_MAX_DELTA:
@@ -83,12 +79,15 @@ def edge_color_online(mg: MultigraphInstance, C: int | None = None,
     rng = ScalarRng(seed)
     # right-node state covers the listed right ids, not the declared count
     n_right = 1 + max((j for arr in mg.arrivals for j, _ in arr), default=-1)
-    # per matcher: (degree bound, fraction used per right node, warm-up step)
-    matchers = []
-    for r in range(n_rounds):
-        bound = max(delta - r * C * (1.0 - ROUND_SLACK), float(C))
-        matchers.extend((bound, [0.0] * n_right, OnlineWarmup(n_right))
-                        for _ in range(per_round))
+    # per matcher, allocated on its first use (an arrival stops at the first
+    # matchers that color its copies): (degree bound, fraction used per right
+    # node, warm-up step)
+    matchers: list[tuple | None] = [None] * (n_rounds * per_round)
+
+    def matcher(color: int) -> tuple:
+        bound = max(delta - color // per_round * C * (1.0 - ROUND_SLACK), float(C))
+        matchers[color] = (bound, [0.0] * n_right, OnlineWarmup(n_right))
+        return matchers[color]
     coloring = EdgeColoring()
     colors = coloring.colors
     right_used: list[set[int]] = [set() for _ in range(n_right)]
@@ -98,9 +97,10 @@ def edge_color_online(mg: MultigraphInstance, C: int | None = None,
         # keeps the rest in order)
         free_copies = dict(sorted({j: list(range(kappa))
                                    for j, kappa in arr if kappa > 0}.items()))
-        for color, (bound, col_used, warmup) in enumerate(matchers):
+        for color, m in enumerate(matchers):
             if not free_copies:
                 break
+            bound, col_used, warmup = m or matcher(color)
             row_used, row_room = 0.0, 1.0
             edges = []
             for j, copies in free_copies.items():
@@ -141,7 +141,7 @@ def edge_color_online(mg: MultigraphInstance, C: int | None = None,
                 left_used.add(c)
                 right.add(c)
                 if c < len(matchers):
-                    matchers[c][1][j] = 1.0
+                    (matchers[c] or matcher(c))[1][j] = 1.0
     return coloring
 
 

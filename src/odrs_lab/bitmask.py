@@ -59,6 +59,26 @@ def project(masks, positions, n: int) -> np.ndarray:
     return out
 
 
+def set_bits(mask: int) -> list[int]:
+    """The set bits of a nonnegative mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def spread(positions) -> np.ndarray:
+    """out[j] has bit positions[b] set for each bit b of j, for j in
+    [0, 2^len(positions)): the masks that `project` maps onto each local
+    mask. Positions lie below 63."""
+    out = np.zeros(1 << len(positions), dtype=np.int64)
+    for b, pos in enumerate(positions):
+        out[1 << b:2 << b] = out[:1 << b] | 1 << pos
+    return out
+
+
 def bit_matrix(masks, n: int) -> np.ndarray:
     """(len(masks), n) float matrix of 0/1 entries; row a holds bits 0..n-1
     of masks[a]."""

@@ -30,7 +30,8 @@ class SupportDistribution:
 
     Atom masks index positions in `elements` (bit k = elements[k]); a law
     over n bits has the elements 0..n-1. Only this module reads the stored
-    (mask, probability) pairs: laws are built by `summed` or `product`.
+    (mask, probability) pairs: laws are built by `summed`, `distinct` or
+    `product`.
     """
 
     elements: tuple[int, ...]
@@ -60,6 +61,12 @@ class SupportDistribution:
         for mask, p in zip(masks, probs, strict=True):
             out[mask] = out.get(mask, 0.0) + p
         return SupportDistribution(tuple(elements), tuple(out.items()))
+
+    @staticmethod
+    def distinct(elements, masks: np.ndarray, probs: np.ndarray) -> "SupportDistribution":
+        """One atom per mask, in order, for arrays of distinct masks (such as
+        the bid-law DP's): `summed` of them, without its pass over repeats."""
+        return SupportDistribution(tuple(elements), tuple(zip(masks.tolist(), probs.tolist())))
 
     @staticmethod
     def product(elements, probs) -> "SupportDistribution":
@@ -114,8 +121,10 @@ def _nonempty_hit_probs(dist: SupportDistribution, active: list[int]) -> np.ndar
     """Subset sums of the atom law projected onto `active` (local masks);
     Pr[R cap S = empty] is the entry at the complement of S."""
     masks, probs = dist.columns()
+    if len(active) < len(dist.elements):  # else the projection keeps every mask
+        masks = bitmask.project(masks, active, len(dist.elements))
     proj = np.zeros(1 << len(active))
-    np.add.at(proj, bitmask.project(masks, active, len(dist.elements)), probs)  # in atom order
+    np.add.at(proj, masks, probs)  # in atom order
     return bitmask.subset_sums(proj)
 
 
@@ -137,7 +146,6 @@ def balance_ratio(dist: SupportDistribution, v) -> float:
     bitmask.check_width(len(active), "the balance ratio's active set")
     k = len(active)
     g = _nonempty_hit_probs(dist, active)
-    full = (1 << k) - 1
     # v(S) one bit at a time from the highest down: the masks with lowest bit
     # b add v_b to the mask without it, so each sum adds its terms from the
     # highest element to the lowest
@@ -145,8 +153,8 @@ def balance_ratio(dist: SupportDistribution, v) -> float:
     for b in range(k - 1, -1, -1):
         step = 2 << b
         vsum[1 << b::step] = vsum[::step] + vl[active[b]]
-    m = np.arange(1, 1 << k)
-    return max(0.0, np.min((1.0 - g[full ^ m]) / vsum[1:]))
+    # S runs over 1..2^k - 1, so its complement runs down from 2^k - 2 to 0
+    return max(0.0, ((1.0 - g[-2::-1]) / vsum[1:]).min())
 
 
 # ----------------------------------------------------------------------------
@@ -162,12 +170,14 @@ class FlowNetwork:
         self.to: list[int] = []
         self.cap: list[int] = []
 
-    def add_edge(self, u: int, v: int, cap: int) -> int:
+    def add_edge(self, u: int, v: int, cap: int, flow: int = 0) -> int:
+        """Edge u -> v of capacity `cap` already carrying `flow`; returns its
+        id (its reverse edge is id + 1)."""
         eid = len(self.to)
         self.head[u].append(eid)
         self.head[v].append(eid + 1)
         self.to += (v, u)
-        self.cap += (cap, 0)
+        self.cap += (cap - flow, flow)
         return eid
 
     def max_flow(self, s: int, t: int) -> int:
@@ -177,14 +187,17 @@ class FlowNetwork:
         adjacency (insertion) order, and stops as soon as it discovers `t`:
         the edge that discovered `t` (and so the whole path) is fixed at that
         moment. These paths fix the flow on every edge, which the selector
-        rows of `build_selector` are read from. It may start from a residual
-        network: `build_selector` first pushes the shortest paths through
-        `_short_paths`, and the BFS then takes the paths it would have taken
-        next; `build_selector` calls it only while some sink edge keeps
-        residual capacity."""
+        rows of `build_selector` are read from. It may start from a network
+        that already carries flow: `build_selector` first pushes the shortest
+        paths through `_short_paths`, and the BFS then takes the paths it
+        would have taken next; `build_selector` builds the network and calls
+        it only while some sink edge keeps residual capacity. Once the flow
+        added uses up the residual capacity into `t`, no augmenting path is
+        left, and the BFS that would find none is not run."""
         head, to, cap = self.head, self.to, self.cap
+        room = sum(max(cap[eid ^ 1], 0) for eid in head[t])  # residual capacity into t
         total = 0
-        while True:
+        while total < room:
             parent_edge = [-1] * self.n
             parent_edge[s] = -2
             queue = [s]
@@ -200,7 +213,7 @@ class FlowNetwork:
                 if parent_edge[t] != -1:
                     break
             else:
-                return total
+                break
             path = []
             v = t
             while v != s:
@@ -212,6 +225,7 @@ class FlowNetwork:
                 cap[eid] -= bottleneck
                 cap[eid ^ 1] += bottleneck
             total += bottleneck
+        return total
 
     def flow_on(self, eid: int) -> int:
         return self.cap[eid ^ 1]
@@ -266,57 +280,68 @@ class SelectionRule:
         return out
 
 
-def _short_paths(cap: list[int], src_edges: list[int], mid_edges: list[list],
-                 sink_edges: list[int]) -> int:
+def _short_paths(src_cap: list[int], members: list[list[int]], sink_cap: list[int]
+                 ) -> tuple[list[list[int]], list[int]]:
     """Push Edmonds-Karp's length-3 augmenting paths src -> atom -> element
     -> sink on the selector network, in the order `FlowNetwork.max_flow`
-    takes them, without a BFS; returns the flow pushed and leaves the
-    residual capacities in `cap`.
+    takes them, without building the network. Atom a has source capacity
+    `src_cap[a]` and holds the positions `members[a]` (in order); position k
+    has sink capacity `sink_cap[k]`. Returns per atom the flow pushed to each
+    of its positions, and the residual sink capacities.
 
-    `src_edges[a]` is atom a's source edge, `mid_edges[a]` its (position,
-    edge) pairs in position order and `sink_edges[k]` position k's sink edge.
-    The BFS queues each element under the first atom holding it whose source
-    edge has residual capacity, in the order (that atom, position), and stops
-    at the first element whose sink edge has residual capacity; the path runs
-    through that atom. The middle edges' capacity exceeds every source
-    capacity, so they never bind and the bottleneck is the smaller of the
-    source and sink residuals. Each position keeps its holders in atom order
-    with a pointer that only moves forward past saturated atoms, so a path
-    costs O(positions), not the BFS's O(edges).
+    The BFS queues the atoms with source residual in atom order, each element
+    under the first of them holding it, in the order (that atom, position),
+    and stops at the first element whose sink edge has residual capacity; the
+    middle edges' capacity exceeds every source capacity, so they never bind
+    and a path pushes the smaller of its source and sink residuals. So each
+    path runs through the lowest atom with source residual that holds a
+    position with sink residual, to the lowest such position. A push
+    saturates that source or that sink edge and no push restores either, so
+    the paths come atom by atom, each atom's positions in order: one pass
+    over the (atom, position) edges.
     """
-    holders = [[] for _ in sink_edges]  # per position: (source edge, middle edge)
-    for se, edges in zip(src_edges, mid_edges):
-        for k, me in edges:
-            holders[k].append((se, me))
-    first = [0] * len(sink_edges)
-    live = [k for k, te in enumerate(sink_edges) if holders[k] and cap[te] > 0]
-    total = 0
-    while live:
-        best, best_se, still = -1, 0, []
-        for k in live:  # positions in order, so ties go to the lower one
-            hs, i = holders[k], first[k]
-            while i < len(hs) and cap[hs[i][0]] <= 0:
-                i += 1
-            first[k] = i
-            if i < len(hs):
-                still.append(k)
-                if best < 0 or hs[i][0] < best_se:  # source edge ids run in atom order
-                    best, best_se = k, hs[i][0]
-        live = still
-        if best < 0:
-            break
-        se, me = holders[best][first[best]]
-        te = sink_edges[best]
-        push = min(cap[se], cap[te])
-        if push <= 0:  # each path saturates a source or a sink edge, so the phase ends
-            raise InvariantBreach("short-path phase chose a saturated path")
-        for eid in (se, me, te):
-            cap[eid] -= push
-            cap[eid ^ 1] += push
-        total += push
-        if cap[te] <= 0:
-            live.remove(best)
-    return total
+    sink_res = list(sink_cap)
+    flows = []
+    for left, ks in zip(src_cap, members):
+        row = [0] * len(ks)
+        for j, k in enumerate(ks):
+            if left <= 0:
+                break
+            room = sink_res[k]
+            if room > 0:
+                push = left if left < room else room
+                row[j] = push
+                sink_res[k] = room - push
+                left -= push
+        flows.append(row)
+    return flows, sink_res
+
+
+def _selector_network(src_cap: list[int], members: list[list[int]], sink_cap: list[int],
+                      flows: list[list[int]]) -> tuple[FlowNetwork, list[list[int]]]:
+    """The selector network src (node 0) -> atoms -> elements -> sink (the
+    last node) carrying `flows` (per atom, per member position), with its
+    edges added atom by atom (the source edge, then the element edges in
+    position order) and then the sink edges; returns it with each atom's
+    element edge ids. The element edges get a capacity above every source
+    capacity, so they never bind."""
+    n_atoms = len(members)
+    sink = 1 + n_atoms + len(sink_cap)
+    net = FlowNetwork(sink + 1)
+    inf_cap = int(round(FLOW_SCALE * 1.001)) + n_atoms
+    add = net.add_edge
+    into = [0] * len(sink_cap)  # flow into each element
+    mid_edges = []
+    for a, (cap, ks, row) in enumerate(zip(src_cap, members, flows)):
+        add(0, 1 + a, cap, sum(row))
+        edges = []
+        for k, f in zip(ks, row):
+            edges.append(add(1 + a, 1 + n_atoms + k, inf_cap, f))
+            into[k] += f
+        mid_edges.append(edges)
+    for k, (cap, f) in enumerate(zip(sink_cap, into)):
+        add(1 + n_atoms + k, sink, cap, f)
+    return net, mid_edges
 
 
 def build_selector(dist: SupportDistribution, v) -> SelectionRule:
@@ -330,43 +355,36 @@ def build_selector(dist: SupportDistribution, v) -> SelectionRule:
     `FlowNetwork.max_flow` finds the longer ones by BFS, so the flow equals
     that of `max_flow` run from scratch. The element -> sink edges are the
     only residual edges into the sink, so when the short phase has saturated
-    all of them the BFS would find no path and is not run. An atom
-    probability above one raises DomainError.
+    all of them the BFS would find no path: the network is then not built and
+    the rows are read from the short phase's flows. An atom probability above
+    one raises DomainError.
     """
     v = np.asarray(v, dtype=float)
     alpha = balance_ratio(dist, v)
     atoms = [(mask, p) for mask, p in dist.atoms if mask]
     if any(p > 1.0 + 1e-9 for _, p in atoms):  # keeps every middle edge unsaturated
         raise DomainError("atom probabilities must not exceed one")
-    n_el = len(dist.elements)
-    src = 0
-    sink = 1 + len(atoms) + n_el
-    net = FlowNetwork(sink + 1)
-    inf_cap = int(round(FLOW_SCALE * 1.001)) + len(atoms)
-    src_edges = []  # per atom: its source edge id
-    mid_edges = []  # per atom: (position, edge id) of each element edge
-    for a, (mask, p) in enumerate(atoms):
-        src_edges.append(net.add_edge(src, 1 + a, int(round(p * FLOW_SCALE))))
-        mid_edges.append([(k, net.add_edge(1 + a, 1 + len(atoms) + k, inf_cap))
-                          for k in range(n_el) if mask >> k & 1])
-    sink_edges = [net.add_edge(1 + len(atoms) + k, sink, int(round(alpha * vk * FLOW_SCALE)))
-                  for k, vk in enumerate(v.tolist())]
-    flow = _short_paths(net.cap, src_edges, mid_edges, sink_edges)
-    if any(net.cap[te] for te in sink_edges):  # else no residual edge enters the sink
-        flow += net.max_flow(src, sink)
+    src_cap = [round(p * FLOW_SCALE) for _, p in atoms]
+    members = [bitmask.set_bits(mask) for mask, _ in atoms]
+    sink_cap = [round(alpha * vk * FLOW_SCALE) for vk in v.tolist()]
+    flows, sink_res = _short_paths(src_cap, members, sink_cap)
+    flow = sum(sink_cap) - sum(sink_res)
+    if any(sink_res):  # else no residual edge enters the sink
+        net, mid_edges = _selector_network(src_cap, members, sink_cap, flows)
+        flow += net.max_flow(0, net.n - 1)
+        flow_on = net.flow_on
+        flows = [[flow_on(eid) for eid in edges] for edges in mid_edges]
     want = alpha * float(v.sum())
     if flow / FLOW_SCALE < want - 1e-6:
         raise InvariantBreach(
             f"selector flow {flow / FLOW_SCALE} below required {want}; "
             "balance ratio or flow solver is inconsistent")
     rows = {}
-    for (mask, p), edges in zip(atoms, mid_edges):
+    for (mask, p), scaled, ks, row in zip(atoms, src_cap, members, flows):
         if p < ATOM_EPS:
-            rows[mask] = tuple((k, 1.0 / len(edges)) for k, _ in edges)
-            continue
-        scaled = int(round(p * FLOW_SCALE))
-        flows = [(k, net.flow_on(eid)) for k, eid in edges]
-        rows[mask] = tuple((k, f / scaled) for k, f in flows if f > 0)
+            rows[mask] = tuple((k, 1.0 / len(ks)) for k in ks)
+        else:
+            rows[mask] = tuple((k, f / scaled) for k, f in zip(ks, row) if f > 0)
     return SelectionRule(dist.elements, rows, alpha)
 
 
@@ -375,14 +393,15 @@ def exact_marginals(dist: SupportDistribution, rule) -> np.ndarray:
     `ProductSelector` on the law's elements (the selectors' oracle).
 
     The atoms go through `rule.conditional_win_probs` ATOM_CHUNK at a time
-    and are summed in atom order by a running `np.cumsum` (a sequential sum,
-    unlike the pairwise `np.sum`), so the (elements × atoms) working arrays
-    are bounded by the chunk, not by the `2^k` atoms of a k-element law. A
-    nonzero atom that a `SelectionRule` does not model raises DomainError.
+    and are summed in atom order by a running `np.add.accumulate` (the
+    sequential sum of `np.cumsum`, unlike the pairwise `np.sum`), so the
+    (elements × atoms) working arrays are bounded by the chunk, not by the
+    `2^k` atoms of a k-element law. A nonzero atom that a `SelectionRule`
+    does not model raises DomainError.
     """
     masks, probs = dist.columns()
     if isinstance(rule, SelectionRule):
-        for mask in masks.tolist():
+        for mask, _ in dist.atoms:
             if mask and mask not in rule.rows:
                 raise DomainError(f"unmodeled realization {mask:b}")
     acc = np.zeros(len(dist.elements))
@@ -391,7 +410,7 @@ def exact_marginals(dist: SupportDistribution, rule) -> np.ndarray:
         terms = np.empty((len(acc), len(p) + 1))
         terms[:, 0] = acc
         np.multiply(p, rule.conditional_win_probs(masks[a0:a0 + ATOM_CHUNK]), out=terms[:, 1:])
-        acc = np.cumsum(terms, axis=1)[:, -1]
+        acc = np.add.accumulate(terms, axis=1)[:, -1]
     return acc
 
 

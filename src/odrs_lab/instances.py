@@ -18,6 +18,15 @@ from .rng import generator
 
 TOL = 1e-9
 MAX_ARRIVAL_B = 1024  # largest per-arrival "b": each unit becomes its own arrival
+# largest declared max degree of a multigraph (`validate_multigraph`), which
+# `apps.edge_color_online` also refuses: it can run about 1.6 * delta fair
+# matchers, each holding per-right-node lists from its first use. At this
+# cap, one left node with 3 copies on right node 49 of 50 visits 17,679 of
+# the 26,112 matchers and colors in 0.21-0.26 s of CPU at 67 MB peak RSS
+# (84 MB when every matcher was allocated up front); on one right node,
+# 0.13-0.16 s at 41 MB, of which the interpreter with numpy is 30 MB
+# (2-vCPU VM, Python 3.11).
+COLOR_MAX_DELTA = 1 << 14
 WEIGHT_RANGE = (0.5, 3.0)  # edge weights of a stochastic `gen_random` instance
 
 
@@ -169,12 +178,14 @@ def _load_check(inst: MatchingInstance) -> ValidationReport:
 
 
 def validate_multigraph(mg: MultigraphInstance) -> ValidationReport:
-    """Node counts nonnegative, right ids in range and listed once per left
-    node, multiplicities nonnegative, and every degree within the declared
-    delta."""
+    """A declared delta in [1, COLOR_MAX_DELTA], node counts nonnegative,
+    right ids in range and listed once per left node, multiplicities
+    nonnegative, and every degree within the declared delta."""
     rep = ValidationReport()
     if mg.delta < 1:
         rep.add("bad-delta", "delta", mg.delta)
+    elif mg.delta > COLOR_MAX_DELTA:
+        rep.add("delta-above-cap", f"delta > cap {COLOR_MAX_DELTA}", mg.delta)
     for side, count in (("left", mg.n_left), ("right", mg.n_right)):
         if count < 0:
             rep.add("negative-count", side, count)
@@ -430,21 +441,17 @@ def instance_from_dict(doc: dict) -> MatchingInstance:
     try:
         n = _integer(doc["n_offline"], '"n_offline"')
         caps = tuple(_integer(b, f"capacity of offline {i}", keep_float=True)
-                     for i, b in enumerate(doc["capacities"]))
-        arrivals, docs = [], doc["arrivals"]
-        if not isinstance(docs, list):
-            raise ValidationFailure(f'"arrivals" must be a list, not {json.dumps(docs)[:40]}')
-        for t, arr in enumerate(docs):
-            if not isinstance(arr, dict):
-                raise ValidationFailure(f"arrival {t} must be an object, not "
-                                        f"{json.dumps(arr)[:40]}")
+                     for i, b in enumerate(_list(doc["capacities"], '"capacities"')))
+        arrivals = []
+        for t, arr in enumerate(_list(doc["arrivals"], '"arrivals"')):
+            _object(arr, f"arrival {t}")
             p = _real(arr.get("p", 1.0), f'"p" of arrival {t}')
             b_t = _integer(arr.get("b", 1), f'"b" of arrival {t}', keep_float=True)
             if isinstance(b_t, float) or not 1 <= b_t <= MAX_ARRIVAL_B:
                 rep.add("bad-b", f"arrival {t}", b_t)
                 b_t = 1
             edges, weights, has_w = [], [], False
-            for k, e in enumerate(arr["edges"]):
+            for k, e in enumerate(_list(arr["edges"], f'"edges" of arrival {t}')):
                 edges.append((_integer(e["i"], f'"i" of arrival {t} edge {k}'),
                               _real(e["x"], f'"x" of arrival {t} edge {k}')))
                 w = e.get("w")
@@ -464,6 +471,22 @@ def instance_from_dict(doc: dict) -> MatchingInstance:
     rep.violations += _load_check(inst).violations
     rep.raise_if_invalid()
     return inst
+
+
+def _object(v, field: str) -> dict:
+    """An object field; any other value raises ValidationFailure naming
+    `field`."""
+    if isinstance(v, dict):
+        return v
+    raise ValidationFailure(f"{field} must be an object, not {json.dumps(v)[:40]}")
+
+
+def _list(v, field: str) -> list:
+    """A list field; any other value (an object, a string, a number, null)
+    raises ValidationFailure naming `field`."""
+    if isinstance(v, list):
+        return v
+    raise ValidationFailure(f"{field} must be a list, not {json.dumps(v)[:40]}")
 
 
 def _integer(v, field: str, keep_float: bool = False) -> int | float:
@@ -495,8 +518,9 @@ def multigraph_from_dict(doc: dict) -> MultigraphInstance:
         arrivals = tuple(
             tuple(sorted((_integer(e["j"], f'"j" of left {t} edge {k}'),
                           _integer(e["kappa"], f'"kappa" of left {t} edge {k}'))
-                         for k, e in enumerate(arr["edges"])))
-            for t, arr in enumerate(mg["arrivals"]))
+                         for k, e in enumerate(_list(_object(arr, f"left {t}")["edges"],
+                                                     f'"edges" of left {t}'))))
+            for t, arr in enumerate(_list(mg["arrivals"], '"arrivals"')))
         out = MultigraphInstance(*(_integer(mg[f], f'"{f}"') for f in ("left", "right", "delta")),
                                  arrivals)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

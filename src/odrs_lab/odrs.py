@@ -9,6 +9,7 @@ independent per-node streams and a product-law selector.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -60,7 +61,7 @@ def feasibility_violation(eps: float, delta: float, variant: str) -> str | None:
 @dataclass(frozen=True)
 class ScalingParams:
     """(eps, delta) plus the derived thresholds; feasibility is checked on
-    construction."""
+    construction, and each threshold is computed once, on first use."""
 
     eps: float
     delta: float
@@ -78,7 +79,7 @@ class ScalingParams:
             detail = f"{bad}({z:.6g}) = {value:.3g} < 0"
             raise FeasibilityError(f"infeasible ({self.eps}, {self.delta}): {detail}", detail)
 
-    @property
+    @functools.cached_property
     def theta(self) -> float:
         if self.eps + self.delta == 0:
             return 0.0
@@ -86,18 +87,18 @@ class ScalingParams:
             return self.delta / (self.eps + self.delta)
         return self.theta2 * (1.0 - self.eps) + self.theta1 * (self.delta + self.eps)
 
-    @property
+    @functools.cached_property
     def theta1(self) -> float:
         return z_star(self.eps, self.delta, "b_matching")
 
-    @property
+    @functools.cached_property
     def theta2(self) -> float:
         if self.eps + self.delta == 0:
             return 0.0
         return (self.eps + 3.0 * self.delta + 2.0 * self.delta ** 2) / (
             (3.0 + 2.0 * self.delta) * (self.eps + self.delta))
 
-    @property
+    @functools.cached_property
     def theta_core(self) -> float:
         """Low/high threshold on the scaled fractional degree."""
         if self.variant == "matching":
@@ -337,7 +338,7 @@ def build_plans(inst: MatchingInstance, params: ScalingParams) -> list[StepPlan]
             if d > 1.0 + TOL:
                 raise DomainError(f"offline node {i} has fractional degree {d!r} > 1, which "
                                   "the matching ODRS cannot round; use odrs-b for b-matchings")
-    s = np.zeros(n)  # true prefix degrees
+    s = [0.0] * n  # true prefix degrees
     plans = []
     b_variant = params.variant == "b_matching"
     for t, arr in enumerate(inst.arrivals):
@@ -354,11 +355,12 @@ def build_plans(inst: MatchingInstance, params: ScalingParams) -> list[StepPlan]
                 continue
             plan.xhat[i] = xhat
             plan.v[i] = x
-            fl = math.floor(_snap(shat))
-            fl_next = math.floor(_snap(shat_next))
-            frac = _snap(shat) - fl
+            snapped, snapped_next = _snap(shat), _snap(shat_next)
+            fl = math.floor(snapped)
+            fl_next = math.floor(snapped_next)
+            frac = snapped - fl
             if b_variant and fl_next > fl:
-                nfrac = _snap(shat_next) - fl_next
+                nfrac = snapped_next - fl_next
                 takeover = nfrac / frac if frac > 0 else 0.0
                 plan.crossing.append(CrossingNode(i, min(1.0, max(0.0, takeover))))
             else:
@@ -400,7 +402,8 @@ def outcome_masks(bins: list[GroupBin], crossing: list[CrossingNode], pos
         options = [opt for opt in options if opt[2] > 0.0]
         outcomes = [(d | d2, h | h2, p * p2) for d, h, p in outcomes for d2, h2, p2 in options]
     drawn, heads, probs = zip(*outcomes)
-    return np.array(drawn, dtype=np.int64), np.array(heads, dtype=np.int64), np.array(probs)
+    drawn, heads = np.array((drawn, heads), dtype=np.int64)
+    return drawn, heads, np.array(probs)
 
 
 # (state, outcome) pairs per numpy pass of `pair_chunks` (BidLawDP.step and
@@ -432,12 +435,12 @@ class BidLawDP:
     of (state, outcome) pairs, done CHUNK_PAIRS at a time; its memory is
     that chunk plus two pairs of dense tables of 2^n entries (n = len(nodes)
     <= bitmask.MAX_BITS), one for the next state and one for the bid law,
-    which is summed by the full bid mask and projected onto the active nodes
-    once per step. A random 14-node component compiles in about 0.08 s on a
-    2-vCPU VM. Sums run in pair order, state-major, so each atom, its
-    position and its bits are those of the plain loop over states and then
-    outcomes. `dropped` is the state mass dropped so far (at most
-    DROP_MASS_BOUND per step).
+    which is summed by the full bid mask and read once per step at the full
+    masks of the 2^k masks over the arrival's k active nodes. A random
+    14-node component compiles in about 0.09 s on a 2-vCPU VM. Sums run in
+    pair order, state-major, so each atom, its position and its bits are
+    those of the plain loop over states and then outcomes. `dropped` is the
+    state mass dropped so far (at most DROP_MASS_BOUND per step).
     """
 
     def __init__(self, nodes: list[int]):
@@ -472,24 +475,24 @@ class BidLawDP:
         drawn, heads, cprobs = outcome_masks(plan.bins, plan.crossing, pos)
         cross = sum(1 << pos[cn.node] for cn in plan.crossing)
         may_bid = drawn | cross
-        not_tails = ~(cross & ~heads)
-        # bids fall on active nodes only, so the law is summed by the full
-        # bid mask and projected onto the active positions once, at the end
+        not_tails = ~cross | heads  # ~(cross & ~heads)
         law = PairSums(len(self.nodes))
         new_state = PairSums(len(self.nodes))
         for m, p, index in pair_chunks(self.masks, self.probs, cprobs):
             bid = ((may_bid & ~m) | heads).ravel()
             new = ((m | drawn) & not_tails).ravel()
-            live = p > 0.0
-            if not live.all():
+            if not p.min() > 0.0:  # some pair has probability zero
+                live = p > 0.0
                 p, bid, new, index = p[live], bid[live], new[live], index[live]
             law.add(bid, p, index)
             new_state.add(new, p, index)
-        keys, sums = law.items()
-        keys = bitmask.project(keys, [pos[i] for i in active], len(self.nodes))
+        # bids fall on active nodes only, so the law, summed by the full bid
+        # mask, is read at the full masks of the masks over the active
+        # positions, which it reports as the atoms' masks
+        keys, sums = law.items(bitmask.spread([pos[i] for i in active]))
         masks, probs = new_state.items()
-        keep = probs > DROP_ATOM
-        if not keep.all():
+        if probs.min() <= DROP_ATOM:
+            keep = probs > DROP_ATOM
             dropped = float(probs[~keep].sum())
             if dropped > DROP_MASS_BOUND:
                 raise InvariantBreach(f"bid-law DP dropped state mass {dropped!r} at arrival "
@@ -498,8 +501,8 @@ class BidLawDP:
             masks, probs = masks[keep], probs[keep]
         self.masks = masks
         # a left-to-right total: np.sum adds pairwise, which changes last bits
-        self.probs = probs / np.cumsum(probs)[-1]
-        return crs_mod.SupportDistribution.summed(active, keys, sums)
+        self.probs = probs / np.add.accumulate(probs)[-1]
+        return crs_mod.SupportDistribution.distinct(active, keys, sums)
 
 
 def pair_chunks(masks: np.ndarray, probs: np.ndarray, out_probs: np.ndarray):
@@ -520,17 +523,20 @@ class PairSums:
 
     def __init__(self, bits: int):
         self.total = np.zeros(1 << bits)
-        self.first = np.full(1 << bits, _UNSEEN, dtype=np.int64)
+        self.first = np.empty(1 << bits, dtype=np.int64)
+        self.first.fill(_UNSEEN)
 
     def add(self, masks: np.ndarray, p: np.ndarray, index: np.ndarray):
         np.add.at(self.total, masks, p)  # in input order: bit-equal to a loop
         np.minimum.at(self.first, masks, index)
 
-    def items(self) -> tuple[np.ndarray, np.ndarray]:
-        """Reached masks in first-seen order and their sums."""
-        seen = np.flatnonzero(self.first != _UNSEEN)
-        keys = seen[np.argsort(self.first[seen])]
-        return keys, self.total[keys]
+    def items(self, at: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Reached masks in first-seen order and their sums; with `at`, only
+        the masks at[j], each reported as its index j."""
+        first, total = (self.first, self.total) if at is None else (self.first[at], self.total[at])
+        seen = np.flatnonzero(first != _UNSEEN)
+        keys = seen[np.argsort(first[seen])]
+        return keys, total[keys]
 
 
 # ----------------------------------------------------------------------------
@@ -634,8 +640,8 @@ class _CompiledScheme:
                 continue
             law = self.bid_law(t)
             marg = crs_mod.exact_marginals(law, sel)
-            for k, i in enumerate(law.elements):
-                probs[(i, t)] = float(marg[k])
+            for i, m in zip(law.elements, marg.tolist()):
+                probs[(i, t)] = m
         return probs
 
 

@@ -1,6 +1,7 @@
 """The numpy bid-law DP against the plain dict loop it replaced: laws (atoms
 and their order) and states must be equal bit for bit, not within a tolerance."""
 
+import numpy as np
 import pytest
 
 from odrs_lab import crs, instances, odrs
@@ -188,3 +189,18 @@ def test_suite_instances_drop_far_less_than_the_bound(matching_params, b_matchin
         total += dp.dropped
     assert total > 0.0
     assert worst < 1e-3 * odrs.DROP_MASS_BOUND
+
+
+def test_pairs_of_probability_zero_are_skipped():
+    """A (state, outcome) pair whose probability underflows to zero reaches
+    no bid mask and no state, as in the reference loop: here it would have
+    put bid mask 0b01 before 0b10."""
+    plan = odrs.StepPlan(0, {0: 0.5, 1: 0.5}, {0: 0.5, 1: 0.5},
+                         bins=[odrs.GroupBin([0, 1], [1e-200, 0.5])])
+    dp, ref = odrs.BidLawDP([0, 1]), ReferenceBidLawDP([0, 1])
+    dp.masks, dp.probs = np.array([0, 0b10]), np.array([1e-200, 1.0])
+    ref.state = {0: 1e-200, 0b10: 1.0}
+    got, want = dp.step(plan), ref.step(plan)
+    assert [m for m, _ in want.atoms] == [0, 0b10, 0b01]
+    assert got.atoms == want.atoms
+    assert list(dp.state.items()) == list(ref.state.items())

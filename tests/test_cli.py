@@ -144,7 +144,11 @@ def test_zero_fraction_edges_kept_cli_matches_library(tmp_path):
 
 @pytest.mark.parametrize("text", ["5", "null", "[]", '"cover"', "{}", *(
     json.dumps({"n_offline": 1, "capacities": [1], "arrivals": arrivals})
-    for arrivals in (["a"], {"k": 1}, [[0.5]]))])
+    for arrivals in (["a"], {"k": 1}, [[0.5]])), *(
+    json.dumps(doc) for doc in (
+        {"n_offline": 1, "capacities": {"a": 1}, "arrivals": []},
+        {"n_offline": 1, "capacities": [1], "arrivals": [{"edges": {"i": 0, "x": 0.5}}]},
+        {"multigraph": {"left": 1, "right": 1, "delta": 1, "arrivals": {"edges": []}}}))])
 @pytest.mark.parametrize("cmd", ["validate", "round", "color", "cover"])
 def test_documents_of_the_wrong_shape_exit_2(tmp_path, monkeypatch, capsys, cmd, text):
     import odrs_lab.cli as cli_mod
@@ -156,6 +160,49 @@ def test_documents_of_the_wrong_shape_exit_2(tmp_path, monkeypatch, capsys, cmd,
     assert cli_mod.main() == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "internal error" not in err
+    assert "TypeError" not in err, err  # a field of the wrong type is named, not a Python error
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"n_offline": 1, "capacities": {"a": 1}, "arrivals": []},
+     '"capacities" must be a list, not {"a": 1}'),
+    ({"n_offline": 1, "capacities": [1], "arrivals": [{"edges": {"i": 0, "x": 0.5}}]},
+     '"edges" of arrival 0 must be a list, not {"i": 0, "x": 0.5}'),
+    ({"multigraph": {"left": 1, "right": 1, "delta": 1, "arrivals": {"edges": []}}},
+     '"arrivals" must be a list, not {"edges": []}'),
+    ({"multigraph": {"left": 1, "right": 1, "delta": 1, "arrivals": [{"edges": {"j": 0}}]}},
+     '"edges" of left 0 must be a list, not {"j": 0}'),
+    ({"multigraph": {"left": 1, "right": 1, "delta": 1, "arrivals": [[]]}},
+     "left 0 must be an object, not []")])
+def test_an_object_where_a_list_belongs_is_named(tmp_path, monkeypatch, capsys, doc, message):
+    import odrs_lab.cli as cli_mod
+
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setattr(sys, "argv", ["odrs-lab", "validate", str(path)])
+    assert cli_mod.main() == 2
+    assert capsys.readouterr().err == f"validation failure: {message}\n"
+
+
+def test_validate_and_color_agree_on_the_delta_cap(tmp_path, monkeypatch, capsys):
+    """A multigraph declaring a delta above the cap is refused at load by
+    `validate` and `color` alike; one at the cap passes both."""
+    import odrs_lab.cli as cli_mod
+    from odrs_lab import apps
+
+    for delta, code in ((10**30, 2), (apps.COLOR_MAX_DELTA + 1, 2), (apps.COLOR_MAX_DELTA, 0)):
+        path = tmp_path / f"mg-{delta}.json"
+        arrivals = [{"edges": [{"j": 0, "kappa": 1}]}]
+        path.write_text(json.dumps({"multigraph": {"left": 1, "right": 1, "delta": delta,
+                                                   "arrivals": arrivals}}))
+        for argv in (["validate", str(path)], ["color", "--instance", str(path)]):
+            monkeypatch.setattr(sys, "argv", ["odrs-lab", *argv])
+            assert cli_mod.main() == code, (delta, argv)
+            err = capsys.readouterr().err
+            if code:
+                assert err.splitlines() == [
+                    f"validation failure: invalid instance: delta-above-cap at delta > cap "
+                    f"{apps.COLOR_MAX_DELTA} (magnitude {delta:.3g})"], err
 
 
 # every file a command reads, as the argv before the path, with valid companion files

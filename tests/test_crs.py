@@ -231,19 +231,6 @@ def reference_max_flow(net, s, t):
         backward += any(eid & 1 for eid in path)
 
 
-def _recorded_networks(monkeypatch):
-    """Every `crs.FlowNetwork` made from now on, in creation order."""
-    nets = []
-
-    class Recorded(crs.FlowNetwork):
-        def __init__(self, n_nodes):
-            super().__init__(n_nodes)
-            nets.append(self)
-
-    monkeypatch.setattr(crs, "FlowNetwork", Recorded)
-    return nets
-
-
 def _copy_network(net):
     twin = crs.FlowNetwork(net.n)
     twin.head = [list(h) for h in net.head]
@@ -275,21 +262,22 @@ def test_max_flow_equals_reference(monkeypatch):
         backward += back > 0
     assert backward >= 30
 
-    # every selector network the compiled schemes build, from the residual
-    # the short phase leaves: `build_selector` runs the BFS only where a sink
-    # edge keeps capacity, so each network's BFS runs here on a copy
-    nets, seen = _recorded_networks(monkeypatch), []
+    # every selector network the compiled schemes build, carrying the flow
+    # the short phase leaves: `build_selector` builds it and runs the BFS
+    # only where a sink edge keeps capacity, so each network's BFS runs here
+    # on a network built from the short phase's output
+    seen = []
     short_paths = crs._short_paths
 
-    def short_then_bfs(cap, *edges):
-        pushed = short_paths(cap, *edges)
-        net = _copy_network(nets[-1])
+    def short_then_bfs(src_cap, members, sink_cap):
+        flows, sink_res = short_paths(src_cap, members, sink_cap)
+        net, _ = crs._selector_network(src_cap, members, sink_cap, flows)
         ref = _copy_network(net)
         want, _ = reference_max_flow(ref, 0, net.n - 1)
         got = net.max_flow(0, net.n - 1)
         assert got == want and net.cap == ref.cap
         seen.append(got)
-        return pushed
+        return flows, sink_res
 
     monkeypatch.setattr(crs, "_short_paths", short_then_bfs)
     for name in ("odrs", "odrs_b", "warmup"):
@@ -655,12 +643,15 @@ def test_short_phase_then_bfs_equals_full_edmonds_karp(monkeypatch):
     # with zero targets and zero-capacity atoms are checked by
     # test_build_selector_equals_dict_built_selector)
     phases = []  # per build: (flow of the short phase, flow the BFS added)
+    shorts = []  # per build: the short phase's arguments and flows
     skipped = 0  # builds whose short phase saturated every sink edge
     short_paths, max_flow = crs._short_paths, crs.FlowNetwork.max_flow
 
-    def short_then(cap, *edges):
-        phases.append([short_paths(cap, *edges), None])
-        return phases[-1][0]
+    def short_then(src_cap, members, sink_cap):
+        flows, sink_res = short_paths(src_cap, members, sink_cap)
+        phases.append([sum(map(sum, flows)), None])
+        shorts.append((src_cap, members, sink_cap, flows))
+        return flows, sink_res
 
     def bfs(net, s, t):
         phases[-1][1] = max_flow(net, s, t)
@@ -668,7 +659,6 @@ def test_short_phase_then_bfs_equals_full_edmonds_karp(monkeypatch):
 
     monkeypatch.setattr(crs, "_short_paths", short_then)
     monkeypatch.setattr(crs.FlowNetwork, "max_flow", bfs)
-    nets = _recorded_networks(monkeypatch)
     build = crs.build_selector
 
     def checked(dist, v):
@@ -676,9 +666,9 @@ def test_short_phase_then_bfs_equals_full_edmonds_karp(monkeypatch):
         rule = build(dist, v)
         if phases[-1][1] is None:  # build_selector skipped the BFS: it adds nothing
             skipped += 1
-            built = nets[-1]
+            built, _ = crs._selector_network(*shorts[-1])
             net = _copy_network(built)
-            phases[-1][1] = max_flow(net, 0, net.n - 1)
+            phases[-1][1], _ = reference_max_flow(net, 0, net.n - 1)
             assert phases[-1][1] == 0 and net.cap == built.cap
         rows, alpha = reference_build_selector(dist, v)
         assert rule.alpha == alpha and rule.rows == rows, len(phases)
@@ -698,20 +688,17 @@ def test_short_paths_skip_saturated_atoms_and_prefer_lower_positions():
     # atoms {0, 1}, {1} (mass 0.25 each) and {0} (0.5); elements 0 and 1
     # take 0.5 each
     q = crs.FLOW_SCALE // 4
-    net = crs.FlowNetwork(7)  # src 0, atoms 1-3, elements 4-5, sink 6
-    src_edges, mid_edges = [], []
-    for a, (positions, mass) in enumerate((((0, 1), q), ((1,), q), ((0,), 2 * q))):
-        src_edges.append(net.add_edge(0, 1 + a, mass))
-        mid_edges.append([(k, net.add_edge(1 + a, 4 + k, 5 * q)) for k in positions])
-    sink_edges = [net.add_edge(4 + k, 6, 2 * q) for k in range(2)]
-    assert crs._short_paths(net.cap, src_edges, mid_edges, sink_edges) == 3 * q
+    src_cap, members, sink_cap = [q, q, 2 * q], [(0, 1), (1,), (0,)], [2 * q, 2 * q]
+    flows, sink_res = crs._short_paths(src_cap, members, sink_cap)
+    assert sum(map(sum, flows)) == 3 * q and sink_res == [0, q]
     # atom 0 serves position 0, the lower one; position 1 then passes over the
     # saturated atom 0 to atom 1, which comes before atom 2 of position 0
-    flows = [[net.flow_on(e) for _, e in edges] for edges in mid_edges]
     assert flows == [[q, 0], [q], [q]]
     # the BFS goes on along src -> atom 2 -> element 0 -> atom 0 -> element 1
+    net, mid_edges = crs._selector_network(src_cap, members, sink_cap, flows)
+    assert net.n == 7  # src 0, atoms 1-3, elements 4-5, sink 6
     assert net.max_flow(0, 6) == q
-    assert [[net.flow_on(e) for _, e in edges] for edges in mid_edges] == [[0, q], [q], [2 * q]]
+    assert [[net.flow_on(e) for e in edges] for edges in mid_edges] == [[0, q], [q], [2 * q]]
 
 
 def test_build_selector_rejects_atom_probabilities_above_one():

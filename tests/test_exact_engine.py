@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import bit_law, cylinder_mass, rotation_joint, sized_joint
+from conftest import bit_law, cylinder_mass, digest, rotation_joint, sized_joint
 from odrs_lab import bitmask, crs, instances, level_set as ls, odrs, stochastic
 from odrs_lab import exact_engine as engine
 from odrs_lab.errors import DomainError, InvariantBreach, SizeError
@@ -331,3 +331,34 @@ def test_three_node_impossibility_requires_fractional_solution(matching_params):
         probs = engine.edge_match_probs(inst, matching_params, "odrs")
         final = probs.get((pair[0], 3), 0) + probs.get((pair[1], 3), 0)
         assert final < 1 - 1e-6
+
+
+# digest of [edge_match_probs(gen_random(n, n, 0.7, seed, max_b)) for each
+# seed] at the shapes of the benchmark's exact sweep (n = 4..9, seeds 0-2) and
+# of its large instances (n = 11, seed 0), max_b 1 for odrs and 3 for odrs_b:
+# a change to any bit of any exact edge probability fails here
+EXACT_SHAPE_DIGESTS = {
+    ("odrs", 4): "44a1299c8e62261e9fb584bfcd27c156539eab5250d08119a17eea4bc5d65c33",
+    ("odrs", 5): "dbfe08bdfb87dc8f8afc716963700213ea943444bc149ab9feba4e95b9168f07",
+    ("odrs", 6): "df488e8cb7cc38e0d85b3560306e54827bebe092318c64af68bc4cda23827369",
+    ("odrs", 7): "698e4d476d5435b8500b6d9011d5c4e8d73caa2188630dc520eef4477ad7b8fb",
+    ("odrs", 8): "868f6900f699d759c15e8f6bef80ccce422ea61ca407b44b9b56c5dafaf4c4cc",
+    ("odrs", 9): "90288fcf465b09b0938bb4da1c975c80dde756b593b1eed1283c0557254b34d2",
+    ("odrs", 11): "29bb49ef103287ca0311dc95639ad5928abeb7d26904c74c6140d961a0dabf3b",
+    ("odrs_b", 4): "379b482d824eae7e118b7e0ec7e06acaea044caf24d95a979fb8b37b9b6992a1",
+    ("odrs_b", 5): "fbf7209dc6586248a22acf58e68ee9a84bf11a9200d705fc6faf8ea365bafa25",
+    ("odrs_b", 6): "913b028d05121e00d77cc12c586b12e7f10f8f6e144c20eda2da6d6b7350186c",
+    ("odrs_b", 7): "14adc78ec544ad068d431f2bd008000632425281dbe218a9913fb69f32777408",
+    ("odrs_b", 8): "45cf79546aac2d6461fa546822728a4d90a1fb981db45c5f893da40b5cbf62b5",
+    ("odrs_b", 9): "505e14f1ee95ae4996b258eaf0e8421941d2052b7750c2810c5a2bea66f67dda",
+    ("odrs_b", 11): "bea63a86266cf8c994b5839d5aca3f1d8691e49d372c7ef0807bf3ee22db2d3c",
+}
+
+
+@pytest.mark.parametrize("alg,n", sorted(EXACT_SHAPE_DIGESTS))
+def test_edge_match_probs_at_benchmark_shapes_are_pinned(alg, n):
+    params = odrs.scheme_params(alg)
+    probs = [engine.edge_match_probs(
+        instances.gen_random(n, n, 0.7, seed, max_b=1 if alg == "odrs" else 3), params, alg)
+        for seed in (range(3) if n < 10 else (0,))]
+    assert digest(probs) == EXACT_SHAPE_DIGESTS[alg, n]
