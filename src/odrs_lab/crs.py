@@ -31,7 +31,11 @@ class SupportDistribution:
     Atom masks index positions in `elements` (bit k = elements[k]); a law
     over n bits has the elements 0..n-1. Only this module reads the stored
     (mask, probability) pairs: laws are built by `summed`, `distinct` or
-    `product`.
+    `product`. A law holds its atom tuple and, once computed, its `columns()`:
+    16 bytes more per atom (an int64 mask and a float probability below 63
+    elements), computed and checked once and read-only. `distinct` and
+    `product` hand in the arrays they built the atoms from; any other law
+    builds them on its first `columns()` call.
     """
 
     elements: tuple[int, ...]
@@ -65,14 +69,22 @@ class SupportDistribution:
     @staticmethod
     def distinct(elements, masks: np.ndarray, probs: np.ndarray) -> "SupportDistribution":
         """One atom per mask, in order, for arrays of distinct masks (such as
-        the bid-law DP's): `summed` of them, without its pass over repeats."""
-        return SupportDistribution(tuple(elements), tuple(zip(masks.tolist(), probs.tolist())))
+        the bid-law DP's): `summed` of them, without its pass over repeats.
+        The law keeps the two arrays as its columns and makes them read-only."""
+        law = SupportDistribution(tuple(elements), tuple(zip(masks.tolist(), probs.tolist())))
+        law._keep_columns(masks, probs)
+        return law
 
     @staticmethod
     def product(elements, probs) -> "SupportDistribution":
         """Independent Bernoulli inclusion with the given probabilities
         (up to 2^len(elements) atoms, so at most bitmask.MAX_BITS elements).
-        One probability per element, each finite in [0, 1], else DomainError."""
+        One probability per element, each finite in [0, 1], else DomainError.
+
+        Element k splits each atom (mask, q) into (mask, q * (1 - p_k)) and
+        (mask | bit k, q * p_k), in that order, dropping the half of
+        probability zero when p_k is 0 or 1 (whose other half is q * 1.0,
+        which is q)."""
         elements = tuple(elements)
         probs = [float(p) for p in probs]
         if len(probs) != len(elements):
@@ -80,23 +92,34 @@ class SupportDistribution:
         if not all(0.0 <= p <= 1.0 for p in probs):  # NaN fails this too
             raise DomainError("product-law probabilities must lie in [0, 1]")
         bitmask.check_width(len(probs), "a product law")
-        atoms = [(0, 1.0)]
+        masks, q = np.zeros(1, dtype=np.int64), np.ones(1)
         for k, p in enumerate(probs):
-            nxt = []
-            for mask, q in atoms:
-                if p < 1.0:
-                    nxt.append((mask, q * (1.0 - p)))
-                if p > 0.0:
-                    nxt.append((mask | (1 << k), q * p))
-            atoms = nxt
-        return SupportDistribution(elements, tuple(atoms))
+            if p == 1.0:
+                masks = masks | 1 << k
+            elif p > 0.0:  # atom a becomes atoms 2a and 2a + 1
+                masks = (masks[:, None] | np.array([0, 1 << k])).ravel()
+                q = np.multiply.outer(q, [1.0 - p, p]).ravel()
+        law = SupportDistribution(elements, tuple(zip(masks.tolist(), q.tolist())))
+        law._keep_columns(masks, q)
+        return law
+
+    def _keep_columns(self, masks, probs) -> tuple[np.ndarray, np.ndarray]:
+        """Store `columns()`: the masks through `bitmask.checked` and the
+        probabilities as floats, both made read-only."""
+        masks = bitmask.checked(masks, len(self.elements))
+        probs = np.asarray(probs, dtype=float)
+        masks.flags.writeable = probs.flags.writeable = False
+        object.__setattr__(self, "_columns", (masks, probs))
+        return masks, probs
 
     def columns(self) -> tuple[np.ndarray, np.ndarray]:
         """The atom masks (`bitmask.checked` over the elements, so Python
         integers past 62 elements) and their probabilities as floats, in
-        atom order."""
-        masks = bitmask.checked([m for m, _ in self.atoms], len(self.elements))
-        return masks, np.array([p for _, p in self.atoms], dtype=float)
+        atom order: the same two read-only arrays on every call."""
+        cols = self.__dict__.get("_columns")
+        if cols is None:
+            cols = self._keep_columns([m for m, _ in self.atoms], [p for _, p in self.atoms])
+        return cols
 
     def marginals(self) -> np.ndarray:
         """Pr[element k in R] per position k, as the probabilities times the
@@ -397,13 +420,15 @@ def exact_marginals(dist: SupportDistribution, rule) -> np.ndarray:
     sequential sum of `np.cumsum`, unlike the pairwise `np.sum`), so the
     (elements × atoms) working arrays are bounded by the chunk, not by the
     `2^k` atoms of a k-element law. A nonzero atom that a `SelectionRule`
-    does not model raises DomainError.
+    does not model raises DomainError naming the first such mask in atom
+    order; one set difference over the mask column finds whether any is.
     """
     masks, probs = dist.columns()
     if isinstance(rule, SelectionRule):
-        for mask, _ in dist.atoms:
-            if mask and mask not in rule.rows:
-                raise DomainError(f"unmodeled realization {mask:b}")
+        unmodeled = set(masks.tolist()).difference(rule.rows, (0,))
+        if unmodeled:
+            first = next(m for m in masks.tolist() if m in unmodeled)
+            raise DomainError(f"unmodeled realization {first:b}")
     acc = np.zeros(len(dist.elements))
     for a0 in range(0, len(masks), ATOM_CHUNK):
         p = probs[a0:a0 + ATOM_CHUNK]
@@ -501,6 +526,16 @@ class ProductSelector:
         order."""
         return tuple(self.weights(ref, pattern) for pattern in range(4))
 
+    @functools.cached_property
+    def _rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each internal node's left and right child refs (two arrays over
+        refs 0..n-2) and the (2, n - 1, 4) table of their `row` weights by bid
+        pattern: every node solved once, on the first `conditional_win_probs`
+        call."""
+        left, right = np.array(self.children, dtype=np.intp).reshape(-1, 2).T
+        table = np.array([self.row(ref) for ref in range(len(self.children))]).reshape(-1, 4, 2)
+        return left, right, table.transpose(2, 0, 1).copy()
+
     def select(self, mask: int, uniform) -> int:
         """Winner position among the realized bid set `mask` (bit i set when
         position i bids), or -1 for none.
@@ -538,16 +573,18 @@ class ProductSelector:
         products of a per-mask tree walk, bit for bit.
         """
         masks = bitmask.checked(masks, self.n)
-        sub = self.sub
+        left, right, (to_left, to_right) = self._rows
+        # per node ref (leaves in the tail): whether anyone under it bids
+        bids = (masks & np.array(self.sub, dtype=masks.dtype)[:, None]) != 0
+        patterns = bids[left] + bids[right] * np.uint8(2)
         weight = {self.root: (masks != 0).astype(float)}
         for ref in range(len(self.children) - 1, -1, -1):  # parents before children
             w = weight.pop(ref)
             w = np.where(w > 0, w, 0.0)
             r1, r2 = self.children[ref]
-            pattern = ((masks & sub[r1]) != 0) + 2 * ((masks & sub[r2]) != 0)
-            table = np.array(self.row(ref))[pattern]
-            weight[r1] = w * table[:, 0]
-            weight[r2] = w * table[:, 1]
+            pattern = patterns[ref]
+            weight[r1] = w * to_left[ref].take(pattern)
+            weight[r2] = w * to_right[ref].take(pattern)
         out = np.empty((self.n, len(masks)))
         for i in range(self.n):
             w = weight[~i]

@@ -58,6 +58,22 @@ def reference_win_probs(sel, bids):
     return out
 
 
+def reference_product(elements, probs):
+    """The nested loop that `SupportDistribution.product` replaced: element k
+    splits each atom (mask, q), in order, into (mask, q * (1 - p)) unless
+    p = 1 and (mask | bit k, q * p) unless p = 0. Returns the atom tuple."""
+    atoms = [(0, 1.0)]
+    for k, p in enumerate(probs):
+        nxt = []
+        for mask, q in atoms:
+            if p < 1.0:
+                nxt.append((mask, q * (1.0 - p)))
+            if p > 0.0:
+                nxt.append((mask | (1 << k), q * p))
+        atoms = nxt
+    return tuple(atoms)
+
+
 def reference_exact_marginals(dist, rule):
     """The per-atom loop that `crs.exact_marginals` replaced: Pr[i wins]
     summed atom by atom in atom order, for a `SelectionRule` (its rows) or a

@@ -2,13 +2,14 @@ import collections
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import (built_rows, reference_build_selector, reference_exact_marginals,
-                      reference_product_select, reference_product_tree, reference_select,
-                      reference_win_probs)
+                      reference_product, reference_product_select, reference_product_tree,
+                      reference_select, reference_win_probs)
 from odrs_lab import bitmask, crs, instances, odrs
 from odrs_lab.errors import DomainError, SizeError
 from odrs_lab.rng import ScalarRng
@@ -139,6 +140,22 @@ def test_select_unmodeled_realization():
         partial.select(2, lambda: 0.1)
     with pytest.raises(DomainError, match="unmodeled"):
         crs.exact_marginals(d, partial)
+
+
+def test_exact_marginals_name_the_first_unmodeled_mask_in_atom_order():
+    # atom order 0, 011, 100, 010, 101: the rule models 011 and 101 only, so
+    # 100 is the first unmodeled mask though not the first atom
+    d = crs.SupportDistribution.summed(range(3), [0, 0b011, 0b100, 0b010, 0b101], [0.2] * 5)
+    rule = crs.build_selector(d, [0.2, 0.2, 0.2])
+    partial = crs.SelectionRule(rule.elements, {m: rule.rows[m] for m in (0b011, 0b101)},
+                                rule.alpha)
+    with pytest.raises(DomainError, match="unmodeled realization 100$"):
+        crs.exact_marginals(d, partial)
+    # masks past 62 elements are Python integers
+    wide = crs.SupportDistribution.summed(range(70), [1 << 69, 1, 1 << 65], [0.5, 0.25, 0.25])
+    rule = crs.SelectionRule(wide.elements, {1: ((0, 1.0),)}, 1.0)
+    with pytest.raises(DomainError, match=f"unmodeled realization {1 << 69:b}$"):
+        crs.exact_marginals(wide, rule)
 
 
 def test_selection_law_matches_rows():
@@ -537,6 +554,90 @@ def test_columns_are_the_atoms_in_order_with_wide_masks_as_python_ints():
     wide = crs.SupportDistribution.summed(range(63), [1 << 62, 1], [0.5, 0.5])
     masks, _ = wide.columns()
     assert masks.dtype == object and masks.tolist() == [1 << 62, 1]
+
+
+def _laws_of_every_builder():
+    """Laws built by `summed`, `distinct` (a bid-law DP step), `product` and
+    the constructor, narrow and past 62 elements."""
+    inst = instances.gen_random(7, 7, 0.7, seed=3)
+    params = odrs.scheme_params("odrs")
+    dp = odrs.BidLawDP(list(range(inst.n_offline)))
+    laws = [dp.step(plan) for plan in odrs.build_plans(inst, params)]
+    laws.append(crs.SupportDistribution.distinct((2, 5), np.array([2, 0, 1]),
+                                                 np.array([0.5, 0.25, 0.25])))
+    laws += [crs.SupportDistribution.summed(range(n), [3, 0, 3, 1 << (n - 1)], [0.25] * 4)
+             for n in (5, 63, 70)]
+    laws += [crs.SupportDistribution.product(range(n), [0.3, 1.0, 0.0, 0.6, 0.5][:n])
+             for n in range(6)]
+    laws += [crs.SupportDistribution(tuple(range(n)), ((1 << (n - 1), 0.75), (0, 0.25)))
+             for n in (1, 62, 63, 100)]
+    return laws
+
+
+def test_columns_are_the_checked_atoms_bit_for_bit():
+    for law in _laws_of_every_builder():
+        masks, probs = law.columns()
+        want = bitmask.checked([m for m, _ in law.atoms], len(law.elements))
+        assert masks.dtype == want.dtype and masks.tolist() == want.tolist()
+        assert probs.dtype == float
+        assert [p.hex() for p in probs.tolist()] == [p.hex() for _, p in law.atoms]
+
+
+def test_columns_are_the_same_read_only_arrays_on_every_call():
+    for law in _laws_of_every_builder():
+        masks, probs = law.columns()
+        again = law.columns()
+        assert again[0] is masks and again[1] is probs
+        for col in (masks, probs):
+            with pytest.raises(ValueError):
+                col[:1] = 0
+    # the columns take no part in == or repr
+    fresh = crs.SupportDistribution.product((4, 9), (0.5, 0.25))
+    read = crs.SupportDistribution.product((4, 9), (0.5, 0.25))
+    text = repr(read)
+    read.columns()
+    assert read == fresh == crs.SupportDistribution(fresh.elements, fresh.atoms)
+    assert repr(read) == text == repr(fresh) == (
+        "SupportDistribution(elements=(4, 9), atoms=((0, 0.375), (2, 0.125), (1, 0.375), "
+        "(3, 0.125)))")
+    assert read != crs.SupportDistribution.product((4, 9), (0.5, 0.5))
+    assert hash(read) == hash(fresh)
+
+
+def test_product_equals_the_nested_loop_bit_for_bit():
+    rng = np.random.default_rng(29)
+    for n in range(13):
+        for trial in range(6):
+            probs = rng.random(n)
+            # about one entry in four exactly 0.0 or 1.0
+            probs[rng.random(n) < 0.25] = rng.choice([0.0, 1.0])
+            elements = rng.permutation(40)[:n].tolist()
+            got = crs.SupportDistribution.product(elements, probs)
+            want = reference_product(elements, probs.tolist())
+            assert got.elements == tuple(elements)
+            assert [m for m, _ in got.atoms] == [m for m, _ in want], (n, trial)
+            assert [q.hex() for _, q in got.atoms] == [q.hex() for _, q in want], (n, trial)
+    assert crs.SupportDistribution.product((), ()).atoms == ((0, 1.0),)
+    assert crs.SupportDistribution.product((3, 1), (1.0, 0.0)).atoms == ((0b01, 1.0),)
+
+
+def test_product_refuses_a_wide_or_nan_law_before_it_allocates():
+    def peak_bytes(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # numpy's buffers are traced: one of 2^20 floats reads as 8 MB
+    assert peak_bytes(lambda: np.ones(1 << 20)) >= 8 << 20
+    for probs, error in (([0.5] * 21, SizeError), ([0.5] * 19 + [math.nan], DomainError)):
+        def refused():
+            with pytest.raises(error):
+                crs.SupportDistribution.product(range(len(probs)), probs)
+        # the first 19 elements alone would take 2^19 atoms, 8 MB of columns
+        assert peak_bytes(refused) < 1 << 20, error
 
 
 def test_columns_refuse_an_atom_outside_the_elements():

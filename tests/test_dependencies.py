@@ -2,16 +2,19 @@
 in `src/odrs_lab` names the standard library, numpy, click or the package
 itself. And every name a module imports is used there, unless its line says
 `# noqa: F401`. The interpreter's builtin `sum` adds floats left to right,
-which the byte-for-byte reports assume."""
+which the byte-for-byte reports assume, and `requires-python` admits just the
+minor version that CI tests on."""
 
 import ast
 import pathlib
 import re
 import sys
+import tomllib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "odrs_lab"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "odrs_lab"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "click", "odrs_lab"}
 
 
@@ -115,3 +118,23 @@ def test_builtin_sum_adds_floats_left_to_right():
         "outcomes' 1 - sum(sizes)), the `cover` costs and the stochastic report's "
         "exact_threshold_margin, and with them perfbench/golden/*.json and the "
         "suite's report digests; byte-for-byte reports are verified on CPython 3.11 only")
+
+
+def workflow_python_versions(workflow: str) -> list[str]:
+    """Every `python-version` a workflow file sets up."""
+    return re.findall(r"python-version:\s*[\"']?([\d.]+)", workflow)
+
+
+def test_requires_python_is_the_minor_version_ci_runs():
+    # the goldens and the bit-for-bit tests hold on the one version CI runs
+    declared = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["requires-python"]
+    versions = workflow_python_versions((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
+    assert versions, "tier1.yml sets up no python-version"
+    for version in versions:
+        major, minor = map(int, version.split("."))
+        assert declared == f">={major}.{minor},<{major}.{minor + 1}", (declared, version)
+
+
+def test_workflow_python_version_reader_self_test():
+    assert workflow_python_versions(
+        'with:\n  python-version: "3.11"\n  python-version: 3.12\n') == ["3.11", "3.12"]
