@@ -2,8 +2,9 @@
 multi-stage stochastic hypergraph multi-cover rounding.
 
 Edge coloring runs rounds of fair matchings and finishes the leftovers
-greedily. Each fair matcher is the shared warm-up ODRS step
-(`odrs.OnlineWarmup`) fed the uncolored residual, with fractions
+greedily. Each fair matcher is the warm-up ODRS fed one arrival at a time
+(`odrs.OnlineWarmup`, on node counts rather than the compiled records of
+`odrs.arrival_step`) on the uncolored residual, with fractions
 kappa(e)/Delta_round. Cover rounding level-set-rounds each vertex's scaled
 stage vector independently; coverage then holds with probability one.
 """

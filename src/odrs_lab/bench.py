@@ -2,10 +2,12 @@
 
 Both ODRS schemes replay through one kernel, `_batch_replay`, vectorized
 across runs and driven `rng.CHUNK_RUNS` runs at a time (`rng.run_chunks`).
-A node's per-run state is one bit, node-major `(n, chunk)`: whether its
-level-set count is one above the floor. Warm-up edges and odrs-b crossing
-coins are level-set steps on that bit, and bin candidates bid iff not
-ahead. Each arrival's selection table is built once per replay, and edge
+It reads the arrival records the compiled scheme built once (`comp.arrivals`,
+each interpreted one run at a time by `odrs.arrival_step`). A node's
+per-run state is one bit, node-major `(n, chunk)`: whether its level-set
+count is one above the floor. Warm-up edges and odrs-b crossing coins are
+level-set steps on that bit, and bin candidates bid iff not ahead. Each
+arrival's selection table is built once per replay, and edge
 counts are summed over chunks (integers, so exactly). A caller that needs
 the per-run matched flags gets them one chunk at a time through `on_chunk`.
 A caller that reads only some offline nodes' edges replays only the
@@ -90,28 +92,20 @@ class _Replay:
                     self.offline[node] |= rows
 
 
-def _batch_replay(comp, arrivals, n_runs: int, seed: int, on_chunk, keep):
-    """Edge counts of n_runs vectorized replays of the compiled scheme `comp`
-    given as `arrivals`, one `(t, selector, active, bins, steps)` per arrival
-    with a selector, in arrival order; see `_batch_run` for `on_chunk`.
-    `keep`, when given, is the set of arrivals to replay; every other
-    arrival's batches are skipped, folded into one jump before the next
-    replayed arrival.
-
-    The per-run state is one bool per (node, run), `ahead`: the node's count
-    is one above the floor of its level-set prefix sum (else at the floor, by
-    P2). An arrival draws one batch per bin group, per step and for the
-    settle, in that order. A drawn bin candidate bids iff not ahead, and is
-    ahead afterwards. A step `(node, p_lag, p_ahead, rises)` bids on
-    `u < (p_ahead if ahead else p_lag)` and leaves the node ahead iff it was
-    ahead or bid where the floor stays (p_ahead is 0 there), and iff it was
-    ahead and bid where the floor rises (p_lag is 1 there). The bids, as bits
-    at the positions of `active` (the selector's elements, in order), pick
-    the winner through the arrival's `_win_table`. A first touch reads no
-    state and compares with p_lag, and a last touch writes none."""
+def _batch_replay(comp, n_runs: int, seed: int, on_chunk, keep):
+    """Edge counts of n_runs vectorized replays of the compiled scheme `comp`:
+    each record of `comp.arrivals` read as `odrs.arrival_step` reads it, on
+    one `ahead` bool per (node, run), with the same draws in the same order,
+    one batch each; see `_batch_run` for `on_chunk`. `keep`, when given, is
+    the set of arrivals to replay; every other arrival's batches are
+    skipped, folded into one jump before the next replayed arrival. The bids
+    pick the winner through the arrival's `_win_table`, which refuses more
+    than MAX_TABLE_ACTIVE positions before any bid mask is built. A first
+    touch reads no state and compares with p_lag, and a last touch writes
+    none."""
     n = comp.inst.n_offline
     kept, skip = [], 0  # the replayed arrivals, each with the batches skipped before it
-    for t, selector, active, bins, steps in arrivals:
+    for t, selector, active, bins, steps in comp.arrivals:
         if keep is None or t in keep:
             kept.append((skip, t, selector, active, bins, steps))
             skip = 0
@@ -120,12 +114,13 @@ def _batch_replay(comp, arrivals, n_runs: int, seed: int, on_chunk, keep):
     marks = touch_marks([[i for gb in bins for i in gb.nodes] + [step[0] for step in steps]
                          for *_, bins, steps in kept])
     for k, ((skip, t, selector, active, bins, steps), mark) in enumerate(zip(kept, marks)):
+        table = _win_table(selector, len(active))  # checks the cap before BID_MASK bits
         bit = {i: BID_MASK(1 << pos) for pos, i in enumerate(active)}
         mark = iter(mark)  # bin nodes come first, then the steps' nodes
         bins = [(gb, [(i, bit[i], *next(mark)) for i in gb.nodes]) for gb in bins]
         steps = [(i, lo, hi, rises, bit[i], first or lo == hi, last)
                  for (i, lo, hi, rises), (first, last) in zip(steps, mark)]
-        kept[k] = (skip, t, active, bins, steps, _win_table(selector, len(active)))
+        kept[k] = (skip, t, active, bins, steps, table)
     chunks = run_chunks(n_runs, seed, 13)  # rejects n_runs < 1 before any allocation
     counts: dict[tuple[int, int], int] = {}
     for lo, hi, g in chunks:
@@ -164,31 +159,14 @@ def _batch_replay(comp, arrivals, n_runs: int, seed: int, on_chunk, keep):
 
 def _batch_odrs(comp: odrs_mod.CompiledOdrs, n_runs: int, seed: int, on_chunk=None,
                 keep=None):
-    """Vectorized replays of the improved ODRS (`_batch_replay`): each plan's
-    bin groups, then each crossing node as the level-set step `(node, 1,
-    takeover, True)`, which bids surely when lagging and on the takeover
-    coin when ahead, and leaves the node ahead iff it was and the coin came
-    up heads."""
-    arrivals = [(plan.t, selector, list(selector.elements), plan.bins,
-                 [(cn.node, 1.0, cn.takeover, True) for cn in plan.crossing])
-                for plan, selector in zip(comp.plans, comp.selectors) if selector is not None]
-    return _batch_replay(comp, arrivals, n_runs, seed, on_chunk, keep)
+    """Vectorized replays of the improved ODRS (`_batch_replay`)."""
+    return _batch_replay(comp, n_runs, seed, on_chunk, keep)
 
 
 def _batch_warmup(comp: odrs_mod.CompiledWarmup, n_runs: int, seed: int, on_chunk=None,
                   keep=None):
-    """Vectorized replays of the warm-up ODRS (`_batch_replay`): each edge is
-    one step of its node's level-set stream, `(node, p_lag, p_ahead, rises)`
-    from its row of `comp.steps`, where the floor rises iff the node's next
-    row has a higher floor (a row with no next row is a last touch)."""
-    arrivals, floor_next = [], {}  # node -> the floor at its next row
-    for t in reversed(range(len(comp.steps))):
-        rows = comp.steps[t]
-        if comp.selectors[t] is not None:
-            arrivals.append((t, comp.selectors[t], [i for i, *_ in rows], [],
-                             [(i, lo, hi, floor_next.get(i, fl) > fl) for i, fl, lo, hi in rows]))
-            floor_next.update((i, fl) for i, fl, _, _ in rows)
-    return _batch_replay(comp, arrivals[::-1], n_runs, seed, on_chunk, keep)
+    """Vectorized replays of the warm-up ODRS (`_batch_replay`)."""
+    return _batch_replay(comp, n_runs, seed, on_chunk, keep)
 
 
 def _batch_run(algorithm: str, inst: MatchingInstance, params, n_runs: int, seed: int,

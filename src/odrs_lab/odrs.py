@@ -543,32 +543,36 @@ class PairSums:
 # matchings and samplers
 # ----------------------------------------------------------------------------
 
-def odrs_core_step(ahead: np.ndarray, plan: StepPlan,
-                   selector: "crs_mod.SelectionRule", rng: ScalarRng) -> int:
-    """One arrival of the core ODRS: draw candidates per bin, collect eligible
-    bids, update the per-node bid states in place, and resolve contention.
-
-    Returns the matched offline node, or -1. Candidates from group bins bid
-    while their count lags the scaled-degree floor; boundary-crossing nodes
-    bid surely when lagging, else with their takeover coin.
-    """
-    apos = {i: k for k, i in enumerate(selector.elements)}
+def arrival_step(ahead: list[bool], record: tuple, uniform) -> int:
+    """One arrival of a compiled scheme from its record `(t, selector, active,
+    bins, steps)`: the matched offline node, or -1. `ahead[i]`, updated in
+    place, is whether node i's count is one above the floor of its level-set
+    prefix sum (else at the floor, by P2). One uniform per bin, then per
+    step, then the selector walk on the bids (bits at the positions of
+    `active`). A drawn bin candidate bids iff not ahead, and is ahead
+    afterwards. A step `(node, p_lag, p_ahead, rises)` bids on `u < (p_ahead
+    if ahead else p_lag)` and the floor moves up by `rises`; a count that
+    would leave {floor, floor + 1} raises InvariantBreach."""
+    t, selector, active, bins, steps = record
+    bit = {i: 1 << k for k, i in enumerate(active)}
     bid_mask = 0
-    for gb in plan.bins:
-        node = gb.draw(rng.uniform())
+    for gb in bins:
+        node = gb.draw(uniform())
         if node >= 0 and not ahead[node]:
-            bid_mask |= 1 << apos[node]
+            bid_mask |= bit[node]
             ahead[node] = True
-    for cn in plan.crossing:
-        heads = rng.uniform() < cn.takeover
-        if not ahead[cn.node]:
-            bid_mask |= 1 << apos[cn.node]
-        elif heads:
-            bid_mask |= 1 << apos[cn.node]
-        else:
-            ahead[cn.node] = False
-    k = selector.select(bid_mask, rng.uniform)
-    return selector.elements[k] if k >= 0 else -1
+    for node, p_lag, p_ahead, rises in steps:
+        was = ahead[node]
+        bid = uniform() < (p_ahead if was else p_lag)
+        above = was + bid - rises  # the count's distance above the new floor
+        if not 0 <= above <= 1:
+            raise InvariantBreach(f"prefix count of node {node} leaves its floor and "
+                                  f"ceiling at arrival {t}")
+        ahead[node] = above == 1
+        if bid:
+            bid_mask |= bit[node]
+    k = selector.select(bid_mask, uniform)
+    return active[k] if k >= 0 else -1
 
 
 @dataclass
@@ -618,10 +622,24 @@ def _components(inst: MatchingInstance) -> list[int]:
 
 
 class _CompiledScheme:
-    """What both compiled schemes share: the exact sums over the bid-set laws.
-    A scheme keeps `selectors`, one CRS selector per arrival (None where
-    nobody can bid), and `_law(t)`, the bidder-set law at an arrival that has
-    a selector."""
+    """What both compiled schemes share: the sampler and the exact sums over
+    the bid-set laws. A scheme keeps `selectors`, one CRS selector per
+    arrival (None where nobody can bid), `arrivals`, the `arrival_step`
+    record of each arrival with a selector, `b_matching` and `_law(t)`, the
+    bidder-set law at an arrival that has a selector."""
+
+    def sample(self, seed: int) -> Matching:
+        """One run: `arrival_step` on each record, drawing from the scalar
+        stream of `seed`."""
+        uniform = ScalarRng(seed).uniform
+        ahead = [False] * self.inst.n_offline
+        out = Matching()
+        for record in self.arrivals:
+            winner = arrival_step(ahead, record, uniform)
+            if winner >= 0:
+                out.add(winner, record[0])
+        out.assert_valid(self.inst, b_matching=self.b_matching)
+        return out
 
     def bid_law(self, t: int) -> crs_mod.SupportDistribution:
         """Exact law of the bidder set P_t, for t in [0, n_arrivals)."""
@@ -647,12 +665,17 @@ class _CompiledScheme:
 
 class CompiledOdrs(_CompiledScheme):
     """Deterministic per-instance structure for the improved ODRS: step plans,
-    exact per-arrival bid-set laws, and CRS selectors (shared by the sampler,
-    the exact engine, and the Monte Carlo bench)."""
+    exact per-arrival bid-set laws, CRS selectors and arrival records (shared
+    by the sampler, the exact engine, and the Monte Carlo bench). A crossing
+    node is the step `(node, 1, takeover, True)`: it bids surely when
+    lagging, else on the takeover coin, and stays ahead iff that came up."""
+
+    sample = _CompiledScheme.sample  # perfbench/tracing.py looks it up here
 
     def __init__(self, inst: MatchingInstance, params: ScalingParams):
         self.inst = inst
         self.params = params
+        self.b_matching = params.variant == "b_matching"
         self.plans = build_plans(inst, params)
         labels = _components(inst)
         comp_nodes: dict[int, list[int]] = {}
@@ -661,6 +684,7 @@ class CompiledOdrs(_CompiledScheme):
         dps = {lab: BidLawDP(nodes) for lab, nodes in comp_nodes.items()}
         self.laws: list[crs_mod.SupportDistribution | None] = []
         self.selectors: list[crs_mod.SelectionRule | None] = []
+        self.arrivals = []
         for plan in self.plans:
             active = plan.active()
             if not active:
@@ -669,21 +693,11 @@ class CompiledOdrs(_CompiledScheme):
                 continue
             law = dps[labels[active[0]]].step(plan)
             v = [plan.v[i] for i in law.elements]
+            sel = crs_mod.build_selector(law, v)
             self.laws.append(law)
-            self.selectors.append(crs_mod.build_selector(law, v))
-
-    def sample(self, seed: int) -> Matching:
-        rng = ScalarRng(seed)
-        ahead = np.zeros(self.inst.n_offline, dtype=bool)
-        out = Matching()
-        for plan, selector in zip(self.plans, self.selectors):
-            if selector is None:
-                continue
-            winner = odrs_core_step(ahead, plan, selector, rng)
-            if winner >= 0:
-                out.add(winner, plan.t)
-        out.assert_valid(self.inst, b_matching=self.params.variant == "b_matching")
-        return out
+            self.selectors.append(sel)
+            self.arrivals.append((plan.t, sel, list(sel.elements), plan.bins,
+                                  [(cn.node, 1.0, cn.takeover, True) for cn in plan.crossing]))
 
     def _law(self, t: int) -> crs_mod.SupportDistribution:
         return self.laws[t]
@@ -704,12 +718,10 @@ class OnlineWarmup:
         self.count = [0] * n_offline
         self.comp = [0.0] * n_offline
 
-    def arrive(self, edges: list[tuple[int, float]], rng: ScalarRng,
-               selector: crs_mod.ProductSelector | None = None) -> int:
+    def arrive(self, edges: list[tuple[int, float]], rng: ScalarRng) -> int:
         """edges: (offline id, fraction > 0) in arrival order; returns the
-        matched offline id or -1. One uniform per edge, then one selector
-        walk if anyone bid; `selector` is the product selector on the
-        fractions, built here when not given."""
+        matched offline id or -1. One uniform per edge, then, if anyone bid,
+        one walk of the product selector on the fractions."""
         s, count, comp = self.s, self.count, self.comp
         uniform = rng.uniform
         bid_mask = 0
@@ -721,15 +733,16 @@ class OnlineWarmup:
             bit <<= 1
         if not bid_mask:
             return -1
-        if selector is None:
-            selector = crs_mod.ProductSelector([x for _, x in edges])
-        win = selector.select(bid_mask, uniform)
+        win = crs_mod.ProductSelector([x for _, x in edges]).select(bid_mask, uniform)
         return edges[win][0] if win >= 0 else -1
 
 
 class CompiledWarmup(_CompiledScheme):
-    """1 - 1/e warm-up: `OnlineWarmup` with its selectors prebuilt, plus each
-    stream step's table row for the vectorized replay."""
+    """1 - 1/e warm-up: the scheme of `OnlineWarmup`, selectors prebuilt. A
+    record has no bins; each edge is one step of its node's level-set stream
+    (`step_table`) that rises where the edge lifts the floor of its sum."""
+
+    b_matching = True
 
     def __init__(self, inst: MatchingInstance):
         if any(arr.p != 1.0 for arr in inst.arrivals):
@@ -740,27 +753,17 @@ class CompiledWarmup(_CompiledScheme):
         self.edges = [[(i, x) for i, x in arr.edges if x > 0] for arr in inst.arrivals]
         self.selectors = [crs_mod.ProductSelector([x for _, x in edges]) if edges else None
                           for edges in self.edges]
-        # per arrival: (node, floor of its prefix sum, p if lagging, p if ahead)
-        self.steps: list[list[tuple[int, int, float, float]]] = []
+        self.arrivals = []
         s = [0.0] * inst.n_offline
         comp = [0.0] * inst.n_offline
-        for edges in self.edges:
-            rows = []
+        for t, edges in enumerate(self.edges):
+            steps = []
             for i, x in edges:
-                rows.append((i, *step_table(s[i], x)))
+                fl, p_lag, p_ahead = step_table(s[i], x)
                 s[i], comp[i] = kahan_add(s[i], comp[i], x)
-            self.steps.append(rows)
-
-    def sample(self, seed: int) -> Matching:
-        rng = ScalarRng(seed)
-        warmup = OnlineWarmup(self.inst.n_offline)
-        out = Matching()
-        for t, (edges, sel) in enumerate(zip(self.edges, self.selectors)):
-            i = warmup.arrive(edges, rng, sel)
-            if i >= 0:
-                out.add(i, t)
-        out.assert_valid(self.inst, b_matching=True)
-        return out
+                steps.append((i, p_lag, p_ahead, math.floor(_snap(s[i])) > fl))
+            if steps:
+                self.arrivals.append((t, self.selectors[t], [i for i, _ in edges], [], steps))
 
     def _law(self, t: int) -> crs_mod.SupportDistribution:
         """Independent bids with the fractions as probabilities (one

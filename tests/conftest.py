@@ -11,7 +11,7 @@ from odrs_lab import crs
 from odrs_lab import exact_engine as engine
 from odrs_lab import odrs
 from odrs_lab.errors import DomainError, InvariantBreach
-from odrs_lab.level_set import SNAP_TOL, _snap, kahan_add
+from odrs_lab.level_set import SNAP_TOL, _snap, kahan_add, step_table
 from odrs_lab.rng import _scramble
 
 
@@ -287,6 +287,23 @@ def reference_online_step(state: LevelSetState, x: float, u: float) -> tuple[int
         raise InvariantBreach(
             f"prefix count {count} outside [floor,ceil] of prefix sum {s_new}")
     return selected, LevelSetState(s_new, count, comp)
+
+
+def warmup_rows(comp):
+    """Per arrival of a `CompiledWarmup`, each positive edge's level-set table
+    row (node, floor of its prefix sum, p_lag, p_ahead): `step_table` on the
+    node's Kahan-summed prefix sum before the edge, as the warm-up's
+    samplers looked up a row by the node's count."""
+    s = [0.0] * comp.inst.n_offline
+    carry = [0.0] * comp.inst.n_offline
+    out = []
+    for edges in comp.edges:
+        rows = []
+        for i, x in edges:
+            rows.append((i, *step_table(s[i], x)))
+            s[i], carry[i] = kahan_add(s[i], carry[i], x)
+        out.append(rows)
+    return out
 
 
 def splitmix64(state: int) -> tuple[int, int]:

@@ -194,9 +194,12 @@ def test_lb_adversary_needs_enough_runs(matching_params):
                                params=matching_params)
 
 
-def test_warmup_replay_table_cap():
-    k = bench.MAX_TABLE_ACTIVE + 1
+@pytest.mark.parametrize("scheme", ["warmup", "odrs", "odrs_b"])
+@pytest.mark.parametrize("k", [bench.MAX_TABLE_ACTIVE + 1, 17, 20])
+def test_warmup_replay_table_cap(scheme, k):
+    # 16 or more positions would overflow the uint16 bid masks: the cap is
+    # checked before any mask is built
     inst = instances.MatchingInstance(k, (1,) * k, (instances.Arrival(
         tuple((i, 1.0 / k) for i in range(k))),))
     with pytest.raises(SizeError, match="batch table cap"):
-        bench.monte_carlo_edge_probs("warmup", inst, 1000, 0)
+        bench.monte_carlo_edge_probs(scheme, inst, 1000, 0, params=odrs.scheme_params(scheme))

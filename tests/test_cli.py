@@ -458,6 +458,19 @@ def test_lowerbound_n_above_the_cap_is_rejected():
         assert len(r.stderr.splitlines()) == 1 and f"cap {bench.LB_MAX_N}" in r.stderr, r.stderr
 
 
+def test_round_n_runs_past_the_table_cap_is_refused(tmp_path):
+    # an arrival with 17 positive edges: past the batch table cap, and past
+    # the 16 bits of the replay's bid masks
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"n_offline": 17, "capacities": [1] * 17, "arrivals": [
+        {"edges": [{"i": i, "x": 1 / 17} for i in range(17)]}]}))
+    for alg in ("warmup", "odrs", "odrs-b"):
+        r = run("round", "--alg", alg, "--n-runs", "1000", "--instance", str(path))
+        assert r.returncode == 2 and r.stdout == "" and "Traceback" not in r.stderr, r.stderr
+        assert len(r.stderr.splitlines()) == 1
+        assert f"batch table cap {bench.MAX_TABLE_ACTIVE}" in r.stderr, r.stderr
+
+
 @pytest.mark.parametrize("declared,extra", [(10**30, []), (3, ["--delta-cap", str(10**30)])])
 def test_color_delta_above_the_cap_is_refused_before_any_matcher(
         tmp_path, monkeypatch, capsys, declared, extra):

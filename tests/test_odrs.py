@@ -370,40 +370,42 @@ def test_low_bins_at_most_one_light(matching_params):
 
 
 def test_sampler_bid_counts_sandwich(b_matching_params):
-    # independent replay of the core steps, tracking bid counts explicitly:
-    # counts stay within floor/ceil of the scaled degree, matches never exceed
+    # independent replay of the arrival records through `arrival_step`,
+    # tracking bid counts explicitly: counts stay within floor/ceil of the
+    # (scaled) degree, matches never exceed them or the capacities
     from odrs_lab.rng import ScalarRng
     inst = instances.gen_random(5, 8, 0.8, seed=41, max_b=3)
-    comp = odrs.CompiledOdrs(inst, b_matching_params)
-    for seed in range(50):
-        rng = ScalarRng(seed)
-        ahead = np.zeros(inst.n_offline, dtype=bool)
-        counts = np.zeros(inst.n_offline, dtype=int)
-        matched = np.zeros(inst.n_offline, dtype=int)
-        shat = np.zeros(inst.n_offline)
-        for plan, selector in zip(comp.plans, comp.selectors):
-            if selector is None:
-                continue
-            before = ahead.copy()
-            win = odrs.odrs_core_step(ahead, plan, selector, rng)
-            # reconstruct bids from the state transition and the winner
-            for i in plan.xhat:
-                was_cross = any(cn.node == i for cn in plan.crossing)
-                if was_cross:
-                    if not before[i] or ahead[i]:
-                        counts[i] += 1  # lagging bids surely; ahead+heads bids
-                elif ahead[i] and not before[i]:
-                    counts[i] += 1
-            if win >= 0:
-                matched[win] += 1
-            for i, xh in plan.xhat.items():
-                shat[i] += xh
-            for i in range(inst.n_offline):
-                lo = math.floor(shat[i] + 1e-9)
-                hi = math.ceil(shat[i] - 1e-9)
-                assert lo <= counts[i] <= max(hi, lo), (seed, i, counts[i], shat[i])
-                assert matched[i] <= counts[i]
-                assert matched[i] <= inst.capacities[i]
+    odrs_b = odrs.CompiledOdrs(inst, b_matching_params)
+    warmup = odrs.CompiledWarmup(inst)
+    # per arrival: each active node's degree increment
+    increments = {odrs_b: [plan.xhat for plan in odrs_b.plans],
+                  warmup: [dict(edges) for edges in warmup.edges]}
+    for comp, degree_steps in increments.items():
+        for seed in range(50):
+            uniform = ScalarRng(seed).uniform
+            ahead = [False] * inst.n_offline
+            counts = np.zeros(inst.n_offline, dtype=int)
+            matched = np.zeros(inst.n_offline, dtype=int)
+            degree = np.zeros(inst.n_offline)
+            for record in comp.arrivals:
+                t, _, active, _, steps = record
+                before = list(ahead)
+                win = odrs.arrival_step(ahead, record, uniform)
+                # reconstruct bids from the state transition: a bid moves the
+                # count up one, a rising floor moves the bit down one
+                rises = {i: r for i, _, _, r in steps}
+                for i in active:
+                    counts[i] += ahead[i] - before[i] + rises.get(i, False)
+                if win >= 0:
+                    matched[win] += 1
+                for i, inc in degree_steps[t].items():
+                    degree[i] += inc
+                for i in range(inst.n_offline):
+                    lo = math.floor(degree[i] + 1e-9)
+                    hi = math.ceil(degree[i] - 1e-9)
+                    assert lo <= counts[i] <= max(hi, lo), (seed, i, counts[i], degree[i])
+                    assert matched[i] <= counts[i]
+                    assert matched[i] <= inst.capacities[i]
 
 
 def test_odrs_rejects_stochastic_instances(matching_params):

@@ -47,6 +47,19 @@ def test_traced_names_resolve():
     assert not missing, missing
 
 
+def test_top_level_traced_names_are_distinct_functions():
+    """`Tracer.install` wraps every module global that is the traced function,
+    so two traced names bound to one function (say `_batch_warmup =
+    _batch_odrs`) would be wrapped twice and count each call twice."""
+    owners = {}
+    for name, module, path in load_tracing().SPANS:
+        if "." not in path:
+            fn = getattr(importlib.import_module(f"odrs_lab.{module}"), path)
+            owners.setdefault(id(fn), []).append(f"{module}.{path}")
+    shared = [names for names in owners.values() if len(names) > 1]
+    assert not shared, shared
+
+
 def test_expected_spans_are_traced():
     spans = {name for name, _, _ in load_tracing().SPANS}
     expected = expected_spans()

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import reference_win_probs
+from conftest import reference_win_probs, warmup_rows
 from odrs_lab import bench, instances, level_set, odrs
 from odrs_lab import stochastic as st
 from odrs_lab.instances import Arrival, MatchingInstance
@@ -88,9 +88,10 @@ def reference_batch_warmup(comp, n_runs, seed):
     n = comp.inst.n_offline
     counts = np.zeros((n_runs, n), dtype=np.int64)
     offline_matched = np.zeros((n_runs, n), dtype=bool)
-    arrival_matched = np.zeros((n_runs, len(comp.steps)), dtype=bool)
+    all_rows = warmup_rows(comp)
+    arrival_matched = np.zeros((n_runs, len(all_rows)), dtype=bool)
     edge_counts = {}
-    for t, rows in enumerate(comp.steps):
+    for t, rows in enumerate(all_rows):
         sel = comp.selectors[t]
         if sel is None:
             continue
@@ -212,7 +213,7 @@ def rising_rows(comp):
     """The warm-up rows (node, floor, p_lag, p_ahead) whose node's next row
     has a higher floor: the rows where the replay's `ahead` bit is and-ed
     with the bid, not or-ed."""
-    rows = [row for arrival_rows in comp.steps for row in arrival_rows]
+    rows = [row for arrival_rows in warmup_rows(comp) for row in arrival_rows]
     out = []
     for k, (i, fl, _, _) in enumerate(rows):
         later = [fl_next for j, fl_next, _, _ in rows[k + 1:] if j == i]
@@ -326,7 +327,7 @@ def test_kernels_match_when_some_nodes_are_touched_once(scheme):
     instances.validate(inst).raise_if_invalid()
     comp = odrs.compile_scheme(scheme, inst, odrs.scheme_params(scheme))
     touched = (odrs_touches(comp) if scheme == "odrs"
-               else [[i for i, *_ in rows] for rows in comp.steps])
+               else [[i for i, *_ in rows] for rows in warmup_rows(comp)])
     flat = [i for nodes in touched for i in nodes]
     assert {i for i in range(5) if flat.count(i) == 1} == {0, 1, 4}
     assert_same_replay(scheme, inst, 4001, 11)
@@ -360,12 +361,13 @@ def test_warmup_kernel_matches_on_rows_with_equal_step_probabilities():
         Arrival(((0, 0.3), (1, 0.5), (2, 0.2))), Arrival(((0, 0.7),))))
     instances.validate(inst).raise_if_invalid()
     comp = odrs.compile_scheme("warmup", inst, None)
-    marks = touch_marks([[i for i, *_ in rows] for rows in comp.steps])
+    all_rows = warmup_rows(comp)
+    marks = touch_marks([[i for i, *_ in rows] for rows in all_rows])
     assert any(not first and lo == hi
-               for rows, mark in zip(comp.steps, marks)
+               for rows, mark in zip(all_rows, marks)
                for (_, _, lo, hi), (first, _) in zip(rows, mark))
     assert any(not first and lo != hi
-               for rows, mark in zip(comp.steps, marks)
+               for rows, mark in zip(all_rows, marks)
                for (_, _, lo, hi), (first, _) in zip(rows, mark))
     assert_same_replay("warmup", inst, 4000, 5)
 

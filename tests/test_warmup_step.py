@@ -4,7 +4,8 @@ every sampler built on them."""
 import numpy as np
 import pytest
 
-from conftest import LevelSetState, digest, reference_online_step, reference_product_select
+from conftest import (LevelSetState, digest, reference_online_step, reference_product_select,
+                      warmup_rows)
 from odrs_lab import apps, crs, instances, odrs
 from odrs_lab import level_set as ls
 from odrs_lab.instances import Arrival, MatchingInstance
@@ -53,11 +54,12 @@ def test_cover_trials_golden():
 
 def reference_warmup_sample(comp, seed):
     """The row-lookup loop `CompiledWarmup.sample` ran before it drove
-    `OnlineWarmup`: each row's probability is looked up by the node's count."""
+    `OnlineWarmup`: each row's probability is looked up by the node's count
+    (rows from `warmup_rows`)."""
     rng = ScalarRng(seed)
     counts = [0] * comp.inst.n_offline
     out = odrs.Matching()
-    for t, rows in enumerate(comp.steps):
+    for t, rows in enumerate(warmup_rows(comp)):
         sel = comp.selectors[t]
         if sel is None:
             continue
@@ -93,13 +95,20 @@ def test_warmup_sample_equals_row_lookup_loop_on_integral_sums():
 
 
 def test_online_warmup_builds_the_selector_it_is_not_given():
-    inst = instances.gen_random(6, 6, 0.8, 3)
-    comp = odrs.CompiledWarmup(inst)
-    for seed in range(10):
-        with_sel, without = odrs.OnlineWarmup(6), odrs.OnlineWarmup(6)
-        rng_a, rng_b = ScalarRng(seed), ScalarRng(seed)
-        for edges, sel in zip(comp.edges, comp.selectors):
-            assert with_sel.arrive(edges, rng_a, sel) == without.arrive(edges, rng_b)
+    # OnlineWarmup on counts (`online_step`, a selector built per arrival)
+    # against CompiledWarmup's one-bit records and prebuilt selectors, on
+    # b-matching rows where a node's floor rises before its last edge
+    for inst_seed in range(6):
+        inst = instances.gen_random(6, 12, 0.8, inst_seed, max_b=3)
+        comp = odrs.CompiledWarmup(inst)
+        steps = [step for *_, arrival_steps in comp.arrivals for step in arrival_steps]
+        assert any(rises and any(j == i for j, *_ in steps[k + 1:])
+                   for k, (i, _, _, rises) in enumerate(steps))
+        for seed in range(10):
+            warmup, rng = odrs.OnlineWarmup(inst.n_offline), ScalarRng(seed)
+            pairs = [(i, t) for t, edges in enumerate(comp.edges)
+                     for i in [warmup.arrive(edges, rng)] if i >= 0]
+            assert pairs == comp.sample(seed).pairs
 
 
 def _fraction_streams(n_streams=200, length=40):
