@@ -36,17 +36,22 @@ def _emit(doc, csv: bool = False):
 
 
 def _to_csv(doc) -> str:
-    rows = doc.get("edges") if isinstance(doc, dict) else None
-    if rows is None:
-        rows = [doc] if isinstance(doc, dict) else list(doc)
-    if not rows:
-        return ""
-    cols = list(rows[0])
+    """A report as CSV: its "edges" rows, the rows of a list, or the report
+    itself as one row, in the columns of the first row; ValidationFailure
+    names the first row that is not an object with those columns."""
+    rows = doc.get("edges") if isinstance(doc, dict) else doc
+    rows = [doc] if rows is None else rows
+    if not isinstance(rows, list):
+        instances.refuse("report rows", "a list", rows)
+    cols = list(rows[0]) if rows and isinstance(rows[0], dict) else []
     lines = [",".join(cols)]
-    for r in rows:
+    for k, r in enumerate(rows):
+        if not isinstance(r, dict) or any(c not in r for c in cols):
+            instances.refuse(f"report row {k}", f"an object with row 0's columns {cols}"
+                             if k else "an object", r)
         lines.append(",".join(format(r[c], ".17g") if isinstance(r[c], float) else str(r[c])
                               for c in cols))
-    return "\n".join(lines)
+    return "\n".join(lines) if rows else ""
 
 
 @click.group()
@@ -148,30 +153,30 @@ def optimize_cmd(variant):
     _emit({"variant": variant, "eps": eps, "delta": delta, "alpha": alpha})
 
 
+# a `crs --dist` law: its elements, and atoms naming a set of them
+DIST = {"elements": [instances.SCALAR], "atoms": [{"set": [instances.SCALAR],
+                                                   "p": instances.NUMBER}]}
+V = [instances.NUMBER]  # a `crs --v` target, one entry per element
+
+
 @cli.command("crs")
 @click.option("--dist", "dist_path", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--v", "v_path", type=click.Path(exists=True, dir_okay=False), required=True)
 def crs_cmd(dist_path, v_path):
     """Balance ratio and exact selector marginals of a subset distribution."""
-    doc = instances.read_json(dist_path, "--dist")
-    v = instances.read_json(v_path, "--v")
-    try:
-        elements = tuple(doc["elements"])
-        pos = {e: k for k, e in enumerate(elements)}
-        if len(pos) != len(elements):
-            raise ValidationFailure(f"--dist elements repeat: {list(elements)!r}")
-        masks, probs = [], []
-        for k, a in enumerate(doc["atoms"]):
-            mask = 0
-            for e in a["set"]:
-                if e not in pos:
-                    raise ValidationFailure(f"atom set names {e!r}, which is not in elements")
-                mask |= 1 << pos[e]
-            masks.append(mask)
-            probs.append(instances._real(a["p"], f'"p" of --dist atom {k}'))
-        v = [instances._real(vv, f"--v entry {k}") for k, vv in enumerate(v)]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationFailure(f"malformed --dist or --v JSON: {exc!r}") from exc
+    doc = instances.checked(instances.read_json(dist_path, "--dist"), DIST, "--dist")
+    v = instances.checked(instances.read_json(v_path, "--v"), V, "--v")
+    elements = tuple(doc["elements"])
+    pos = {e: k for k, e in enumerate(elements)}
+    if len(pos) != len(elements):
+        raise ValidationFailure(f"--dist elements repeat: {list(elements)!r}")
+    masks, probs = [], []
+    for a in doc["atoms"]:
+        unknown = [e for e in a["set"] if e not in pos]
+        if unknown:
+            raise ValidationFailure(f"atom set names {unknown[0]!r}, which is not in elements")
+        masks.append(sum({1 << pos[e] for e in a["set"]}))  # a repeated element counts once
+        probs.append(a["p"])
     if not all(map(math.isfinite, [*probs, *v])):
         raise ValidationFailure("--dist or --v holds a NaN or infinite number")
     dist = crs_mod.SupportDistribution.summed(elements, masks, probs)
@@ -183,10 +188,9 @@ def crs_cmd(dist_path, v_path):
     alpha = rule.alpha
     marg = crs_mod.exact_marginals(dist, rule)
     _emit({"alpha": alpha,
-           "marginals": [{"element": e, "prob": float(m), "target": alpha * float(vv)}
+           "marginals": [{"element": e, "prob": float(m), "target": alpha * vv}
                          for e, m, vv in zip(elements, marg, v)],
-           "max_error": float(max(abs(float(m) - alpha * float(vv))
-                                  for m, vv in zip(marg, v)))})
+           "max_error": float(max(abs(float(m) - alpha * vv) for m, vv in zip(marg, v)))})
 
 
 @cli.command("lowerbound")
@@ -265,12 +269,7 @@ def cover_cmd(path, trials, seed):
               help="Accepted and ignored: CSV is the only output.")
 def report_cmd(path):
     """Re-emit a JSON report as CSV."""
-    doc = instances.read_json(path, "--infile")
-    try:
-        text = _to_csv(doc)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationFailure(f"--infile is not a report: {exc!r}") from exc
-    _echo(text)
+    _echo(_to_csv(instances.read_json(path, "--infile")))
 
 
 def main():

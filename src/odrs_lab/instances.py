@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,13 +21,10 @@ TOL = 1e-9
 MAX_ARRIVAL_B = 1024  # largest per-arrival "b": each unit becomes its own arrival
 # largest declared max degree of a multigraph (`validate_multigraph`), which
 # `apps.edge_color_online` also refuses: it can run about 1.6 * delta fair
-# matchers, each holding per-right-node lists from its first use. At this
-# cap, one left node with 3 copies on right node 49 of 50 visits 17,679 of
-# the 26,112 matchers and colors in 0.21-0.26 s of CPU at 67 MB peak RSS
-# (84 MB when every matcher was allocated up front); on one right node,
-# 0.13-0.16 s at 41 MB, of which the interpreter with numpy is 30 MB
-# (2-vCPU VM, Python 3.11).
+# matchers (README, Size caps, has its time and memory at this cap)
 COLOR_MAX_DELTA = 1 << 14
+COVER_MAX_COUNT = 2**62  # bound on cover rounding's int64 counts (`validate_cover`)
+INT_BOUND = 2**63 - 1  # bound on every integer of an input: counts downstream are int64
 WEIGHT_RANGE = (0.5, 3.0)  # edge weights of a stochastic `gen_random` instance
 
 
@@ -220,7 +218,8 @@ def validate_cover(cov: CoverInstance) -> ValidationReport:
     costs and x*, vertex ids in range, demands of at least one, and a
     feasible x*: each edge's x* summed over its vertices and all stages meets
     its demand (within TOL). Rounding covers every edge with probability one
-    only from a feasible x*."""
+    only from a feasible x*, and keeps its counts in int64 only from an x*
+    whose counts stay below COVER_MAX_COUNT."""
     rep = ValidationReport()
     if cov.k < 1:
         rep.add("bad-k", "k", cov.k)
@@ -241,6 +240,13 @@ def validate_cover(cov: CoverInstance) -> ValidationReport:
         for stage, x in enumerate(row):
             if not (math.isfinite(x) and x >= 0):
                 rep.add("bad-xstar", f"var {v} stage {stage}", x)
+    # a rounded count (a var's total, an edge's cover) is at most L times the sum of
+    # 1 + L x* over all vars and stages, L the longest edge's length (>= apps.cover_alpha)
+    longest = max((len(verts) for verts, _ in cov.edges), default=1)
+    cells = [(x, v, stage) for v, row in enumerate(cov.xstar) for stage, x in enumerate(row)]
+    if longest * sum(longest * x + 1 for x, _, _ in cells) >= COVER_MAX_COUNT:
+        x, v, stage = max(cells)
+        rep.add("xstar-above-cap", f"var {v} stage {stage}", x)
     for e, (verts, demand) in enumerate(cov.edges):
         if demand < 1:
             rep.add("bad-demand", f"edge {e}", demand)
@@ -436,113 +442,105 @@ def save_json(inst, path: str):
         raise DomainError(f"cannot write {path}: {exc.strerror}") from exc
 
 
+# Input schemas and their leaves, each named as its refusals name it.
+# `checked` returns an INTEGER (an integral float too) as an int within
+# INT_BOUND; a COUNT (a capacity, a "b") the same, but any other float as is,
+# for the load checks to report; a NUMBER as a float, a NUMBER_OR_NULL as a
+# float or None, and a SCALAR (a string, a number, a bool or null) as is.
+INTEGER, COUNT, NUMBER, NUMBER_OR_NULL, SCALAR = (
+    "an integer", "a count", "a number", "a number or null", "a scalar")
+
+MATCHING = {"n_offline": INTEGER, "capacities": [COUNT],
+            "arrivals": [{"p?": NUMBER, "b?": COUNT,
+                          "edges": [{"i": INTEGER, "x": NUMBER, "w?": NUMBER_OR_NULL}]}]}
+MULTIGRAPH = {"multigraph": {"left": INTEGER, "right": INTEGER, "delta": INTEGER,
+                             "arrivals": [{"edges": [{"j": INTEGER, "kappa": INTEGER}]}]}}
+COVER = {"cover": {"k": INTEGER, "stages": [{"costs": [NUMBER]}],
+                   "edges": [{"verts": [INTEGER], "demand": INTEGER}], "xstar": [[NUMBER]]}}
+
+
+def checked(value, schema, path: str = ""):
+    """`value` checked against `schema`, its numbers converted as the leaves
+    say and its objects cut down to the schema's keys. A schema is a leaf,
+    `[item]` for a list of items, or `{key: schema}` for an object, where a
+    key ending in "?" is optional. Anything else is refused with one
+    ValidationFailure naming its JSON path below `path`, such as
+    `arrivals[0].edges[1].x must be a number, not 'a'`."""
+    if type(value) is float and schema is NUMBER or type(value) is int and schema is INTEGER and (
+            -INT_BOUND <= value <= INT_BOUND):  # the common leaves, as they are
+        return value
+    if isinstance(schema, dict):
+        if not isinstance(value, dict):
+            refuse(path, "an object", value)
+        # a key follows a field with a dot and an option (--dist) with a space
+        prefix = path and (f"{path} " if path.startswith("--") and " " not in path else f"{path}.")
+        out = {}
+        for key, item in schema.items():
+            name = key.rstrip("?")
+            if name in value:
+                out[name] = checked(value[name], item, prefix + name)
+            elif name == key:
+                raise ValidationFailure(f"{prefix}{name} is missing")
+        return out
+    if isinstance(schema, list):
+        if not isinstance(value, list):
+            refuse(path, "a list", value)
+        return [checked(v, schema[0], f"{path}[{k}]") for k, v in enumerate(value)]
+    if value is None and schema in (SCALAR, NUMBER_OR_NULL) or (
+            schema is SCALAR and isinstance(value, (str, int, float))):
+        return value
+    if schema is SCALAR or isinstance(value, bool) or not isinstance(value, (int, float)):
+        refuse(path, schema, value)
+    if schema is NUMBER or schema is NUMBER_OR_NULL:
+        try:
+            return float(value)
+        except OverflowError:
+            refuse(path, "a number within the float range", value)
+    if isinstance(value, float) and not value.is_integer():
+        return value if schema is COUNT else refuse(path, schema, value)
+    if not -INT_BOUND <= value <= INT_BOUND:
+        refuse(path, f"{schema} within ±(2**63 - 1)", value)
+    return int(value)
+
+
+def refuse(path: str, what: str, value):
+    """Raise ValidationFailure: the value at `path` (shortened) is not `what`."""
+    raise ValidationFailure(f"{path or 'the document'} must be {what}, not {reprlib.repr(value)}")
+
+
 def instance_from_dict(doc: dict) -> MatchingInstance:
+    doc = checked(doc, MATCHING)
     rep = ValidationReport()  # a bad "b" is not kept in the instance, so _load_check cannot see it
-    try:
-        n = _integer(doc["n_offline"], '"n_offline"')
-        caps = tuple(_integer(b, f"capacity of offline {i}", keep_float=True)
-                     for i, b in enumerate(_list(doc["capacities"], '"capacities"')))
-        arrivals = []
-        for t, arr in enumerate(_list(doc["arrivals"], '"arrivals"')):
-            _object(arr, f"arrival {t}")
-            p = _real(arr.get("p", 1.0), f'"p" of arrival {t}')
-            b_t = _integer(arr.get("b", 1), f'"b" of arrival {t}', keep_float=True)
-            if isinstance(b_t, float) or not 1 <= b_t <= MAX_ARRIVAL_B:
-                rep.add("bad-b", f"arrival {t}", b_t)
-                b_t = 1
-            edges, weights, has_w = [], [], False
-            for k, e in enumerate(_list(arr["edges"], f'"edges" of arrival {t}')):
-                edges.append((_integer(e["i"], f'"i" of arrival {t} edge {k}'),
-                              _real(e["x"], f'"x" of arrival {t} edge {k}')))
-                w = e.get("w")
-                has_w = has_w or w is not None
-                weights.append(_real(w, f'"w" of arrival {t} edge {k}') if w is not None else 1.0)
-            wtup = tuple(weights) if has_w else None
-            if b_t > 1:
-                # split a capacity-b online node into b unit arrivals
-                split = tuple((i, x / b_t) for i, x in edges)
-                for _ in range(b_t):
-                    arrivals.append(Arrival(split, wtup, p))
-            else:
-                arrivals.append(Arrival(tuple(edges), wtup, p))
-        inst = MatchingInstance(n, caps, tuple(arrivals))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValidationFailure(f"malformed instance JSON: {exc!r}") from exc
+    arrivals = []
+    for t, arr in enumerate(doc["arrivals"]):
+        b = arr.get("b", 1)
+        if isinstance(b, float) or not 1 <= b <= MAX_ARRIVAL_B:
+            rep.add("bad-b", f"arrival {t}", b)
+            b = 1
+        ws = [e.get("w") for e in arr["edges"]]
+        weights = None if ws.count(None) == len(ws) else tuple(1.0 if w is None else w for w in ws)
+        # a capacity-b online node becomes b unit arrivals with fractions x / b
+        split = tuple((e["i"], e["x"] / b) for e in arr["edges"])
+        arrivals += [Arrival(split, weights, arr.get("p", 1.0))] * b
+    inst = MatchingInstance(doc["n_offline"], tuple(doc["capacities"]), tuple(arrivals))
     rep.violations += _load_check(inst).violations
     rep.raise_if_invalid()
     return inst
 
 
-def _object(v, field: str) -> dict:
-    """An object field; any other value raises ValidationFailure naming
-    `field`."""
-    if isinstance(v, dict):
-        return v
-    raise ValidationFailure(f"{field} must be an object, not {json.dumps(v)[:40]}")
-
-
-def _list(v, field: str) -> list:
-    """A list field; any other value (an object, a string, a number, null)
-    raises ValidationFailure naming `field`."""
-    if isinstance(v, list):
-        return v
-    raise ValidationFailure(f"{field} must be a list, not {json.dumps(v)[:40]}")
-
-
-def _integer(v, field: str, keep_float: bool = False) -> int | float:
-    """An integer field: an int, or an integral float as an int. With
-    `keep_float`, any other float is returned as is (a capacity or per-arrival
-    `b`, for the load checks to report); any other value (a non-integral
-    number, a string, a bool, null) raises ValidationFailure naming `field`."""
-    if isinstance(v, float):
-        if v.is_integer():
-            return int(v)
-        if keep_float:
-            return v
-    elif isinstance(v, int) and not isinstance(v, bool):
-        return v
-    raise ValidationFailure(f"{field} must be an integer, not {v!r}")
-
-
-def _real(v, field: str) -> float:
-    """A real-valued field: an int or a float, as a float; any other value (a
-    string, a bool, null) raises ValidationFailure naming `field`."""
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return float(v)
-    raise ValidationFailure(f"{field} must be a number, not {v!r}")
-
-
 def multigraph_from_dict(doc: dict) -> MultigraphInstance:
-    try:
-        mg = doc["multigraph"]
-        arrivals = tuple(
-            tuple(sorted((_integer(e["j"], f'"j" of left {t} edge {k}'),
-                          _integer(e["kappa"], f'"kappa" of left {t} edge {k}'))
-                         for k, e in enumerate(_list(_object(arr, f"left {t}")["edges"],
-                                                     f'"edges" of left {t}'))))
-            for t, arr in enumerate(_list(mg["arrivals"], '"arrivals"')))
-        out = MultigraphInstance(*(_integer(mg[f], f'"{f}"') for f in ("left", "right", "delta")),
-                                 arrivals)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValidationFailure(f"malformed multigraph JSON: {exc!r}") from exc
+    mg = checked(doc, MULTIGRAPH)["multigraph"]
+    out = MultigraphInstance(mg["left"], mg["right"], mg["delta"], tuple(
+        tuple(sorted((e["j"], e["kappa"]) for e in arr["edges"])) for arr in mg["arrivals"]))
     validate_multigraph(out).raise_if_invalid()
     return out
 
 
 def cover_from_dict(doc: dict) -> CoverInstance:
-    try:
-        cv = doc["cover"]
-        out = CoverInstance(
-            _integer(cv["k"], '"k"'), len(cv["xstar"]),
-            tuple(tuple(_real(c, f'"costs" of stage {stage}') for c in st["costs"])
-                  for stage, st in enumerate(cv["stages"])),
-            tuple((tuple(_integer(v, f'"verts" of edge {e}') for v in edge["verts"]),
-                   _integer(edge["demand"], f'"demand" of edge {e}'))
-                  for e, edge in enumerate(cv["edges"])),
-            tuple(tuple(_real(x, f'"xstar" of var {v}') for x in row)
-                  for v, row in enumerate(cv["xstar"])))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValidationFailure(f"malformed cover JSON: {exc!r}") from exc
+    cv = checked(doc, COVER)["cover"]
+    out = CoverInstance(cv["k"], len(cv["xstar"]), tuple(tuple(st["costs"]) for st in cv["stages"]),
+                        tuple((tuple(e["verts"]), e["demand"]) for e in cv["edges"]),
+                        tuple(map(tuple, cv["xstar"])))
     validate_cover(out).raise_if_invalid()
     return out
 
@@ -558,6 +556,8 @@ def read_json(path: str, what: str):
                                 f"{exc.colno}: {exc.msg}") from exc
     except UnicodeDecodeError as exc:
         raise ValidationFailure(f"{what} is not JSON: byte {exc.start} is not UTF-8") from exc
+    except (ValueError, RecursionError) as exc:  # past int()'s digits or the recursion limit
+        raise ValidationFailure(f"{what} holds too long a number or too deep a nest") from exc
 
 
 def load_json(path: str):

@@ -113,6 +113,27 @@ def test_report_csv_roundtrip(tmp_path):
     assert run("report", "--infile", str(rep), "--csv").stdout == r2.stdout
 
 
+@pytest.mark.parametrize("text,message", [
+    ('[{"a": 1}, {"b": 2}]',
+     "report row 1 must be an object with row 0's columns ['a'], not {'b': 2}"),
+    ('{"edges": [null]}', "report row 0 must be an object, not None"),
+    ('{"edges": [{"a": 1.5}, 5]}',
+     "report row 1 must be an object with row 0's columns ['a'], not 5"),
+    ('{"edges": {}}', "report rows must be a list, not {}"),
+    ('"abc"', "report rows must be a list, not 'abc'"),
+    ("7", "report rows must be a list, not 7")])
+def test_report_names_the_first_row_that_is_not_one(tmp_path, monkeypatch, capsys, text,
+                                                    message):
+    import odrs_lab.cli as cli_mod
+
+    path = tmp_path / "rep.json"
+    path.write_text(text)
+    monkeypatch.setattr(sys, "argv", ["odrs-lab", "report", "--infile", str(path)])
+    assert cli_mod.main() == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"validation failure: {message}\n"
+
+
 def test_stochastic_cli(tmp_path):
     inst = tmp_path / "st.json"
     run("gen", "--kind", "stochastic", "--n", "4", "--t", "4", "--seed", "2",
@@ -165,15 +186,15 @@ def test_documents_of_the_wrong_shape_exit_2(tmp_path, monkeypatch, capsys, cmd,
 
 @pytest.mark.parametrize("doc,message", [
     ({"n_offline": 1, "capacities": {"a": 1}, "arrivals": []},
-     '"capacities" must be a list, not {"a": 1}'),
+     "capacities must be a list, not {'a': 1}"),
     ({"n_offline": 1, "capacities": [1], "arrivals": [{"edges": {"i": 0, "x": 0.5}}]},
-     '"edges" of arrival 0 must be a list, not {"i": 0, "x": 0.5}'),
+     "arrivals[0].edges must be a list, not {'i': 0, 'x': 0.5}"),
     ({"multigraph": {"left": 1, "right": 1, "delta": 1, "arrivals": {"edges": []}}},
-     '"arrivals" must be a list, not {"edges": []}'),
+     "multigraph.arrivals must be a list, not {'edges': []}"),
     ({"multigraph": {"left": 1, "right": 1, "delta": 1, "arrivals": [{"edges": {"j": 0}}]}},
-     '"edges" of left 0 must be a list, not {"j": 0}'),
+     "multigraph.arrivals[0].edges must be a list, not {'j': 0}"),
     ({"multigraph": {"left": 1, "right": 1, "delta": 1, "arrivals": [[]]}},
-     "left 0 must be an object, not []")])
+     "multigraph.arrivals[0] must be an object, not []")])
 def test_an_object_where_a_list_belongs_is_named(tmp_path, monkeypatch, capsys, doc, message):
     import odrs_lab.cli as cli_mod
 
@@ -186,23 +207,30 @@ def test_an_object_where_a_list_belongs_is_named(tmp_path, monkeypatch, capsys, 
 
 def test_validate_and_color_agree_on_the_delta_cap(tmp_path, monkeypatch, capsys):
     """A multigraph declaring a delta above the cap is refused at load by
-    `validate` and `color` alike; one at the cap passes both."""
+    `validate` and `color` alike, and one beyond the integer bound by the
+    schema; one at the cap passes both."""
     import odrs_lab.cli as cli_mod
-    from odrs_lab import apps
+    from odrs_lab import apps, instances
 
-    for delta, code in ((10**30, 2), (apps.COLOR_MAX_DELTA + 1, 2), (apps.COLOR_MAX_DELTA, 0)):
+    def above_cap(delta):
+        return (f"invalid instance: delta-above-cap at delta > cap {apps.COLOR_MAX_DELTA} "
+                f"(magnitude {delta:.3g})")
+
+    for delta, message in (
+            (10**30, f"multigraph.delta must be an integer within ±(2**63 - 1), not {10**30}"),
+            (instances.INT_BOUND, above_cap(instances.INT_BOUND)),
+            (apps.COLOR_MAX_DELTA + 1, above_cap(apps.COLOR_MAX_DELTA + 1)),
+            (apps.COLOR_MAX_DELTA, None)):
         path = tmp_path / f"mg-{delta}.json"
         arrivals = [{"edges": [{"j": 0, "kappa": 1}]}]
         path.write_text(json.dumps({"multigraph": {"left": 1, "right": 1, "delta": delta,
                                                    "arrivals": arrivals}}))
         for argv in (["validate", str(path)], ["color", "--instance", str(path)]):
             monkeypatch.setattr(sys, "argv", ["odrs-lab", *argv])
-            assert cli_mod.main() == code, (delta, argv)
+            assert cli_mod.main() == (2 if message else 0), (delta, argv)
             err = capsys.readouterr().err
-            if code:
-                assert err.splitlines() == [
-                    f"validation failure: invalid instance: delta-above-cap at delta > cap "
-                    f"{apps.COLOR_MAX_DELTA} (magnitude {delta:.3g})"], err
+            if message:
+                assert err.splitlines() == [f"validation failure: {message}"], err
 
 
 # every file a command reads, as the argv before the path, with valid companion files
@@ -281,10 +309,10 @@ def test_bad_crs_and_report_inputs_exit_2(tmp_path):
     ]
     bad_vs = [write("nan_v.json", "[NaN, 0.5]"), write("inf_v.json", "[0.5, Infinity]")]
     # numbers are ints or floats, as in instance files; the message names the field
-    fields = {dist_file("string_p.json", [0, 1], ([0], "0.5"), ([1], 0.5)): '"p" of --dist atom 0',
-              dist_file("bool_p.json", [0, 1], ([0, 1], True)): '"p" of --dist atom 0',
-              write("string_v.json", '["0.5", 0.5]'): "--v entry 0",
-              write("bool_v.json", "[0.5, true]"): "--v entry 1"}
+    fields = {dist_file("string_p.json", [0, 1], ([0], "0.5"), ([1], 0.5)): "--dist atoms[0].p",
+              dist_file("bool_p.json", [0, 1], ([0, 1], True)): "--dist atoms[0].p",
+              write("string_v.json", '["0.5", 0.5]'): "--v[0]",
+              write("bool_v.json", "[0.5, true]"): "--v[1]"}
     bad_dists += list(fields)[:2]
     bad_vs += list(fields)[2:]
     for cmd in (*(("crs", "--dist", d, "--v", vfile) for d in bad_dists),
@@ -413,26 +441,28 @@ def test_non_integral_capacity_rejected(tmp_path):
 
 def test_non_integral_offline_id_rejected(tmp_path):
     path = tmp_path / "id.json"
-    for i, n in ((1.7, 2), (-0.5, 2), (1, 2.9)):
+    for i, n, message in ((1.7, 2, "arrivals[0].edges[0].i must be an integer, not 1.7"),
+                          (-0.5, 2, "arrivals[0].edges[0].i must be an integer, not -0.5"),
+                          (1, 2.9, "n_offline must be an integer, not 2.9")):
         path.write_text(json.dumps({"n_offline": n, "capacities": [1, 1],
                                     "arrivals": [{"edges": [{"i": i, "x": 0.5}]}]}))
         r = run("round", "--alg", "odrs", "--exact", "--instance", str(path))
         assert r.returncode == 2 and r.stdout == "" and "Traceback" not in r.stderr
-        assert len(r.stderr.splitlines()) == 1 and "must be an integer" in r.stderr
+        assert r.stderr == f"validation failure: {message}\n"
 
 
 def test_non_numeric_fraction_rejected(tmp_path):
     path = tmp_path / "x.json"
-    for edge, p, field in (({"i": 1, "x": "0.5"}, 1.0, '"x" of arrival 0 edge 0'),
-                           ({"i": 1, "x": 0.5}, True, '"p" of arrival 0'),
-                           ({"i": 1, "x": 0.5, "w": False}, 1.0, '"w" of arrival 0 edge 0')):
+    for edge, p, field in (({"i": 1, "x": "0.5"}, 1.0, "arrivals[0].edges[0].x"),
+                           ({"i": 1, "x": 0.5}, True, "arrivals[0].p"),
+                           ({"i": 1, "x": 0.5, "w": False}, 1.0, "arrivals[0].edges[0].w")):
         path.write_text(json.dumps({"n_offline": 2, "capacities": [1, 1],
                                     "arrivals": [{"p": p, "edges": [edge]}]}))
         for cmd in (["validate", str(path)], ["round", "--exact", "--instance", str(path)]):
             r = run(*cmd)
             assert r.returncode == 2 and r.stdout == "" and "Traceback" not in r.stderr
             assert len(r.stderr.splitlines()) == 1
-            assert f"{field} must be a number" in r.stderr
+            assert r.stderr.startswith(f"validation failure: {field} must be a number")
 
 
 def test_run_counts_are_validated(tmp_path):
@@ -475,7 +505,7 @@ def test_round_n_runs_past_the_table_cap_is_refused(tmp_path):
 def test_color_delta_above_the_cap_is_refused_before_any_matcher(
         tmp_path, monkeypatch, capsys, declared, extra):
     import odrs_lab.cli as cli_mod
-    from odrs_lab import apps
+    from odrs_lab import apps, instances
 
     def no_matcher(n_offline):
         raise AssertionError("a fair matcher was allocated")
@@ -487,7 +517,10 @@ def test_color_delta_above_the_cap_is_refused_before_any_matcher(
     monkeypatch.setattr(sys, "argv", ["odrs-lab", "color", "--instance", str(path), *extra])
     assert cli_mod.main() == 2
     err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and f"cap {apps.COLOR_MAX_DELTA}" in err, err
+    # a declared delta beyond the integer bound is refused by the schema
+    named = ("within ±(2**63 - 1)" if declared > instances.INT_BOUND
+             else f"cap {apps.COLOR_MAX_DELTA}")
+    assert len(err.splitlines()) == 1 and named in err, err
 
 
 def test_bad_cover_instances_rejected(tmp_path):
@@ -496,7 +529,8 @@ def test_bad_cover_instances_rejected(tmp_path):
     bad = {"edge-endpoint": {"edges": [{"verts": [0, 2], "demand": 1}]},
            "xstar-shape": {"xstar": [[0.5], []]},
            "bad-xstar": {"xstar": [[0.5], [float("nan")]]},
-           "infeasible-xstar": {"xstar": [[0.25], [0.5]]}}
+           "infeasible-xstar": {"xstar": [[0.25], [0.5]]},
+           "xstar-above-cap at var 0 stage 0": {"xstar": [[1e19], [0.5]]}}
     for kind, over in bad.items():
         path = tmp_path / f"{kind}.json"
         path.write_text(json.dumps({"cover": {**cov, **over}}))

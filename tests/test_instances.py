@@ -204,23 +204,25 @@ def test_integer_fields_must_be_integral():
     assert instances.multigraph_from_dict(multigraph(1.0, 2.0, 0.0, 1.0)) == \
         instances.multigraph_from_dict(multigraph())
     assert instances.cover_from_dict(_cover_doc(k=2.0)) == instances.cover_from_dict(_cover_doc())
-    bad = [(instances.instance_from_dict, matching(n=2.9), '"n_offline" must be an integer, not 2.9'),
-           (instances.instance_from_dict, matching(i=1.7), '"i" of arrival 0 edge 0 .* not 1.7'),
-           (instances.instance_from_dict, matching(i=-0.5), '"i" of arrival 0 edge 0'),
-           (instances.instance_from_dict, matching(i="1"), '"i" of arrival 0 edge 0'),
-           (instances.instance_from_dict, matching(i=True), '"i" of arrival 0 edge 0'),
-           (instances.instance_from_dict, matching(n=None), '"n_offline"'),
-           (instances.instance_from_dict, matching(cap="1"), "capacity of offline 1 .* not '1'"),
-           (instances.instance_from_dict, matching(cap=False), "capacity of offline 1"),
-           (instances.multigraph_from_dict, multigraph(left=1.5), '"left"'),
-           (instances.multigraph_from_dict, multigraph(delta="2"), '"delta"'),
-           (instances.multigraph_from_dict, multigraph(j=0.5), '"j" of left 0 edge 0'),
-           (instances.multigraph_from_dict, multigraph(kappa=1.5), '"kappa" of left 0 edge 0'),
-           (instances.cover_from_dict, _cover_doc(k=2.5), '"k"'),
+    bad = [(instances.instance_from_dict, matching(n=2.9), '^n_offline must be an integer, not 2.9$'),
+           (instances.instance_from_dict, matching(i=1.7), r'^arrivals\[0\]\.edges\[0\]\.i .* not 1.7$'),
+           (instances.instance_from_dict, matching(i=-0.5), r'^arrivals\[0\]\.edges\[0\]\.i '),
+           (instances.instance_from_dict, matching(i="1"), r'^arrivals\[0\]\.edges\[0\]\.i '),
+           (instances.instance_from_dict, matching(i=True), r'^arrivals\[0\]\.edges\[0\]\.i '),
+           (instances.instance_from_dict, matching(n=None), '^n_offline '),
+           (instances.instance_from_dict, matching(cap="1"), r"^capacities\[1\] .* not '1'$"),
+           (instances.instance_from_dict, matching(cap=False), r"^capacities\[1\] "),
+           (instances.multigraph_from_dict, multigraph(left=1.5), r'^multigraph\.left '),
+           (instances.multigraph_from_dict, multigraph(delta="2"), r'^multigraph\.delta '),
+           (instances.multigraph_from_dict, multigraph(j=0.5),
+            r'^multigraph\.arrivals\[0\]\.edges\[0\]\.j '),
+           (instances.multigraph_from_dict, multigraph(kappa=1.5),
+            r'^multigraph\.arrivals\[0\]\.edges\[0\]\.kappa '),
+           (instances.cover_from_dict, _cover_doc(k=2.5), r'^cover\.k '),
            (instances.cover_from_dict, _cover_doc(edges=[{"verts": [0, 1.2], "demand": 1}]),
-            '"verts" of edge 0'),
+            r'^cover\.edges\[0\]\.verts\[1\] '),
            (instances.cover_from_dict, _cover_doc(edges=[{"verts": [0, 1], "demand": 1.5}]),
-            '"demand" of edge 0')]
+            r'^cover\.edges\[0\]\.demand ')]
     for load, doc, message in bad:
         with pytest.raises(ValidationFailure, match=message):
             load(doc)
@@ -239,22 +241,22 @@ def test_real_fields_must_be_numbers():
     assert instances.cover_from_dict(_cover_doc(stages=[{"costs": [1, 2, 1.5]},
                                                         {"costs": [0.5, 1, 1]}])) == \
         instances.cover_from_dict(_cover_doc())
-    bad = [(instances.instance_from_dict, matching(x="0.5"), '"x" of arrival 0 edge 0 must be a number'),
-           (instances.instance_from_dict, matching(x=True), '"x" of arrival 0 edge 0 .* not True'),
-           (instances.instance_from_dict, matching(x=None), '"x" of arrival 0 edge 0 .* not None'),
-           (instances.instance_from_dict, matching(p=True), '"p" of arrival 0 must be a number'),
-           (instances.instance_from_dict, matching(p="1"), '"p" of arrival 0'),
-           (instances.instance_from_dict, matching(p=None), '"p" of arrival 0'),
-           (instances.instance_from_dict, matching(w=False), '"w" of arrival 0 edge 0 .* not False'),
-           (instances.instance_from_dict, matching(w="2"), '"w" of arrival 0 edge 0'),
+    bad = [(instances.instance_from_dict, matching(x="0.5"), r'^arrivals\[0\]\.edges\[0\]\.x must be a number'),
+           (instances.instance_from_dict, matching(x=True), r'^arrivals\[0\]\.edges\[0\]\.x .* not True$'),
+           (instances.instance_from_dict, matching(x=None), r'^arrivals\[0\]\.edges\[0\]\.x .* not None$'),
+           (instances.instance_from_dict, matching(p=True), r'^arrivals\[0\]\.p must be a number'),
+           (instances.instance_from_dict, matching(p="1"), r'^arrivals\[0\]\.p '),
+           (instances.instance_from_dict, matching(p=None), r'^arrivals\[0\]\.p '),
+           (instances.instance_from_dict, matching(w=False), r'^arrivals\[0\]\.edges\[0\]\.w .* not False$'),
+           (instances.instance_from_dict, matching(w="2"), r'^arrivals\[0\]\.edges\[0\]\.w '),
            (instances.cover_from_dict, _cover_doc(stages=[{"costs": [1.0, "2", 1.5]},
                                                          {"costs": [0.5, 1.0, 1.0]}]),
-            '"costs" of stage 0 must be a number'),
+            r'^cover\.stages\[0\]\.costs\[1\] must be a number'),
            (instances.cover_from_dict, _cover_doc(stages=[{"costs": [1.0, 2.0, 1.5]},
                                                          {"costs": [0.5, None, 1.0]}]),
-            '"costs" of stage 1'),
+            r'^cover\.stages\[1\]\.costs\[1\] '),
            (instances.cover_from_dict, _cover_doc(xstar=[[0.5, 0.25], [0.25, True], [0.75, 0.5]]),
-            '"xstar" of var 1 must be a number, not True')]
+            r'^cover\.xstar\[1\]\[1\] must be a number, not True$')]
     for load, doc, message in bad:
         with pytest.raises(ValidationFailure, match=message):
             load(doc)
@@ -295,6 +297,9 @@ def test_validate_cover():
         "bad-demand": _cover_doc(edges=[{"verts": [0, 1], "demand": 0}]),
         "infeasible-xstar": _cover_doc(edges=[{"verts": [0, 1], "demand": 2}]),
         "bad-k": _cover_doc(k=0, stages=[], xstar=[[], [], []]),
+        # rounding would count floor(alpha * 1e19) copies in int64
+        "xstar-above-cap at var 1 stage 0 .magnitude 1e.19": _cover_doc(
+            xstar=[[0.5, 0.25], [1e19, 0.5], [0.75, 0.5]]),
     }
     for kind, doc in cases.items():
         with pytest.raises(ValidationFailure, match=kind):
