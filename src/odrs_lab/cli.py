@@ -18,6 +18,7 @@ import math  # noqa: E402
 import time  # noqa: E402
 
 import click  # noqa: E402
+from click.core import ParameterSource  # noqa: E402
 
 from . import apps, bench, instances, odrs, stochastic  # noqa: E402
 from . import crs as crs_mod  # noqa: E402
@@ -120,6 +121,12 @@ def round_cmd(alg, path, eps, delta, seed, n_runs, exact, sample, csv):
     if exact and (sample or alg == "stochastic"):
         raise click.UsageError("--exact applies to the probability reports of "
                                "warmup, odrs and odrs-b, not to --sample or --alg stochastic")
+    given = click.get_current_context().get_parameter_source  # a default is never refused
+    if (exact or sample) and given("n_runs") is ParameterSource.COMMANDLINE:
+        raise click.UsageError("--n-runs applies to the Monte Carlo reports, "
+                               "not to --exact or --sample")
+    if exact and given("seed") is ParameterSource.COMMANDLINE:
+        raise click.UsageError("--seed applies to sampled runs, not to --exact")
     inst = instances.load_json(path)
     if not isinstance(inst, instances.MatchingInstance):
         raise ValidationFailure("round expects a matching instance")
@@ -167,15 +174,17 @@ def crs_cmd(dist_path, v_path):
     doc = instances.checked(instances.read_json(dist_path, "--dist"), DIST, "--dist")
     v = instances.checked(instances.read_json(v_path, "--v"), V, "--v")
     elements = tuple(doc["elements"])
-    pos = {e: k for k, e in enumerate(elements)}
+    # elements compare as JSON values: 1 and 1.0 are one, true and 1 two (a bool is no number)
+    pos = {(type(e) is bool, e): k for k, e in enumerate(elements)}
     if len(pos) != len(elements):
         raise ValidationFailure(f"--dist elements repeat: {list(elements)!r}")
     masks, probs = [], []
     for a in doc["atoms"]:
-        unknown = [e for e in a["set"] if e not in pos]
+        keys = [(type(e) is bool, e) for e in a["set"]]
+        unknown = [e for e, key in zip(a["set"], keys) if key not in pos]
         if unknown:
             raise ValidationFailure(f"atom set names {unknown[0]!r}, which is not in elements")
-        masks.append(sum({1 << pos[e] for e in a["set"]}))  # a repeated element counts once
+        masks.append(sum({1 << pos[key] for key in keys}))  # a repeated element counts once
         probs.append(a["p"])
     if not all(map(math.isfinite, [*probs, *v])):
         raise ValidationFailure("--dist or --v holds a NaN or infinite number")

@@ -1,9 +1,9 @@
 """Exact probabilistic analysis on small instances.
 
 Computes the compiled schemes' per-edge match probabilities and rounding
-ratios, the joint law of the per-node bid states, and the correlation facts
-used by the lower-bound machinery (pairwise covariance floor, near-positive
-cylinder extraction, negative-cylinder scans).
+ratios, and the correlation facts used by the lower-bound machinery
+(pairwise covariance floor, near-positive cylinder extraction,
+negative-cylinder scans).
 """
 
 from __future__ import annotations
@@ -18,21 +18,6 @@ from . import odrs as odrs_mod
 from .crs import SupportDistribution
 from .errors import DomainError, InvariantBreach
 from .instances import MatchingInstance
-
-
-def free_mask_distribution(inst: MatchingInstance, params, t: int,
-                           algorithm: str = "odrs") -> SupportDistribution:
-    """Joint law of the per-node bid states (bit = 1 at the ceiling) just
-    before arrival t in [0, n_arrivals] (bucketed ODRS schemes only), over
-    positions 0..n_offline-1."""
-    if odrs_mod.checked_variant(algorithm, params) is None:
-        raise DomainError(f"{algorithm} keeps no bid-state masks")
-    if not 0 <= t <= inst.n_arrivals:
-        raise DomainError(f"arrival {t} is outside [0, {inst.n_arrivals}]")
-    dp = odrs_mod.BidLawDP(list(range(inst.n_offline)))
-    for plan in odrs_mod.build_plans(inst, params)[:t]:
-        dp.step(plan)
-    return SupportDistribution.summed(range(inst.n_offline), dp.masks, dp.probs).check(1e-9)
 
 
 def edge_match_probs(inst: MatchingInstance, params, algorithm: str

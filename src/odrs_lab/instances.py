@@ -459,33 +459,32 @@ COVER = {"cover": {"k": INTEGER, "stages": [{"costs": [NUMBER]}],
                    "edges": [{"verts": [INTEGER], "demand": INTEGER}], "xstar": [[NUMBER]]}}
 
 
-def checked(value, schema, path: str = ""):
+def checked(value, schema, path=""):
     """`value` checked against `schema`, its numbers converted as the leaves
     say and its objects cut down to the schema's keys. A schema is a leaf,
     `[item]` for a list of items, or `{key: schema}` for an object, where a
     key ending in "?" is optional. Anything else is refused with one
     ValidationFailure naming its JSON path below `path`, such as
-    `arrivals[0].edges[1].x must be a number, not 'a'`."""
+    `arrivals[0].edges[1].x must be a number, not 'a'`. Below the root a
+    path is (parent path, key or index), spelt out only for a refusal."""
     if type(value) is float and schema is NUMBER or type(value) is int and schema is INTEGER and (
             -INT_BOUND <= value <= INT_BOUND):  # the common leaves, as they are
         return value
     if isinstance(schema, dict):
         if not isinstance(value, dict):
             refuse(path, "an object", value)
-        # a key follows a field with a dot and an option (--dist) with a space
-        prefix = path and (f"{path} " if path.startswith("--") and " " not in path else f"{path}.")
         out = {}
         for key, item in schema.items():
             name = key.rstrip("?")
             if name in value:
-                out[name] = checked(value[name], item, prefix + name)
+                out[name] = checked(value[name], item, (path, name))
             elif name == key:
-                raise ValidationFailure(f"{prefix}{name} is missing")
+                raise ValidationFailure(f"{json_path((path, name))} is missing")
         return out
     if isinstance(schema, list):
         if not isinstance(value, list):
             refuse(path, "a list", value)
-        return [checked(v, schema[0], f"{path}[{k}]") for k, v in enumerate(value)]
+        return [checked(v, schema[0], (path, k)) for k, v in enumerate(value)]
     if value is None and schema in (SCALAR, NUMBER_OR_NULL) or (
             schema is SCALAR and isinstance(value, (str, int, float))):
         return value
@@ -503,9 +502,22 @@ def checked(value, schema, path: str = ""):
     return int(value)
 
 
-def refuse(path: str, what: str, value):
+def json_path(path) -> str:
+    """A `checked` path as its refusals name it: an index in brackets, a key
+    after a field with a dot and after an option (--dist) with a space."""
+    if isinstance(path, str):
+        return path
+    parent, key = json_path(path[0]), path[1]
+    if isinstance(key, int):
+        return f"{parent}[{key}]"
+    sep = " " if parent.startswith("--") and " " not in parent else "."
+    return f"{parent}{sep}{key}" if parent else key
+
+
+def refuse(path, what: str, value):
     """Raise ValidationFailure: the value at `path` (shortened) is not `what`."""
-    raise ValidationFailure(f"{path or 'the document'} must be {what}, not {reprlib.repr(value)}")
+    raise ValidationFailure(f"{json_path(path) or 'the document'} must be {what}, "
+                            f"not {reprlib.repr(value)}")
 
 
 def instance_from_dict(doc: dict) -> MatchingInstance:

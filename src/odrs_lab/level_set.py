@@ -4,6 +4,8 @@ Both algorithms round x_1, x_2, ... in [0,1] to bits so that every prefix
 count stays within floor/ceiling of the prefix sum (P2) while preserving
 marginals (P1); the online algorithm's output law coincides with the offline
 pairwise-merge law, which carries the strong negative-correlation properties.
+The tests certify that coupling by enumerating the exact laws of
+`online_round` and `offline_pivotal` as written (tests/conftest.py).
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import math
 
 import numpy as np
 
-from . import bitmask
 from .crs import SupportDistribution
 from .errors import DomainError, InvariantBreach
 from .rng import ScalarRng, run_chunks
@@ -290,60 +291,8 @@ def threshold_round(x, tau: float) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------------
-# exact output laws
+# exact law of the threshold rounding
 # ----------------------------------------------------------------------------
-
-def exact_dist_online(x) -> SupportDistribution:
-    """Exact output law of the online algorithm (path recursion over counts)."""
-    xs, n = _pad_to_integer(x)
-    bitmask.check_width(n, "an exact online law")
-    masks, probs = [], []
-    m = len(xs)
-
-    def rec(t: int, s: float, count: int, comp: float, mask: int, pr: float):
-        if t == m:
-            masks.append(mask)
-            probs.append(pr)
-            return
-        x = float(xs[t])
-        p = step_probability(s, count, x)
-        for sel, branch_p in ((1, p), (0, 1.0 - p)):
-            if branch_p <= 0.0:
-                continue
-            _, s_t, count_t, comp_t = online_step(s, count, comp, x, 0.0 if sel else 1.0)
-            rec(t + 1, s_t, count_t, comp_t, mask | (sel << t) if t < n else mask, pr * branch_p)
-
-    rec(0, 0.0, 0, 0.0, 0, 1.0)
-    return SupportDistribution.summed(range(n), masks, probs).check(1e-12)
-
-
-def exact_dist_offline(x) -> SupportDistribution:
-    """Exact output law of the offline merge (branch enumeration)."""
-    xs, n = _pad_to_integer(x)
-    bitmask.check_width(n, "an exact offline law")
-    masks, probs = [], []
-
-    def rec(y: np.ndarray, pr: float):
-        frac = _fractional_indices(y)
-        if not frac:
-            mask = 0
-            for i in range(n):
-                if _snap(float(y[i])) >= 1.0:
-                    mask |= 1 << i
-            masks.append(mask)
-            probs.append(pr)
-            return
-        i1, i2 = frac[0], frac[1]
-        for a, b, p in step_outcomes(float(y[i1]), float(y[i2])):
-            if p <= 0.0:
-                continue
-            y2 = y.copy()
-            y2[i1], y2[i2] = _snap(a), _snap(b)
-            rec(y2, pr * p)
-
-    rec(xs.copy(), 1.0)
-    return SupportDistribution.summed(range(n), masks, probs).check(1e-9)
-
 
 def threshold_exact_dist(x) -> SupportDistribution:
     """Exact law of threshold_round over a uniform threshold.

@@ -803,18 +803,13 @@ def scheme_params(name: str, eps: float | None = None,
     return ScalingParams(eps, delta, variant)
 
 
-def checked_variant(name: str, params: ScalingParams | None) -> str | None:
-    """The variant of scheme `name` (None for the warm-up, which ignores
-    `params`); DomainError when `params` is not of it."""
-    variant = _variant(name)
-    if variant is not None and (params is None or params.variant != variant):
-        raise DomainError(f"{name} needs {variant}-variant parameters")
-    return variant
-
-
 def compile_scheme(name: str, inst: MatchingInstance, params: ScalingParams | None):
-    """Compiled sampler of scheme `name` on `inst`: CompiledWarmup or
-    CompiledOdrs; `params` must be of the scheme's variant."""
-    if checked_variant(name, params) is None:
+    """Compiled sampler of scheme `name` on `inst`: CompiledWarmup, which
+    ignores `params`, or CompiledOdrs; DomainError when `params` is not of
+    the scheme's variant."""
+    variant = _variant(name)
+    if variant is None:
         return CompiledWarmup(inst)
+    if params is None or params.variant != variant:
+        raise DomainError(f"{name} needs {variant}-variant parameters")
     return CompiledOdrs(inst, params)

@@ -2,6 +2,7 @@ import hashlib
 import math
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from odrs_lab import crs
 from odrs_lab import exact_engine as engine
+from odrs_lab import level_set as ls
 from odrs_lab import odrs
 from odrs_lab.errors import DomainError, InvariantBreach
 from odrs_lab.level_set import SNAP_TOL, _snap, kahan_add, step_table
@@ -30,6 +32,107 @@ def b_matching_params():
 def digest(obj) -> str:
     """sha256 of `repr(obj)`: a golden value for a report or a sampled output."""
     return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+class SymbolicUniform:
+    """One uniform draw on [0, 1) of a run that `exact_law` enumerates, known
+    only as the interval [lo, hi) that the comparisons so far confine it to:
+    its ends are 0, 1 or thresholds it was compared with, which compare
+    exactly as they are and count as Fractions in the path's mass. `u < c`
+    (or `c > u`) is its one operation: a c inside the interval forks the
+    run. Any other use (`float(u)`, arithmetic, `>=`) raises TypeError, so a
+    sampler that does more with a draw cannot be mis-enumerated."""
+
+    def __init__(self, fork):
+        self.lo, self.hi, self._fork = 0, 1, fork
+
+    def __lt__(self, c):
+        if not self.lo < c < self.hi:  # a NaN c is below nothing, as for a float draw
+            return c >= self.hi
+        below = self._fork()
+        if below:
+            self.hi = c
+        else:
+            self.lo = c
+        return below
+
+
+def exact_law(sample) -> dict:
+    """The exact law of the code that samples: `sample(uniform)` is one run,
+    whose draws `uniform()` are `SymbolicUniform`s. The run is repeated once
+    per path of decisions at its forking comparisons, depth first, each
+    replaying the decisions of the path it forked from, and the outcome it
+    returns (hashable) gains the product of its draws' interval lengths.
+    Returns outcome -> Fraction mass; the masses sum to exactly one."""
+    law = {}
+    paths = [[]]
+    while paths:
+        path, draws, forks = paths.pop(), [], 0
+
+        def fork():
+            nonlocal forks
+            if forks == len(path):  # a new fork: below now, at or above later
+                paths.append(path + [False])
+                path.append(True)
+            forks += 1
+            return path[forks - 1]
+
+        def uniform():
+            draws.append(SymbolicUniform(fork))
+            return draws[-1]
+
+        out = sample(uniform)
+        mass = math.prod((Fraction(u.hi) - Fraction(u.lo) for u in draws), start=Fraction(1))
+        law[out] = law.get(out, 0) + mass
+    return law
+
+
+def patched_law(monkeypatch, module, run) -> dict:
+    """`exact_law` of `run()`, a sampler that takes its draws from
+    `module.ScalarRng(seed)`: every such stream it makes is patched to
+    return the enumerated uniforms."""
+    stream = SimpleNamespace(uniform=None)
+    monkeypatch.setattr(module, "ScalarRng", lambda seed: stream)
+
+    def sample(uniform):
+        stream.uniform = uniform
+        return run()
+    return exact_law(sample)
+
+
+def bits_mask(bits) -> int:
+    """The mask with bit k set where bits[k] is nonzero."""
+    return sum(1 << k for k, b in enumerate(bits) if b)
+
+
+def mask_law(n, law) -> crs.SupportDistribution:
+    """An enumerated law of masks over positions 0..n-1 as a
+    `crs.SupportDistribution`, its masses as floats."""
+    return crs.SupportDistribution.summed(range(n), law, [float(p) for p in law.values()])
+
+
+def online_law(x) -> crs.SupportDistribution:
+    """The enumerated law of `level_set.online_round(x)`'s bits."""
+    return mask_law(len(x), exact_law(
+        lambda uniform: bits_mask(ls.online_round(x, rng=SimpleNamespace(uniform=uniform)))))
+
+
+def offline_law(x, monkeypatch) -> crs.SupportDistribution:
+    """The enumerated law of `level_set.offline_pivotal(x)`'s bits."""
+    return mask_law(len(x), patched_law(monkeypatch, ls, lambda: bits_mask(ls.offline_pivotal(x))))
+
+
+def ahead_law(comp, t: int) -> dict:
+    """The enumerated law of a compiled scheme's `ahead` bits as a mask (bit i
+    = offline node i) once `odrs.arrival_step` has run the records of the
+    arrivals before t."""
+    def sample(uniform):
+        ahead = [False] * comp.inst.n_offline
+        for record in comp.arrivals:
+            if record[0] < t:
+                odrs.arrival_step(ahead, record, uniform)
+        return bits_mask(ahead)
+    return exact_law(sample)
 
 
 def reference_win_probs(sel, bids):

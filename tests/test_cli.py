@@ -324,6 +324,29 @@ def test_bad_crs_and_report_inputs_exit_2(tmp_path):
         assert all(field in r.stderr for path, field in fields.items() if path in cmd), r.stderr
 
 
+def test_crs_tells_a_bool_from_a_number(tmp_path, monkeypatch, capsys):
+    """`true` and `1` are two `--dist` elements, `1` and `1.0` one."""
+    import odrs_lab.cli as cli_mod
+
+    v = tmp_path / "v.json"
+    v.write_text("[0.5, 0.5]")
+
+    def crs(elements, *sets):
+        dist = tmp_path / "dist.json"
+        dist.write_text(json.dumps({"elements": elements, "atoms": [
+            {"set": s, "p": 1 / len(sets)} for s in sets]}))
+        monkeypatch.setattr(sys, "argv", ["odrs-lab", "crs", "--dist", str(dist), "--v", str(v)])
+        return cli_mod.main(), *capsys.readouterr()
+
+    code, out, err = crs([1, True], [1], [True])
+    assert code == 0 and err == ""
+    assert [(m["element"], m["prob"]) for m in json.loads(out)["marginals"]] == [(1, 0.5),
+                                                                                (True, 0.5)]
+    assert crs([0, True], [1]) == (
+        2, "", "validation failure: atom set names 1, which is not in elements\n")
+    assert crs([1, 1.0], [1]) == (2, "", "validation failure: --dist elements repeat: [1, 1.0]\n")
+
+
 def test_odrs_refuses_b_matching_instances_exit_2(tmp_path):
     inst = tmp_path / "b.json"
     run("gen", "--kind", "random", "--n", "4", "--t", "6", "--max-b", "3", "--seed", "0",
@@ -596,6 +619,12 @@ IGNORED_OPTIONS = {
                                 "error: "),
     "round-exact-sample": (["round", "--exact", "--sample"], 1, "usage error: "),
     "round-stochastic-exact": (["round", "--alg", "stochastic", "--exact"], 1, "usage error: "),
+    "round-exact-n-runs": (["round", "--exact", "--n-runs", "5"], 1, "usage error: "),
+    "round-exact-n-runs-seed": (["round", "--exact", "--n-runs", "-7", "--seed", "5"], 1,
+                                "usage error: "),
+    "round-exact-default-n-runs": (["round", "--exact", "--n-runs", "100000"], 1, "usage error: "),
+    "round-exact-seed": (["round", "--exact", "--seed", "5"], 1, "usage error: "),
+    "round-sample-n-runs": (["round", "--sample", "--n-runs", "3"], 1, "usage error: "),
 }
 
 

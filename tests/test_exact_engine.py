@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import bit_law, cylinder_mass, digest, rotation_joint, sized_joint
+from conftest import (ahead_law, bit_law, cylinder_mass, digest, mask_law, offline_law,
+                      online_law, rotation_joint, sized_joint)
 from odrs_lab import bitmask, crs, instances, level_set as ls, odrs, stochastic
 from odrs_lab import exact_engine as engine
 from odrs_lab.errors import DomainError, InvariantBreach, SizeError
@@ -104,8 +105,6 @@ TABLE_BUILDERS = {
         crs.SupportDistribution(tuple(range(WIDE)), ((0, 1.0),)), [1.0] * WIDE),
     "SupportDistribution.product": lambda: crs.SupportDistribution.product(
         range(WIDE), [0.5] * WIDE),
-    "exact_dist_online": lambda: ls.exact_dist_online([0.5] * WIDE),
-    "exact_dist_offline": lambda: ls.exact_dist_offline([0.5] * WIDE),
     "StochasticExact": lambda: _stochastic_exact(WIDE),
     "neg_cylinder_check": lambda: engine.neg_cylinder_check(bit_law(WIDE, {0: 1.0})),
 }
@@ -246,13 +245,13 @@ def reference_neg_cylinder_check(dist, direction):
     return worst[1], worst[0]
 
 
-def test_neg_cylinder_check_equals_the_subset_loop():
+def test_neg_cylinder_check_equals_the_subset_loop(monkeypatch):
     rng = np.random.default_rng(3)
     dists = [bit_law(0, {0: 1.0}), ls.threshold_exact_dist([0.5] * 4)]
     for _ in range(40):
         n = int(rng.integers(1, 11))
         x = rng.random(n)
-        dists += [ls.exact_dist_online(x), ls.exact_dist_offline(x), ls.threshold_exact_dist(x)]
+        dists += [online_law(x), offline_law(x, monkeypatch), ls.threshold_exact_dist(x)]
         masks = rng.integers(0, 1 << n, size=int(rng.integers(1, 30)))
         w = rng.random(len(masks))
         dists.append(bit_law(n, dict(zip(masks.tolist(), (w / w.sum()).tolist()))))
@@ -277,10 +276,15 @@ def test_pair_product_joint_equals_the_bit_loop():
 
 
 def test_free_mask_distribution(matching_params):
+    # the sampler's bid states after three arrivals, enumerated, are the
+    # bid-law DP's state after the first three plans
     inst = instances.gen_random(5, 5, 0.8, seed=23)
-    dist = engine.free_mask_distribution(inst, matching_params, 3)
-    dist.check(1e-9)
-    assert dist.elements == tuple(range(5))
+    law = ahead_law(odrs.compile_scheme("odrs", inst, matching_params), 3)
+    assert sum(law.values()) == 1
+    dp = odrs.BidLawDP(list(range(inst.n_offline)))
+    for plan in odrs.build_plans(inst, matching_params)[:3]:
+        dp.step(plan)
+    assert mask_law(5, law).tv_distance(bit_law(5, dp.state)) < 1e-12
 
 
 def test_arrival_indices_are_range_checked(matching_params):
@@ -291,34 +295,26 @@ def test_arrival_indices_are_range_checked(matching_params):
         for t in (-1, T):
             with pytest.raises(DomainError, match=rf"arrival {t} is outside \[0, {T}\)"):
                 comp.bid_law(t)
-    for t in (-1, T + 1, 99):
-        with pytest.raises(DomainError, match=rf"arrival {t} is outside \[0, {T}\]"):
-            engine.free_mask_distribution(inst, matching_params, t)
-    final = odrs.BidLawDP(list(range(inst.n_offline)))
-    for plan in odrs.build_plans(inst, matching_params):
-        final.step(plan)
-    assert engine.free_mask_distribution(inst, matching_params, T).atoms == tuple(
-        final.state.items())
 
 
 def test_free_mask_distribution_equals_the_compiled_plans(matching_params, b_matching_params):
-    # the law used to be read off compile_scheme's plans; build_plans gives
-    # the same plans without synthesizing a selector per arrival
-    for scheme, params, max_b in (("odrs", matching_params, 1), ("odrs_b", b_matching_params, 3)):
-        for seed in range(4):
-            inst = instances.gen_random(6, 7, 0.8, seed=seed, max_b=max_b)
+    # the `ahead` bits of `odrs.arrival_step` after every prefix of the
+    # arrivals, enumerated, against the bid-law DP stepped on the plans
+    for scheme, params, max_b in (("odrs", matching_params, 1), ("odrs_b", b_matching_params, 2)):
+        for seed in range(10):
+            inst = instances.gen_random(4, 4, 0.7, seed=seed, max_b=max_b)
             comp = odrs.compile_scheme(scheme, inst, params)
-            for t in (0, 3, 7):
-                dp = odrs.BidLawDP(list(range(inst.n_offline)))
-                for plan in comp.plans[:t]:
-                    dp.step(plan)
-                dist = engine.free_mask_distribution(inst, params, t, scheme)
-                assert dist.atoms == tuple(dp.state.items())
+            dp = odrs.BidLawDP(list(range(inst.n_offline)))
+            for t in range(len(comp.plans) + 1):
+                if t:
+                    dp.step(comp.plans[t - 1])
+                law = ahead_law(comp, t)
+                assert sum(law.values()) == 1
+                tv = mask_law(inst.n_offline, law).tv_distance(bit_law(inst.n_offline, dp.state))
+                assert tv < 1e-12, (scheme, seed, t)
     inst = instances.gen_random(5, 5, 0.8, seed=23)
-    with pytest.raises(DomainError, match="keeps no bid-state masks"):
-        engine.free_mask_distribution(inst, None, 3, "warmup")
     with pytest.raises(DomainError, match="variant parameters"):
-        engine.free_mask_distribution(inst, b_matching_params, 3, "odrs")
+        odrs.compile_scheme("odrs", inst, b_matching_params)
 
 
 def test_three_node_impossibility_requires_fractional_solution(matching_params):

@@ -167,8 +167,6 @@ ACCEPTED = {
     ("cover", "cover.stages[k].costs[k]", repr(10**30)): 12,
     ("cover", "cover.xstar[k][k]", "1.5"): 12,  # a larger x* stays feasible
     ("--dist", "--dist atoms[k].set", "[]"): 2,  # an atom on the empty set
-    ("--dist", "--dist atoms[k].set[k]", "True"): 2,  # true == 1 as a key: element 1
-    ("--dist", "--dist elements[k]", "True"): 1,  # element true, named by 1
     ("--v", "--v[k]", "1.5"): 2,  # any finite nonnegative target
     ("--v", "--v[k]", "1e+19"): 2,
     ("--v", "--v[k]", repr(10**30)): 2,

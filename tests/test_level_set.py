@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from conftest import LevelSetState, reference_online_step, reference_step_probability
+from conftest import (LevelSetState, offline_law, online_law, reference_online_step,
+                      reference_step_probability)
+from odrs_lab import bitmask
 from odrs_lab import level_set as ls
-from odrs_lab.errors import DomainError, InvariantBreach, SizeError
+from odrs_lab.errors import DomainError, InvariantBreach
 from odrs_lab.exact_engine import neg_cylinder_check
 from odrs_lab.rng import ScalarRng
 
@@ -82,10 +84,10 @@ def test_offline_fixed_point_and_half_half():
     assert seen == {(1, 0), (0, 1)}
 
 
-def test_coupling_online_equals_offline():
+def test_coupling_online_equals_offline(monkeypatch):
     for x in ([0.3, 0.3, 0.4], [0.25] * 4, [0.9, 0.1, 0.35, 0.65]):
-        tv = ls.exact_dist_online(x).tv_distance(ls.exact_dist_offline(x))
-        assert tv < 1e-9
+        tv = online_law(x).tv_distance(offline_law(x, monkeypatch))
+        assert tv < 1e-12
 
 
 def test_threshold_round_examples():
@@ -113,23 +115,26 @@ def test_threshold_round_rejects_tau_outside_zero_one():
     assert list(ls.threshold_round([0.5] * 4, 0.0)) == [0, 1, 0, 1]
 
 
-def test_exact_dist_examples():
-    d = ls.exact_dist_online([0.5, 0.5])
+def test_exact_dist_examples(monkeypatch):
+    d = online_law([0.5, 0.5])
     probs = dict(d.atoms)
     assert abs(probs[0b01] - 0.5) < 1e-15 and abs(probs[0b10] - 0.5) < 1e-15
-    d4 = ls.exact_dist_online([0.25] * 4)
-    off4 = ls.exact_dist_offline([0.25] * 4)
-    assert d4.tv_distance(off4) < 1e-9
+    d4 = online_law([0.25] * 4)
+    off4 = offline_law([0.25] * 4, monkeypatch)
+    assert d4.tv_distance(off4) < 1e-12
     for i in range(4):
         assert abs(dict(d4.atoms)[1 << i] - 0.25) < 1e-12
     # integral sum n: point mass on all ones
-    dp = ls.exact_dist_online([1.0, 1.0, 1.0])
-    assert dp.atoms == ((0b111, 1.0),)
+    for law in (online_law([1.0, 1.0, 1.0]), offline_law([1.0, 1.0, 1.0], monkeypatch)):
+        assert law.atoms == ((0b111, 1.0),)
 
 
 def test_exact_size_cap():
-    with pytest.raises(SizeError):
-        ls.exact_dist_online([0.5] * 21)
+    # the enumerated law builds no table over masks, so a stream past
+    # bitmask.MAX_BITS is exact too: each pair of halves selects one
+    d = online_law([0.5] * 21)
+    assert len(d.elements) > bitmask.MAX_BITS and len(d.atoms) == 2 ** 11
+    assert np.all(d.marginals() == 0.5)
 
 
 def test_threshold_law_has_no_width_cap():
@@ -146,7 +151,7 @@ def test_marginals_exact_to_1e12():
     for _ in range(30):
         n = int(rng.integers(2, 11))
         x = rng.random(n)
-        d = ls.exact_dist_online(x)
+        d = online_law(x)
         assert np.max(np.abs(d.marginals() - x)) < 1e-12
 
 
@@ -155,7 +160,7 @@ def test_q_t_identity():
     for _ in range(20):
         n = int(rng.integers(2, 9))
         x = rng.random(n)
-        d = ls.exact_dist_online(x)
+        d = online_law(x)
         s = 0.0
         for t in range(n):
             s += x[t]
@@ -172,7 +177,7 @@ def test_na_consequences_on_exact_law():
     for _ in range(15):
         n = int(rng.integers(2, 7))
         x = rng.random(n)
-        d = ls.exact_dist_online(x)
+        d = online_law(x)
         m = d.marginals()
         # pairwise covariance nonpositive
         for i in range(n):
@@ -187,7 +192,7 @@ def test_na_consequences_on_exact_law():
 def test_dummy_padding_strips_tail():
     bits = ls.online_round([0.3, 0.4], seed=4)
     assert len(bits) == 2
-    d = ls.exact_dist_online([0.3, 0.4])
+    d = online_law([0.3, 0.4])
     assert abs(sum(p for _, p in d.atoms) - 1.0) < 1e-12
     assert np.allclose(d.marginals(), [0.3, 0.4], atol=1e-12)
 
@@ -197,7 +202,7 @@ def test_accumulation_dust_near_integer_prefixes():
     # keep the case analysis and the prefix invariant intact
     for x in ([0.1] * 30, [1 / 3] * 9, [0.2, 0.3, 0.5] * 4):
         ls.online_round_batch(x, 50_000, seed=3)
-        d = ls.exact_dist_online(x[:10])
+        d = online_law(x[:10])
         assert np.max(np.abs(d.marginals() - np.asarray(x[:10]))) < 1e-9
 
 

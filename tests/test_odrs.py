@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from conftest import reference_exact_marginals
+from conftest import patched_law, reference_exact_marginals
 from odrs_lab import exact_engine as engine
 from odrs_lab import crs, instances, odrs
 from odrs_lab.errors import DomainError, FeasibilityError
@@ -224,20 +224,19 @@ def test_warmup_edge_probs_equal_per_atom_loop(monkeypatch, chunk):
         assert comp.edge_match_probs() == w
 
 
-def test_warmup_two_disjoint_stars_independent():
+def test_warmup_two_disjoint_stars_independent(monkeypatch):
+    # the sampler's exact law: the matched arrivals -> Fraction
     inst = MatchingInstance(4, (1,) * 4, (
         Arrival(((0, 0.5), (1, 0.5))), Arrival(((2, 0.5), (3, 0.5)))))
     comp = odrs.CompiledWarmup(inst)
-    n = 40_000
-    both = first = second = 0
-    for s in range(n):
-        m = comp.sample(s)
-        ts = {t for _, t in m.pairs}
-        first += 0 in ts
-        second += 1 in ts
-        both += 0 in ts and 1 in ts
-    p1, p2, pb = first / n, second / n, both / n
-    assert abs(pb - p1 * p2) < 4 * math.sqrt(pb * (1 - pb) / n) + 1e-3
+    law = patched_law(monkeypatch, odrs, lambda: frozenset(t for _, t in comp.sample(0).pairs))
+
+    def pr(event):
+        return sum(p for ts, p in law.items() if event(ts))
+
+    first, second = pr(lambda ts: 0 in ts), pr(lambda ts: 1 in ts)
+    assert 0 < first < 1 and 0 < second < 1
+    assert pr(lambda ts: {0, 1} <= ts) == first * second
 
 
 def test_odrs_star_ratio(matching_params):
@@ -328,19 +327,28 @@ def test_component_split_allows_structured_large_instances(matching_params):
     m.assert_valid(inst)
 
 
-def test_sampler_matches_exact_probabilities(matching_params):
-    inst = instances.gen_random(5, 5, 0.8, seed=11)
-    comp = odrs.CompiledOdrs(inst, matching_params)
-    exact = comp.edge_match_probs()
-    n = 30_000
-    counts = {}
-    for seed in range(n):
-        for i, t in comp.sample(seed).pairs:
-            counts[(i, t)] = counts.get((i, t), 0) + 1
-    for k, p in exact.items():
-        freq = counts.get(k, 0) / n
-        se = math.sqrt(max(p * (1 - p), 1e-9) / n)
-        assert abs(freq - p) < 5 * se + 1e-3
+def test_sampler_matches_exact_probabilities(monkeypatch):
+    # each scheme's `sample`, its law enumerated exactly, against the exact
+    # engine; the b-matching schemes at max_b = 2
+    rising = set()
+    for scheme, max_b in (("warmup", 2), ("odrs", 1), ("odrs_b", 2)):
+        for seed in range(10):
+            inst = instances.gen_random(4, 4, 0.7, seed, max_b=max_b)
+            comp = odrs.compile_scheme(scheme, inst, odrs.scheme_params(scheme))
+            law = patched_law(monkeypatch, odrs, lambda: tuple(comp.sample(0).pairs))
+            assert sum(law.values()) == 1
+            marg = {}
+            for pairs, p in law.items():
+                for edge in pairs:
+                    marg[edge] = marg.get(edge, 0) + p
+            exact = comp.edge_match_probs()
+            assert set(marg) <= set(exact)
+            assert max(abs(float(marg.get(k, 0)) - p) for k, p in exact.items()) < 1e-12
+            if any(rises for *_, steps in comp.arrivals for *_, rises in steps):
+                rising.add(scheme)
+    # the warm-up's rising rows and odrs_b's crossing coins (a step that
+    # rises) are among the enumerated runs
+    assert rising == {"warmup", "odrs_b"}
 
 
 def test_matching_json_shape(matching_params):
@@ -434,7 +442,7 @@ def test_odrs_refuses_fractional_degree_above_one(matching_params, b_matching_pa
         with pytest.raises(DomainError, match=f"offline node {over[0]} .* use odrs-b"):
             odrs.build_plans(inst, matching_params)
         with pytest.raises(DomainError, match="use odrs-b"):
-            engine.free_mask_distribution(inst, matching_params, 1)
+            odrs.compile_scheme("odrs", inst, matching_params)
         odrs.compile_scheme("odrs_b", inst, b_matching_params).sample(seed)
     assert refused > 0
 

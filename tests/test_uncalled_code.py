@@ -17,11 +17,8 @@ SRC = ROOT / "src" / "odrs_lab"
 # exact checks of the paper's guarantees that only the tests call
 TEST_ONLY = {
     "bench.three_node_impossibility",
-    "exact_engine.free_mask_distribution",
     "exact_engine.find_positive_cylinder",
     "exact_engine.neg_cylinder_check",
-    "level_set.exact_dist_online",
-    "level_set.exact_dist_offline",
     "level_set.threshold_exact_dist",
     "level_set.offline_pivotal",
     "level_set.online_round_batch",
